@@ -166,7 +166,7 @@ def cmd_groebner(args):
     if args.universal:
         seeds = tuple(args.seed + i for i in (1, 2, 3, 4))
         orders = default_order_suite(pres.universe, kinds=("lex", "grevlex"), seeds=seeds)
-        rep = universal_gb_check(gens, orders, strategy=args.strategy, jobs=args.jobs)
+        rep = universal_gb_check(gens, orders, strategy=args.strategy)
         ok = rep.ok
         if args.format == "json":
             _emit_json(
@@ -183,7 +183,7 @@ def cmd_groebner(args):
             print(rep.summary())
         return EXIT_OK if ok else EXIT_FAIL
     order = MonomialOrder(pres.universe, args.order)
-    rep = buchberger_check(gens, order, strategy=args.strategy, jobs=args.jobs)
+    rep = buchberger_check(gens, order, strategy=args.strategy)
     if args.format == "json":
         _emit_json({"command": "groebner", "universal": False, "ok": rep.ok, "orders": [_report_json(rep)]})
     else:
@@ -258,18 +258,13 @@ def cmd_verify(args):
     spec = _read_spec(args.spec)
     pres = build_presentation(spec)
     gens = defining_generators(pres, args.family, args.max_minor_size)
-    full_polys = [g.poly for g in defining_generators(pres, FULL, args.max_minor_size)]
-    if full_polys:
-        g_reports = [
-            buchberger_check(full_polys, MonomialOrder(pres.universe, kind), jobs=args.jobs)
-            for kind in ("lex", "grevlex")
-        ]
-        groebner_ok = all(r.ok for r in g_reports)
-    else:
-        g_reports = []
-        groebner_ok = True
+    full = gens if args.family == FULL else defining_generators(pres, FULL, args.max_minor_size)
+    full_polys = [g.poly for g in full]
+    kinds = ("lex", "grevlex") if full_polys else ()
+    g_reports = [buchberger_check(full_polys, MonomialOrder(pres.universe, kind)) for kind in kinds]
+    groebner_ok = all(r.ok for r in g_reports)
     o_report = oracle_check(pres, gens, t_cap=args.t_degree_cap, ambient_cap=args.s_degree_cap, cap=args.piece_cap)
-    n_report = normality_report(pres, args.family, args.max_minor_size)
+    n_report = normality_report(pres, gens)
     ok = groebner_ok and o_report.ok
     if args.format == "json":
         _emit_json(
@@ -409,7 +404,6 @@ def build_parser():
     p.add_argument("--universal", action="store_true", help="run a spread of orders and precedences")
     p.add_argument("--seed", type=int, default=0, help="seed for the shuffled precedences")
     p.add_argument("--strategy", choices=STRATEGIES, default="first")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_groebner)
 
     p = sub.add_parser("oracle", help="independent degree-bounded kernel comparison")
@@ -433,7 +427,6 @@ def build_parser():
     p.add_argument("--t-degree-cap", type=int, default=None)
     p.add_argument("--s-degree-cap", type=int, default=None)
     p.add_argument("--piece-cap", type=int, default=DEFAULT_PIECE_CAP)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("taylor", help="per-block monomial complex report")

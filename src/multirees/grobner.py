@@ -19,7 +19,6 @@ the multipliers needed to replay the claimed identity exactly.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -103,10 +102,15 @@ def top_reduce(p, reducers, order, strategy="first", max_steps=DEFAULT_MAX_STEPS
     """Top-reduce ``p`` by s-monomial-type ``reducers``; never inspects
     trailing terms of ``p``, so a nonzero remainder means only that no
     leading-term step applies (INCONCLUSIVE)."""
-    if strategy not in STRATEGIES:
-        raise ValueError("unknown strategy %r" % (strategy,))
     reducers = tuple(reducers)
     lead = [_lead_parts(g, order) for g in reducers]
+    return _reduce(p, reducers, lead, order, strategy, max_steps)
+
+
+def _reduce(p, reducers, lead, order, strategy, max_steps):
+    """``top_reduce`` against ``lead``, the ``_lead_parts`` of each reducer."""
+    if strategy not in STRATEGIES:
+        raise ValueError("unknown strategy %r" % (strategy,))
     quotients = {}
     work = p
     steps = 0
@@ -183,37 +187,28 @@ class BuchbergerReport:
         return "\n".join(lines)
 
 
-def buchberger_check(generators, order, strategy="first", jobs=1, max_steps=DEFAULT_MAX_STEPS):
+def buchberger_check(generators, order, strategy="first", max_steps=DEFAULT_MAX_STEPS):
     """Check every S-pair of ``generators`` top-reduces to zero.
 
     A fully reduced run certifies the list is a Groebner basis of the
     ideal it generates under ``order``; stuck pairs leave the question
-    open.  No pair-skipping criteria are applied.  ``jobs`` only adds
-    worker threads; results are assembled in pair order either way.
+    open.  No pair-skipping criteria are applied.
     """
     gens = tuple(generators)
     if not gens:
         raise ValueError("no generators")
     if any(g.is_zero() for g in gens):
         raise ValueError("zero generator")
-    for g in gens:
-        _lead_parts(g, order)
+    lead = [_lead_parts(g, order) for g in gens]
     report = BuchbergerReport(order=order, generators=gens, strategy=strategy)
-    pairs = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))]
-
-    def run_pair(ij):
-        i, j = ij
-        s = s_poly(gens[i], gens[j], order)
-        if s.is_zero():
-            return PairResult(i, j, True, None)
-        cert = top_reduce(s, gens, order, strategy=strategy, max_steps=max_steps)
-        return PairResult(i, j, False, cert)
-
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            report.pairs = list(pool.map(run_pair, pairs))
-    else:
-        report.pairs = [run_pair(ij) for ij in pairs]
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            s = s_poly(gens[i], gens[j], order)
+            if s.is_zero():
+                report.pairs.append(PairResult(i, j, True, None))
+            else:
+                cert = _reduce(s, gens, lead, order, strategy, max_steps)
+                report.pairs.append(PairResult(i, j, False, cert))
     return report
 
 
@@ -231,9 +226,9 @@ class UniversalReport:
         return "\n".join(lines)
 
 
-def universal_gb_check(generators, orders, strategy="first", jobs=1, max_steps=DEFAULT_MAX_STEPS):
+def universal_gb_check(generators, orders, strategy="first", max_steps=DEFAULT_MAX_STEPS):
     return UniversalReport(
-        [buchberger_check(generators, o, strategy=strategy, jobs=jobs, max_steps=max_steps) for o in orders]
+        [buchberger_check(generators, o, strategy=strategy, max_steps=max_steps) for o in orders]
     )
 
 

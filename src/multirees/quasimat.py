@@ -197,6 +197,8 @@ def _entry_graph_cycles(qm, max_vertices):
     ``max_vertices`` vertices, as cell walks.  Rows are vertices
     0..n_rows-1, columns n_rows..n_rows+n_cols-1; each cycle is emitted
     once, anchored at its smallest vertex."""
+    if max_vertices > MAX_BINARY_SIZE:
+        raise GuardExceeded("max_size %d exceeds the hard guard %d" % (max_vertices, MAX_BINARY_SIZE))
     R = qm.n_rows
     adj = {}
     for (r, c) in qm.entries:
@@ -234,11 +236,17 @@ def _entry_graph_cycles(qm, max_vertices):
     return cycles
 
 
+def binary_cycles(qm, max_size=MAX_BINARY_SIZE):
+    """The single-cycle binary subquasi-matrices of ``qm`` with rows+cols
+    at most ``max_size``, in the order ``binary_subquasi_enumerate`` lists
+    them."""
+    return [BinaryQuasiMatrix(qm, (cy,)) for cy in _entry_graph_cycles(qm, max_size)]
+
+
 def binary_subquasi_enumerate(qm, max_size=MAX_BINARY_SIZE):
-    """Yield every binary subquasi-matrix of ``qm`` with rows+cols at most
-    ``max_size``, as vertex-disjoint cycle unions, in a deterministic order."""
-    if max_size > MAX_BINARY_SIZE:
-        raise GuardExceeded("max_size %d exceeds the hard guard %d" % (max_size, MAX_BINARY_SIZE))
+    """Return a list of every binary subquasi-matrix of ``qm`` with
+    rows+cols at most ``max_size``, as vertex-disjoint cycle unions, in a
+    deterministic order."""
     cycles = _entry_graph_cycles(qm, max_size)
     vert_sets = []
     for cy in cycles:

@@ -35,6 +35,7 @@ from .poly import (
 from .quasimat import (
     Binomial,
     QuasiMatrix,
+    binary_cycles,
     binary_subquasi_enumerate,
     quasi_determinants,
 )
@@ -181,6 +182,13 @@ def spec_to_dict(spec):
     }
 
 
+def _field(value, kind, what):
+    """``value`` when it has the JSON type ``kind``; a bool is no int."""
+    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, kind):
+        raise SpecError("%s must be of type %s, got %s" % (what, kind.__name__, json.dumps(value)))
+    return value
+
+
 def spec_from_dict(data):
     if not isinstance(data, dict):
         raise SpecError("spec must be a JSON object")
@@ -201,18 +209,21 @@ def spec_from_dict(data):
         raise SpecError("sequence needs 'n'")
     try:
         values = tuple(
-            tuple((int(c), {str(k): int(e) for k, e in m.items()}) for c, m in val)
-            for val in sd.get("values", ())
+            tuple(
+                (_field(c, int, "a coefficient"), {k: _field(e, int, "an exponent") for k, e in m.items()})
+                for c, m in _field(val, list, "a concrete value")
+            )
+            for val in _field(sd.get("values", []), list, "'values'")
         )
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, AttributeError):
         raise SpecError("malformed concrete values")
     seq = SeqSpec(
-        n=int(sd["n"]),
+        n=_field(sd["n"], int, "'n'"),
         mode=mode,
-        names=tuple(sd.get("names", ())),
-        x_names=tuple(sd.get("ambient", ())),
+        names=tuple(_field(v, str, "a name") for v in _field(sd.get("names", []), list, "'names'")),
+        x_names=tuple(_field(v, str, "a name") for v in _field(sd.get("ambient", []), list, "'ambient'")),
         concrete_terms=values,
-        assume_weak_regular=bool(sd.get("assume_weak_regular", False)),
+        assume_weak_regular=_field(sd.get("assume_weak_regular", False), bool, "'assume_weak_regular'"),
     )
     blocks = []
     if not isinstance(data["blocks"], list):
@@ -225,7 +236,8 @@ def spec_from_dict(data):
             raise SpecError("unknown block keys: %s" % ", ".join(sorted(unknown)))
         if "rows" not in bd:
             raise SpecError("block %d needs 'rows'" % b)
-        blocks.append((tuple(bd["rows"]), int(bd.get("power", 1))))
+        rows = tuple(_field(k, int, "block %d row" % b) for k in _field(bd["rows"], list, "block %d 'rows'" % b))
+        blocks.append((rows, _field(bd.get("power", 1), int, "block %d 'power'" % b)))
     return ReesSpec(seq=seq, blocks=tuple(blocks))
 
 
@@ -550,9 +562,7 @@ def defining_generators(pres, family=RESTRICTED, max_minor_size=None):
     tpart = QuasiMatrix(
         E.n_rows, E.n_cols, {cell: v for cell, v in E.entries.items() if cell[1] != 0}
     )
-    for bqm in binary_subquasi_enumerate(tpart, max_size=2 * max_minor_size):
-        if len(bqm.cycles) != 1:
-            continue
+    for bqm in binary_cycles(tpart, max_size=2 * max_minor_size):
         cols = bqm.cols()
         blocks_ = [pres.col_blocks[c][0] for c in cols]
         if len(set(blocks_)) != len(blocks_):
@@ -571,17 +581,6 @@ def defining_generators(pres, family=RESTRICTED, max_minor_size=None):
 
 def generator_polys(pres, family=RESTRICTED, max_minor_size=None):
     return [g.poly for g in defining_generators(pres, family, max_minor_size)]
-
-
-def reduce_by_family(pres, target, order=None, family=RESTRICTED, max_minor_size=None, strategy="first"):
-    """Top-reduce ``target`` by the chosen family; the returned certificate
-    replays the division exactly."""
-    from .grobner import top_reduce
-
-    if order is None:
-        order = MonomialOrder(pres.universe, "lex")
-    gens = generator_polys(pres, family, max_minor_size)
-    return top_reduce(target, gens, order, strategy=strategy)
 
 
 # --- squarefreeness / normality report ------------------------------------
@@ -618,8 +617,9 @@ def _term_structural_ok(universe, mono, cells):
     return all(e <= 1 for v, e in mono.exps if v in universe.s_idset)
 
 
-def normality_report(pres, family=RESTRICTED, max_minor_size=None, orders=None):
-    """Squarefreeness-based normality/Cohen-Macaulayness report.
+def normality_report(pres, gens, orders=None):
+    """Squarefreeness-based normality/Cohen-Macaulayness report on the
+    ``Generator`` list ``gens`` emitted for ``pres``.
 
     The structural test asks that each term of each generator use distinct
     matrix columns and a squarefree sequence part; this is what the
@@ -629,7 +629,6 @@ def normality_report(pres, family=RESTRICTED, max_minor_size=None, orders=None):
     reported but do not gate the verdict.
     """
     u = pres.universe
-    gens = defining_generators(pres, family, max_minor_size)
     failures = []
     for g in gens:
         b = g.binomial

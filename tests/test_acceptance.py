@@ -144,7 +144,7 @@ def desk_sweep():
             initial_cover = initial_cover and all(
                 any(s.divides(lm) for s in sq) for lm in f_leads
             )
-        verdict = normality_report(pres).verdict
+        verdict = normality_report(pres, restricted).verdict
         results.append(
             {
                 "spec": spec,

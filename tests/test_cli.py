@@ -213,6 +213,19 @@ class TestVerify:
         assert payload["oracle"]["ok"] is True
         assert payload["normality"]["verdict"] == "NORMAL_CM"
 
+    def test_full_family(self, spec_file, capsys):
+        path = spec_file(PAPER_SPEC)
+        caps = ["--t-degree-cap", "2", "--s-degree-cap", "3"]
+        assert main(["verify", path, "--family", "full"] + caps) == 0
+        assert "overall: PASS" in capsys.readouterr().out
+        code, full = run_json(capsys, ["verify", path, "--family", "full", "--format", "json"] + caps)
+        assert code == 0 and full["ok"] is True
+        assert full["family"] == "full" and full["generators"] == 22
+        _, default = run_json(capsys, ["verify", path, "--format", "json"] + caps)
+        assert [r["pairs"] for r in full["groebner"]["reports"]] == [
+            r["pairs"] for r in default["groebner"]["reports"]
+        ]
+
     def test_degenerate_spec_verifies(self, spec_file, capsys):
         path = spec_file({"sequence": {"n": 2}, "blocks": [{"rows": [1], "power": 1}]})
         code, payload = run_json(
@@ -264,6 +277,25 @@ class TestErrors:
         path = spec_file({"sequence": {"n": 2}, "blocks": [{"rows": [1, 5], "power": 1}]})
         code = main(["generators", path])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "sequence, block",
+        [
+            ({"n": 2}, {"rows": [1, 2], "power": "x"}),
+            ({"n": "two"}, {"rows": [1, 2]}),
+            ({"n": 2}, {"rows": 5}),
+            ({"n": 2}, {"rows": ["a"]}),
+            ({"n": 2, "names": 5}, {"rows": [1, 2]}),
+            ({"n": 2}, {"rows": [1, 2], "power": 1.5}),
+            ({"n": 2.7}, {"rows": [1, 2]}),
+            ({"n": 2}, {"rows": [1, 2], "power": True}),
+        ],
+    )
+    def test_malformed_field_is_spec_error(self, spec_file, capsys, sequence, block):
+        path = spec_file({"sequence": sequence, "blocks": [block]})
+        code = main(["generators", path])
+        assert code == 2
+        assert "spec error:" in capsys.readouterr().err
 
     def test_stdin_spec(self, spec_file, capsys, monkeypatch):
         import io

@@ -119,15 +119,6 @@ class TestBuchberger:
             assert rep.ok
             assert rep.verify_certificates()
 
-    def test_jobs_deterministic(self, twocol):
-        _, uni, gens = twocol
-        order = MonomialOrder(uni, "lex")
-        seq = buchberger_check(gens, order, jobs=1)
-        par = buchberger_check(gens, order, jobs=4)
-        assert [(p.i, p.j, p.ok) for p in seq.pairs] == [
-            (p.i, p.j, p.ok) for p in par.pairs
-        ]
-
     def test_empty_and_zero_generators_rejected(self, twocol):
         _, uni, gens = twocol
         order = MonomialOrder(uni, "lex")

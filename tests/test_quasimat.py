@@ -15,6 +15,7 @@ from multirees.quasimat import (
     Binomial,
     BinaryQuasiMatrix,
     QuasiMatrix,
+    binary_cycles,
     binary_subquasi_enumerate,
     expand_combination,
     generic_matrix,
@@ -98,28 +99,38 @@ class TestQuasiMatrix:
         assert "a11" in text and "a22" in text
 
 
+GENERIC_SHAPES = [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)]
+
+
+def seeded_sparse_matrices():
+    rng = random.Random(11)
+    for _ in range(20):
+        nr, nc = rng.randint(2, 4), rng.randint(2, 4)
+        pattern = [
+            (r, c) for r in range(nr) for c in range(nc) if rng.random() < 0.7
+        ]
+        if pattern:
+            yield generic_matrix(nr, nc, pattern=pattern)[0]
+
+
 class TestBinaryEnumeration:
-    @pytest.mark.parametrize(
-        "shape",
-        [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)],
-    )
+    @pytest.mark.parametrize("shape", GENERIC_SHAPES)
     def test_matches_subset_filter_oracle(self, shape):
         qm, _ = generic_matrix(*shape)
         got = {bqm.cells for bqm in binary_subquasi_enumerate(qm)}
         assert got == brute_binary_cell_sets(qm)
 
     def test_matches_oracle_on_sparse_patterns(self):
-        rng = random.Random(11)
-        for _ in range(20):
-            nr, nc = rng.randint(2, 4), rng.randint(2, 4)
-            pattern = [
-                (r, c) for r in range(nr) for c in range(nc) if rng.random() < 0.7
-            ]
-            if not pattern:
-                continue
-            qm, _ = generic_matrix(nr, nc, pattern=pattern)
+        for qm in seeded_sparse_matrices():
             got = {bqm.cells for bqm in binary_subquasi_enumerate(qm)}
             assert got == brute_binary_cell_sets(qm)
+
+    def test_binary_cycles_are_the_single_cycle_unions(self):
+        shapes = [generic_matrix(*shape)[0] for shape in GENERIC_SHAPES]
+        for qm in shapes + list(seeded_sparse_matrices()):
+            for max_size in (4, 12):
+                want = [b.cycles for b in binary_subquasi_enumerate(qm, max_size) if len(b.cycles) == 1]
+                assert [b.cycles for b in binary_cycles(qm, max_size)] == want
 
     def test_full_3x3_has_six_spanning_binaries(self):
         qm, _ = generic_matrix(3, 3)
@@ -133,8 +144,9 @@ class TestBinaryEnumeration:
 
     def test_guard(self):
         qm, _ = generic_matrix(2, 2)
-        with pytest.raises(GuardExceeded):
-            binary_subquasi_enumerate(qm, max_size=13)
+        for enumerate_ in (binary_subquasi_enumerate, binary_cycles):
+            with pytest.raises(GuardExceeded):
+                enumerate_(qm, max_size=13)
 
     def test_cycle_shape_validation(self):
         qm, _ = generic_matrix(2, 2)

@@ -304,7 +304,7 @@ class TestFamilies:
         pres = build_presentation(spec)
         assert defining_generators(pres, RESTRICTED) == []
         assert defining_generators(pres, FULL) == []
-        report = normality_report(pres)
+        report = normality_report(pres, defining_generators(pres, RESTRICTED))
         assert report.verdict == "NORMAL_CM"
         assert any("no relations" in note for note in report.notes)
 
@@ -333,7 +333,8 @@ def paper_is_zero(pres, p):
 class TestNormalityReport:
     def test_generic_suite_verdict(self):
         spec = ReesSpec(seq=SeqSpec(n=3), blocks=(((1, 2, 3), 2), ((1, 2), 1)))
-        rep = normality_report(build_presentation(spec))
+        pres = build_presentation(spec)
+        rep = normality_report(pres, defining_generators(pres))
         assert rep.verdict == "NORMAL_CM"
         assert rep.structural_ok
         assert all(rep.symbol_results.values())
@@ -346,7 +347,8 @@ class TestNormalityReport:
             concrete_terms=(((1, {"x": 1}),), ((1, {"x": 2}),)),
         )
         spec = ReesSpec(seq=seq, blocks=(((1, 2), 1),))
-        rep = normality_report(build_presentation(spec))
+        pres = build_presentation(spec)
+        rep = normality_report(pres, defining_generators(pres))
         assert not rep.hypothesis_ok
         assert rep.verdict == "INDETERMINATE"
 
@@ -358,12 +360,14 @@ class TestNormalityReport:
             concrete_terms=(((1, {"x": 1}),), ((1, {"y": 1}),)),
         )
         spec = ReesSpec(seq=seq, blocks=(((1, 2), 1),))
-        rep = normality_report(build_presentation(spec))
+        pres = build_presentation(spec)
+        rep = normality_report(pres, defining_generators(pres))
         assert rep.hypothesis_ok
         assert rep.verdict == "NORMAL_CM"
 
     def test_summary_lines(self):
         spec = ReesSpec(seq=SeqSpec(n=2), blocks=(((1, 2), 1),))
-        text = normality_report(build_presentation(spec)).summary()
+        pres = build_presentation(spec)
+        text = normality_report(pres, defining_generators(pres)).summary()
         assert "verdict: NORMAL_CM" in text
         assert "structural squarefreeness" in text
