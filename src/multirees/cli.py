@@ -11,6 +11,7 @@ import sys
 
 from .grobner import (
     STRATEGIES,
+    MemberResult,
     buchberger_check,
     default_order_suite,
     universal_gb_check,
@@ -141,15 +142,19 @@ def cmd_generators(args):
 # --- groebner --------------------------------------------------------------
 
 
+def _stuck_json(res):
+    where = {"member": res.k + 1} if isinstance(res, MemberResult) else {"i": res.i + 1, "j": res.j + 1}
+    return dict(where, remainder=res.cert.remainder.render())
+
+
 def _report_json(rep):
     return {
         "order": rep.order.describe(),
         "ok": rep.ok,
         "pairs": len(rep.pairs),
-        "stuck": [
-            {"i": pr.i + 1, "j": pr.j + 1, "remainder": pr.cert.remainder.render()}
-            for pr in rep.failures
-        ],
+        "basis": len(rep.basis),
+        "product_criterion": rep.product_criterion,
+        "stuck": [_stuck_json(res) for res in rep.failures],
     }
 
 
@@ -194,6 +199,13 @@ def cmd_groebner(args):
 # --- oracle ----------------------------------------------------------------
 
 
+def _oracle(pres, gens, args):
+    rep = oracle_check(pres, gens, t_cap=args.t_degree_cap, ambient_cap=args.s_degree_cap, cap=args.piece_cap)
+    if not rep.reports:
+        raise SpecError("the degree caps leave no graded piece to check")
+    return rep
+
+
 def cmd_oracle(args):
     spec = _read_spec(args.spec)
     pres = build_presentation(spec)
@@ -210,13 +222,7 @@ def cmd_oracle(args):
         if missing:
             raise SpecError("no generator with index %s" % ", ".join(map(str, sorted(missing))))
         gens = keep
-    rep = oracle_check(
-        pres,
-        gens,
-        t_cap=args.t_degree_cap,
-        ambient_cap=args.s_degree_cap,
-        cap=args.piece_cap,
-    )
+    rep = _oracle(pres, gens, args)
     if args.format == "json":
         payload = {
             "command": "oracle",
@@ -259,11 +265,11 @@ def cmd_verify(args):
     pres = build_presentation(spec)
     gens = defining_generators(pres, args.family, args.max_minor_size)
     full = gens if args.family == FULL else defining_generators(pres, FULL, args.max_minor_size)
+    o_report = _oracle(pres, gens, args)
     full_polys = [g.poly for g in full]
     kinds = ("lex", "grevlex") if full_polys else ()
     g_reports = [buchberger_check(full_polys, MonomialOrder(pres.universe, kind)) for kind in kinds]
     groebner_ok = all(r.ok for r in g_reports)
-    o_report = oracle_check(pres, gens, t_cap=args.t_degree_cap, ambient_cap=args.s_degree_cap, cap=args.piece_cap)
     n_report = normality_report(pres, gens)
     ok = groebner_ok and o_report.ok
     if args.format == "json":
@@ -367,6 +373,24 @@ def cmd_taylor(args):
 # --- parser ----------------------------------------------------------------
 
 
+def _int_at_least(low):
+    """argparse type: an integer no smaller than ``low`` (else exit 2)."""
+
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+        return value
+
+    return integer
+
+
+def _add_cap_args(p):
+    p.add_argument("--t-degree-cap", type=_int_at_least(1), default=None)
+    p.add_argument("--s-degree-cap", type=_int_at_least(0), default=None)
+    p.add_argument("--piece-cap", type=_int_at_least(1), default=DEFAULT_PIECE_CAP)
+
+
 def _add_spec_arg(p):
     p.add_argument("spec", help="path to a spec JSON file, or - for stdin")
     p.add_argument("--format", choices=("text", "json", "cas"), default="text")
@@ -376,7 +400,7 @@ def _add_family_args(p, default=RESTRICTED):
     p.add_argument("--family", choices=FAMILIES, default=default)
     p.add_argument(
         "--max-minor-size",
-        type=int,
+        type=_int_at_least(2),
         default=None,
         metavar="M",
         help="largest matrix dimension consumed by one binary quasi-minor",
@@ -409,9 +433,7 @@ def build_parser():
     p = sub.add_parser("oracle", help="independent degree-bounded kernel comparison")
     _add_spec_arg(p)
     _add_family_args(p)
-    p.add_argument("--t-degree-cap", type=int, default=None)
-    p.add_argument("--s-degree-cap", type=int, default=None)
-    p.add_argument("--piece-cap", type=int, default=DEFAULT_PIECE_CAP)
+    _add_cap_args(p)
     p.add_argument(
         "--drop-generator",
         type=int,
@@ -424,9 +446,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run the groebner, oracle, and normality checks")
     _add_spec_arg(p)
     _add_family_args(p)
-    p.add_argument("--t-degree-cap", type=int, default=None)
-    p.add_argument("--s-degree-cap", type=int, default=None)
-    p.add_argument("--piece-cap", type=int, default=DEFAULT_PIECE_CAP)
+    _add_cap_args(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("taylor", help="per-block monomial complex report")

@@ -12,6 +12,12 @@ which S-pairs and top-reduction stay exact:
   the reducer's leading s-monomial, so it applies only when that
   s-monomial divides every term of the coefficient.
 
+``buchberger_check`` certifies a family through its subset of
+generators with divisibility-minimal leads: it checks the S-pairs of
+that subset only, skips a pair with coprime s-parts and coprime T-parts
+by Buchberger's product criterion, and reduces every other generator
+over the subset.
+
 Reduction is top-reduction only and can get stuck; a stuck state is
 reported as INCONCLUSIVE, never as a disproof.  All certificates carry
 the multipliers needed to replay the claimed identity exactly.
@@ -144,55 +150,162 @@ def _reduce(p, reducers, lead, order, strategy, max_steps):
 
 @dataclass
 class PairResult:
+    """One S-pair of the basis, by generator index.  ``criterion`` names
+    the criterion that certified the pair without reducing it."""
+
     i: int
     j: int
     spair_zero: bool
     cert: ReductionCert | None
+    criterion: str | None = None
 
     @property
     def ok(self):
         return self.spair_zero or self.cert.status == REDUCED_TO_ZERO
+
+    @property
+    def label(self):
+        return "pair (%d, %d)" % (self.i, self.j)
+
+
+@dataclass
+class MemberResult:
+    """A generator left out of the basis, reduced over the basis."""
+
+    k: int
+    cert: ReductionCert
+
+    @property
+    def ok(self):
+        return self.cert.status == REDUCED_TO_ZERO
+
+    @property
+    def label(self):
+        return "member %d" % self.k
 
 
 @dataclass
 class BuchbergerReport:
     order: MonomialOrder
     generators: tuple
+    basis: tuple = ()
     pairs: list = field(default_factory=list)
+    members: list = field(default_factory=list)
     strategy: str = "first"
 
     @property
     def ok(self):
-        return all(pr.ok for pr in self.pairs)
+        return all(pr.ok for pr in self.pairs) and all(m.ok for m in self.members)
 
     @property
     def failures(self):
-        return [pr for pr in self.pairs if not pr.ok]
+        """Stuck pairs, then stuck members."""
+        return [r for r in self.pairs + self.members if not r.ok]
+
+    @property
+    def product_criterion(self):
+        return sum(1 for pr in self.pairs if pr.criterion == "product")
 
     def verify_certificates(self):
-        return all(pr.cert.verify() for pr in self.pairs if pr.cert is not None)
+        return all(r.cert.verify() for r in self.pairs + self.members if r.cert is not None)
 
     def summary(self):
         verdict = "CERTIFIED" if self.ok else "INCONCLUSIVE"
         lines = [
-            "groebner check under %s: %s (%d generators, %d pairs, %d stuck)"
-            % (self.order.describe(), verdict, len(self.generators), len(self.pairs), len(self.failures))
+            "groebner check under %s: %s (%d generators, %d in the basis, %d pairs, "
+            "%d by the product criterion, %d stuck)"
+            % (
+                self.order.describe(),
+                verdict,
+                len(self.generators),
+                len(self.basis),
+                len(self.pairs),
+                self.product_criterion,
+                len(self.failures),
+            )
         ]
-        for pr in self.failures:
-            lc, lm = leading(pr.cert.remainder, self.order)
+        for r in self.failures:
+            lc, lm = leading(r.cert.remainder, self.order)
             lines.append(
-                "  stuck pair (%d, %d): remainder leading term (%s) * %s"
-                % (pr.i, pr.j, lc.render(), mono_text(lm, self.order.universe))
+                "  stuck %s: remainder leading term (%s) * %s"
+                % (r.label, lc.render(), mono_text(lm, self.order.universe))
             )
         return "\n".join(lines)
 
 
-def buchberger_check(generators, order, strategy="first", max_steps=DEFAULT_MAX_STEPS):
-    """Check every S-pair of ``generators`` top-reduces to zero.
+def _lead_divides(a, b):
+    """Whether lead ``a`` divides lead ``b``: both the s-parts and the
+    T-parts divide."""
+    return a[1].divides(b[1]) and a[2].divides(b[2])
 
-    A fully reduced run certifies the list is a Groebner basis of the
-    ideal it generates under ``order``; stuck pairs leave the question
-    open.  No pair-skipping criteria are applied.
+
+def _minimal_basis(lead):
+    """Indices of the leads that no other lead divides; of equal leads,
+    only the lowest index."""
+    return [
+        k
+        for k, lk in enumerate(lead)
+        if not any(
+            j != k and _lead_divides(lj, lk) and (j < k or not _lead_divides(lk, lj))
+            for j, lj in enumerate(lead)
+        )
+    ]
+
+
+def _coprime(a, b):
+    return a[1].gcd(b[1]).is_one() and a[2].gcd(b[2]).is_one()
+
+
+def _product_cert(s, a, b, reducers, lead, order):
+    """Certificate of S(f, g) = (f'*g - g'*f)/(u_f*u_g) for reducers ``a``
+    and ``b``, where f' and g' are f and g without their leading terms.
+
+    Every term of f'*g lies below lm(f)*lm(g) = M, and so does every term
+    of g'*f; the identity is a representation of the S-pair below its lcm,
+    which is all that Buchberger's criterion asks of a pair."""
+    f, g = reducers[a], reducers[b]
+    uf, df, mf = lead[a]
+    ug, dg, mg = lead[b]
+    u = f.universe
+    scale = Fraction(1, 1) / (uf * ug)
+    tail_f = f - u.term(uf, df.mul(mf))
+    tail_g = g - u.term(ug, dg.mul(mg))
+    quotients = {a: tail_g * -scale, b: tail_f * scale}
+    return ReductionCert(s, reducers, order, quotients, u.zero(), REDUCED_TO_ZERO, 0)
+
+
+def buchberger_check(generators, order, strategy="first", max_steps=DEFAULT_MAX_STEPS):
+    """Certify ``generators`` (the family F) as a Groebner basis of the
+    ideal it generates under ``order``.
+
+    The check works on the subset G of generators whose leads are minimal
+    under divisibility (``_minimal_basis``).  Every S-pair of G must
+    top-reduce to zero over G, except that a pair whose s-parts and
+    T-parts are both coprime is certified by Buchberger's product
+    criterion, with the identity of ``_product_cert`` as its certificate.
+    Every generator outside G (a member) must top-reduce to zero over G.
+
+    Why this decides what the check over all pairs of F decides:
+
+    * Suppose G passes and every member reduces to zero over G.  Then G
+      is a basis, F and G generate the same ideal, and F contains G, so
+      F is a basis too.
+    * Suppose instead that F is a basis.  Every lead of F is divisible by
+      a lead of G, so any top-reduction step over F also works over G.
+      For a family of binomials, the S-pairs of G and the members are
+      binomials of the ideal, and a step by a binomial leaves one.  Its
+      leading coefficient is a single s-term unless both of its terms
+      share one T-monomial m, that is, unless it is c*m for a coefficient
+      c.  When the ideal is prime, contains no T-monomial and meets the
+      coefficient ring only in zero, as for generic sequences, c*m in the
+      ideal forces c = 0.  A single-term lead lies in the leading-term
+      ideal of F, so a lead of F, and with it one of G, divides it.
+      Hence G reduces every S-pair of G and every member to zero.
+
+    The two checks therefore agree both ways.  Where the conditions of
+    the second argument fail, either check may stick; a stuck pair or
+    member is reported as INCONCLUSIVE, never as a disproof.  Every
+    certificate replays.
     """
     gens = tuple(generators)
     if not gens:
@@ -200,15 +313,26 @@ def buchberger_check(generators, order, strategy="first", max_steps=DEFAULT_MAX_
     if any(g.is_zero() for g in gens):
         raise ValueError("zero generator")
     lead = [_lead_parts(g, order) for g in gens]
-    report = BuchbergerReport(order=order, generators=gens, strategy=strategy)
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
+    basis = _minimal_basis(lead)
+    reducers = tuple(gens[k] for k in basis)
+    table = [lead[k] for k in basis]
+    report = BuchbergerReport(order=order, generators=gens, basis=tuple(basis), strategy=strategy)
+    for a, i in enumerate(basis):
+        for b in range(a + 1, len(basis)):
+            j = basis[b]
             s = s_poly(gens[i], gens[j], order)
             if s.is_zero():
                 report.pairs.append(PairResult(i, j, True, None))
+            elif _coprime(lead[i], lead[j]):
+                cert = _product_cert(s, a, b, reducers, table, order)
+                report.pairs.append(PairResult(i, j, False, cert, criterion="product"))
             else:
-                cert = _reduce(s, gens, lead, order, strategy, max_steps)
+                cert = _reduce(s, reducers, table, order, strategy, max_steps)
                 report.pairs.append(PairResult(i, j, False, cert))
+    in_basis = set(basis)
+    for k, g in enumerate(gens):
+        if k not in in_basis:
+            report.members.append(MemberResult(k, _reduce(g, reducers, table, order, strategy, max_steps)))
     return report
 
 

@@ -12,6 +12,7 @@ the only units are +-1.
 """
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 BLOCKS = ("s", "x", "t", "T")
@@ -36,6 +37,14 @@ class CapExceeded(ValueError):
 
 class SpecError(ValueError):
     """Invalid problem specification."""
+
+
+def spec_field(value, kind, what):
+    """``value`` when it has type ``kind``; a bool is no int, and nothing
+    is converted, so 1.5 or "2" where an integer belongs is a SpecError."""
+    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, kind):
+        raise SpecError("%s must be of type %s, got %s" % (what, kind.__name__, json.dumps(value, default=repr)))
+    return value
 
 
 class Var:

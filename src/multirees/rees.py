@@ -31,6 +31,7 @@ from .poly import (
     SpecError,
     VarUniverse,
     leading,
+    spec_field,
 )
 from .quasimat import (
     Binomial,
@@ -133,10 +134,11 @@ class ReesSpec:
         for b, raw in enumerate(self.blocks, start=1):
             try:
                 rows, power = raw
+                rows = tuple(rows)
             except (TypeError, ValueError):
                 raise SpecError("block %d must be (rows, power)" % b)
-            rows = tuple(sorted(set(int(k) for k in rows)))
-            power = int(power)
+            rows = tuple(sorted(set(spec_field(k, int, "block %d row" % b) for k in rows)))
+            power = spec_field(power, int, "block %d 'power'" % b)
             if not rows:
                 raise SpecError("block %d has no rows" % b)
             if rows[0] < 1 or rows[-1] > self.seq.n:
@@ -182,13 +184,6 @@ def spec_to_dict(spec):
     }
 
 
-def _field(value, kind, what):
-    """``value`` when it has the JSON type ``kind``; a bool is no int."""
-    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, kind):
-        raise SpecError("%s must be of type %s, got %s" % (what, kind.__name__, json.dumps(value)))
-    return value
-
-
 def spec_from_dict(data):
     if not isinstance(data, dict):
         raise SpecError("spec must be a JSON object")
@@ -210,20 +205,20 @@ def spec_from_dict(data):
     try:
         values = tuple(
             tuple(
-                (_field(c, int, "a coefficient"), {k: _field(e, int, "an exponent") for k, e in m.items()})
-                for c, m in _field(val, list, "a concrete value")
+                (c, spec_field(m, dict, "a monomial"))
+                for c, m in spec_field(val, list, "a concrete value")
             )
-            for val in _field(sd.get("values", []), list, "'values'")
+            for val in spec_field(sd.get("values", []), list, "'values'")
         )
     except (TypeError, ValueError, AttributeError):
         raise SpecError("malformed concrete values")
     seq = SeqSpec(
-        n=_field(sd["n"], int, "'n'"),
+        n=sd["n"],
         mode=mode,
-        names=tuple(_field(v, str, "a name") for v in _field(sd.get("names", []), list, "'names'")),
-        x_names=tuple(_field(v, str, "a name") for v in _field(sd.get("ambient", []), list, "'ambient'")),
+        names=tuple(spec_field(v, str, "a name") for v in spec_field(sd.get("names", []), list, "'names'")),
+        x_names=tuple(spec_field(v, str, "a name") for v in spec_field(sd.get("ambient", []), list, "'ambient'")),
         concrete_terms=values,
-        assume_weak_regular=_field(sd.get("assume_weak_regular", False), bool, "'assume_weak_regular'"),
+        assume_weak_regular=spec_field(sd.get("assume_weak_regular", False), bool, "'assume_weak_regular'"),
     )
     blocks = []
     if not isinstance(data["blocks"], list):
@@ -236,8 +231,7 @@ def spec_from_dict(data):
             raise SpecError("unknown block keys: %s" % ", ".join(sorted(unknown)))
         if "rows" not in bd:
             raise SpecError("block %d needs 'rows'" % b)
-        rows = tuple(_field(k, int, "block %d row" % b) for k in _field(bd["rows"], list, "block %d 'rows'" % b))
-        blocks.append((rows, _field(bd.get("power", 1), int, "block %d 'power'" % b)))
+        blocks.append((spec_field(bd["rows"], list, "block %d 'rows'" % b), bd.get("power", 1)))
     return ReesSpec(seq=seq, blocks=tuple(blocks))
 
 

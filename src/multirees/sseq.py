@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .poly import GuardExceeded, SpecError
+from .poly import GuardExceeded, SpecError, spec_field
 
 MAX_TAYLOR_GENERATORS = 12
 
@@ -116,7 +116,7 @@ class SeqSpec:
     def __post_init__(self):
         if self.mode not in ("generic", "concrete"):
             raise SpecError("mode must be generic or concrete")
-        if self.n < 1:
+        if spec_field(self.n, int, "'n'") < 1:
             raise SpecError("need at least one sequence element")
         names = tuple(self.names) if self.names else tuple("s%d" % (i + 1) for i in range(self.n))
         if len(names) != self.n:
@@ -126,7 +126,16 @@ class SeqSpec:
         if self.mode == "concrete":
             if len(self.concrete_terms) != self.n:
                 raise SpecError("expected %d concrete values" % self.n)
-            terms = tuple(tuple((int(c), dict(m)) for c, m in val) for val in self.concrete_terms)
+            terms = tuple(
+                tuple(
+                    (
+                        spec_field(c, int, "a coefficient"),
+                        {k: spec_field(e, int, "an exponent") for k, e in dict(m).items()},
+                    )
+                    for c, m in val
+                )
+                for val in self.concrete_terms
+            )
             object.__setattr__(self, "concrete_terms", terms)
             for i, val in enumerate(terms):
                 if not val:

@@ -2,10 +2,36 @@
 
 The acceptance tests record one verdict line per criterion; the terminal
 summary prints them after the run so the pass/fail ledger is visible even
-though stdout inside tests is captured.
+though stdout inside tests is captured.  ``desk_scale_specs`` is the
+spec suite that the acceptance sweep and the Groebner differential
+share.
 """
+from itertools import combinations
+
+from multirees.rees import ReesSpec
+from multirees.sseq import SeqSpec
 
 ACCEPTANCE_LINES = []
+
+
+def desk_scale_specs():
+    """Every generic spec with n <= 3, r <= 2, block powers <= 2: each
+    single block, then each ordered pair of blocks (block order and
+    repeated blocks are meaningful — they name distinct algebras)."""
+    out = []
+    for n in (1, 2, 3):
+        opts = [
+            (tuple(rows), a)
+            for size in range(1, n + 1)
+            for rows in combinations(range(1, n + 1), size)
+            for a in (1, 2)
+        ]
+        for opt in opts:
+            out.append(ReesSpec(seq=SeqSpec(n=n), blocks=(opt,)))
+        for o1 in opts:
+            for o2 in opts:
+                out.append(ReesSpec(seq=SeqSpec(n=n), blocks=(o1, o2)))
+    return out
 
 
 def record_criterion(number, label, ok, detail=""):

@@ -13,7 +13,7 @@ from random import Random
 
 import pytest
 
-from conftest import record_criterion
+from conftest import desk_scale_specs, record_criterion
 from multirees.grobner import default_order_suite, universal_gb_check
 from multirees.oracle import (
     ImageData,
@@ -86,26 +86,6 @@ def _compositions(total, parts):
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def desk_scale_specs():
-    """Every generic spec with n <= 3, r <= 2, block powers <= 2: each
-    single block, then each ordered pair of blocks (block order and
-    repeated blocks are meaningful — they name distinct algebras)."""
-    out = []
-    for n in (1, 2, 3):
-        opts = [
-            (tuple(rows), a)
-            for size in range(1, n + 1)
-            for rows in combinations(range(1, n + 1), size)
-            for a in (1, 2)
-        ]
-        for opt in opts:
-            out.append(ReesSpec(seq=SeqSpec(n=n), blocks=(opt,)))
-        for o1 in opts:
-            for o2 in opts:
-                out.append(ReesSpec(seq=SeqSpec(n=n), blocks=(o1, o2)))
-    return out
 
 
 @pytest.fixture(scope="module")

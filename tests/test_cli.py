@@ -5,9 +5,14 @@ Covers every subcommand, all three output formats, and each exit code:
 2 bad spec, 3 enumeration cap exceeded.
 """
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import multirees
 from multirees.cli import main
 
 PAPER_SPEC = {
@@ -199,6 +204,10 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "overall: PASS" in out
         assert "full binary family (22 members)" in out
+        # the basis is the 10 generators with minimal leads; 29 of its 45
+        # pairs have coprime leads and skip reduction
+        counts = "CERTIFIED (22 generators, 10 in the basis, 45 pairs, 29 by the product criterion, 0 stuck)"
+        assert out.count(counts) == 2
 
     def test_json_shape(self, spec_file, capsys):
         path = spec_file(SMALL_SPEC)
@@ -210,6 +219,9 @@ class TestVerify:
         assert payload["ok"] is True
         assert payload["groebner"]["family"] == "full"
         assert len(payload["groebner"]["reports"]) == 2
+        for rep in payload["groebner"]["reports"]:
+            assert rep["ok"] is True and rep["stuck"] == []
+            assert 0 < rep["basis"] and 0 <= rep["product_criterion"] <= rep["pairs"]
         assert payload["oracle"]["ok"] is True
         assert payload["normality"]["verdict"] == "NORMAL_CM"
 
@@ -279,6 +291,32 @@ class TestErrors:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generators", "--max-minor-size", "1"],
+            ["verify", "--max-minor-size", "0"],
+            ["verify", "--t-degree-cap", "0"],
+            ["verify", "--t-degree-cap", "-1"],
+            ["oracle", "--s-degree-cap", "-1"],
+            ["oracle", "--piece-cap", "0"],
+            ["verify", "--piece-cap", "two"],
+        ],
+    )
+    def test_numeric_option_out_of_range(self, spec_file, capsys, argv):
+        path = spec_file(PAPER_SPEC)
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:1] + [path] + argv[1:])
+        assert exc.value.code == 2
+        assert "error: argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["oracle", "verify"])
+    def test_caps_leaving_no_piece(self, spec_file, capsys, command):
+        # a zero ambient cap is below the weight of every graded piece
+        path = spec_file(PAPER_SPEC)
+        assert main([command, path, "--s-degree-cap", "0"]) == 2
+        assert "no graded piece" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "sequence, block",
         [
             ({"n": 2}, {"rows": [1, 2], "power": "x"}),
@@ -304,3 +342,18 @@ class TestErrors:
         code = main(["generators", "-"])
         assert code == 0
         assert "generators (family=restricted)" in capsys.readouterr().out
+
+
+def test_python_dash_m(spec_file):
+    # ``python -m multirees`` from a checkout, with src/ on the path
+    src = str(Path(multirees.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "multirees", "verify", spec_file(SMALL_SPEC), "--t-degree-cap", "1"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "overall: PASS" in proc.stdout

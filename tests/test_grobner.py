@@ -4,13 +4,26 @@ Every certificate must replay exactly (target = sum of quotient times
 reducer plus remainder); reductions over the coefficient ring divide the
 whole leading coefficient, never term by term.  A known non-basis under
 a hostile precedence exercises the honest INCONCLUSIVE path.
-"""
-import pytest
 
+``buchberger_check`` certifies a minimal basis and skips coprime pairs;
+``all_pairs_ok`` below, which reduces every S-pair of the whole family,
+is the reference it must agree with.
+"""
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import desk_scale_specs
+from multirees.cli import _report_json
 from multirees.grobner import (
+    DEFAULT_MAX_STEPS,
     INCONCLUSIVE,
     REDUCED_TO_ZERO,
     BuchbergerReport,
+    _lead_parts,
+    _reduce,
     buchberger_check,
     default_order_suite,
     s_poly,
@@ -21,6 +34,39 @@ from multirees.poly import GuardExceeded, MonomialOrder, VarUniverse, leading
 from multirees.quasimat import generic_matrix, ibin_generators
 from multirees.rees import ReesSpec, build_presentation, generator_polys
 from multirees.sseq import SeqSpec
+
+
+def all_pairs_ok(gens, order):
+    """Reference verdict: every S-pair of the whole family top-reduces to
+    zero over the whole family, with no basis selection and no criterion."""
+    lead = [_lead_parts(g, order) for g in gens]
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            s = s_poly(gens[i], gens[j], order)
+            if s.is_zero():
+                continue
+            if _reduce(s, gens, lead, order, "first", DEFAULT_MAX_STEPS).status != REDUCED_TO_ZERO:
+                return False
+    return True
+
+
+def spread_first_lex(u):
+    """Lex with the spread variable of each block first, a precedence
+    under which the full family of a power-two block is no basis."""
+    return MonomialOrder(u, "lex", tvars=tuple(sorted(u.T_ids, key=lambda v: u.vars[v].key[2], reverse=True)))
+
+
+def small_desk_families(max_generators):
+    out = []
+    for spec in desk_scale_specs():
+        pres = build_presentation(spec)
+        gens = generator_polys(pres, family="full")
+        if gens and len(gens) <= max_generators:
+            out.append((pres.universe, gens))
+    return out
+
+
+SMALL_DESK = small_desk_families(40)
 
 
 @pytest.fixture(scope="module")
@@ -136,10 +182,7 @@ class TestBuchberger:
         pres = build_presentation(spec)
         gens = generator_polys(pres, family="full")
         u = pres.universe
-        spread_first = tuple(
-            sorted(u.T_ids, key=lambda v: u.vars[v].key[2], reverse=True)
-        )
-        rep = buchberger_check(gens, MonomialOrder(u, "lex", tvars=spread_first))
+        rep = buchberger_check(gens, spread_first_lex(u))
         assert not rep.ok
         assert rep.verify_certificates()  # stuck certificates still replay
         assert "INCONCLUSIVE" in rep.summary()
@@ -150,6 +193,80 @@ class TestBuchberger:
         _, uni, gens = twocol
         rep = buchberger_check(gens, MonomialOrder(uni, "lex"))
         assert "CERTIFIED" in rep.summary()
+
+    def test_product_criterion_certificate_replays(self):
+        # leads 2*s1*A and s2*B share neither an s-symbol nor a T-variable;
+        # the quotients carry 1/(u_f*u_g) = 1/2
+        uni = VarUniverse(s_names=("s1", "s2"), T_names=("A", "B", "C", "D"))
+        s1, s2 = uni.poly_var("s1"), uni.poly_var("s2")
+        A, B, C, D = (uni.poly_var(v) for v in "ABCD")
+        f = 2 * s1 * A - s2 * C
+        g = s2 * B - 3 * s1 * D
+        rep = buchberger_check([f, g], MonomialOrder(uni, "lex"))
+        (pr,) = rep.pairs
+        assert pr.criterion == "product" and rep.product_criterion == 1
+        assert pr.cert.status == REDUCED_TO_ZERO and pr.cert.steps == 0
+        assert pr.cert.remainder.is_zero()
+        assert pr.cert.target == s_poly(f, g, MonomialOrder(uni, "lex"))
+        tail_f, tail_g = -s2 * C, -3 * s1 * D
+        assert pr.cert.quotients == {0: tail_g * Fraction(-1, 2), 1: tail_f * Fraction(1, 2)}
+        assert pr.cert.verify()
+        assert rep.ok
+
+    def test_equal_leads_keep_lower_index(self):
+        uni = VarUniverse(s_names=("s1",), T_names=("A", "B", "C"))
+        A, B, C = (uni.poly_var(v) for v in "ABC")
+        rep = buchberger_check([A - C, A - B, A * B - C], MonomialOrder(uni, "lex"))
+        assert rep.basis == (0,)
+        assert [m.k for m in rep.members] == [1, 2]
+        assert rep.pairs == []
+        # A - B reduces to C - B, which no lead in the basis divides
+        assert not rep.ok
+        assert rep.verify_certificates()
+
+    def test_stuck_member_is_named(self):
+        uni = VarUniverse(s_names=("s1",), T_names=("A", "B", "C", "D"))
+        A, B, C, D = (uni.poly_var(v) for v in "ABCD")
+        order = MonomialOrder(uni, "lex")
+        rep = buchberger_check([A - B, A * C - D], order)
+        assert rep.basis == (0,) and rep.pairs == []
+        (member,) = rep.members
+        assert member.cert.status == INCONCLUSIVE
+        assert member.cert.remainder == B * C - D
+        assert not rep.ok and rep.failures == [member]
+        assert rep.verify_certificates()
+        assert "stuck member 1" in rep.summary()
+        payload = _report_json(rep)
+        assert payload["ok"] is False
+        assert payload["stuck"] == [{"member": 2, "remainder": (B * C - D).render()}]
+
+
+class TestAllPairsReference:
+    def test_desk_specs_agree(self):
+        # 175 desk-scale specs; under spread-first lex most are inconclusive,
+        # so both verdicts are compared
+        assert len(SMALL_DESK) == 175
+        verdicts = set()
+        for u, gens in SMALL_DESK:
+            for order in (MonomialOrder(u, "lex"), MonomialOrder(u, "grevlex"), spread_first_lex(u)):
+                rep = buchberger_check(gens, order)
+                assert rep.ok == all_pairs_ok(gens, order)
+                assert rep.verify_certificates()
+                verdicts.add(rep.ok)
+        assert verdicts == {True, False}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        index=st.integers(0, len(SMALL_DESK) - 1),
+        seed=st.integers(0, 1000),
+        pick=st.integers(0, 3),
+    )
+    def test_order_suite_agrees(self, index, seed, pick):
+        u, gens = SMALL_DESK[index]
+        order = default_order_suite(u, seeds=(seed,))[pick]
+        rep = buchberger_check(gens, order)
+        assert rep.ok == all_pairs_ok(gens, order)
+        assert rep.verify_certificates()
 
 
 class TestOrderSuite:

@@ -134,6 +134,27 @@ class TestSpecValidation:
         with pytest.raises(SpecError):
             ReesSpec(seq=SeqSpec(n=2), blocks=(((1, 2), 0),))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ReesSpec(seq=SeqSpec(n=2), blocks=(((1, 2), 1.5),)),
+            lambda: ReesSpec(seq=SeqSpec(n=2), blocks=(((1, 2), True),)),
+            lambda: ReesSpec(seq=SeqSpec(n=2), blocks=(((1, 2), "2"),)),
+            lambda: ReesSpec(seq=SeqSpec(n=2), blocks=(((1.9, 2), 1),)),
+            lambda: ReesSpec(seq=SeqSpec(n=2), blocks=(((True, 2), 1),)),
+            lambda: ReesSpec(seq=SeqSpec(n=2), blocks=((2, 1),)),
+            lambda: SeqSpec(n=2.7),
+            lambda: SeqSpec(n=True),
+            lambda: SeqSpec(n="2"),
+            lambda: SeqSpec(n=1, mode="concrete", x_names=("x",), concrete_terms=(((1.5, {"x": 1}),),)),
+            lambda: SeqSpec(n=1, mode="concrete", x_names=("x",), concrete_terms=(((1, {"x": 1.0}),),)),
+        ],
+    )
+    def test_non_integer_field_is_spec_error(self, make):
+        # library callers get the same boundary as JSON input: no truncation
+        with pytest.raises(SpecError):
+            make()
+
     def test_rows_deduplicated_sorted(self):
         spec = ReesSpec(seq=SeqSpec(n=3), blocks=(((3, 1, 3), 1),))
         assert spec.blocks == (((1, 3), 1),)
