@@ -72,8 +72,12 @@ def s_poly(f, g, order):
     """
     if f.universe is not g.universe:
         raise ValueError("S-pair across universes")
-    uf, df, mf = _lead_parts(f, order)
-    ug, dg, mg = _lead_parts(g, order)
+    return _s_pair(f, g, _lead_parts(f, order), _lead_parts(g, order))
+
+
+def _s_pair(f, g, lead_f, lead_g):
+    """``s_poly`` of f and g from their ``_lead_parts``."""
+    (uf, df, mf), (ug, dg, mg) = lead_f, lead_g
     M = mf.lcm(mg)
     D = df.lcm(dg)
     left = f.term_mul(Fraction(1, 1) / uf, D.div(df).mul(M.div(mf)))
@@ -165,7 +169,7 @@ class PairResult:
 
     @property
     def label(self):
-        return "pair (%d, %d)" % (self.i, self.j)
+        return "pair (%d, %d)" % (self.i + 1, self.j + 1)
 
 
 @dataclass
@@ -181,7 +185,7 @@ class MemberResult:
 
     @property
     def label(self):
-        return "member %d" % self.k
+        return "member %d" % (self.k + 1)
 
 
 @dataclass
@@ -320,7 +324,7 @@ def buchberger_check(generators, order, strategy="first", max_steps=DEFAULT_MAX_
     for a, i in enumerate(basis):
         for b in range(a + 1, len(basis)):
             j = basis[b]
-            s = s_poly(gens[i], gens[j], order)
+            s = _s_pair(gens[i], gens[j], lead[i], lead[j])
             if s.is_zero():
                 report.pairs.append(PairResult(i, j, True, None))
             elif _coprime(lead[i], lead[j]):

@@ -10,6 +10,11 @@ degree — no Groebner machinery involved, which is the point: it is an
 independent witness that a candidate family generates the kernel up to
 the chosen degree bounds.
 
+The comparison is fiber connectivity, not linear algebra: each multiple
+of a kernel binomial links two monomials of one fiber, and the family
+spans a piece exactly when every fiber is one component (the Markov-basis
+view of Diaconis and Sturmfels 1998).
+
 Grading: a piece is indexed by the tuple of block degrees (how many T
 variables of each block) together with the total ambient degree of the
 image (sequence symbols count 1, a block-l variable counts a_l in
@@ -19,7 +24,6 @@ map preserves both, and every piece is finite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from .poly import CapExceeded, Mono, Poly, SpecError
@@ -77,6 +81,7 @@ class ImageData:
             self.t_image[vid] = tuple(sorted(acc.items()))
             self.t_coeff[vid] = coeff
             self.t_weight[vid] = sum(e for v, e in self.t_image[vid] if v != u.t_ids[l - 1])
+        self.ring_ids = pres.f_idset | set(self.ambient_ids)
         self.min_block_weight = [
             min(self.t_weight[v] for v in vids) if vids else 0 for vids in _block_f_vids(pres)
         ]
@@ -165,7 +170,7 @@ class KernelPiece:
     tvec: tuple
     weight: int
     monomials: list
-    basis: list  # vectors as {monomial index: Fraction}
+    basis: list  # vectors as {monomial index: coefficient}
 
     @property
     def dim(self):
@@ -191,51 +196,32 @@ def kernel_piece(pres, tvec, weight, image_data=None, cap=DEFAULT_PIECE_CAP):
             continue
         i0, c0 = group[0]
         for i, c in group[1:]:
-            basis.append({i0: Fraction(c), i: Fraction(-c0)})
+            basis.append({i0: c, i: -c0})
     return KernelPiece(tuple(tvec), weight, monos, basis)
 
 
-class Echelon:
-    """Incremental exact row echelon over the rationals, sparse rows."""
+class _Components:
+    """Union-find over hashable nodes."""
 
     def __init__(self):
-        self.pivots = {}
+        self.parent = {}
 
-    def _reduce(self, vec):
-        v = {c: Fraction(x) for c, x in vec.items() if x}
-        while v:
-            c = min(v)
-            row = self.pivots.get(c)
-            if row is None:
-                return v, c
-            coef = v.pop(c)
-            for cc, val in row.items():
-                if cc == c:
-                    continue
-                nv = v.get(cc, Fraction(0)) - coef * val
-                if nv:
-                    v[cc] = nv
-                else:
-                    v.pop(cc, None)
-        return v, None
+    def find(self, x):
+        parent = self.parent
+        root = x
+        while root in parent:
+            root = parent[root]
+        while x != root:
+            parent[x], x = root, parent[x]
+        return root
 
-    def insert(self, vec):
-        """Add a vector; True if it enlarged the span."""
-        v, c = self._reduce(vec)
-        if c is None:
+    def join(self, a, b):
+        """Merge the components of ``a`` and ``b``; True if they were apart."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
             return False
-        lead = v[c]
-        self.pivots[c] = {cc: val / lead for cc, val in v.items()}
+        self.parent[ra] = rb
         return True
-
-    def residual(self, vec):
-        """The reduced form of ``vec``; empty means it lies in the span."""
-        v, _ = self._reduce(vec)
-        return v
-
-    @property
-    def rank(self):
-        return len(self.pivots)
 
 
 @dataclass
@@ -261,57 +247,63 @@ class SpanReport:
         )
 
 
+def _kernel_binomial(data, p):
+    """(m_a, m_b) of a generator a*m_a + b*m_b of the kernel, evaluated over
+    the enumerated ring; connectivity decides spans only for these."""
+    if any(v not in data.ring_ids for m, _ in p.terms for v in m.support()):
+        raise ValueError(
+            "generator leaves the enumerated presentation ring; "
+            "it uses variables outside the block membership sets"
+        )
+    if len(p.terms) != 2:
+        raise ValueError("generator %s is not a binomial" % p.render())
+    (ma, a), (mb, b) = p.terms
+    (ca, ia), (cb, ib) = data.image(ma), data.image(mb)
+    if ia != ib or a * ca + b * cb:
+        raise ValueError("generator %s does not map to zero" % p.render())
+    return ma, mb
+
+
 def span_compare(pres, generators, tvec, weight, image_data=None, cap=DEFAULT_PIECE_CAP):
     """Compare the kernel piece with the span of generator multiples.
 
-    ``generators`` are polynomials (or objects with ``.poly``).  Returns a
-    SpanReport; when the family misses part of the kernel the report
-    carries a concrete witness polynomial, which maps to zero but is not a
-    generator combination in this degree.
+    ``generators`` are polynomials (or objects with ``.poly``), each a
+    binomial a*m_a + b*m_b of the kernel.  A multiple links a piece
+    monomial m that m_a divides to (m/m_a)*m_b, and ``span_dim`` counts
+    the links that join two components.  A missed piece carries as witness
+    its first kernel basis binomial whose monomials lie in different
+    components: it maps to zero but is no generator combination here.
     """
     data = image_data or ImageData(pres)
     piece = kernel_piece(pres, tvec, weight, data, cap=cap)
-    index = {m: i for i, m in enumerate(piece.monomials)}
-    ech = Echelon()
-    n_multiples = 0
+    monos = piece.monomials
+    index = {m: i for i, m in enumerate(monos)}
+    comps = _Components()
+    span_dim = n_multiples = 0
     for g in generators:
         p = data.evaluate(getattr(g, "poly", g))
         if p.is_zero():
             continue
+        ma, mb = _kernel_binomial(data, p)
         gt, gw = data.poly_degree(p)
-        dt = tuple(a - b for a, b in zip(tvec, gt))
-        dw = weight - gw
-        if any(d < 0 for d in dt) or dw < 0:
+        if gw > weight or any(a > b for a, b in zip(gt, tvec)):
             continue
-        for mult in source_monomials(pres, dt, dw, data):
-            vec = {}
-            for m, c in p.terms:
-                i = index.get(m.mul(mult))
-                if i is None:
-                    raise ValueError(
-                        "generator leaves the enumerated presentation ring; "
-                        "it uses variables outside the block membership sets"
-                    )
-                vec[i] = vec.get(i, 0) + c
-            n_multiples += 1
-            ech.insert(vec)
-    span_dim = ech.rank
+        for i, m in enumerate(monos):
+            if ma.divides(m):
+                n_multiples += 1
+                span_dim += comps.join(i, index[m.div(ma).mul(mb)])
     witness = None
-    ok = True
-    for v in piece.basis:
-        res = ech.residual(v)
-        if res:
-            ok = False
-            witness = piece.vector_to_poly(pres.universe, res)
-            break
+    if span_dim < piece.dim:
+        vec = next(v for v in piece.basis if len({comps.find(i) for i in v}) == 2)
+        witness = piece.vector_to_poly(pres.universe, vec)
     return SpanReport(
         tvec=tuple(tvec),
         weight=weight,
-        piece_size=len(piece.monomials),
+        piece_size=len(monos),
         kernel_dim=piece.dim,
         span_dim=span_dim,
         multiples=n_multiples,
-        ok=ok,
+        ok=witness is None,
         witness=witness,
     )
 
@@ -439,7 +431,8 @@ def syzygy_span_compare(gens, max_degree):
     out = []
     for degree in range(max_degree + 1):
         kernel_dim = len(monomial_syzygy_kernel(gens, degree))
-        ech = Echelon()
+        comps = _Components()
+        span_dim = 0
         for vec in pairwise:
             sz_degree = None
             for slot, entry in enumerate(vec):
@@ -451,18 +444,18 @@ def syzygy_span_compare(gens, max_degree):
                 continue
             for mexps in _compositions(rest, n):
                 mult = SMonomial(mexps)
-                row = {}
+                nodes = []
                 image = {}
                 for slot, entry in enumerate(vec):
                     if entry is None:
                         continue
                     sign, mono = entry
                     shifted = mono.mul(mult)
-                    row[(slot, shifted)] = Fraction(sign)
+                    nodes.append((slot, shifted))
                     target = shifted.mul(gens[slot])
                     image[target] = image.get(target, 0) + sign
                 if any(image.values()):
                     raise ValueError("pairwise syzygy multiple does not map to zero")
-                ech.insert(row)
-        out.append(SyzygyDegreeReport(degree=degree, kernel_dim=kernel_dim, span_dim=ech.rank))
+                span_dim += comps.join(*nodes)
+        out.append(SyzygyDegreeReport(degree=degree, kernel_dim=kernel_dim, span_dim=span_dim))
     return out

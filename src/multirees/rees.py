@@ -215,8 +215,8 @@ def spec_from_dict(data):
     seq = SeqSpec(
         n=sd["n"],
         mode=mode,
-        names=tuple(spec_field(v, str, "a name") for v in spec_field(sd.get("names", []), list, "'names'")),
-        x_names=tuple(spec_field(v, str, "a name") for v in spec_field(sd.get("ambient", []), list, "'ambient'")),
+        names=spec_field(sd.get("names", []), list, "'names'"),
+        x_names=spec_field(sd.get("ambient", []), list, "'ambient'"),
         concrete_terms=values,
         assume_weak_regular=spec_field(sd.get("assume_weak_regular", False), bool, "'assume_weak_regular'"),
     )

@@ -118,11 +118,12 @@ class SeqSpec:
             raise SpecError("mode must be generic or concrete")
         if spec_field(self.n, int, "'n'") < 1:
             raise SpecError("need at least one sequence element")
-        names = tuple(self.names) if self.names else tuple("s%d" % (i + 1) for i in range(self.n))
+        defaults = ("s%d" % (i + 1) for i in range(self.n))
+        names = tuple(spec_field(v, str, "a name") for v in self.names or defaults)
         if len(names) != self.n:
             raise SpecError("expected %d sequence names" % self.n)
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "x_names", tuple(self.x_names))
+        object.__setattr__(self, "x_names", tuple(spec_field(v, str, "a name") for v in self.x_names))
         if self.mode == "concrete":
             if len(self.concrete_terms) != self.n:
                 raise SpecError("expected %d concrete values" % self.n)
@@ -138,8 +139,8 @@ class SeqSpec:
             )
             object.__setattr__(self, "concrete_terms", terms)
             for i, val in enumerate(terms):
-                if not val:
-                    raise SpecError("s%d is zero" % (i + 1))
+                if not val or any(c == 0 for c, _ in val):
+                    raise SpecError("s%d is zero or has a zero coefficient" % (i + 1))
                 if self._is_unit(val):
                     raise SpecError("s%d is a unit; the sequence must be non-invertible" % (i + 1))
                 for _, m in val:

@@ -235,10 +235,23 @@ class TestBuchberger:
         assert member.cert.remainder == B * C - D
         assert not rep.ok and rep.failures == [member]
         assert rep.verify_certificates()
-        assert "stuck member 1" in rep.summary()
+        assert "stuck member 2" in rep.summary()
         payload = _report_json(rep)
         assert payload["ok"] is False
         assert payload["stuck"] == [{"member": 2, "remainder": (B * C - D).render()}]
+
+    def test_stuck_pair_is_named(self):
+        # leads A*B and A*D share A; the S-pair B*C - C*D has a lead that
+        # neither divides.  Summary and JSON both count generators from 1.
+        uni = VarUniverse(s_names=("s1",), T_names=("A", "B", "C", "D"))
+        A, B, C, D = (uni.poly_var(v) for v in "ABCD")
+        rep = buchberger_check([A * B - C, A * D - C], MonomialOrder(uni, "lex"))
+        (pair,) = rep.pairs
+        assert (pair.i, pair.j) == (0, 1) and pair.cert.status == INCONCLUSIVE
+        assert pair.cert.remainder == B * C - C * D
+        assert not rep.ok and rep.failures == [pair]
+        assert "stuck pair (1, 2)" in rep.summary()
+        assert _report_json(rep)["stuck"] == [{"i": 1, "j": 2, "remainder": (B * C - C * D).render()}]
 
 
 class TestAllPairsReference:

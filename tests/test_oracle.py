@@ -2,9 +2,11 @@
 
 The oracle is itself a checking device, so these tests lean on a second,
 fully independent implementation: sympy's exact nullspace for kernel
-dimensions, and raw exponent-vector enumeration for degree pieces.  A
-deliberately broken family (one generator dropped) must be caught with a
-concrete witness polynomial that really lies in the kernel.
+dimensions, raw exponent-vector enumeration for degree pieces, and exact
+rational row reduction (``Echelon``, checked against sympy's rank) as the
+reference for the oracle's fiber-connectivity spans.  A deliberately
+broken family (one generator dropped) must be caught with a concrete
+witness polynomial that really lies in the kernel.
 """
 from fractions import Fraction
 from itertools import product
@@ -12,9 +14,11 @@ from random import Random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import desk_scale_specs
 from multirees.oracle import (
-    Echelon,
     ImageData,
     default_degrees,
     kernel_piece,
@@ -44,6 +48,70 @@ def small():
     # two symbols, one block of power two: tiny enough for brute force
     spec = ReesSpec(seq=SeqSpec(n=2), blocks=(((1, 2), 2),))
     return build_presentation(spec)
+
+
+class Echelon:
+    """Incremental exact row echelon over the rationals, sparse rows: the
+    reference the oracle's union-find spans are compared against."""
+
+    def __init__(self):
+        self.pivots = {}
+
+    def _reduce(self, vec):
+        v = {c: Fraction(x) for c, x in vec.items() if x}
+        while v:
+            c = min(v)
+            row = self.pivots.get(c)
+            if row is None:
+                return v, c
+            coef = v.pop(c)
+            for cc, val in row.items():
+                if cc == c:
+                    continue
+                nv = v.get(cc, Fraction(0)) - coef * val
+                if nv:
+                    v[cc] = nv
+                else:
+                    v.pop(cc, None)
+        return v, None
+
+    def insert(self, vec):
+        """Add a vector; True if it enlarged the span."""
+        v, c = self._reduce(vec)
+        if c is None:
+            return False
+        lead = v[c]
+        self.pivots[c] = {cc: val / lead for cc, val in v.items()}
+        return True
+
+    def residual(self, vec):
+        """The reduced form of ``vec``; empty means it lies in the span."""
+        v, _ = self._reduce(vec)
+        return v
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+
+def echelon_span(pres, generators, tvec, weight, data):
+    """Reference span of the generator multiples in one piece: every
+    multiple enumerated from its own multiplier monomials and row-reduced.
+    Returns the echelon, the number of multiples and the kernel piece."""
+    piece = kernel_piece(pres, tvec, weight, data)
+    index = {m: i for i, m in enumerate(piece.monomials)}
+    ech = Echelon()
+    multiples = 0
+    for g in generators:
+        p = data.evaluate(g.poly)
+        gt, gw = data.poly_degree(p)
+        dt = tuple(a - b for a, b in zip(tvec, gt))
+        if min(dt) < 0 or weight < gw:
+            continue
+        for mult in source_monomials(pres, dt, weight - gw, data):
+            ech.insert({index[m.mul(mult)]: c for m, c in p.terms})
+            multiples += 1
+    return ech, multiples, piece
 
 
 def brute_source_monomials(pres, data, tvec, weight):
@@ -252,7 +320,11 @@ class TestSpanCompare:
         assert bad.witness is not None
         witness = bad.witness
         assert not witness.is_zero()
-        # the witness genuinely lies in the kernel of the presentation map
+        # the witness is a kernel basis vector of the missed piece, and it
+        # genuinely lies in the kernel of the presentation map
+        piece = kernel_piece(paper, bad.tvec, bad.weight)
+        assert witness in [piece.vector_to_poly(paper.universe, v) for v in piece.basis]
+        assert len(witness.terms) == 2
         assert paper.phi(witness).is_zero()
 
     def test_witness_outside_broken_span(self, paper):
@@ -270,8 +342,81 @@ class TestSpanCompare:
         # T[3;111] has support outside block 3's membership set, so it is
         # not part of the presentation ring the oracle enumerates
         p = u.poly_var("T[3;111]") - u.poly_var("T[3;100]")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="leaves the enumerated presentation ring"):
             span_compare(paper, [p], (0, 0, 1, 0, 0), 1)
+
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            # a trinomial: the kernel generator p1*T[1;110] - p2*T[1;111]
+            # plus a third term
+            ([(1, "p1", "T[1;110]"), (-1, "p2", "T[1;111]"), (1, "p1", "T[1;111]")], "not a binomial"),
+            # a binomial whose images differ
+            ([(1, "p1", "T[1;110]"), (-1, "p1", "T[1;111]")], "does not map to zero"),
+            # a binomial whose images agree but whose coefficients do not cancel
+            ([(2, "p1", "T[1;110]"), (-1, "p2", "T[1;111]")], "does not map to zero"),
+        ],
+    )
+    def test_generator_outside_kernel_binomials_rejected(self, paper, terms, message):
+        u = paper.universe
+        p = sum((c * u.poly_var(s) * u.poly_var(t) for c, s, t in terms), u.zero())
+        with pytest.raises(ValueError, match=message):
+            span_compare(paper, [p], (1, 0, 0, 0, 0), 2)
+
+
+class TestConnectivityMatchesEchelon:
+    def test_desk_specs_agree(self):
+        # every desk-scale spec, with its restricted family, its full family
+        # and its restricted family less one generator, so both verdicts
+        # occur; the degrees are the default sweep cut to T-degree 3 and
+        # ambient weight 5
+        verdicts = set()
+        for k, spec in enumerate(desk_scale_specs()):
+            pres = build_presentation(spec)
+            data = ImageData(pres)
+            restricted = defining_generators(pres, RESTRICTED)
+            drop = k % len(restricted) if restricted else 0
+            families = [restricted, defining_generators(pres, FULL), restricted[:drop] + restricted[drop + 1:]]
+            degrees = default_degrees(pres, t_cap=3, ambient_cap=5, image_data=data)
+            for gens in families:
+                for tvec, weight in degrees:
+                    rep = span_compare(pres, gens, tvec, weight, data)
+                    ech, multiples, piece = echelon_span(pres, gens, tvec, weight, data)
+                    outside = [v for v in piece.basis if ech.residual(v)]
+                    assert (rep.ok, rep.span_dim, rep.kernel_dim, rep.multiples, rep.piece_size) == (
+                        not outside,
+                        ech.rank,
+                        piece.dim,
+                        multiples,
+                        len(piece.monomials),
+                    )
+                    if outside:
+                        # the witness is the first basis vector outside the span
+                        assert rep.witness == piece.vector_to_poly(pres.universe, outside[0])
+                    verdicts.add(rep.ok)
+        assert verdicts == {True, False}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        exps=st.integers(1, 3).flatmap(
+            lambda n: st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=4)
+        ),
+        max_degree=st.integers(0, 6),
+    )
+    def test_syzygy_span_matches_echelon(self, exps, max_degree):
+        gens = [SMonomial(e) for e in exps]
+        n = len(exps[0])
+        reports = syzygy_span_compare(gens, max_degree)
+        assert [r.degree for r in reports] == list(range(max_degree + 1))
+        for rep in reports:
+            ech = Echelon()
+            for vec in syzygy_generators(gens):
+                entries = [(slot,) + entry for slot, entry in enumerate(vec) if entry is not None]
+                slot, _, mono = entries[0]
+                rest = rep.degree - mono.degree() - gens[slot].degree()
+                for mult in _all_exps(rest, n) if rest >= 0 else ():
+                    ech.insert({(k, m.mul(SMonomial(mult))): c for k, c, m in entries})
+            assert rep.span_dim == ech.rank
 
 
 class TestOracleCheck:

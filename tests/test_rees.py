@@ -148,6 +148,9 @@ class TestSpecValidation:
             lambda: SeqSpec(n="2"),
             lambda: SeqSpec(n=1, mode="concrete", x_names=("x",), concrete_terms=(((1.5, {"x": 1}),),)),
             lambda: SeqSpec(n=1, mode="concrete", x_names=("x",), concrete_terms=(((1, {"x": 1.0}),),)),
+            lambda: SeqSpec(n=2, names=(1, 2)),
+            lambda: SeqSpec(n=2, names=("a", None)),
+            lambda: SeqSpec(n=1, x_names=(b"x",)),
         ],
     )
     def test_non_integer_field_is_spec_error(self, make):

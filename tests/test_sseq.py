@@ -76,6 +76,8 @@ class TestSeqSpec:
             SeqSpec(n=1, mode="concrete", x_names=("x",), concrete_terms=(((1, {}),),))
         with pytest.raises(SpecError):  # zero value
             SeqSpec(n=1, mode="concrete", x_names=("x",), concrete_terms=((),))
+        with pytest.raises(SpecError):  # zero coefficient
+            SeqSpec(n=1, mode="concrete", x_names=("x",), concrete_terms=(((0, {"x": 1}),),))
         with pytest.raises(SpecError):  # unknown ambient variable
             SeqSpec(n=1, mode="concrete", x_names=("x",), concrete_terms=(((1, {"y": 1}),),))
         # non-unit constants are allowed
