@@ -199,6 +199,18 @@ def cmd_groebner(args):
 # --- oracle ----------------------------------------------------------------
 
 
+def _piece_json(r):
+    return {
+        "t_degrees": list(r.tvec),
+        "ambient_degree": r.weight,
+        "piece_size": r.piece_size,
+        "kernel_dim": r.kernel_dim,
+        "span_dim": r.span_dim,
+        "ok": r.ok,
+        "witness": r.witness.render() if r.witness is not None else None,
+    }
+
+
 def _oracle(pres, gens, args):
     rep = oracle_check(pres, gens, t_cap=args.t_degree_cap, ambient_cap=args.s_degree_cap, cap=args.piece_cap)
     if not rep.reports:
@@ -229,18 +241,7 @@ def cmd_oracle(args):
             "family": args.family,
             "dropped": dropped,
             "ok": rep.ok,
-            "pieces": [
-                {
-                    "t_degrees": list(r.tvec),
-                    "ambient_degree": r.weight,
-                    "piece_size": r.piece_size,
-                    "kernel_dim": r.kernel_dim,
-                    "span_dim": r.span_dim,
-                    "ok": r.ok,
-                    "witness": r.witness.render() if r.witness is not None else None,
-                }
-                for r in rep.reports
-            ],
+            "pieces": [_piece_json(r) for r in rep.reports],
         }
         _emit_json(payload)
     else:
@@ -282,7 +283,7 @@ def cmd_verify(args):
                 "oracle": {
                     "ok": o_report.ok,
                     "pieces": len(o_report.reports),
-                    "failures": [r.line() for r in o_report.failures],
+                    "failures": [_piece_json(r) for r in o_report.failures],
                 },
                 "normality": {
                     "verdict": n_report.verdict,

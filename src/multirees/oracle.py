@@ -13,7 +13,11 @@ the chosen degree bounds.
 The comparison is fiber connectivity, not linear algebra: each multiple
 of a kernel binomial links two monomials of one fiber, and the family
 spans a piece exactly when every fiber is one component (the Markov-basis
-view of Diaconis and Sturmfels 1998).
+view of Diaconis and Sturmfels 1998).  The multiples of a generator
+a*m_a + b*m_b in a piece are q*m_a - q*m_b for the monomials q of the
+quotient piece, whose degree is the piece's less the generator's.  A
+sweep checks each generator once and enumerates each piece once, whether
+it serves as a piece or as a quotient piece.
 
 Grading: a piece is indexed by the tuple of block degrees (how many T
 variables of each block) together with the total ambient degree of the
@@ -24,6 +28,7 @@ map preserves both, and every piece is finite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations_with_replacement, product
 
 from .poly import CapExceeded, Mono, Poly, SpecError
@@ -180,11 +185,10 @@ class KernelPiece:
         return universe.from_terms([(self.monomials[i], c) for i, c in vec.items()])
 
 
-def kernel_piece(pres, tvec, weight, image_data=None, cap=DEFAULT_PIECE_CAP):
-    """Basis of the kernel of the presentation map on one graded piece,
-    computed straight from the fibers (no generators involved)."""
-    data = image_data or ImageData(pres)
-    monos = source_monomials(pres, tvec, weight, data, cap=cap)
+def _fiber_basis(data, monos):
+    """Kernel basis of the map on a list of monomials, one fiber at a
+    time: each fiber with k members gives k - 1 differences, written as
+    ``{monomial index: coefficient}``."""
     fibers = {}
     for i, m in enumerate(monos):
         coeff, img = data.image(m)
@@ -197,7 +201,15 @@ def kernel_piece(pres, tvec, weight, image_data=None, cap=DEFAULT_PIECE_CAP):
         i0, c0 = group[0]
         for i, c in group[1:]:
             basis.append({i0: c, i: -c0})
-    return KernelPiece(tuple(tvec), weight, monos, basis)
+    return basis
+
+
+def kernel_piece(pres, tvec, weight, image_data=None, cap=DEFAULT_PIECE_CAP):
+    """Basis of the kernel of the presentation map on one graded piece,
+    computed straight from the fibers (no generators involved)."""
+    data = image_data or ImageData(pres)
+    monos = source_monomials(pres, tvec, weight, data, cap=cap)
+    return KernelPiece(tuple(tvec), weight, monos, _fiber_basis(data, monos))
 
 
 class _Components:
@@ -264,48 +276,87 @@ def _kernel_binomial(data, p):
     return ma, mb
 
 
+class _Sweep:
+    """What the pieces of one sweep share: the generators, evaluated and
+    checked once, and every enumerated piece, memoized by degree.
+
+    A generator a*m_a + b*m_b of degree (g_t, g_w) has as multiples in
+    piece (t, w) the binomials q*m_a - q*m_b, where q runs over the piece
+    of degree (t - g_t, w - g_w); each links two monomials of one fiber.
+    """
+
+    def __init__(self, pres, generators, data, cap):
+        self.pres = pres
+        self.generators = generators
+        self.data = data
+        self.cap = cap
+        self.pieces = {}
+
+    def monomials(self, tvec, weight):
+        key = (tvec, weight)
+        monos = self.pieces.get(key)
+        if monos is None:
+            monos = self.pieces[key] = source_monomials(self.pres, tvec, weight, self.data, cap=self.cap)
+        return monos
+
+    @cached_property
+    def moves(self):
+        """(m_a, m_b, g_t, g_w) per nonzero generator.  First read once the
+        first piece is enumerated, so a piece over the cap is reported
+        before a generator the oracle cannot use."""
+        out = []
+        for g in self.generators:
+            p = self.data.evaluate(getattr(g, "poly", g))
+            if p.is_zero():
+                continue
+            ma, mb = _kernel_binomial(self.data, p)
+            out.append((ma, mb) + self.data.poly_degree(p))
+        return out
+
+    def compare(self, tvec, weight):
+        tvec = tuple(tvec)
+        monos = self.monomials(tvec, weight)
+        piece = KernelPiece(tvec, weight, monos, _fiber_basis(self.data, monos))
+        index = {m: i for i, m in enumerate(monos)}
+        comps = _Components()
+        span_dim = n_multiples = 0
+        for ma, mb, gt, gw in self.moves:
+            dt = tuple(a - b for a, b in zip(tvec, gt))
+            if gw > weight or min(dt) < 0:
+                continue
+            quotient = self.monomials(dt, weight - gw)
+            n_multiples += len(quotient)
+            for q in quotient:
+                span_dim += comps.join(index[q.mul(ma)], index[q.mul(mb)])
+        witness = None
+        if span_dim < piece.dim:
+            vec = next(v for v in piece.basis if len({comps.find(i) for i in v}) == 2)
+            witness = piece.vector_to_poly(self.pres.universe, vec)
+        return SpanReport(
+            tvec=tvec,
+            weight=weight,
+            piece_size=len(monos),
+            kernel_dim=piece.dim,
+            span_dim=span_dim,
+            multiples=n_multiples,
+            ok=witness is None,
+            witness=witness,
+        )
+
+
 def span_compare(pres, generators, tvec, weight, image_data=None, cap=DEFAULT_PIECE_CAP):
     """Compare the kernel piece with the span of generator multiples.
 
     ``generators`` are polynomials (or objects with ``.poly``), each a
-    binomial a*m_a + b*m_b of the kernel.  A multiple links a piece
-    monomial m that m_a divides to (m/m_a)*m_b, and ``span_dim`` counts
+    binomial a*m_a + b*m_b of the kernel.  The multiples of a generator
+    come from the quotient piece: q*m_a links to q*m_b for every monomial
+    q of the piece's degree less the generator's, and ``span_dim`` counts
     the links that join two components.  A missed piece carries as witness
     its first kernel basis binomial whose monomials lie in different
     components: it maps to zero but is no generator combination here.
+    This is one piece of the sweep ``oracle_check`` runs.
     """
-    data = image_data or ImageData(pres)
-    piece = kernel_piece(pres, tvec, weight, data, cap=cap)
-    monos = piece.monomials
-    index = {m: i for i, m in enumerate(monos)}
-    comps = _Components()
-    span_dim = n_multiples = 0
-    for g in generators:
-        p = data.evaluate(getattr(g, "poly", g))
-        if p.is_zero():
-            continue
-        ma, mb = _kernel_binomial(data, p)
-        gt, gw = data.poly_degree(p)
-        if gw > weight or any(a > b for a, b in zip(gt, tvec)):
-            continue
-        for i, m in enumerate(monos):
-            if ma.divides(m):
-                n_multiples += 1
-                span_dim += comps.join(i, index[m.div(ma).mul(mb)])
-    witness = None
-    if span_dim < piece.dim:
-        vec = next(v for v in piece.basis if len({comps.find(i) for i in v}) == 2)
-        witness = piece.vector_to_poly(pres.universe, vec)
-    return SpanReport(
-        tvec=tuple(tvec),
-        weight=weight,
-        piece_size=len(monos),
-        kernel_dim=piece.dim,
-        span_dim=span_dim,
-        multiples=n_multiples,
-        ok=witness is None,
-        witness=witness,
-    )
+    return _Sweep(pres, generators, image_data or ImageData(pres), cap).compare(tvec, weight)
 
 
 def default_degrees(pres, t_cap=None, ambient_cap=None, image_data=None):
@@ -359,15 +410,15 @@ class OracleReport:
 
 
 def oracle_check(pres, generators, degrees=None, t_cap=None, ambient_cap=None, cap=DEFAULT_PIECE_CAP):
-    """Run span_compare over a degree sweep; certifies that the family
-    spans the kernel in every listed degree."""
+    """Compare spans piece by piece over a degree sweep; certifies that the
+    family spans the kernel in every listed degree.  The pieces share one
+    ``_Sweep``: each generator is evaluated and checked once, and each
+    piece is enumerated once, whether as a piece or as a quotient piece."""
     data = ImageData(pres)
     if degrees is None:
         degrees = default_degrees(pres, t_cap=t_cap, ambient_cap=ambient_cap, image_data=data)
-    report = OracleReport()
-    for tvec, weight in degrees:
-        report.reports.append(span_compare(pres, generators, tvec, weight, data, cap=cap))
-    return report
+    sweep = _Sweep(pres, generators, data, cap)
+    return OracleReport([sweep.compare(tvec, weight) for tvec, weight in degrees])
 
 
 # --- syzygies of a plain monomial list -------------------------------------

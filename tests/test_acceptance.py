@@ -15,12 +15,7 @@ import pytest
 
 from conftest import desk_scale_specs, record_criterion
 from multirees.grobner import default_order_suite, universal_gb_check
-from multirees.oracle import (
-    ImageData,
-    monomial_syzygy_kernel,
-    span_compare,
-    syzygy_span_compare,
-)
+from multirees.oracle import monomial_syzygy_kernel, oracle_check, syzygy_span_compare
 from multirees.poly import MonomialOrder, leading, mono_text
 from multirees.quasimat import (
     binary_subquasi_enumerate,
@@ -102,17 +97,21 @@ def desk_sweep():
     t0 = time.time()
     for spec in specs:
         pres = build_presentation(spec)
-        data = ImageData(pres)
         u = pres.universe
         restricted = defining_generators(pres, RESTRICTED)
         full = defining_generators(pres, FULL)
-        pieces = []
-        for total in range(1, 4):
-            for tvec in _compositions(total, spec.r):
-                for weight in range(0, 9):
-                    rep_r = span_compare(pres, restricted, tvec, weight, data)
-                    rep_f = span_compare(pres, full, tvec, weight, data)
-                    pieces.append((rep_r, rep_f))
+        degrees = [
+            (tvec, weight)
+            for total in range(1, 4)
+            for tvec in _compositions(total, spec.r)
+            for weight in range(0, 9)
+        ]
+        pieces = list(
+            zip(
+                oracle_check(pres, restricted, degrees=degrees).reports,
+                oracle_check(pres, full, degrees=degrees).reports,
+            )
+        )
         squarefree = True
         initial_cover = True
         for kind in ("lex", "grevlex"):

@@ -14,6 +14,7 @@ import pytest
 
 import multirees
 from multirees.cli import main
+from multirees.rees import build_presentation, spec_from_dict
 
 PAPER_SPEC = {
     "sequence": {"mode": "generic", "n": 4, "names": ["p1", "p2", "x", "y"]},
@@ -56,6 +57,22 @@ def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def poly_from_text(universe, text):
+    """A polynomial from its rendered text (``Poly.render``)."""
+    total = universe.zero()
+    for chunk in text.replace(" - ", " + -").split(" + "):
+        sign = -1 if chunk.startswith("-") else 1
+        term = universe.const(sign)
+        for factor in chunk.lstrip("-").split("*"):
+            if factor.isdigit():
+                term = term * int(factor)
+                continue
+            name, _, exp = factor.partition("^")
+            term = term * universe.poly_var(name, int(exp) if exp else 1)
+        total = total + term
+    return total
 
 
 class TestGenerators:
@@ -237,6 +254,28 @@ class TestVerify:
         assert [r["pairs"] for r in full["groebner"]["reports"]] == [
             r["pairs"] for r in default["groebner"]["reports"]
         ]
+
+    def test_failures_name_piece_and_witness(self, spec_file, capsys):
+        # with quasi-minors of size 2 only, the multiblock cycles are
+        # missing, so the oracle misses pieces; the JSON names each one as
+        # `oracle --format json` does, with a witness in the kernel
+        path = spec_file(PAPER_SPEC)
+        argv = [path, "--format", "json", "--max-minor-size", "2"]
+        code, payload = run_json(capsys, ["verify"] + argv)
+        assert code == 1
+        assert payload["ok"] is False and payload["oracle"]["ok"] is False
+        failures = payload["oracle"]["failures"]
+        _, oracle = run_json(capsys, ["oracle"] + argv)
+        assert failures and failures == [p for p in oracle["pieces"] if not p["ok"]]
+        pres = build_presentation(spec_from_dict(PAPER_SPEC))
+        for piece in failures:
+            assert set(piece) == {
+                "t_degrees", "ambient_degree", "piece_size", "kernel_dim", "span_dim", "ok", "witness"
+            }
+            assert piece["span_dim"] < piece["kernel_dim"]
+            witness = poly_from_text(pres.universe, piece["witness"])
+            assert witness.render() == piece["witness"] and len(witness.terms) == 2
+            assert pres.phi(witness).is_zero()
 
     def test_degenerate_spec_verifies(self, spec_file, capsys):
         path = spec_file({"sequence": {"n": 2}, "blocks": [{"rows": [1], "power": 1}]})

@@ -237,7 +237,9 @@ class TestSourceMonomials:
 
     def test_matches_brute_force_two_blocks(self, paper):
         data = ImageData(paper)
-        for tvec in [(1, 0, 0, 1, 0), (0, 1, 1, 0, 0)]:
+        # the all-zero T-vector is the ambient-only quotient piece of a
+        # T-degree-one generator
+        for tvec in [(1, 0, 0, 1, 0), (0, 1, 1, 0, 0), (0, 0, 0, 0, 0)]:
             got = source_monomials(paper, tvec, 2, data)
             assert set(got) == brute_source_monomials(paper, data, tvec, 2)
 
@@ -303,6 +305,12 @@ class TestEchelon:
             assert ech.rank == mat.rank()
 
 
+def sweep_of_one(pres, generators, tvec, weight):
+    """``span_compare`` through ``oracle_check``: a sweep of one piece."""
+    (report,) = oracle_check(pres, generators, degrees=[(tvec, weight)]).reports
+    return report
+
+
 class TestSpanCompare:
     def test_restricted_family_spans(self, paper):
         gens = defining_generators(paper, RESTRICTED)
@@ -342,8 +350,9 @@ class TestSpanCompare:
         # T[3;111] has support outside block 3's membership set, so it is
         # not part of the presentation ring the oracle enumerates
         p = u.poly_var("T[3;111]") - u.poly_var("T[3;100]")
-        with pytest.raises(ValueError, match="leaves the enumerated presentation ring"):
-            span_compare(paper, [p], (0, 0, 1, 0, 0), 1)
+        for compare in (span_compare, sweep_of_one):
+            with pytest.raises(ValueError, match="leaves the enumerated presentation ring"):
+                compare(paper, [p], (0, 0, 1, 0, 0), 1)
 
     @pytest.mark.parametrize(
         "terms, message",
@@ -360,8 +369,9 @@ class TestSpanCompare:
     def test_generator_outside_kernel_binomials_rejected(self, paper, terms, message):
         u = paper.universe
         p = sum((c * u.poly_var(s) * u.poly_var(t) for c, s, t in terms), u.zero())
-        with pytest.raises(ValueError, match=message):
-            span_compare(paper, [p], (1, 0, 0, 0, 0), 2)
+        for compare in (span_compare, sweep_of_one):
+            with pytest.raises(ValueError, match=message):
+                compare(paper, [p], (1, 0, 0, 0, 0), 2)
 
 
 class TestConnectivityMatchesEchelon:
@@ -379,8 +389,10 @@ class TestConnectivityMatchesEchelon:
             families = [restricted, defining_generators(pres, FULL), restricted[:drop] + restricted[drop + 1:]]
             degrees = default_degrees(pres, t_cap=3, ambient_cap=5, image_data=data)
             for gens in families:
-                for tvec, weight in degrees:
-                    rep = span_compare(pres, gens, tvec, weight, data)
+                # one sweep per family, so the pieces share its memo
+                reports = oracle_check(pres, gens, degrees=degrees).reports
+                assert len(reports) == len(degrees)
+                for (tvec, weight), rep in zip(degrees, reports):
                     ech, multiples, piece = echelon_span(pres, gens, tvec, weight, data)
                     outside = [v for v in piece.basis if ech.residual(v)]
                     assert (rep.ok, rep.span_dim, rep.kernel_dim, rep.multiples, rep.piece_size) == (
@@ -458,6 +470,23 @@ class TestOracleCheck:
         gens = defining_generators(paper, RESTRICTED)
         with pytest.raises(CapExceeded):
             oracle_check(paper, gens, t_cap=3, ambient_cap=4, cap=5)
+        # a piece over the cap is reported even after pieces within it
+        piece = ((1, 1, 1, 0, 0), 4)
+        size = len(source_monomials(paper, *piece))
+        fits = oracle_check(paper, gens, degrees=[((1, 0, 0, 0, 0), 1), piece], cap=size)
+        assert fits.reports[-1].piece_size == size
+        with pytest.raises(CapExceeded, match="exceeds the cap of %d" % (size - 1)):
+            oracle_check(paper, gens, degrees=[((1, 0, 0, 0, 0), 1), piece], cap=size - 1)
+        # the first piece is enumerated before the generators are checked
+        u = paper.universe
+        stray = u.poly_var("T[3;111]") - u.poly_var("T[3;100]")
+        with pytest.raises(CapExceeded):
+            oracle_check(paper, gens + [stray], degrees=[piece], cap=size - 1)
+
+    def test_no_degrees_no_pieces(self, paper):
+        gens = defining_generators(paper, RESTRICTED)
+        report = oracle_check(paper, gens, degrees=[])
+        assert report.reports == [] and report.ok
 
 
 def brute_syzygy_kernel_dim(gens, degree):
