@@ -2,15 +2,17 @@
 
 Exit codes: 0 = success / certified, 1 = check failed or inconclusive,
 2 = invalid spec or usage, 3 = an enumeration cap or guard was exceeded.
+A reader that closes stdout early (``... | head``) also gets exit 1, with
+no traceback: the rest of the output goes to the null device.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .grobner import (
-    STRATEGIES,
     MemberResult,
     buchberger_check,
     default_order_suite,
@@ -32,6 +34,7 @@ from .rees import (
     build_presentation,
     defining_generators,
     normality_report,
+    single_cycle_families,
     spec_from_json,
     spec_to_dict,
 )
@@ -171,7 +174,7 @@ def cmd_groebner(args):
     if args.universal:
         seeds = tuple(args.seed + i for i in (1, 2, 3, 4))
         orders = default_order_suite(pres.universe, kinds=("lex", "grevlex"), seeds=seeds)
-        rep = universal_gb_check(gens, orders, strategy=args.strategy)
+        rep = universal_gb_check(gens, orders)
         ok = rep.ok
         if args.format == "json":
             _emit_json(
@@ -188,7 +191,7 @@ def cmd_groebner(args):
             print(rep.summary())
         return EXIT_OK if ok else EXIT_FAIL
     order = MonomialOrder(pres.universe, args.order)
-    rep = buchberger_check(gens, order, strategy=args.strategy)
+    rep = buchberger_check(gens, order)
     if args.format == "json":
         _emit_json({"command": "groebner", "universal": False, "ok": rep.ok, "orders": [_report_json(rep)]})
     else:
@@ -258,18 +261,29 @@ def cmd_oracle(args):
 
 
 def cmd_verify(args):
-    """Three-way check: S-pair certification of the full binary family
+    """Three-way check: S-pair certification of the full binary family F
     (the restricted family generates the same ideal but is not itself a
     basis), the kernel oracle on the requested family, and the
-    squarefreeness report."""
+    squarefreeness report.
+
+    F is certified through F1, its single-cycle members, which come from
+    the same cycle enumeration as the requested family.  A union of
+    vertex-disjoint cycles has the quasi-minor prod(c_i) - prod(d_i),
+    c_i and d_i the two matchings of cycle i.  The order is
+    multiplicative on T-parts, so if prod(c_i) leads, some cycle has
+    T(c_i) > T(d_i); that cycle's lead c_i divides the union's lead in
+    both the s-part and the T-part, and properly in the T-part.  So no
+    union is in the basis that ``buchberger_check`` selects.  And
+    c1*c2 - d1*d2 = c2*(c1 - d1) + d1*(c2 - d2) puts every union in the
+    ideal of its cycles.  F1 and F thus have the same ideal and the same
+    leading terms: F is a Groebner basis exactly when F1 is."""
     spec = _read_spec(args.spec)
     pres = build_presentation(spec)
-    gens = defining_generators(pres, args.family, args.max_minor_size)
-    full = gens if args.family == FULL else defining_generators(pres, FULL, args.max_minor_size)
+    gens, single = single_cycle_families(pres, args.family, args.max_minor_size)
     o_report = _oracle(pres, gens, args)
-    full_polys = [g.poly for g in full]
-    kinds = ("lex", "grevlex") if full_polys else ()
-    g_reports = [buchberger_check(full_polys, MonomialOrder(pres.universe, kind)) for kind in kinds]
+    single_polys = [g.poly for g in single]
+    kinds = ("lex", "grevlex") if single_polys else ()
+    g_reports = [buchberger_check(single_polys, MonomialOrder(pres.universe, kind)) for kind in kinds]
     groebner_ok = all(r.ok for r in g_reports)
     n_report = normality_report(pres, gens)
     ok = groebner_ok and o_report.ok
@@ -295,7 +309,10 @@ def cmd_verify(args):
         )
     else:
         print("generators: %d (family=%s)" % (len(gens), args.family))
-        print("groebner certification runs on the full binary family (%d members)" % len(full_polys))
+        print(
+            "groebner certification of the full binary family runs on its single-cycle members F1 (%d members)"
+            % len(single_polys)
+        )
         for r in g_reports:
             print(r.summary())
         print(o_report.summary().splitlines()[0])
@@ -428,7 +445,6 @@ def build_parser():
     p.add_argument("--order", choices=ORDER_KINDS, default="lex")
     p.add_argument("--universal", action="store_true", help="run a spread of orders and precedences")
     p.add_argument("--seed", type=int, default=0, help="seed for the shuffled precedences")
-    p.add_argument("--strategy", choices=STRATEGIES, default="first")
     p.set_defaults(func=cmd_groebner)
 
     p = sub.add_parser("oracle", help="independent degree-bounded kernel comparison")
@@ -461,7 +477,14 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # as the Python docs advise for SIGPIPE: keep the interpreter's
+        # final flush from failing on the closed pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     except SpecError as exc:
         print("spec error: %s" % exc, file=sys.stderr)
         return EXIT_SPEC

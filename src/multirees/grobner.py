@@ -41,8 +41,6 @@ from .poly import (
 REDUCED_TO_ZERO = "REDUCED_TO_ZERO"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-STRATEGIES = ("first", "minlm")
-
 DEFAULT_MAX_STEPS = 10000
 
 
@@ -108,37 +106,27 @@ class ReductionCert:
         return acc == self.target
 
 
-def top_reduce(p, reducers, order, strategy="first", max_steps=DEFAULT_MAX_STEPS):
+def top_reduce(p, reducers, order, max_steps=DEFAULT_MAX_STEPS):
     """Top-reduce ``p`` by s-monomial-type ``reducers``; never inspects
     trailing terms of ``p``, so a nonzero remainder means only that no
     leading-term step applies (INCONCLUSIVE)."""
     reducers = tuple(reducers)
     lead = [_lead_parts(g, order) for g in reducers]
-    return _reduce(p, reducers, lead, order, strategy, max_steps)
+    return _reduce(p, reducers, lead, order, max_steps)
 
 
-def _reduce(p, reducers, lead, order, strategy, max_steps):
-    """``top_reduce`` against ``lead``, the ``_lead_parts`` of each reducer."""
-    if strategy not in STRATEGIES:
-        raise ValueError("unknown strategy %r" % (strategy,))
+def _reduce(p, reducers, lead, order, max_steps):
+    """``top_reduce`` against ``lead``, the ``_lead_parts`` of each reducer;
+    each step uses the first reducer that applies."""
     quotients = {}
     work = p
     steps = 0
     while not work.is_zero():
         lc, lm = leading(work, order)
-        chosen = None
-        for idx, (ug, dg, mg) in enumerate(lead):
-            if not mg.divides(lm):
-                continue
-            if not all(dg.divides(m) for m, _ in lc.terms):
-                continue
-            if strategy == "first":
-                chosen = idx
+        for chosen, (_, dg, mg) in enumerate(lead):
+            if mg.divides(lm) and all(dg.divides(m) for m, _ in lc.terms):
                 break
-            key = (order.key(mg), idx)
-            if chosen is None or key < best_key:
-                chosen, best_key = idx, key
-        if chosen is None:
+        else:
             return ReductionCert(p, reducers, order, quotients, work, INCONCLUSIVE, steps)
         ug, dg, mg = lead[chosen]
         shift = lm.div(mg)
@@ -195,7 +183,6 @@ class BuchbergerReport:
     basis: tuple = ()
     pairs: list = field(default_factory=list)
     members: list = field(default_factory=list)
-    strategy: str = "first"
 
     @property
     def ok(self):
@@ -278,7 +265,7 @@ def _product_cert(s, a, b, reducers, lead, order):
     return ReductionCert(s, reducers, order, quotients, u.zero(), REDUCED_TO_ZERO, 0)
 
 
-def buchberger_check(generators, order, strategy="first", max_steps=DEFAULT_MAX_STEPS):
+def buchberger_check(generators, order, max_steps=DEFAULT_MAX_STEPS):
     """Certify ``generators`` (the family F) as a Groebner basis of the
     ideal it generates under ``order``.
 
@@ -310,6 +297,16 @@ def buchberger_check(generators, order, strategy="first", max_steps=DEFAULT_MAX_
     the second argument fail, either check may stick; a stuck pair or
     member is reported as INCONCLUSIVE, never as a disproof.  Every
     certificate replays.
+
+    ``verify`` passes F1, the single-cycle binary quasi-minors, instead
+    of the full binary family F, and the verdict is F's.  A union of
+    vertex-disjoint cycles with matchings c_i, d_i has the quasi-minor
+    prod(c_i) - prod(d_i).  The order is multiplicative on T-parts, so
+    if prod(c_i) leads, some cycle has T(c_i) > T(d_i), and that cycle's
+    lead c_i divides the union's lead in the s-part and, properly, in the
+    T-part: no union is ever in G.  And c1*c2 - d1*d2 =
+    c2*(c1 - d1) + d1*(c2 - d2) puts the union in the ideal of its
+    cycles.  So F is a Groebner basis exactly when F1 is.
     """
     gens = tuple(generators)
     if not gens:
@@ -320,7 +317,7 @@ def buchberger_check(generators, order, strategy="first", max_steps=DEFAULT_MAX_
     basis = _minimal_basis(lead)
     reducers = tuple(gens[k] for k in basis)
     table = [lead[k] for k in basis]
-    report = BuchbergerReport(order=order, generators=gens, basis=tuple(basis), strategy=strategy)
+    report = BuchbergerReport(order=order, generators=gens, basis=tuple(basis))
     for a, i in enumerate(basis):
         for b in range(a + 1, len(basis)):
             j = basis[b]
@@ -331,12 +328,12 @@ def buchberger_check(generators, order, strategy="first", max_steps=DEFAULT_MAX_
                 cert = _product_cert(s, a, b, reducers, table, order)
                 report.pairs.append(PairResult(i, j, False, cert, criterion="product"))
             else:
-                cert = _reduce(s, reducers, table, order, strategy, max_steps)
+                cert = _reduce(s, reducers, table, order, max_steps)
                 report.pairs.append(PairResult(i, j, False, cert))
     in_basis = set(basis)
     for k, g in enumerate(gens):
         if k not in in_basis:
-            report.members.append(MemberResult(k, _reduce(g, reducers, table, order, strategy, max_steps)))
+            report.members.append(MemberResult(k, _reduce(g, reducers, table, order, max_steps)))
     return report
 
 
@@ -354,10 +351,8 @@ class UniversalReport:
         return "\n".join(lines)
 
 
-def universal_gb_check(generators, orders, strategy="first", max_steps=DEFAULT_MAX_STEPS):
-    return UniversalReport(
-        [buchberger_check(generators, o, strategy=strategy, max_steps=max_steps) for o in orders]
-    )
+def universal_gb_check(generators, orders, max_steps=DEFAULT_MAX_STEPS):
+    return UniversalReport([buchberger_check(generators, o, max_steps=max_steps) for o in orders])
 
 
 def default_order_suite(universe, kinds=("lex", "grevlex"), seeds=(1, 2, 3, 4)):

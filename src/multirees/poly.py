@@ -344,17 +344,6 @@ class Poly:
             return self.universe.zero()
         return Poly(self.universe, tuple((m.mul(mono), c * coeff) for m, c in self.terms))
 
-    def coeff_of(self, mono):
-        for m, c in self.terms:
-            if m == mono:
-                return c
-        return Fraction(0)
-
-    def total_degree(self, ids=None):
-        if self.is_zero():
-            return -1
-        return max(m.degree(ids) for m, _ in self.terms)
-
     def substitute(self, images):
         """Replace variables by polynomials; ids absent from the map stay."""
         u = self.universe

@@ -207,40 +207,29 @@ def _entry_graph_cycles(qm, max_vertices):
     for v in adj:
         adj[v].sort()
     cycles = []
-    verts = sorted(adj)
-
-    def cells_of(path):
-        out = []
-        for i, v in enumerate(path):
-            w = path[(i + 1) % len(path)]
-            r, c = (v, w - R) if v < R else (w, v - R)
-            out.append((r, c))
-        return tuple(out)
 
     def dfs(path, seen):
         v = path[-1]
+        first = path[0]
         for w in adj[v]:
-            if w == path[0]:
-                if len(path) >= 4 and path[1] < path[-1]:
-                    cycles.append(cells_of(path))
-            elif w > path[0] and w not in seen and len(path) < max_vertices:
+            if w == first:
+                if len(path) >= 4 and path[1] < v:
+                    # the anchor is a row, so the path alternates rows and columns
+                    rows = path[0::2]
+                    cols = [x - R for x in path[1::2]]
+                    turn = zip(rows[1:] + rows[:1], cols)
+                    cycles.append(tuple(cell for pair in zip(zip(rows, cols), turn) for cell in pair))
+            elif w > first and w not in seen and len(path) < max_vertices:
                 seen.add(w)
                 path.append(w)
                 dfs(path, seen)
                 path.pop()
                 seen.remove(w)
 
-    for s in verts:
+    for s in sorted(adj):
         dfs([s], {s})
-    cycles.sort(key=lambda cy: (len(cy), tuple(sorted(cy))))
+    cycles.sort(key=lambda cy: (len(cy), sorted(cy)))
     return cycles
-
-
-def binary_cycles(qm, max_size=MAX_BINARY_SIZE):
-    """The single-cycle binary subquasi-matrices of ``qm`` with rows+cols
-    at most ``max_size``, in the order ``binary_subquasi_enumerate`` lists
-    them."""
-    return [BinaryQuasiMatrix(qm, (cy,)) for cy in _entry_graph_cycles(qm, max_size)]
 
 
 def binary_subquasi_enumerate(qm, max_size=MAX_BINARY_SIZE):

@@ -9,7 +9,8 @@ sends each to its value times a block tag.  The kernel of phi is the
 defining ideal.  This module builds the augmented presentation matrix
 (sequence column next to the block columns), emits the two candidate
 generating families (a restricted binomial family, and every binary
-quasi-minor of the matrix), and assembles the supporting reports.
+quasi-minor of the matrix) from the cycles of its entry graph, and
+assembles the supporting reports.
 
 Index tuples: a block of amplitude a over n sequence symbols uses weakly
 increasing tuples 0 <= j_1 <= ... <= j_{n-1} <= a, displayed high index
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 from .poly import (
     Mono,
@@ -34,9 +35,10 @@ from .poly import (
     spec_field,
 )
 from .quasimat import (
+    BinaryQuasiMatrix,
     Binomial,
     QuasiMatrix,
-    binary_cycles,
+    _entry_graph_cycles,
     binary_subquasi_enumerate,
     quasi_determinants,
 )
@@ -340,17 +342,6 @@ class Presentation:
     def block(self, l):
         return self.blocks[l - 1]
 
-    def t_var(self, l, js):
-        if isinstance(js, IndexTuple):
-            js = js.js
-        return self.block(l).vids[tuple(js)]
-
-    def t_var_by_display(self, l, display):
-        return self.t_var(l, tuple(reversed(tuple(display))))
-
-    def s_vid(self, k):
-        return self.universe.s_ids[k - 1]
-
     def in_presentation_ring(self, p):
         u = self.universe
         ok = set(u.s_ids) | set(u.x_ids) | self.f_idset
@@ -411,18 +402,6 @@ class Presentation:
             col_labels=[self.col_label(c) for c in range(self.matrix.n_cols)],
         )
 
-    def block_matrix(self, l, all_rows=False, all_columns=False):
-        """One block's columns as a standalone quasi-matrix; optionally the
-        full version over every row and every column tuple."""
-        bd = self.block(l)
-        cols = [it for it in bd.tuples if it.in_column_set()] if all_columns else bd.columns
-        rows = range(1, self.spec.seq.n + 1) if all_rows else bd.rows
-        entries = {}
-        for c, it in enumerate(cols):
-            for k in rows:
-                entries[(k - 1, c)] = bd.vids[it.shift(k).js]
-        return QuasiMatrix(self.spec.seq.n, len(cols), entries)
-
 
 def build_presentation(spec):
     return Presentation(spec)
@@ -444,133 +423,129 @@ class Generator:
         return self.poly.render(order)
 
 
-def _mono_of(universe, pairs):
-    acc = {}
-    for vid in pairs:
-        acc[vid] = acc.get(vid, 0) + 1
-    return Mono(tuple(acc.items()))
+def _size_cap(pres, family, max_minor_size):
+    """rows + cols of the largest binary quasi-minor to emit."""
+    if family not in FAMILIES:
+        raise ValueError("family must be one of %s" % (FAMILIES,))
+    if max_minor_size is None:
+        max_minor_size = max(2, min(pres.spec.seq.n, DEFAULT_MAX_MINOR_SIZE))
+    if max_minor_size < 2:
+        raise ValueError("max_minor_size must be at least 2")
+    return 2 * max_minor_size
+
+
+def _family(pres, items):
+    """Generators from (binomial, kind, blocks, size, label) items, in
+    order, zero and repeated binomials dropped."""
+    u = pres.universe
+    out = []
+    seen = set()
+    for bino, kind, blocks_, size, label in items:
+        if bino.is_zero() or bino.key() in seen:
+            continue
+        seen.add(bino.key())
+        out.append(Generator(bino.to_poly(u), bino, kind, tuple(sorted(set(blocks_))), size, label))
+    return out
+
+
+def _binary_items(pres, bqms):
+    for bqm in bqms:
+        cols = bqm.cols()
+        blocks_ = [pres.col_blocks[c][0] for c in cols if c]
+        label = "binary quasi-minor on rows %s cols %s" % (
+            tuple(r + 1 for r in bqm.rows()),
+            tuple(pres.col_label(c) for c in cols),
+        )
+        for bino in quasi_determinants(bqm):
+            yield bino, "binary", blocks_, len(cols), label
+
+
+def _restricted_items(pres, walks):
+    """The cycle walks of restricted shape, in emission order: the
+    4-cycles through the sequence column (seq-linear), the 4-cycles on
+    two columns of one block (block-2x2), each by columns then rows, and
+    then in walk order the cycles off the sequence column whose columns
+    lie in distinct blocks (multiblock-cycle)."""
+    seq_linear, block_2x2, multiblock = [], [], []
+    for walk in walks:
+        rows = tuple(sorted(r for r, _ in walk[0::2]))
+        cols = tuple(sorted(c for _, c in walk[0::2]))
+        if cols[0] == 0:
+            if len(cols) == 2:
+                seq_linear.append((cols, rows, walk))
+            continue
+        blocks_ = [pres.col_blocks[c][0] for c in cols]
+        if len(set(blocks_)) == len(cols):
+            multiblock.append((blocks_, rows, cols, walk))
+        elif len(cols) == 2:
+            block_2x2.append((cols, rows, walk))
+    E = pres.matrix
+    label = pres.col_label
+    for (_, c), (ku, kw), walk in sorted(seq_linear):
+        yield (
+            Binomial.from_matchings(E, walk[0::2], walk[1::2]),
+            "seq-linear",
+            pres.col_blocks[c][:1],
+            1,
+            "rows (%d,%d) of column %s against the sequence column" % (ku + 1, kw + 1, label(c)),
+        )
+    for (ca, cb), (ku, kw), walk in sorted(block_2x2):
+        yield (
+            Binomial.from_matchings(E, walk[0::2], walk[1::2]),
+            "block-2x2",
+            pres.col_blocks[ca][:1],
+            2,
+            "rows (%d,%d) cols %s,%s" % (ku + 1, kw + 1, label(ca), label(cb)),
+        )
+    for blocks_, rows, cols, walk in multiblock:
+        yield (
+            Binomial.from_matchings(E, walk[0::2], walk[1::2]),
+            "multiblock-cycle",
+            blocks_,
+            len(cols),
+            "cycle through rows %s cols %s" % (tuple(r + 1 for r in rows), tuple(label(c) for c in cols)),
+        )
 
 
 def defining_generators(pres, family=RESTRICTED, max_minor_size=None):
     """Candidate generators of the defining ideal.
 
-    ``restricted``: the sequence-linear column relations, the 2x2 minors
-    inside one block, and the single-cycle binary quasi-minors of the
-    block columns that use at most one column per block.
+    ``full`` (F): every binary quasi-minor of the augmented matrix
+    (sequence column included), multi-cycle unions and all, up to the
+    size cap.
 
-    ``full``: every binary quasi-minor of the augmented matrix (sequence
-    column included), multi-cycle unions and all, up to the size cap.
+    ``restricted``: the single-cycle quasi-minors of restricted shape,
+    read off the same cycle walks: the sequence-linear column relations
+    (4-cycles through the sequence column), the 2x2 minors inside one
+    block, and the cycles off the sequence column that use at most one
+    column per block.
     """
-    if family not in FAMILIES:
-        raise ValueError("family must be one of %s" % (FAMILIES,))
-    u = pres.universe
-    n = pres.spec.seq.n
-    if max_minor_size is None:
-        max_minor_size = max(2, min(n, DEFAULT_MAX_MINOR_SIZE))
-    if max_minor_size < 2:
-        raise ValueError("max_minor_size must be at least 2")
-    out = []
-    seen = set()
+    size = _size_cap(pres, family, max_minor_size)
+    if family == FULL:
+        return _family(pres, _binary_items(pres, binary_subquasi_enumerate(pres.matrix, max_size=size)))
+    return _family(pres, _restricted_items(pres, _entry_graph_cycles(pres.matrix, size)))
 
-    def push(bino, kind, blocks_, size, label):
-        if bino.is_zero() or bino.key() in seen:
-            return
-        seen.add(bino.key())
-        out.append(
-            Generator(
-                poly=bino.to_poly(u),
-                binomial=bino,
-                kind=kind,
-                blocks=tuple(sorted(set(blocks_))),
-                size=size,
-                label=label,
-            )
-        )
 
+def single_cycle_families(pres, family=RESTRICTED, max_minor_size=None):
+    """``(gens, single)`` from one cycle enumeration: ``gens`` is what
+    ``defining_generators`` emits for ``family``, and ``single`` is F1,
+    the binary quasi-minors of the single cycles of the augmented matrix
+    (F without its multi-cycle unions, in F's order).
+
+    For n <= 3 no union fits in the matrix, so F1 is F.  The restricted
+    family is a filter of F1's cycles, so on the default family no union
+    is enumerated at all.
+    """
+    size = _size_cap(pres, family, max_minor_size)
     E = pres.matrix
     if family == FULL:
-        for bqm in binary_subquasi_enumerate(E, max_size=2 * max_minor_size):
-            blocks_ = sorted(
-                {pres.col_blocks[c][0] for _, c in bqm.cells if pres.col_blocks[c] is not None}
-            )
-            ncols = len(bqm.cols())
-            for bino in quasi_determinants(bqm):
-                push(
-                    bino,
-                    "binary",
-                    blocks_,
-                    ncols,
-                    "binary quasi-minor on rows %s cols %s"
-                    % (tuple(x + 1 for x in bqm.rows()), tuple(pres.col_label(c) for c in bqm.cols())),
-                )
-        return out
-
-    # 1. sequence-linear relations: one per block column and row pair
-    col_of = {}
-    for c, tag in enumerate(pres.col_blocks):
-        if tag is not None:
-            col_of[tag[0], tag[1].js] = c
-    for bd in pres.blocks:
-        for it in bd.columns:
-            c = col_of[bd.index, it.js]
-            for ku, kw in combinations(bd.rows, 2):
-                plus = _mono_of(u, (pres.s_vid(ku), bd.vids[it.shift(kw).js]))
-                minus = _mono_of(u, (pres.s_vid(kw), bd.vids[it.shift(ku).js]))
-                bino = Binomial(
-                    plus,
-                    minus,
-                    plus_cells=((ku - 1, 0), (kw - 1, c)),
-                    minus_cells=((kw - 1, 0), (ku - 1, c)),
-                )
-                push(
-                    bino,
-                    "seq-linear",
-                    (bd.index,),
-                    1,
-                    "rows (%d,%d) of column %s against the sequence column"
-                    % (ku, kw, pres.col_label(c)),
-                )
-
-    # 2. 2x2 minors using two columns of the same block
-    for bd in pres.blocks:
-        for ita, itb in combinations(bd.columns, 2):
-            ca, cb = col_of[bd.index, ita.js], col_of[bd.index, itb.js]
-            for ku, kw in combinations(bd.rows, 2):
-                plus = _mono_of(u, (bd.vids[ita.shift(ku).js], bd.vids[itb.shift(kw).js]))
-                minus = _mono_of(u, (bd.vids[ita.shift(kw).js], bd.vids[itb.shift(ku).js]))
-                bino = Binomial(
-                    plus,
-                    minus,
-                    plus_cells=((ku - 1, ca), (kw - 1, cb)),
-                    minus_cells=((kw - 1, ca), (ku - 1, cb)),
-                )
-                push(
-                    bino,
-                    "block-2x2",
-                    (bd.index,),
-                    2,
-                    "rows (%d,%d) cols %s,%s" % (ku, kw, pres.col_label(ca), pres.col_label(cb)),
-                )
-
-    # 3. single-cycle binary quasi-minors across distinct blocks
-    tpart = QuasiMatrix(
-        E.n_rows, E.n_cols, {cell: v for cell, v in E.entries.items() if cell[1] != 0}
-    )
-    for bqm in binary_cycles(tpart, max_size=2 * max_minor_size):
-        cols = bqm.cols()
-        blocks_ = [pres.col_blocks[c][0] for c in cols]
-        if len(set(blocks_)) != len(blocks_):
-            continue
-        for bino in quasi_determinants(bqm):
-            push(
-                bino,
-                "multiblock-cycle",
-                blocks_,
-                len(cols),
-                "cycle through rows %s cols %s"
-                % (tuple(x + 1 for x in bqm.rows()), tuple(pres.col_label(c) for c in cols)),
-            )
-    return out
+        bqms = binary_subquasi_enumerate(E, max_size=size)
+        gens = _family(pres, _binary_items(pres, bqms))
+        single = [bqm for bqm in bqms if len(bqm.cycles) == 1]
+        return gens, gens if len(single) == len(bqms) else _family(pres, _binary_items(pres, single))
+    walks = _entry_graph_cycles(E, size)
+    single = [BinaryQuasiMatrix(E, (walk,)) for walk in walks]
+    return _family(pres, _restricted_items(pres, walks)), _family(pres, _binary_items(pres, single))
 
 
 def generator_polys(pres, family=RESTRICTED, max_minor_size=None):

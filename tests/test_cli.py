@@ -1,8 +1,8 @@
 """Command line interface, run in-process through main(argv).
 
 Covers every subcommand, all three output formats, and each exit code:
-0 certified, 1 failed check (demonstrated by dropping a generator),
-2 bad spec, 3 enumeration cap exceeded.
+0 certified, 1 failed check (demonstrated by dropping a generator) or
+stdout closed early, 2 bad spec, 3 enumeration cap exceeded.
 """
 import json
 import os
@@ -220,7 +220,8 @@ class TestVerify:
         assert code == 0
         out = capsys.readouterr().out
         assert "overall: PASS" in out
-        assert "full binary family (22 members)" in out
+        # the example's 22 binary quasi-minors are all single cycles
+        assert "full binary family runs on its single-cycle members F1 (22 members)" in out
         # the basis is the 10 generators with minimal leads; 29 of its 45
         # pairs have coprime leads and skip reduction
         counts = "CERTIFIED (22 generators, 10 in the basis, 45 pairs, 29 by the product criterion, 0 stuck)"
@@ -396,3 +397,24 @@ def test_python_dash_m(spec_file):
     )
     assert proc.returncode == 0, proc.stderr
     assert "overall: PASS" in proc.stdout
+
+
+def test_closed_stdout_exits_one_without_traceback(spec_file):
+    # the read end of the pipe is closed before the child writes, as when
+    # ``| head`` has already exited
+    src = str(Path(multirees.__file__).resolve().parent.parent)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "multirees", "generators", spec_file(PAPER_SPEC), "--family", "full", "--format", "json"],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr

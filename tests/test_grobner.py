@@ -7,8 +7,12 @@ a hostile precedence exercises the honest INCONCLUSIVE path.
 
 ``buchberger_check`` certifies a minimal basis and skips coprime pairs;
 ``all_pairs_ok`` below, which reduces every S-pair of the whole family,
-is the reference it must agree with.
+is the reference it must agree with.  ``verify`` certifies the full
+family F through its single-cycle members F1; on specs where F has
+multi-cycle unions, the all-pairs verdict on F is the reference for the
+verdict on F1.
 """
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +26,7 @@ from multirees.grobner import (
     INCONCLUSIVE,
     REDUCED_TO_ZERO,
     BuchbergerReport,
+    _lead_divides,
     _lead_parts,
     _reduce,
     buchberger_check,
@@ -32,7 +37,7 @@ from multirees.grobner import (
 )
 from multirees.poly import GuardExceeded, MonomialOrder, VarUniverse, leading
 from multirees.quasimat import generic_matrix, ibin_generators
-from multirees.rees import ReesSpec, build_presentation, generator_polys
+from multirees.rees import FULL, ReesSpec, build_presentation, generator_polys, single_cycle_families
 from multirees.sseq import SeqSpec
 
 
@@ -45,7 +50,7 @@ def all_pairs_ok(gens, order):
             s = s_poly(gens[i], gens[j], order)
             if s.is_zero():
                 continue
-            if _reduce(s, gens, lead, order, "first", DEFAULT_MAX_STEPS).status != REDUCED_TO_ZERO:
+            if _reduce(s, gens, lead, order, DEFAULT_MAX_STEPS).status != REDUCED_TO_ZERO:
                 return False
     return True
 
@@ -67,6 +72,45 @@ def small_desk_families(max_generators):
 
 
 SMALL_DESK = small_desk_families(40)
+
+
+def union_families(n, rows):
+    """(universe, F, F1) as polynomial lists for generic power-1 blocks."""
+    spec = ReesSpec(seq=SeqSpec(n=n), blocks=tuple((r, 1) for r in rows))
+    pres = build_presentation(spec)
+    single = [g.poly for g in single_cycle_families(pres)[1]]
+    return pres.universe, generator_polys(pres, FULL), single
+
+
+def union_sample(count=12, max_generators=26, seed=4):
+    """Seeded specs with n = 4 or 5 whose full family has multi-cycle
+    unions and at most ``max_generators`` members."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice((4, 5))
+        rows = [rng.sample(range(1, n + 1), rng.choice((2, 3))) for _ in range(rng.choice((2, 3, 4)))]
+        u, full, single = union_families(n, rows)
+        if len(single) < len(full) <= max_generators:
+            out.append((u, full, single))
+    return out
+
+
+def assert_unions_have_proper_divisors(full, single, order):
+    """Every member of F outside F1 has a lead that some lead of F1
+    divides, both s-part and T-part, without being equal to it."""
+    lead = [_lead_parts(g, order) for g in single]
+    in_single = set(single)
+    for g in full:
+        if g in in_single:
+            continue
+        lg = _lead_parts(g, order)
+        assert any(_lead_divides(lf, lg) and not _lead_divides(lg, lf) for lf in lead), g.render()
+
+
+@pytest.fixture(scope="module")
+def unions():
+    return union_sample()
 
 
 @pytest.fixture(scope="module")
@@ -138,10 +182,9 @@ class TestTopReduce:
         _, uni, gens = twocol
         order = MonomialOrder(uni, "grevlex")
         target = gens[2] * gens[0].universe.poly_var("a12")
-        for strategy in ("first", "minlm"):
-            cert = top_reduce(target, gens, order, strategy=strategy)
-            assert cert.status == REDUCED_TO_ZERO
-            assert cert.verify()
+        cert = top_reduce(target, gens, order)
+        assert cert.status == REDUCED_TO_ZERO
+        assert cert.verify()
 
     def test_step_guard(self):
         uni = VarUniverse(s_names=("s1",), T_names=("A", "B"))
@@ -150,11 +193,6 @@ class TestTopReduce:
         # reducing A^6 by A - B takes six steps
         with pytest.raises(GuardExceeded):
             top_reduce(A ** 6, [A - B], order, max_steps=3)
-
-    def test_unknown_strategy(self, twocol):
-        _, uni, gens = twocol
-        with pytest.raises(ValueError):
-            top_reduce(gens[0], gens, MonomialOrder(uni, "lex"), strategy="best")
 
 
 class TestBuchberger:
@@ -280,6 +318,44 @@ class TestAllPairsReference:
         rep = buchberger_check(gens, order)
         assert rep.ok == all_pairs_ok(gens, order)
         assert rep.verify_certificates()
+
+
+class TestSingleCycleFamily:
+    def test_sample_has_unions(self, unions):
+        assert len(unions) == 12
+        assert {len(u.s_ids) for u, _, _ in unions} == {4, 5}
+        for _, full, single in unions:
+            assert set(single) < set(full)
+
+    def test_union_leads_have_proper_divisors(self, unions):
+        for u, full, single in unions:
+            for order in default_order_suite(u):
+                assert_unions_have_proper_divisors(full, single, order)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        spec=st.integers(4, 5).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.sets(st.integers(1, n), min_size=2, max_size=3), min_size=2, max_size=4),
+            )
+        ),
+        seed=st.integers(0, 1000),
+        pick=st.integers(0, 3),
+    )
+    def test_union_leads_have_proper_divisors_drawn(self, spec, seed, pick):
+        n, rows = spec
+        u, full, single = union_families(n, [sorted(r) for r in rows])
+        if full:
+            assert_unions_have_proper_divisors(full, single, default_order_suite(u, seeds=(seed,))[pick])
+
+    def test_all_pairs_on_full_agrees_with_single(self, unions):
+        for u, full, single in unions:
+            for kind in ("lex", "grevlex"):
+                order = MonomialOrder(u, kind)
+                rep = buchberger_check(single, order)
+                assert rep.ok == all_pairs_ok(full, order)
+                assert rep.verify_certificates()
 
 
 class TestOrderSuite:

@@ -15,7 +15,7 @@ from multirees.quasimat import (
     Binomial,
     BinaryQuasiMatrix,
     QuasiMatrix,
-    binary_cycles,
+    _entry_graph_cycles,
     binary_subquasi_enumerate,
     expand_combination,
     generic_matrix,
@@ -126,11 +126,12 @@ class TestBinaryEnumeration:
             assert got == brute_binary_cell_sets(qm)
 
     def test_binary_cycles_are_the_single_cycle_unions(self):
+        # the walks the generating families are read off, in their order
         shapes = [generic_matrix(*shape)[0] for shape in GENERIC_SHAPES]
         for qm in shapes + list(seeded_sparse_matrices()):
             for max_size in (4, 12):
                 want = [b.cycles for b in binary_subquasi_enumerate(qm, max_size) if len(b.cycles) == 1]
-                assert [b.cycles for b in binary_cycles(qm, max_size)] == want
+                assert [(walk,) for walk in _entry_graph_cycles(qm, max_size)] == want
 
     def test_full_3x3_has_six_spanning_binaries(self):
         qm, _ = generic_matrix(3, 3)
@@ -144,9 +145,10 @@ class TestBinaryEnumeration:
 
     def test_guard(self):
         qm, _ = generic_matrix(2, 2)
-        for enumerate_ in (binary_subquasi_enumerate, binary_cycles):
-            with pytest.raises(GuardExceeded):
-                enumerate_(qm, max_size=13)
+        with pytest.raises(GuardExceeded):
+            binary_subquasi_enumerate(qm, max_size=13)
+        with pytest.raises(GuardExceeded):
+            _entry_graph_cycles(qm, 13)
 
     def test_cycle_shape_validation(self):
         qm, _ = generic_matrix(2, 2)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import desk_scale_specs
 from multirees.poly import SpecError, mono_text
 from multirees.rees import (
     FULL,
@@ -24,6 +25,7 @@ from multirees.rees import (
     enumerate_column_tuples,
     enumerate_index_tuples,
     normality_report,
+    single_cycle_families,
     spec_from_dict,
     spec_from_json,
     spec_to_dict,
@@ -211,16 +213,54 @@ class TestPaperExample:
         "y   y   .         .         .         T[4;000]  T[5;000]"
     )
 
-    GENERATORS = {
-        "p1*T[1;110] - p2*T[1;111]",
-        "p1*T[2;100] - x*T[2;111]",
-        "p2*T[3;100] - x*T[3;110]",
-        "p1*T[4;000] - y*T[4;111]",
-        "p2*T[5;000] - y*T[5;110]",
-        "T[1;111]*T[2;100]*T[3;110] - T[1;110]*T[2;111]*T[3;100]",
-        "T[1;111]*T[4;000]*T[5;110] - T[1;110]*T[4;111]*T[5;000]",
-        "T[2;111]*T[3;100]*T[4;000]*T[5;110] - T[2;100]*T[3;110]*T[4;111]*T[5;000]",
-    }
+    # (kind, blocks, size, label, text) in emission order
+    RESTRICTED_FAMILY = [
+        ("seq-linear", (1,), 1, "rows (1,2) of column [1;000] against the sequence column", "p1*T[1;110] - p2*T[1;111]"),
+        ("seq-linear", (2,), 1, "rows (1,3) of column [2;000] against the sequence column", "p1*T[2;100] - x*T[2;111]"),
+        ("seq-linear", (3,), 1, "rows (2,3) of column [3;000] against the sequence column", "p2*T[3;100] - x*T[3;110]"),
+        ("seq-linear", (4,), 1, "rows (1,4) of column [4;000] against the sequence column", "p1*T[4;000] - y*T[4;111]"),
+        ("seq-linear", (5,), 1, "rows (2,4) of column [5;000] against the sequence column", "p2*T[5;000] - y*T[5;110]"),
+        (
+            "multiblock-cycle", (1, 2, 3), 3, "cycle through rows (1, 2, 3) cols ('[1;000]', '[2;000]', '[3;000]')",
+            "T[1;111]*T[2;100]*T[3;110] - T[1;110]*T[2;111]*T[3;100]",
+        ),
+        (
+            "multiblock-cycle", (1, 4, 5), 3, "cycle through rows (1, 2, 4) cols ('[1;000]', '[4;000]', '[5;000]')",
+            "T[1;111]*T[4;000]*T[5;110] - T[1;110]*T[4;111]*T[5;000]",
+        ),
+        (
+            "multiblock-cycle", (2, 3, 4, 5), 4,
+            "cycle through rows (1, 2, 3, 4) cols ('[2;000]', '[3;000]', '[4;000]', '[5;000]')",
+            "T[2;111]*T[3;100]*T[4;000]*T[5;110] - T[2;100]*T[3;110]*T[4;111]*T[5;000]",
+        ),
+    ]
+
+    GENERATORS = {row[-1] for row in RESTRICTED_FAMILY}
+
+    # a power-2 block on all three rows and a row pair: every kind.  Three
+    # block-2x2 minors repeat earlier ones and are dropped, so the labels
+    # that survive pin the emission order.
+    POWER_TWO_FAMILY = [
+        ("seq-linear", (1,), 1, "rows (1,2) of column [1;11] against the sequence column", "s1*T[1;21] - s2*T[1;22]"),
+        ("seq-linear", (1,), 1, "rows (1,3) of column [1;11] against the sequence column", "s1*T[1;11] - s3*T[1;22]"),
+        ("seq-linear", (1,), 1, "rows (2,3) of column [1;11] against the sequence column", "s2*T[1;11] - s3*T[1;21]"),
+        ("seq-linear", (1,), 1, "rows (1,2) of column [1;10] against the sequence column", "s1*T[1;20] - s2*T[1;21]"),
+        ("seq-linear", (1,), 1, "rows (1,3) of column [1;10] against the sequence column", "s1*T[1;10] - s3*T[1;21]"),
+        ("seq-linear", (1,), 1, "rows (2,3) of column [1;10] against the sequence column", "s2*T[1;10] - s3*T[1;20]"),
+        ("seq-linear", (1,), 1, "rows (1,2) of column [1;00] against the sequence column", "s1*T[1;10] - s2*T[1;11]"),
+        ("seq-linear", (1,), 1, "rows (1,3) of column [1;00] against the sequence column", "s1*T[1;00] - s3*T[1;11]"),
+        ("seq-linear", (1,), 1, "rows (2,3) of column [1;00] against the sequence column", "s2*T[1;00] - s3*T[1;10]"),
+        ("seq-linear", (2,), 1, "rows (1,2) of column [2;00] against the sequence column", "s1*T[2;10] - s2*T[2;11]"),
+        ("block-2x2", (1,), 2, "rows (1,2) cols [1;11],[1;10]", "T[1;22]*T[1;20] - T[1;21]^2"),
+        ("block-2x2", (1,), 2, "rows (1,3) cols [1;11],[1;10]", "T[1;22]*T[1;10] - T[1;21]*T[1;11]"),
+        ("block-2x2", (1,), 2, "rows (2,3) cols [1;11],[1;10]", "T[1;21]*T[1;10] - T[1;20]*T[1;11]"),
+        ("block-2x2", (1,), 2, "rows (1,3) cols [1;11],[1;00]", "T[1;22]*T[1;00] - T[1;11]^2"),
+        ("block-2x2", (1,), 2, "rows (2,3) cols [1;11],[1;00]", "T[1;21]*T[1;00] - T[1;11]*T[1;10]"),
+        ("block-2x2", (1,), 2, "rows (2,3) cols [1;10],[1;00]", "T[1;20]*T[1;00] - T[1;10]^2"),
+        ("multiblock-cycle", (1, 2), 2, "cycle through rows (1, 2) cols ('[1;11]', '[2;00]')", "T[1;22]*T[2;10] - T[1;21]*T[2;11]"),
+        ("multiblock-cycle", (1, 2), 2, "cycle through rows (1, 2) cols ('[1;10]', '[2;00]')", "T[1;21]*T[2;10] - T[1;20]*T[2;11]"),
+        ("multiblock-cycle", (1, 2), 2, "cycle through rows (1, 2) cols ('[1;00]', '[2;00]')", "T[1;11]*T[2;10] - T[1;10]*T[2;11]"),
+    ]
 
     @staticmethod
     def _texts(pres, family):
@@ -234,7 +274,14 @@ class TestPaperExample:
         assert paper.pretty_matrix() == self.MATRIX
 
     def test_restricted_family_frozen(self, paper):
-        assert self._texts(paper, RESTRICTED) == self.GENERATORS
+        power_two = build_presentation(ReesSpec(seq=SeqSpec(n=3), blocks=(((1, 2, 3), 2), ((1, 2), 1))))
+        for pres, want in ((paper, self.RESTRICTED_FAMILY), (power_two, self.POWER_TWO_FAMILY)):
+            u = pres.universe
+            got = [
+                (g.kind, g.blocks, g.size, g.label, "%s - %s" % (mono_text(g.binomial.plus, u), mono_text(g.binomial.minus, u)))
+                for g in defining_generators(pres, RESTRICTED)
+            ]
+            assert got == want
 
     def test_kind_breakdown(self, paper):
         gens = defining_generators(paper, RESTRICTED)
@@ -348,6 +395,45 @@ class TestFamilies:
             for family in (RESTRICTED, FULL):
                 for g in defining_generators(pres, family):
                     assert paper_is_zero(pres, g.poly)
+
+
+def _fields(gens):
+    return [
+        (g.binomial.key(), g.binomial.plus_cells, g.binomial.minus_cells, g.kind, g.blocks, g.size, g.label)
+        for g in gens
+    ]
+
+
+class TestSingleCycleFamilies:
+    def test_desk_specs(self):
+        # n <= 3 leaves no room for a union of two cycles, so F1 is F
+        for spec in desk_scale_specs():
+            pres = build_presentation(spec)
+            full = _fields(defining_generators(pres, FULL))
+            restricted, single = single_cycle_families(pres)
+            assert _fields(restricted) == _fields(defining_generators(pres, RESTRICTED))
+            assert _fields(single) == full
+            gens, single_of_full = single_cycle_families(pres, FULL)
+            assert _fields(gens) == full and single_of_full is gens
+
+    def test_unions_left_out_in_order(self):
+        spec = ReesSpec(seq=SeqSpec(n=4), blocks=(((2, 3), 1), ((1, 2, 3), 1), ((1, 3, 4), 1)))
+        pres = build_presentation(spec)
+        restricted, single = single_cycle_families(pres)
+        full = defining_generators(pres, FULL)
+        keys = {g.binomial.key() for g in single}
+        assert {g.binomial.key() for g in restricted} <= keys
+        assert _fields(single) == [f for f in _fields(full) if f[0] in keys]
+        assert len(single) < len(full)
+        gens, single_of_full = single_cycle_families(pres, FULL)
+        assert _fields(gens) == _fields(full) and _fields(single_of_full) == _fields(single)
+
+    def test_arguments_checked(self):
+        pres = build_presentation(ReesSpec(seq=SeqSpec(n=2), blocks=(((1, 2), 1),)))
+        with pytest.raises(ValueError):
+            single_cycle_families(pres, RESTRICTED, max_minor_size=1)
+        with pytest.raises(ValueError):
+            single_cycle_families(pres, "other")
 
 
 def paper_is_zero(pres, p):
