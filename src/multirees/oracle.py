@@ -19,6 +19,16 @@ quotient piece, whose degree is the piece's less the generator's.  A
 sweep checks each generator once and enumerates each piece once, whether
 it serves as a piece or as a quotient piece.
 
+The sweep runs on packed exponent vectors.  Each T-variable maps to a
+monomial in the sequence times a t-symbol, so images are additive:
+a piece is enumerated as T-part x ambient part, each part with its
+packed source and packed image, and a monomial is the sum of its parts.
+Packed ints hold one fixed-width field per coordinate, wide enough for
+the largest coordinate any piece of the sweep can have, so sums never
+carry and equal ints mean equal monomials.  ``Mono`` and ``Poly`` are
+built only for a witness; ``source_monomials`` and ``kernel_piece`` are
+the reference path on ``Mono``s that the tests compare the sweep with.
+
 Grading: a piece is indexed by the tuple of block degrees (how many T
 variables of each block) together with the total ambient degree of the
 image (sequence symbols count 1, a block-l variable counts a_l in
@@ -30,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations_with_replacement, product
+from math import comb, prod
 
 from .poly import CapExceeded, Mono, Poly, SpecError
 from .sseq import SMonomial, syzygy_generators
@@ -134,7 +145,9 @@ class ImageData:
 
 
 def source_monomials(pres, tvec, weight, image_data=None, cap=None):
-    """Every presentation-ring monomial of the given degree."""
+    """Every presentation-ring monomial of the given degree, as ``Mono``s:
+    the reference enumeration; the oracle sweep enumerates the same
+    monomials, in the same order, packed (``_Sweep.piece``)."""
     data = image_data or ImageData(pres)
     if len(tvec) != pres.spec.r or any(d < 0 for d in tvec):
         raise ValueError("block degree tuple must list %d nonnegative entries" % pres.spec.r)
@@ -206,7 +219,8 @@ def _fiber_basis(data, monos):
 
 def kernel_piece(pres, tvec, weight, image_data=None, cap=DEFAULT_PIECE_CAP):
     """Basis of the kernel of the presentation map on one graded piece,
-    computed straight from the fibers (no generators involved)."""
+    computed straight from the fibers (no generators involved).  This is
+    the reference path on ``Mono``s; ``oracle_check`` does not call it."""
     data = image_data or ImageData(pres)
     monos = source_monomials(pres, tvec, weight, data, cap=cap)
     return KernelPiece(tuple(tvec), weight, monos, _fiber_basis(data, monos))
@@ -280,68 +294,166 @@ class _Sweep:
     """What the pieces of one sweep share: the generators, evaluated and
     checked once, and every enumerated piece, memoized by degree.
 
+    Monomials are packed into Python ints with one field of ``width``
+    bits per coordinate.  Source coordinates are each block's variables in
+    block order, then the ambient symbols; image coordinates are the
+    ambient symbols, then t_1, ..., t_r.  Packing is additive, and so is
+    the presentation map on exponent vectors: a monomial's packed image is
+    the sum of its variables' packed images (``t_image``, or the symbol
+    itself for an ambient symbol).  A coordinate of a monomial of degree
+    (t, w), or of its image, is at most max(w, sum(t)): an ambient
+    exponent at most w, a T or t exponent at most sum(t), which exceeds w
+    when T-variables weigh 0 (constant concrete values).  The field holds
+    the largest such bound of the sweep, and q*m_a lies in the piece, so
+    no sum ever carries into the next field and packing is injective on
+    every piece.  ``Mono`` and ``Poly`` are built only for a witness.
+
     A generator a*m_a + b*m_b of degree (g_t, g_w) has as multiples in
     piece (t, w) the binomials q*m_a - q*m_b, where q runs over the piece
     of degree (t - g_t, w - g_w); each links two monomials of one fiber.
     """
 
-    def __init__(self, pres, generators, data, cap):
+    def __init__(self, pres, generators, data, cap, degrees):
         self.pres = pres
         self.generators = generators
         self.data = data
         self.cap = cap
+        bound = max((max(weight, sum(tvec)) for tvec, weight in degrees), default=0)
+        width = self.width = max(bound.bit_length(), 1)
+        self.block_vids = _block_f_vids(pres)
+        self.src_coords = [v for vids in self.block_vids for v in vids] + list(data.ambient_ids)
+        self.img_coords = list(data.ambient_ids) + list(pres.universe.t_ids)
+        unit = {v: 1 << (k * width) for k, v in enumerate(self.img_coords)}
+        self.packed = {}  # ring variable -> (packed source, packed image, weight)
+        for k, v in enumerate(self.src_coords):
+            if v in data.t_image:
+                image = sum(e * unit[x] for x, e in data.t_image[v])
+                self.packed[v] = (1 << (k * width), image, data.t_weight[v])
+            else:
+                self.packed[v] = (1 << (k * width), unit[v], 1)
+        self.tparts = {}
+        self.ambient = {}
         self.pieces = {}
 
-    def monomials(self, tvec, weight):
+    def _monomials(self, vids, degree):
+        """(packed source, packed image, weight) of each monomial of the
+        degree in ``vids``, in ``combinations_with_replacement`` order."""
+        packed = self.packed
+        return [
+            tuple(map(sum, zip((0, 0, 0), *(packed[v] for v in combo))))
+            for combo in combinations_with_replacement(vids, degree)
+        ]
+
+    def _tparts(self, tvec):
+        """The T-parts of block degree ``tvec``, in ``source_monomials``'
+        order: products of one monomial per block.  Generated lazily and
+        memoized once complete, so a piece over the cap stops before the
+        whole product is built."""
+        parts = self.tparts.get(tvec)
+        if parts is not None:
+            yield from parts
+            return
+        parts = []
+        for combo in product(*(self._monomials(vids, d) for vids, d in zip(self.block_vids, tvec))):
+            part = tuple(map(sum, zip((0, 0, 0), *combo)))
+            parts.append(part)
+            yield part
+        self.tparts[tvec] = parts
+
+    def piece(self, tvec, weight):
+        """(packed sources, packed images) of the piece, in the order of
+        ``source_monomials``, which raises the same errors."""
         key = (tvec, weight)
-        monos = self.pieces.get(key)
-        if monos is None:
-            monos = self.pieces[key] = source_monomials(self.pres, tvec, weight, self.data, cap=self.cap)
-        return monos
+        piece = self.pieces.get(key)
+        if piece is not None:
+            return piece
+        if len(tvec) != self.pres.spec.r or any(d < 0 for d in tvec):
+            raise ValueError("block degree tuple must list %d nonnegative entries" % self.pres.spec.r)
+        n_amb = len(self.data.ambient_ids)
+        src, img = [], []
+        for ts, ti, tw in self._tparts(tvec):
+            rest = weight - tw
+            if rest < 0:
+                continue
+            if self.cap is not None:
+                size = comb(rest + n_amb - 1, rest) if n_amb else int(rest == 0)
+                if len(src) + size > self.cap:
+                    raise CapExceeded(
+                        "degree piece %r/%d exceeds the cap of %d monomials" % (tvec, weight, self.cap)
+                    )
+            amb = self.ambient.get(rest)
+            if amb is None:
+                amb = self.ambient[rest] = self._monomials(self.data.ambient_ids, rest)
+            src += [ts + s for s, _, _ in amb]
+            img += [ti + i for _, i, _ in amb]
+        piece = self.pieces[key] = (src, img)
+        return piece
+
+    def unpack(self, packed, coords):
+        """The ``Mono`` of a packed source (``src_coords``) or image
+        (``img_coords``)."""
+        mask = (1 << self.width) - 1
+        return Mono(tuple((v, packed >> (k * self.width) & mask) for k, v in enumerate(coords)))
 
     @cached_property
     def moves(self):
-        """(m_a, m_b, g_t, g_w) per nonzero generator.  First read once the
-        first piece is enumerated, so a piece over the cap is reported
-        before a generator the oracle cannot use."""
+        """(m_a, m_b, g_t, g_w) per nonzero generator, m_a and m_b packed.
+        First read once the first piece is enumerated, so a piece over the
+        cap is reported before a generator the oracle cannot use."""
         out = []
         for g in self.generators:
             p = self.data.evaluate(getattr(g, "poly", g))
             if p.is_zero():
                 continue
             ma, mb = _kernel_binomial(self.data, p)
-            out.append((ma, mb) + self.data.poly_degree(p))
+            pa, pb = (sum(e * self.packed[v][0] for v, e in m.exps) for m in (ma, mb))
+            out.append((pa, pb) + self.data.poly_degree(p))
         return out
 
     def compare(self, tvec, weight):
         tvec = tuple(tvec)
-        monos = self.monomials(tvec, weight)
-        piece = KernelPiece(tvec, weight, monos, _fiber_basis(self.data, monos))
-        index = {m: i for i, m in enumerate(monos)}
+        src, img = self.piece(tvec, weight)
+        kernel_dim = len(src) - len(set(img))
+        index = {m: i for i, m in enumerate(src)}
         comps = _Components()
         span_dim = n_multiples = 0
-        for ma, mb, gt, gw in self.moves:
+        for pa, pb, gt, gw in self.moves:
             dt = tuple(a - b for a, b in zip(tvec, gt))
             if gw > weight or min(dt) < 0:
                 continue
-            quotient = self.monomials(dt, weight - gw)
+            quotient = self.piece(dt, weight - gw)[0]
             n_multiples += len(quotient)
             for q in quotient:
-                span_dim += comps.join(index[q.mul(ma)], index[q.mul(mb)])
+                span_dim += comps.join(index[q + pa], index[q + pb])
         witness = None
-        if span_dim < piece.dim:
-            vec = next(v for v in piece.basis if len({comps.find(i) for i in v}) == 2)
-            witness = piece.vector_to_poly(self.pres.universe, vec)
+        if span_dim < kernel_dim:
+            witness = self.witness(src, img, comps)
         return SpanReport(
             tvec=tvec,
             weight=weight,
-            piece_size=len(monos),
-            kernel_dim=piece.dim,
+            piece_size=len(src),
+            kernel_dim=kernel_dim,
             span_dim=span_dim,
             multiples=n_multiples,
             ok=witness is None,
             witness=witness,
         )
+
+    def witness(self, src, img, comps):
+        """The first basis binomial of ``_fiber_basis`` order whose two
+        monomials lie in different components: fibers sorted by their
+        image's ``Mono.exps``, each fiber's first member against the rest."""
+        fibers = {}
+        for i, v in enumerate(img):
+            fibers.setdefault(v, []).append(i)
+        groups = [g for g in fibers.values() if len(g) > 1]
+        groups.sort(key=lambda g: self.unpack(img[g[0]], self.img_coords).exps)
+        for i0, *rest in groups:
+            for i in rest:
+                if comps.find(i0) != comps.find(i):
+                    m0, m = self.unpack(src[i0], self.src_coords), self.unpack(src[i], self.src_coords)
+                    c0, c = (prod(self.data.t_coeff.get(v, 1) ** e for v, e in x.exps) for x in (m0, m))
+                    return self.pres.universe.from_terms([(m0, c), (m, -c0)])
 
 
 def span_compare(pres, generators, tvec, weight, image_data=None, cap=DEFAULT_PIECE_CAP):
@@ -356,7 +468,8 @@ def span_compare(pres, generators, tvec, weight, image_data=None, cap=DEFAULT_PI
     components: it maps to zero but is no generator combination here.
     This is one piece of the sweep ``oracle_check`` runs.
     """
-    return _Sweep(pres, generators, image_data or ImageData(pres), cap).compare(tvec, weight)
+    sweep = _Sweep(pres, generators, image_data or ImageData(pres), cap, [(tvec, weight)])
+    return sweep.compare(tvec, weight)
 
 
 def default_degrees(pres, t_cap=None, ambient_cap=None, image_data=None):
@@ -417,7 +530,8 @@ def oracle_check(pres, generators, degrees=None, t_cap=None, ambient_cap=None, c
     data = ImageData(pres)
     if degrees is None:
         degrees = default_degrees(pres, t_cap=t_cap, ambient_cap=ambient_cap, image_data=data)
-    sweep = _Sweep(pres, generators, data, cap)
+    degrees = list(degrees)
+    sweep = _Sweep(pres, generators, data, cap, degrees)
     return OracleReport([sweep.compare(tvec, weight) for tvec, weight in degrees])
 
 

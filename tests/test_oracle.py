@@ -4,7 +4,9 @@ The oracle is itself a checking device, so these tests lean on a second,
 fully independent implementation: sympy's exact nullspace for kernel
 dimensions, raw exponent-vector enumeration for degree pieces, and exact
 rational row reduction (``Echelon``, checked against sympy's rank) as the
-reference for the oracle's fiber-connectivity spans.  A deliberately
+reference for the oracle's fiber-connectivity spans.  The sweep's packed
+exponent vectors are compared, field for field, with the same sweep on
+``Mono``s (``source_monomials``, ``kernel_piece``).  A deliberately
 broken family (one generator dropped) must be caught with a concrete
 witness polynomial that really lies in the kernel.
 """
@@ -18,8 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import desk_scale_specs
+import multirees.oracle
 from multirees.oracle import (
     ImageData,
+    _Components,
+    _Sweep,
     default_degrees,
     kernel_piece,
     monomial_syzygy_kernel,
@@ -29,7 +34,7 @@ from multirees.oracle import (
     syzygy_span_compare,
 )
 from multirees.poly import CapExceeded, Mono, SpecError
-from multirees.rees import FULL, RESTRICTED, ReesSpec, build_presentation, defining_generators
+from multirees.rees import FULL, RESTRICTED, ReesSpec, build_presentation, defining_generators, spec_from_dict
 from multirees.sseq import SMonomial, SeqSpec, syzygy_generators
 
 
@@ -112,6 +117,49 @@ def echelon_span(pres, generators, tvec, weight, data):
             ech.insert({index[m.mul(mult)]: c for m, c in p.terms})
             multiples += 1
     return ech, multiples, piece
+
+
+def mono_reference(pres, generators, tvec, weight, data):
+    """The sweep's report fields for one piece, computed on ``Mono``s from
+    ``kernel_piece``: every multiple q*m_a, q*m_b formed by ``Mono.mul``
+    over the quotient piece from ``source_monomials``, fibers from
+    ``ImageData.image``, and the first basis binomial across two
+    components as witness."""
+    piece = kernel_piece(pres, tvec, weight, data)
+    index = {m: i for i, m in enumerate(piece.monomials)}
+    comps = _Components()
+    span_dim = multiples = 0
+    for g in generators:
+        p = data.evaluate(g.poly)
+        if p.is_zero():
+            continue
+        gt, gw = data.poly_degree(p)
+        dt = tuple(a - b for a, b in zip(tvec, gt))
+        if min(dt) < 0 or weight < gw:
+            continue
+        (ma, _), (mb, _) = p.terms
+        for q in source_monomials(pres, dt, weight - gw, data):
+            multiples += 1
+            span_dim += comps.join(index[q.mul(ma)], index[q.mul(mb)])
+    witness = None
+    if span_dim < piece.dim:
+        vec = next(v for v in piece.basis if len({comps.find(i) for i in v}) == 2)
+        witness = piece.vector_to_poly(pres.universe, vec)
+    return (len(piece.monomials), piece.dim, span_dim, multiples, witness is None, witness)
+
+
+def assert_sweep_matches_mono_reference(pres, generators, degrees):
+    """Every report field of one ``oracle_check`` sweep equals the ``Mono``
+    reference, and every witness maps to zero; returns the reports."""
+    data = ImageData(pres)
+    reports = oracle_check(pres, generators, degrees=degrees).reports
+    assert [(r.tvec, r.weight) for r in reports] == [(tuple(t), w) for t, w in degrees]
+    for rep in reports:
+        got = (rep.piece_size, rep.kernel_dim, rep.span_dim, rep.multiples, rep.ok, rep.witness)
+        assert got == mono_reference(pres, generators, rep.tvec, rep.weight, data)
+        if rep.witness is not None:
+            assert pres.phi(rep.witness).is_zero()
+    return reports
 
 
 def brute_source_monomials(pres, data, tvec, weight):
@@ -374,38 +422,62 @@ class TestSpanCompare:
                 compare(paper, [p], (1, 0, 0, 0, 0), 2)
 
 
+def sweep_verdicts_match_echelon(pres, families):
+    """Each family's ``oracle_check`` over the default sweep cut to
+    T-degree 3 and ambient weight 5 against ``echelon_span``, piece by
+    piece; returns the verdicts seen."""
+    data = ImageData(pres)
+    degrees = default_degrees(pres, t_cap=3, ambient_cap=5, image_data=data)
+    verdicts = set()
+    for gens in families:
+        # one sweep per family, so the pieces share its memo
+        reports = oracle_check(pres, gens, degrees=degrees).reports
+        assert len(reports) == len(degrees)
+        for (tvec, weight), rep in zip(degrees, reports):
+            ech, multiples, piece = echelon_span(pres, gens, tvec, weight, data)
+            outside = [v for v in piece.basis if ech.residual(v)]
+            assert (rep.ok, rep.span_dim, rep.kernel_dim, rep.multiples, rep.piece_size) == (
+                not outside,
+                ech.rank,
+                piece.dim,
+                multiples,
+                len(piece.monomials),
+            )
+            if outside:
+                # the witness is the first basis vector outside the span
+                assert rep.witness == piece.vector_to_poly(pres.universe, outside[0])
+            verdicts.add(rep.ok)
+    return verdicts
+
+
+def drop_one(gens, k):
+    drop = k % len(gens) if gens else 0
+    return gens[:drop] + gens[drop + 1:]
+
+
 class TestConnectivityMatchesEchelon:
     def test_desk_specs_agree(self):
         # every desk-scale spec, with its restricted family, its full family
         # and its restricted family less one generator, so both verdicts
-        # occur; the degrees are the default sweep cut to T-degree 3 and
-        # ambient weight 5
+        # occur
         verdicts = set()
         for k, spec in enumerate(desk_scale_specs()):
             pres = build_presentation(spec)
-            data = ImageData(pres)
             restricted = defining_generators(pres, RESTRICTED)
-            drop = k % len(restricted) if restricted else 0
-            families = [restricted, defining_generators(pres, FULL), restricted[:drop] + restricted[drop + 1:]]
-            degrees = default_degrees(pres, t_cap=3, ambient_cap=5, image_data=data)
-            for gens in families:
-                # one sweep per family, so the pieces share its memo
-                reports = oracle_check(pres, gens, degrees=degrees).reports
-                assert len(reports) == len(degrees)
-                for (tvec, weight), rep in zip(degrees, reports):
-                    ech, multiples, piece = echelon_span(pres, gens, tvec, weight, data)
-                    outside = [v for v in piece.basis if ech.residual(v)]
-                    assert (rep.ok, rep.span_dim, rep.kernel_dim, rep.multiples, rep.piece_size) == (
-                        not outside,
-                        ech.rank,
-                        piece.dim,
-                        multiples,
-                        len(piece.monomials),
-                    )
-                    if outside:
-                        # the witness is the first basis vector outside the span
-                        assert rep.witness == piece.vector_to_poly(pres.universe, outside[0])
-                    verdicts.add(rep.ok)
+            families = [restricted, defining_generators(pres, FULL), drop_one(restricted, k)]
+            verdicts |= sweep_verdicts_match_echelon(pres, families)
+        assert verdicts == {True, False}
+
+    def test_concrete_specs_agree(self):
+        # a quarter of the desk-scale shapes, each with concrete values of
+        # one kind in turn: squarefree attested values (distinct variables,
+        # one a product of two), one prime constant, and constants only
+        # over an empty ambient list
+        verdicts = set()
+        for k, spec in enumerate(desk_scale_specs()[::4]):
+            pres = build_presentation(concrete_variant(spec, k % 3))
+            restricted = defining_generators(pres, RESTRICTED)
+            verdicts |= sweep_verdicts_match_echelon(pres, [restricted, drop_one(restricted, k)])
         assert verdicts == {True, False}
 
     @settings(max_examples=60, deadline=None)
@@ -429,6 +501,128 @@ class TestConnectivityMatchesEchelon:
                 for mult in _all_exps(rest, n) if rest >= 0 else ():
                     ech.insert({(k, m.mul(SMonomial(mult))): c for k, c, m in entries})
             assert rep.span_dim == ech.rank
+
+
+PRIMES = (2, 3, 5)
+
+
+def concrete_variant(spec, kind):
+    """``spec`` with concrete monomial values.  Kind 0: squarefree
+    attested values, distinct variables with one value a product of two;
+    kind 1: one value a prime constant, the others distinct variables;
+    kind 2: prime constants only, over an empty ambient list."""
+    n = spec.seq.n
+    names = ("x", "y", "z", "u")
+    special = len(spec.blocks) % n
+    values, used = [], []
+    for i in range(n):
+        if kind == 2 or (kind == 1 and i == special):
+            values.append(((PRIMES[i], {}),))
+            continue
+        vars_ = names[len(used) : len(used) + (2 if i == special else 1)]
+        used += vars_
+        values.append(((1, {x: 1 for x in vars_}),))
+    seq = SeqSpec(n=n, mode="concrete", x_names=tuple(used), concrete_terms=tuple(values))
+    return ReesSpec(seq=seq, blocks=spec.blocks)
+
+
+# constant values give T-variables weight 0, so the T-degree of a piece
+# exceeds its ambient weight
+CONSTANT_SPEC = {
+    "sequence": {
+        "mode": "concrete",
+        "n": 3,
+        "ambient": ["x"],
+        "values": [[[2, {}]], [[3, {}]], [[1, {"x": 1}]]],
+    },
+    "blocks": [{"rows": [1, 2], "power": 1}, {"rows": [1, 2, 3], "power": 1}],
+}
+
+
+@st.composite
+def small_specs(draw):
+    """Generic and concrete specs with n <= 3, at most two blocks and
+    powers at most 2; concrete values are monomials or prime constants."""
+    n = draw(st.integers(1, 3))
+    blocks = tuple(
+        (tuple(sorted(draw(st.sets(st.integers(1, n), min_size=1)))), draw(st.integers(1, 2)))
+        for _ in range(draw(st.integers(1, 2)))
+    )
+    if draw(st.booleans()):
+        return ReesSpec(seq=SeqSpec(n=n), blocks=blocks)
+    x_names = ("x", "y")[: draw(st.integers(0, 2))]
+    values = []
+    for _ in range(n):
+        exps = {x: draw(st.integers(0, 2)) for x in x_names}
+        if any(exps.values()):
+            values.append(((draw(st.sampled_from((1, -1, 2))), exps),))
+        else:
+            values.append(((draw(st.sampled_from(PRIMES)), {}),))
+    seq = SeqSpec(n=n, mode="concrete", x_names=x_names, concrete_terms=tuple(values))
+    return ReesSpec(seq=seq, blocks=blocks)
+
+
+class TestPackedSweep:
+    """The sweep's packed exponent vectors against the ``Mono`` path."""
+
+    def test_weight_zero_variables_widen_the_field(self):
+        # T-degree up to 4 at ambient weight 0: a field sized from the
+        # weight alone would merge distinct monomials
+        pres = build_presentation(spec_from_dict(CONSTANT_SPEC))
+        gens = defining_generators(pres, RESTRICTED)
+        degrees = default_degrees(pres, t_cap=4, ambient_cap=0)
+        assert max(sum(t) for t, _ in degrees) == 4 and max(w for _, w in degrees) == 0
+        assert all(r.ok for r in assert_sweep_matches_mono_reference(pres, gens, degrees))
+        missed = [r for r in assert_sweep_matches_mono_reference(pres, gens[1:], degrees) if not r.ok]
+        assert len(missed) == 4
+
+    @pytest.mark.parametrize("weight", [7, 8, 15, 16])
+    def test_weights_around_powers_of_two(self, weight):
+        # the largest ambient weight sets the field width: 3, 4, 4 and 5 bits
+        pres = build_presentation(ReesSpec(seq=SeqSpec(n=3), blocks=(((1, 2, 3), 1),)))
+        gens = defining_generators(pres, RESTRICTED)
+        degrees = default_degrees(pres, t_cap=2, ambient_cap=weight)
+        assert max(w for _, w in degrees) == weight
+        for family in (gens, gens[1:]):
+            assert_sweep_matches_mono_reference(pres, family, degrees)
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=small_specs())
+    def test_pieces_decode_to_source_monomials(self, spec):
+        pres = build_presentation(spec)
+        data = ImageData(pres)
+        degrees = default_degrees(pres, t_cap=2, ambient_cap=4, image_data=data)
+        sweep = _Sweep(pres, [], data, None, degrees)
+        for tvec, weight in degrees:
+            src, img = sweep.piece(tvec, weight)
+            monos = source_monomials(pres, tvec, weight, data)
+            assert [sweep.unpack(x, sweep.src_coords) for x in src] == monos
+            assert [sweep.unpack(x, sweep.img_coords) for x in img] == [data.image(m)[1] for m in monos]
+        gens = defining_generators(pres, RESTRICTED)
+        assert_sweep_matches_mono_reference(pres, gens[1:], degrees)
+
+    def test_cap_stops_before_the_whole_t_part_product(self):
+        # 45 monomials of degree 8 per block, so 2,025 T-parts of weight
+        # 16, each with one monomial in the piece: the cap of 100 is hit
+        # long before the product is complete, and nothing is memoized
+        pres = build_presentation(ReesSpec(seq=SeqSpec(n=3), blocks=(((1, 2, 3), 1), ((1, 2, 3), 1))))
+        sweep = _Sweep(pres, [], ImageData(pres), 100, [((8, 8), 16)])
+        with pytest.raises(CapExceeded, match="exceeds the cap of 100"):
+            sweep.piece((8, 8), 16)
+        assert sweep.tparts == {}
+        assert len(source_monomials(pres, (8, 8), 16)) == 2025
+
+    def test_sweep_leaves_the_mono_path(self, paper, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep called the Mono reference path")
+
+        monkeypatch.setattr(multirees.oracle, "source_monomials", refuse)
+        monkeypatch.setattr(multirees.oracle, "_fiber_basis", refuse)
+        gens = defining_generators(paper, RESTRICTED)
+        assert oracle_check(paper, gens, t_cap=3, ambient_cap=4).ok
+        broken = oracle_check(paper, gens[1:], t_cap=3, ambient_cap=4)
+        assert broken.failures
+        assert all(paper.phi(r.witness).is_zero() for r in broken.failures)
 
 
 class TestOracleCheck:
