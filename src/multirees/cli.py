@@ -8,6 +8,7 @@ no traceback: the rest of the output goes to the null device.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -94,7 +95,7 @@ def cmd_generators(args):
             "notes": notes,
             "matrix": {
                 "rows": [u.name(v) for v in u.s_ids],
-                "columns": [pres.col_label(c) for c in range(pres.matrix.n_cols)],
+                "columns": pres.col_labels,
                 "entries": [
                     {"row": r + 1, "col": c, "name": u.name(v)}
                     for (r, c), v in sorted(pres.matrix.entries.items())
@@ -425,7 +426,9 @@ def _add_family_args(p, default=RESTRICTED):
     )
 
 
+@functools.cache
 def build_parser():
+    """Built once per process; ``parse_args`` leaves the tree unchanged."""
     ap = argparse.ArgumentParser(
         prog="multirees",
         description="Defining equations of multi-Rees algebras over a permutable weak regular sequence.",

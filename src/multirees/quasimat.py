@@ -7,7 +7,9 @@ has exactly two entries, i.e. a disjoint union of cycles of the entry
 graph.  Each union of c cycles carries 2^(c-1) binary quasi-determinants
 up to sign: per cycle the entries split into the two alternating perfect
 matchings, and each term of a quasi-determinant takes one matching per
-cycle.
+cycle, the first cycle's held fixed (flipping every cycle swaps the
+terms).  The union search takes the cycles shortest first and stops at
+the first one too long for the room left under the size cap.
 """
 from __future__ import annotations
 
@@ -35,31 +37,8 @@ class QuasiMatrix:
     def cells(self):
         return sorted(self.entries)
 
-    def row_cells(self, r):
-        return sorted((rr, c) for (rr, c) in self.entries if rr == r)
-
-    def col_cells(self, c):
-        return sorted((r, cc) for (r, cc) in self.entries if cc == c)
-
     def is_full(self):
         return len(self.entries) == self.n_rows * self.n_cols
-
-    def subquasi(self, cells):
-        cells = set(cells)
-        missing = cells - set(self.entries)
-        if missing:
-            raise ValueError("positions without entries: %r" % (sorted(missing),))
-        return QuasiMatrix(self.n_rows, self.n_cols, {p: self.entries[p] for p in cells})
-
-    def canonical(self):
-        """Drop empty rows and columns; returns (matrix, row_map, col_map)
-        where the maps list original indices in order."""
-        rows = sorted({r for r, _ in self.entries})
-        cols = sorted({c for _, c in self.entries})
-        rinv = {r: i for i, r in enumerate(rows)}
-        cinv = {c: i for i, c in enumerate(cols)}
-        ent = {(rinv[r], cinv[c]): v for (r, c), v in self.entries.items()}
-        return QuasiMatrix(len(rows), len(cols), ent), rows, cols
 
     def pretty(self, names, row_labels=None, col_labels=None, empty="."):
         grid = []
@@ -196,7 +175,9 @@ def _entry_graph_cycles(qm, max_vertices):
     """All simple cycles of the bipartite entry graph with at most
     ``max_vertices`` vertices, as cell walks.  Rows are vertices
     0..n_rows-1, columns n_rows..n_rows+n_cols-1; each cycle is emitted
-    once, anchored at its smallest vertex."""
+    once, anchored at its smallest vertex.  The walks are guaranteed to
+    come shortest first (then by sorted cells): the union search's early
+    stop relies on it."""
     if max_vertices > MAX_BINARY_SIZE:
         raise GuardExceeded("max_size %d exceeds the hard guard %d" % (max_vertices, MAX_BINARY_SIZE))
     R = qm.n_rows
@@ -233,43 +214,44 @@ def _entry_graph_cycles(qm, max_vertices):
 
 
 def binary_subquasi_enumerate(qm, max_size=MAX_BINARY_SIZE):
-    """Return a list of every binary subquasi-matrix of ``qm`` with
-    rows+cols at most ``max_size``, as vertex-disjoint cycle unions, in a
-    deterministic order."""
+    """Every binary subquasi-matrix of ``qm`` with rows+cols at most
+    ``max_size``, as vertex-disjoint cycle unions in depth-first pre-order
+    over the walk indices.  A walk's vertex mask has bit r for row r and
+    bit n_rows + c for column c (its even cells are a perfect matching).
+    Walks come shortest first and touch as many vertices as they have
+    cells, so the search stops at the first walk longer than the room left."""
     cycles = _entry_graph_cycles(qm, max_size)
-    vert_sets = []
-    for cy in cycles:
-        vs = set()
-        for r, c in cy:
-            vs.add(("r", r))
-            vs.add(("c", c))
-        vert_sets.append(vs)
+    R = qm.n_rows
+    masks = [sum(1 << r | 1 << (R + c) for r, c in cy[0::2]) for cy in cycles]
     out = []
 
-    def rec(start, chosen, used, total):
+    def rec(start, chosen, used, room):
         for i in range(start, len(cycles)):
-            extra = len(vert_sets[i])
-            if total + extra > max_size or used & vert_sets[i]:
+            if len(cycles[i]) > room:
+                break
+            if used & masks[i]:
                 continue
             chosen.append(cycles[i])
             out.append(BinaryQuasiMatrix(qm, tuple(chosen)))
-            rec(i + 1, chosen, used | vert_sets[i], total + extra)
+            rec(i + 1, chosen, used | masks[i], room - len(cycles[i]))
             chosen.pop()
 
-    rec(0, [], set(), 0)
+    rec(0, [], 0, max_size)
     return out
 
 
 def quasi_determinants(bqm):
     """All binary quasi-determinants of one binary quasi-matrix, up to sign,
-    zero differences dropped."""
+    zero differences dropped.  The first cycle's matching stays on the plus
+    side, since flipping every cycle gives the same normalized binomial;
+    repeated entries can still make two patterns agree."""
     qm = bqm.parent
     match = bqm.matchings()
     seen = set()
     out = []
-    for bits in product((0, 1), repeat=len(match)):
+    for bits in product((0, 1), repeat=len(match) - 1):
         plus, minus = [], []
-        for b, (ma, mb) in zip(bits, match):
+        for b, (ma, mb) in zip((0,) + bits, match):
             plus.extend(ma if b == 0 else mb)
             minus.extend(mb if b == 0 else ma)
         bino = Binomial.from_matchings(qm, tuple(plus), tuple(minus))

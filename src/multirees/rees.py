@@ -334,6 +334,7 @@ class Presentation:
                 c += 1
         self.matrix = QuasiMatrix(n, c, entries)
         self.col_blocks = col_blocks
+        self.col_labels = ["s"] + ["[%d;%s]" % (l, it.display_str()) for l, it in col_blocks[1:]]
         self._phi_cache = None
         self._s_value_cache = None
 
@@ -389,17 +390,11 @@ class Presentation:
 
     # --- rendering ------------------------------------------------------
 
-    def col_label(self, c):
-        if self.col_blocks[c] is None:
-            return "s"
-        l, it = self.col_blocks[c]
-        return "[%d;%s]" % (l, it.display_str())
-
     def pretty_matrix(self):
         return self.matrix.pretty(
             names=self.universe.name,
             row_labels=list(self.spec.seq.names),
-            col_labels=[self.col_label(c) for c in range(self.matrix.n_cols)],
+            col_labels=self.col_labels,
         )
 
 
@@ -454,7 +449,7 @@ def _binary_items(pres, bqms):
         blocks_ = [pres.col_blocks[c][0] for c in cols if c]
         label = "binary quasi-minor on rows %s cols %s" % (
             tuple(r + 1 for r in bqm.rows()),
-            tuple(pres.col_label(c) for c in cols),
+            tuple(pres.col_labels[c] for c in cols),
         )
         for bino in quasi_determinants(bqm):
             yield bino, "binary", blocks_, len(cols), label
@@ -480,14 +475,14 @@ def _restricted_items(pres, walks):
         elif len(cols) == 2:
             block_2x2.append((cols, rows, walk))
     E = pres.matrix
-    label = pres.col_label
+    label = pres.col_labels
     for (_, c), (ku, kw), walk in sorted(seq_linear):
         yield (
             Binomial.from_matchings(E, walk[0::2], walk[1::2]),
             "seq-linear",
             pres.col_blocks[c][:1],
             1,
-            "rows (%d,%d) of column %s against the sequence column" % (ku + 1, kw + 1, label(c)),
+            "rows (%d,%d) of column %s against the sequence column" % (ku + 1, kw + 1, label[c]),
         )
     for (ca, cb), (ku, kw), walk in sorted(block_2x2):
         yield (
@@ -495,7 +490,7 @@ def _restricted_items(pres, walks):
             "block-2x2",
             pres.col_blocks[ca][:1],
             2,
-            "rows (%d,%d) cols %s,%s" % (ku + 1, kw + 1, label(ca), label(cb)),
+            "rows (%d,%d) cols %s,%s" % (ku + 1, kw + 1, label[ca], label[cb]),
         )
     for blocks_, rows, cols, walk in multiblock:
         yield (
@@ -503,7 +498,7 @@ def _restricted_items(pres, walks):
             "multiblock-cycle",
             blocks_,
             len(cols),
-            "cycle through rows %s cols %s" % (tuple(r + 1 for r in rows), tuple(label(c) for c in cols)),
+            "cycle through rows %s cols %s" % (tuple(r + 1 for r in rows), tuple(label[c] for c in cols)),
         )
 
 
@@ -546,10 +541,6 @@ def single_cycle_families(pres, family=RESTRICTED, max_minor_size=None):
     walks = _entry_graph_cycles(E, size)
     single = [BinaryQuasiMatrix(E, (walk,)) for walk in walks]
     return _family(pres, _restricted_items(pres, walks)), _family(pres, _binary_items(pres, single))
-
-
-def generator_polys(pres, family=RESTRICTED, max_minor_size=None):
-    return [g.poly for g in defining_generators(pres, family, max_minor_size)]
 
 
 # --- squarefreeness / normality report ------------------------------------

@@ -144,9 +144,11 @@ class SeqSpec:
                 if self._is_unit(val):
                     raise SpecError("s%d is a unit; the sequence must be non-invertible" % (i + 1))
                 for _, m in val:
-                    for xn in m:
+                    for xn, e in m.items():
                         if xn not in self.x_names:
                             raise SpecError("unknown ambient variable %r" % xn)
+                        if e < 0:
+                            raise SpecError("s%d has a negative exponent; values must be polynomials" % (i + 1))
         elif self.concrete_terms:
             raise SpecError("generic mode takes no concrete values")
 

@@ -4,6 +4,8 @@ Covers every subcommand, all three output formats, and each exit code:
 0 certified, 1 failed check (demonstrated by dropping a generator) or
 stdout closed early, 2 bad spec, 3 enumeration cap exceeded.
 """
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -11,9 +13,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import multirees
-from multirees.cli import main
+from multirees.cli import build_parser, main
 from multirees.rees import build_presentation, spec_from_dict
 
 PAPER_SPEC = {
@@ -375,13 +379,118 @@ class TestErrors:
         assert code == 2
         assert "spec error:" in capsys.readouterr().err
 
-    def test_stdin_spec(self, spec_file, capsys, monkeypatch):
-        import io
+    @pytest.mark.parametrize("command", ["generators", "groebner", "oracle", "verify", "taylor"])
+    def test_negative_exponent_is_spec_error(self, spec_file, capsys, command):
+        path = spec_file(NEGATIVE_EXPONENT_SPEC)
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "spec error: s1 has a negative exponent; values must be polynomials\n"
 
+    def test_stdin_spec(self, spec_file, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(SMALL_SPEC)))
         code = main(["generators", "-"])
         assert code == 0
         assert "generators (family=restricted)" in capsys.readouterr().out
+
+
+NEGATIVE_EXPONENT_SPEC = {
+    "sequence": {"mode": "concrete", "n": 2, "ambient": ["x", "y"], "values": [[[1, {"x": -1}]], [[1, {"y": 1}]]]},
+    "blocks": [{"rows": [1, 2], "power": 1}],
+}
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_reuse_carries_no_state(self, spec_file, capsys):
+        # a repeatable option must not leak into the next request
+        path = spec_file(SMALL_SPEC)
+        build_parser.cache_clear()
+        alone = (main(["oracle", path]), capsys.readouterr())
+        assert alone[0] == 0
+        assert main(["oracle", path, "--drop-generator", "1"]) == 1
+        assert "dropped generators: g1" in capsys.readouterr().out
+        assert (main(["oracle", path]), capsys.readouterr()) == alone
+
+
+# names that clash with each other and with the t, T and ambient names
+NAME_POOL = ("s1", "s2", "x", "y", "t1", "T")
+
+
+@st.composite
+def contract_specs(draw):
+    """Generic and concrete specs with n <= 3.  One in four may break
+    the spec rules: negative exponents, zero coefficients, clashing
+    names, rows out of range, power 0."""
+    n = draw(st.integers(1, 3))
+    wild = draw(st.integers(0, 3)) == 0
+    seq = {"mode": draw(st.sampled_from(("generic", "concrete"))), "n": n}
+    if wild and draw(st.booleans()):
+        seq["names"] = draw(st.lists(st.sampled_from(NAME_POOL), min_size=n, max_size=n))
+    if seq["mode"] == "concrete":
+        if wild:
+            ambient = draw(st.lists(st.sampled_from(NAME_POOL[2:]), max_size=2, unique=True))
+            monomial = st.dictionaries(st.sampled_from(ambient or ["x"]), st.integers(-2, 3), max_size=2)
+            term = st.tuples(st.sampled_from((-2, -1, 0, 1, 3)), monomial).map(list)
+        else:
+            ambient = draw(st.lists(st.sampled_from(("x", "y")), min_size=1, max_size=2, unique=True))
+            monomial = st.dictionaries(st.sampled_from(ambient), st.integers(1, 3), min_size=1)
+            term = st.tuples(st.sampled_from((-2, -1, 1, 3)), monomial).map(list)
+        seq["ambient"] = ambient
+        seq["values"] = draw(st.lists(st.lists(term, min_size=1, max_size=1 + wild), min_size=n, max_size=n))
+    rows = st.integers(0, n + 1) if wild else st.integers(1, n)
+    block = st.fixed_dictionaries(
+        {"rows": st.lists(rows, min_size=1, max_size=n, unique=True), "power": st.integers(0 if wild else 1, 2)}
+    )
+    return {"sequence": seq, "blocks": draw(st.lists(block, min_size=1, max_size=2))}
+
+
+CONTRACT_OPTIONS = {
+    "generators": (
+        [],
+        ["--family", "full", "--max-minor-size", "2"],
+        ["--format", "json"],
+        ["--format", "cas", "--family", "full"],
+        ["--show-matrix", "--show-phi"],
+    ),
+    "groebner": ([], ["--universal"], ["--family", "restricted", "--format", "json"]),
+    "oracle": (
+        ["--t-degree-cap", "1"],
+        ["--t-degree-cap", "2", "--s-degree-cap", "2"],
+        ["--t-degree-cap", "2", "--piece-cap", "3"],
+        ["--t-degree-cap", "1", "--s-degree-cap", "0"],
+        ["--t-degree-cap", "1", "--drop-generator", "1", "--format", "json"],
+    ),
+    "verify": (
+        ["--t-degree-cap", "1"],
+        ["--t-degree-cap", "2", "--s-degree-cap", "2", "--format", "json"],
+        ["--t-degree-cap", "2", "--piece-cap", "3"],
+        ["--t-degree-cap", "1", "--family", "full", "--max-minor-size", "2"],
+    ),
+    "taylor": ([], ["--format", "json"]),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    spec=contract_specs(),
+    argv=st.sampled_from(sorted(CONTRACT_OPTIONS)).flatmap(
+        lambda command: st.tuples(st.just(command), st.sampled_from(CONTRACT_OPTIONS[command]))
+    ),
+)
+@example(spec=NEGATIVE_EXPONENT_SPEC, argv=("verify", ["--t-degree-cap", "1"]))
+@example(spec=NEGATIVE_EXPONENT_SPEC, argv=("taylor", []))
+def test_every_spec_maps_to_an_exit_code(tmp_path_factory, spec, argv):
+    # 0 certified, 1 failed, 2 bad spec, 3 cap: never a traceback
+    path = tmp_path_factory.mktemp("contract") / "spec.json"
+    path.write_text(json.dumps(spec))
+    command, opts = argv
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(path)] + opts)
+    assert code in (0, 1, 2, 3), (code, err.getvalue())
 
 
 def test_python_dash_m(spec_file):

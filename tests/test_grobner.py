@@ -37,7 +37,7 @@ from multirees.grobner import (
 )
 from multirees.poly import GuardExceeded, MonomialOrder, VarUniverse, leading
 from multirees.quasimat import generic_matrix, ibin_generators
-from multirees.rees import FULL, ReesSpec, build_presentation, generator_polys, single_cycle_families
+from multirees.rees import FULL, ReesSpec, build_presentation, defining_generators, single_cycle_families
 from multirees.sseq import SeqSpec
 
 
@@ -65,7 +65,7 @@ def small_desk_families(max_generators):
     out = []
     for spec in desk_scale_specs():
         pres = build_presentation(spec)
-        gens = generator_polys(pres, family="full")
+        gens = [g.poly for g in defining_generators(pres, FULL)]
         if gens and len(gens) <= max_generators:
             out.append((pres.universe, gens))
     return out
@@ -79,7 +79,7 @@ def union_families(n, rows):
     spec = ReesSpec(seq=SeqSpec(n=n), blocks=tuple((r, 1) for r in rows))
     pres = build_presentation(spec)
     single = [g.poly for g in single_cycle_families(pres)[1]]
-    return pres.universe, generator_polys(pres, FULL), single
+    return pres.universe, [g.poly for g in defining_generators(pres, FULL)], single
 
 
 def union_sample(count=12, max_generators=26, seed=4):
@@ -218,7 +218,7 @@ class TestBuchberger:
         # leading term divides it), so the check must stay inconclusive
         spec = ReesSpec(seq=SeqSpec(n=2), blocks=(((1, 2), 2),))
         pres = build_presentation(spec)
-        gens = generator_polys(pres, family="full")
+        gens = [g.poly for g in defining_generators(pres, FULL)]
         u = pres.universe
         rep = buchberger_check(gens, spread_first_lex(u))
         assert not rep.ok

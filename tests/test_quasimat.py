@@ -79,19 +79,6 @@ class TestQuasiMatrix:
         qm = QuasiMatrix(2, 2, {(0, 0): 1, (1, 1): 2})
         assert qm.cells() == [(0, 0), (1, 1)]
         assert not qm.is_full()
-        assert qm.row_cells(0) == [(0, 0)]
-        assert qm.col_cells(1) == [(1, 1)]
-
-    def test_subquasi_needs_entries(self):
-        qm = QuasiMatrix(2, 2, {(0, 0): 1})
-        with pytest.raises(ValueError):
-            qm.subquasi([(1, 1)])
-
-    def test_canonical_drops_empty_lines(self):
-        qm = QuasiMatrix(3, 3, {(0, 0): 1, (2, 2): 2})
-        small, rows, cols = qm.canonical()
-        assert (small.n_rows, small.n_cols) == (2, 2)
-        assert rows == [0, 2] and cols == [0, 2]
 
     def test_pretty(self):
         qm, uni = generic_matrix(2, 2)
@@ -113,6 +100,30 @@ def seeded_sparse_matrices():
             yield generic_matrix(nr, nc, pattern=pattern)[0]
 
 
+def repeated_entry_matrices():
+    """Matrices whose entries repeat variables, at most 4x5."""
+    yield QuasiMatrix(3, 3, {(r, c): 0 for r in range(3) for c in range(3)})
+    yield QuasiMatrix(3, 4, {(r, c): (r + c) % 2 for r in range(3) for c in range(4) if (r, c) != (1, 2)})
+    yield QuasiMatrix(4, 5, {(r, c): (r * c) % 3 for r in range(4) for c in range(5)})
+
+
+def reference_unions(qm, max_size):
+    """Every tuple of pairwise vertex-disjoint walk indices whose lengths
+    sum to at most ``max_size``, sorted; sorted order is the depth-first
+    pre-order of the union search.  A cycle uses at least two rows and
+    two columns, which bounds the tuple length."""
+    walks = _entry_graph_cycles(qm, max_size)
+    verts = [{("r", r) for r, _ in w} | {("c", c) for _, c in w} for w in walks]
+    out = []
+    for k in range(1, min(qm.n_rows, qm.n_cols) // 2 + 1):
+        for idx in combinations(range(len(walks)), k):
+            if sum(len(walks[i]) for i in idx) > max_size:
+                continue
+            if all(not verts[i] & verts[j] for i, j in combinations(idx, 2)):
+                out.append(idx)
+    return [tuple(walks[i] for i in idx) for idx in sorted(out)]
+
+
 class TestBinaryEnumeration:
     @pytest.mark.parametrize("shape", GENERIC_SHAPES)
     def test_matches_subset_filter_oracle(self, shape):
@@ -132,6 +143,18 @@ class TestBinaryEnumeration:
             for max_size in (4, 12):
                 want = [b.cycles for b in binary_subquasi_enumerate(qm, max_size) if len(b.cycles) == 1]
                 assert [(walk,) for walk in _entry_graph_cycles(qm, max_size)] == want
+
+    def test_unions_in_reference_order(self):
+        shapes = [generic_matrix(*shape)[0] for shape in GENERIC_SHAPES]
+        for qm in shapes + list(seeded_sparse_matrices()) + list(repeated_entry_matrices()):
+            for max_size in range(4, 13):
+                got = [b.cycles for b in binary_subquasi_enumerate(qm, max_size)]
+                assert got == reference_unions(qm, max_size)
+
+    def test_walks_come_shortest_first(self):
+        qm, _ = generic_matrix(4, 4)
+        lengths = [len(w) for w in _entry_graph_cycles(qm, 12)]
+        assert lengths == sorted(lengths) and lengths[0] == 4 and lengths[-1] == 8
 
     def test_full_3x3_has_six_spanning_binaries(self):
         qm, _ = generic_matrix(3, 3)

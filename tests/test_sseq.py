@@ -83,6 +83,14 @@ class TestSeqSpec:
         # non-unit constants are allowed
         SeqSpec(n=1, mode="concrete", x_names=(), concrete_terms=(((2, {}),),))
 
+    def test_negative_exponent_is_spec_error(self):
+        # x^-1 is no polynomial, even beside a valid term or a valid value
+        for terms in ((((1, {"x": -1}),), ((1, {"y": 1}),)), (((1, {"y": 1}),), ((1, {"x": 1}), (3, {"y": -2})))):
+            with pytest.raises(SpecError, match="negative exponent"):
+                SeqSpec(n=2, mode="concrete", x_names=("x", "y"), concrete_terms=terms)
+        # a zero exponent is still allowed
+        SeqSpec(n=1, mode="concrete", x_names=("x", "y"), concrete_terms=(((1, {"x": 1, "y": 0}),),))
+
     def test_concrete_monomial_values(self):
         seq = SeqSpec(
             n=2,
