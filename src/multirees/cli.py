@@ -19,7 +19,7 @@ from .grobner import (
     default_order_suite,
     universal_gb_check,
 )
-from .oracle import DEFAULT_PIECE_CAP, oracle_check
+from .oracle import DEFAULT_PIECE_CAP, ImageData, oracle_check
 from .poly import (
     ORDER_KINDS,
     CapExceeded,
@@ -117,8 +117,7 @@ def cmd_generators(args):
         _emit_json(payload)
         return EXIT_OK
     if args.format == "cas":
-        names = [u.vars[v].cas_name for v in u.s_ids + u.x_ids]
-        names += [u.vars[v].cas_name for v in sorted(pres.f_idset)]
+        names = [u.vars[v].cas_name for v in u.s_ids + u.x_ids + u.T_ids]
         ring = "QQ" if u.domain == "QQ" else "ZZ"
         print("-- presentation ring and candidate defining ideal (family=%s)" % args.family)
         print("R = %s[%s]" % (ring, ", ".join(names)))
@@ -129,11 +128,8 @@ def cmd_generators(args):
         print(pres.pretty_matrix())
         print()
     if args.show_phi:
-        for vid in sorted(pres.var_block):
-            if vid not in pres.f_idset:
-                continue
-            img = pres.phi_images()[vid]
-            print("phi(%s) = %s" % (u.name(vid), img.render()))
+        for vid in u.T_ids:
+            print("phi(%s) = %s" % (u.name(vid), pres.phi_images()[vid].render()))
         print()
     for i, g in enumerate(gens):
         print("g%-3d [%-16s blocks %s]  %s" % (i + 1, g.kind + ";", ",".join(map(str, g.blocks)), _gen_text(g, u)))
@@ -283,10 +279,10 @@ def cmd_verify(args):
     gens, single = single_cycle_families(pres, args.family, args.max_minor_size)
     o_report = _oracle(pres, gens, args)
     single_polys = [g.poly for g in single]
-    kinds = ("lex", "grevlex") if single_polys else ()
-    g_reports = [buchberger_check(single_polys, MonomialOrder(pres.universe, kind)) for kind in kinds]
+    orders = [MonomialOrder(pres.universe, kind) for kind in ("lex", "grevlex")]
+    g_reports = [buchberger_check(single_polys, order) for order in orders] if single_polys else []
     groebner_ok = all(r.ok for r in g_reports)
-    n_report = normality_report(pres, gens)
+    n_report = normality_report(pres, gens, orders)
     ok = groebner_ok and o_report.ok
     if args.format == "json":
         _emit_json(
@@ -327,29 +323,18 @@ def cmd_verify(args):
 # --- taylor ----------------------------------------------------------------
 
 
-def _block_monomials(pres, bd):
+def _block_monomials(pres):
+    """Per block, the value of each of its variables as a monomial over
+    the ambient symbols: the sequence in generic mode, the ambient
+    variables in concrete mode."""
     seq = pres.spec.seq
-    if seq.mode == "generic":
-        return [
-            SMonomial(it.s_exponents())
-            for it in bd.tuples
-            if bd.vids[it.js] in pres.f_idset
-        ]
-    vals = seq.concrete_monomial_values()
-    if vals is None:
+    if seq.mode == "concrete" and seq.concrete_monomial_values() is None:
         raise SpecError("the complex report needs monomial sequence values in concrete mode")
-    xs = list(seq.x_names)
+    data = ImageData(pres)
     out = []
-    for it in bd.tuples:
-        if bd.vids[it.js] not in pres.f_idset:
-            continue
-        exps = [0] * len(xs)
-        for i, e in enumerate(it.s_exponents()):
-            if not e:
-                continue
-            for xn, xe in vals[i][1].items():
-                exps[xs.index(xn)] += xe * e
-        out.append(SMonomial(tuple(exps)))
+    for bd in pres.blocks:
+        images = [dict(data.t_image[vid]) for vid in bd.vids.values()]
+        out.append([SMonomial(tuple(img.get(v, 0) for v in data.ambient_ids)) for img in images])
     return out
 
 
@@ -358,8 +343,7 @@ def cmd_taylor(args):
     pres = build_presentation(spec)
     rows = []
     all_ok = True
-    for bd in pres.blocks:
-        monos = _block_monomials(pres, bd)
+    for bd, monos in zip(pres.blocks, _block_monomials(pres)):
         tc = taylor_complex(monos)
         ok = tc.verify()
         all_ok = all_ok and ok
@@ -410,9 +394,9 @@ def _add_cap_args(p):
     p.add_argument("--piece-cap", type=_int_at_least(1), default=DEFAULT_PIECE_CAP)
 
 
-def _add_spec_arg(p):
+def _add_spec_arg(p, formats=("text", "json")):
     p.add_argument("spec", help="path to a spec JSON file, or - for stdin")
-    p.add_argument("--format", choices=("text", "json", "cas"), default="text")
+    p.add_argument("--format", choices=formats, default="text")
 
 
 def _add_family_args(p, default=RESTRICTED):
@@ -436,7 +420,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generators", help="emit the candidate generating family")
-    _add_spec_arg(p)
+    _add_spec_arg(p, ("text", "json", "cas"))
     _add_family_args(p)
     p.add_argument("--show-matrix", action="store_true", help="print the augmented presentation matrix")
     p.add_argument("--show-phi", action="store_true", help="print the value of every presentation variable")

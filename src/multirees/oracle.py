@@ -49,15 +49,6 @@ DEFAULT_T_CAP = 3
 DEFAULT_PIECE_CAP = 20000
 
 
-def _block_f_vids(pres):
-    """Per block, the presentation-ring variable ids, in id order."""
-    out = []
-    for bd in pres.blocks:
-        vids = sorted(v for v in bd.vids.values() if v in pres.f_idset)
-        out.append(tuple(vids))
-    return out
-
-
 class ImageData:
     """Precomputed monomial images and weights for one presentation."""
 
@@ -97,10 +88,8 @@ class ImageData:
             self.t_image[vid] = tuple(sorted(acc.items()))
             self.t_coeff[vid] = coeff
             self.t_weight[vid] = sum(e for v, e in self.t_image[vid] if v != u.t_ids[l - 1])
-        self.ring_ids = pres.f_idset | set(self.ambient_ids)
-        self.min_block_weight = [
-            min(self.t_weight[v] for v in vids) if vids else 0 for vids in _block_f_vids(pres)
-        ]
+        self.ring_ids = u.T_idset | set(self.ambient_ids)
+        self.min_block_weight = [min(self.t_weight[v] for v in bd.vids.values()) for bd in pres.blocks]
 
     def image(self, mono):
         """(coefficient, image monomial) of a source monomial."""
@@ -151,15 +140,7 @@ def source_monomials(pres, tvec, weight, image_data=None, cap=None):
     data = image_data or ImageData(pres)
     if len(tvec) != pres.spec.r or any(d < 0 for d in tvec):
         raise ValueError("block degree tuple must list %d nonnegative entries" % pres.spec.r)
-    block_vids = _block_f_vids(pres)
-    parts = []
-    for vids, d in zip(block_vids, tvec):
-        if d == 0:
-            parts.append([()])
-        elif not vids:
-            return []
-        else:
-            parts.append(list(combinations_with_replacement(vids, d)))
+    parts = [list(combinations_with_replacement(bd.vids.values(), d)) for bd, d in zip(pres.blocks, tvec)]
     out = []
     for combo in product(*parts):
         tpairs = {}
@@ -279,7 +260,7 @@ def _kernel_binomial(data, p):
     if any(v not in data.ring_ids for m, _ in p.terms for v in m.support()):
         raise ValueError(
             "generator leaves the enumerated presentation ring; "
-            "it uses variables outside the block membership sets"
+            "it uses a variable outside the presentation ring"
         )
     if len(p.terms) != 2:
         raise ValueError("generator %s is not a binomial" % p.render())
@@ -320,7 +301,7 @@ class _Sweep:
         self.cap = cap
         bound = max((max(weight, sum(tvec)) for tvec, weight in degrees), default=0)
         width = self.width = max(bound.bit_length(), 1)
-        self.block_vids = _block_f_vids(pres)
+        self.block_vids = [tuple(bd.vids.values()) for bd in pres.blocks]
         self.src_coords = [v for vids in self.block_vids for v in vids] + list(data.ambient_ids)
         self.img_coords = list(data.ambient_ids) + list(pres.universe.t_ids)
         unit = {v: 1 << (k * width) for k, v in enumerate(self.img_coords)}

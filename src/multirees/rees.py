@@ -255,6 +255,11 @@ def _t_name(l, it):
 
 @dataclass
 class BlockData:
+    """One block: ``tuples`` lists every index tuple of its power, and
+    ``vids`` maps the ``js`` of each one whose support lies inside
+    ``rows`` (a variable of the presentation ring) to its id, in id
+    order."""
+
     index: int
     rows: tuple
     power: int
@@ -262,25 +267,28 @@ class BlockData:
     columns: list
     vids: dict = field(default_factory=dict)
 
-    def vid(self, it):
-        return self.vids[it.js]
-
 
 class Presentation:
-    """The variable universe, the augmented matrix, and the map phi."""
+    """The variable universe, the augmented matrix, and the map phi.
+
+    The T-block of the universe is the presentation ring: one variable
+    per index tuple of a block whose support lies inside the block's
+    rows, in block order, then largest display first."""
 
     def __init__(self, spec):
         seq = spec.seq
         n = seq.n
         t_names = ["t%d" % l for l in range(1, spec.r + 1)]
-        T_names, T_keys = [], []
+        T_names, T_keys, ring = [], [], []
         blocks = []
         for l, (rows, power) in enumerate(spec.blocks, start=1):
-            tuples = enumerate_index_tuples(n, power)
-            blocks.append(BlockData(index=l, rows=rows, power=power, tuples=tuples, columns=[]))
-            for it in tuples:
-                T_names.append(_t_name(l, it))
-                T_keys.append((l, it.display(), len(it.support())))
+            bd = BlockData(index=l, rows=rows, power=power, tuples=enumerate_index_tuples(n, power), columns=[])
+            blocks.append(bd)
+            for it in bd.tuples:
+                if set(it.support()) <= set(rows):
+                    ring.append((bd, it))
+                    T_names.append(_t_name(l, it))
+                    T_keys.append((l, it.display(), len(it.support())))
         try:
             universe = VarUniverse(
                 s_names=seq.names,
@@ -295,21 +303,10 @@ class Presentation:
         self.spec = spec
         self.universe = universe
         self.blocks = blocks
-        pos = 0
         self.var_block = {}
-        for bd in blocks:
-            for it in bd.tuples:
-                vid = universe.T_ids[pos]
-                bd.vids[it.js] = vid
-                self.var_block[vid] = (bd.index, it)
-                pos += 1
-        f_ids = set()
-        for bd in blocks:
-            rowset = set(bd.rows)
-            for it in bd.tuples:
-                if set(it.support()) <= rowset:
-                    f_ids.add(bd.vids[it.js])
-        self.f_idset = frozenset(f_ids)
+        for (bd, it), vid in zip(ring, universe.T_ids):
+            bd.vids[it.js] = vid
+            self.var_block[vid] = (bd.index, it)
         for bd in blocks:
             rowset = set(bd.rows)
             k1 = bd.rows[0]
@@ -326,10 +323,7 @@ class Presentation:
         for bd in blocks:
             for it in bd.columns:
                 for k in bd.rows:
-                    vid = bd.vids[it.shift(k).js]
-                    if vid not in self.f_idset:
-                        raise AssertionError("selected column leaves the presentation ring")
-                    entries[(k - 1, c)] = vid
+                    entries[(k - 1, c)] = bd.vids[it.shift(k).js]
                 col_blocks.append((bd.index, it))
                 c += 1
         self.matrix = QuasiMatrix(n, c, entries)
@@ -337,16 +331,6 @@ class Presentation:
         self.col_labels = ["s"] + ["[%d;%s]" % (l, it.display_str()) for l, it in col_blocks[1:]]
         self._phi_cache = None
         self._s_value_cache = None
-
-    # --- lookups ------------------------------------------------------
-
-    def block(self, l):
-        return self.blocks[l - 1]
-
-    def in_presentation_ring(self, p):
-        u = self.universe
-        ok = set(u.s_ids) | set(u.x_ids) | self.f_idset
-        return all(v in ok for m, _ in p.terms for v in m.support())
 
     # --- the map phi ---------------------------------------------------
 

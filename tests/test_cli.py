@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -17,8 +18,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import multirees
-from multirees.cli import build_parser, main
+from multirees.cli import _block_monomials, build_parser, main
 from multirees.rees import build_presentation, spec_from_dict
+from multirees.sseq import SMonomial, taylor_complex
 
 PAPER_SPEC = {
     "sequence": {"mode": "generic", "n": 4, "names": ["p1", "p2", "x", "y"]},
@@ -34,6 +36,24 @@ PAPER_SPEC = {
 SMALL_SPEC = {
     "sequence": {"mode": "generic", "n": 2},
     "blocks": [{"rows": [1, 2], "power": 2}],
+}
+
+# block 1 leaves out row 3, block 2 row 1
+PARTIAL_SPEC = {
+    "sequence": {"mode": "generic", "n": 3},
+    "blocks": [{"rows": [1, 2], "power": 1}, {"rows": [2, 3], "power": 2}],
+}
+
+# monomial values that are not the sequence symbols themselves, and blocks
+# that leave out rows
+CONCRETE_TAYLOR_SPEC = {
+    "sequence": {
+        "mode": "concrete",
+        "n": 3,
+        "ambient": ["x", "y", "z"],
+        "values": [[[1, {"x": 1, "y": 1}]], [[1, {"z": 2}]], [[3, {"x": 1}]]],
+    },
+    "blocks": [{"rows": [1, 2], "power": 2}, {"rows": [2, 3], "power": 1}, {"rows": [3], "power": 3}],
 }
 
 CONCRETE_SPEC = {
@@ -232,20 +252,28 @@ class TestVerify:
         assert out.count(counts) == 2
 
     def test_json_shape(self, spec_file, capsys):
-        path = spec_file(SMALL_SPEC)
-        code, payload = run_json(
-            capsys,
-            ["verify", path, "--format", "json", "--t-degree-cap", "2", "--s-degree-cap", "5"],
-        )
-        assert code == 0
-        assert payload["ok"] is True
-        assert payload["groebner"]["family"] == "full"
-        assert len(payload["groebner"]["reports"]) == 2
-        for rep in payload["groebner"]["reports"]:
-            assert rep["ok"] is True and rep["stuck"] == []
-            assert 0 < rep["basis"] and 0 <= rep["product_criterion"] <= rep["pairs"]
-        assert payload["oracle"]["ok"] is True
-        assert payload["normality"]["verdict"] == "NORMAL_CM"
+        # the second spec's blocks leave out rows, so the orders range over
+        # the presentation ring, whose variables are all matrix entries
+        for spec in (SMALL_SPEC, PARTIAL_SPEC):
+            path = spec_file(spec)
+            code, payload = run_json(
+                capsys,
+                ["verify", path, "--format", "json", "--t-degree-cap", "2", "--s-degree-cap", "5"],
+            )
+            assert code == 0
+            assert payload["ok"] is True
+            assert payload["groebner"]["family"] == "full"
+            assert len(payload["groebner"]["reports"]) == 2
+            _, emitted = run_json(capsys, ["generators", path, "--format", "json"])
+            entries = {e["name"] for e in emitted["matrix"]["entries"]}
+            for rep, kind in zip(payload["groebner"]["reports"], ("lex", "grevlex")):
+                assert rep["ok"] is True and rep["stuck"] == []
+                assert 0 < rep["basis"] and 0 <= rep["product_criterion"] <= rep["pairs"]
+                assert rep["order"].startswith(kind + "[") and rep["order"].endswith("]")
+                names = rep["order"][len(kind) + 1 : -1].split(">")
+                assert len(set(names)) == len(names) and set(names) <= entries
+            assert payload["oracle"]["ok"] is True
+            assert payload["normality"]["verdict"] == "NORMAL_CM"
 
     def test_full_family(self, spec_file, capsys):
         path = spec_file(PAPER_SPEC)
@@ -291,6 +319,18 @@ class TestVerify:
         assert payload["generators"] == 0
 
 
+def concrete_value_exponents(spec, exps):
+    """Exponents over the ambient variables of the product of the concrete
+    values raised to ``exps`` (one exponent per sequence element)."""
+    ambient = spec["sequence"]["ambient"]
+    out = [0] * len(ambient)
+    for e, value in zip(exps, spec["sequence"]["values"]):
+        ((_, mono),) = value
+        for name, k in mono.items():
+            out[ambient.index(name)] += e * k
+    return tuple(out)
+
+
 class TestTaylor:
     def test_text_report(self, spec_file, capsys):
         path = spec_file(PAPER_SPEC)
@@ -309,6 +349,36 @@ class TestTaylor:
         assert row["generators"] == 3
         assert row["ranks"] == [1, 3, 3, 1]
         assert row["pairwise_syzygies"] == 3
+
+    def test_concrete_values(self, spec_file, capsys):
+        # each block's monomials are the values of its variables over the
+        # ambient variables: the degree-a power products of its own rows
+        path = spec_file(CONCRETE_TAYLOR_SPEC)
+        pres = build_presentation(spec_from_dict(CONCRETE_TAYLOR_SPEC))
+        got = _block_monomials(pres)
+        code, payload = run_json(capsys, ["taylor", path, "--format", "json"])
+        assert code == 0
+        n = CONCRETE_TAYLOR_SPEC["sequence"]["n"]
+        blocks = CONCRETE_TAYLOR_SPEC["blocks"]
+        assert len(got) == len(payload["blocks"]) == len(blocks)
+        for block, monos, row in zip(blocks, got, payload["blocks"]):
+            power, rows = block["power"], block["rows"]
+            expected = [
+                concrete_value_exponents(CONCRETE_TAYLOR_SPEC, [combo.count(k) for k in range(1, n + 1)])
+                for combo in combinations_with_replacement(rows, power)
+            ]
+            assert sorted(m.exps for m in monos) == sorted(expected)
+            tc = taylor_complex([SMonomial(e) for e in expected])
+            assert row["generators"] == tc.m == len(expected)
+            assert row["ranks"] == [tc.rank(p) for p in range(tc.m + 1)]
+
+    def test_non_monomial_values_are_spec_error(self, spec_file, capsys):
+        spec = json.loads(json.dumps(CONCRETE_TAYLOR_SPEC))
+        spec["sequence"]["values"][1] = [[1, {"x": 1}], [1, {"z": 1}]]
+        assert main(["taylor", spec_file(spec), "--format", "json"]) == 2
+        assert capsys.readouterr().err == (
+            "spec error: the complex report needs monomial sequence values in concrete mode\n"
+        )
 
 
 class TestErrors:
@@ -352,6 +422,14 @@ class TestErrors:
             main(argv[:1] + [path] + argv[1:])
         assert exc.value.code == 2
         assert "error: argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["groebner", "oracle", "verify", "taylor"])
+    def test_cas_format_only_for_generators(self, spec_file, capsys, command):
+        path = spec_file(PAPER_SPEC)
+        with pytest.raises(SystemExit) as exc:
+            main([command, path, "--format", "cas"])
+        assert exc.value.code == 2
+        assert "error: argument --format: invalid choice: 'cas'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["oracle", "verify"])
     def test_caps_leaving_no_piece(self, spec_file, capsys, command):

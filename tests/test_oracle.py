@@ -166,7 +166,7 @@ def brute_source_monomials(pres, data, tvec, weight):
     """Independent enumeration: all exponent vectors over the presentation
     variables plus ambient symbols, filtered by the oracle grading."""
     u = pres.universe
-    f_vids = sorted(pres.f_idset)
+    f_vids = u.T_ids
     amb = list(data.ambient_ids)
     t_total = sum(tvec)
     out = set()
@@ -256,7 +256,7 @@ class TestImageData:
         data = ImageData(pres)
         u = pres.universe
         # js (1,1) has step exponents (1,0,0): it picks up symbol 1, value 2
-        vid = pres.block(1).vids[(1, 1)]
+        vid = pres.blocks[0].vids[(1, 1)]
         coeff, img = data.image(Mono(((vid, 1),)))
         assert coeff == 2
         assert dict(img.exps) == {u.t_ids[0]: 1}
@@ -395,9 +395,9 @@ class TestSpanCompare:
 
     def test_stray_variable_rejected(self, paper):
         u = paper.universe
-        # T[3;111] has support outside block 3's membership set, so it is
-        # not part of the presentation ring the oracle enumerates
-        p = u.poly_var("T[3;111]") - u.poly_var("T[3;100]")
+        # t3 is a target symbol, not part of the presentation ring the
+        # oracle enumerates
+        p = u.poly_var("t3") - u.poly_var("T[3;100]")
         for compare in (span_compare, sweep_of_one):
             with pytest.raises(ValueError, match="leaves the enumerated presentation ring"):
                 compare(paper, [p], (0, 0, 1, 0, 0), 1)
@@ -673,7 +673,7 @@ class TestOracleCheck:
             oracle_check(paper, gens, degrees=[((1, 0, 0, 0, 0), 1), piece], cap=size - 1)
         # the first piece is enumerated before the generators are checked
         u = paper.universe
-        stray = u.poly_var("T[3;111]") - u.poly_var("T[3;100]")
+        stray = u.poly_var("t3") - u.poly_var("T[3;100]")
         with pytest.raises(CapExceeded):
             oracle_check(paper, gens + [stray], degrees=[piece], cap=size - 1)
 

@@ -6,7 +6,7 @@ combinatorial counts are checked against closed forms, and the shift
 identity that drives the sequence-linear relations is property-tested.
 """
 import json
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
@@ -319,14 +319,76 @@ class TestPaperExample:
                 assert selected == inside
 
     def test_presentation_ring_membership(self, paper):
-        u = paper.universe
-        gens = defining_generators(paper, RESTRICTED)
-        for g in gens:
-            assert paper.in_presentation_ring(g.poly)
-        outside = u.poly_var("T[2;110]")  # support {1} not inside K2={1,3}... on the contrary: it IS
-        # pick a variable whose support falls outside its block rows
-        bad = u.poly_var("T[3;111]")
-        assert not paper.in_presentation_ring(bad)
+        # T[3;111] is s1 * t3, and s1 lies outside block 3's rows {2, 3}:
+        # the universe has no such variable
+        with pytest.raises(KeyError):
+            paper.universe.vid("T[3;111]")
+
+
+def _every_row_set(n, size):
+    """One power-1 block per ``size``-row subset of n rows."""
+    return ReesSpec(seq=SeqSpec(n=n), blocks=tuple((rows, 1) for rows in combinations(range(1, n + 1), size)))
+
+
+UNIVERSE_SPECS = {
+    "concrete-monomials": ReesSpec(
+        seq=SeqSpec(
+            n=3,
+            mode="concrete",
+            x_names=("x", "y", "z"),
+            concrete_terms=(((1, {"x": 1, "y": 1}),), ((1, {"z": 1}),), ((3, {"x": 1}),)),
+        ),
+        blocks=(((1, 2), 2), ((2, 3), 1)),
+    ),
+    "concrete-constant": ReesSpec(
+        seq=SeqSpec(
+            n=3, mode="concrete", x_names=("x",), concrete_terms=(((2, {}),), ((3, {}),), ((1, {"x": 1}),))
+        ),
+        blocks=(((1, 2), 1), ((2, 3), 1)),
+    ),
+    "concrete-binomial": ReesSpec(
+        seq=SeqSpec(
+            n=2, mode="concrete", x_names=("x", "y"), concrete_terms=(((1, {"x": 1}), (1, {"y": 1})), ((1, {"y": 1}),))
+        ),
+        blocks=(((1,), 2), ((1, 2), 1)),
+    ),
+    "n5-three-row": _every_row_set(5, 3),
+    "n6-two-row": _every_row_set(6, 2),
+    "n5-two-row": _every_row_set(5, 2),
+    "power-3": ReesSpec(seq=SeqSpec(n=4), blocks=(((1, 2, 4), 3), ((2, 3), 1))),
+}
+
+
+class TestUniverse:
+    """The T-block of the universe is the presentation ring, one variable
+    per power product of a block's own rows, and each is a matrix entry:
+    a ring monomial m with s_k in its support is the row-k entry of the
+    column labelled m / s_k * s_n."""
+
+    @staticmethod
+    def assert_universe_is_the_ring(pres):
+        u = pres.universe
+        assert set(pres.matrix.entries.values()) == set(u.s_ids) | set(u.T_ids)
+        for bd in pres.blocks:
+            ring = [it for it in bd.tuples if set(it.support()) <= set(bd.rows)]
+            assert [pres.var_block[v] for v in bd.vids.values()] == [(bd.index, it) for it in ring]
+
+    def test_desk_scale_specs(self):
+        specs = desk_scale_specs()
+        assert len(specs) == 258
+        for spec in specs:
+            self.assert_universe_is_the_ring(build_presentation(spec))
+
+    @pytest.mark.parametrize("name", sorted(UNIVERSE_SPECS))
+    def test_other_shapes(self, name):
+        self.assert_universe_is_the_ring(build_presentation(UNIVERSE_SPECS[name]))
+
+    def test_ring_sizes(self, paper):
+        # five two-row blocks at power 1 over n = 4: two variables each
+        assert len(paper.universe.T_ids) == 10
+        assert len(build_presentation(UNIVERSE_SPECS["n6-two-row"]).universe.T_ids) == 30
+        # block 1: the 15 cubes in three symbols; block 2: s2 and s3
+        assert len(build_presentation(UNIVERSE_SPECS["power-3"]).universe.T_ids) == 10 + 2
 
 
 class TestFamilies:
