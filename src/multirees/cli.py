@@ -66,11 +66,11 @@ def _gen_text(g, universe):
     )
 
 
-def _poly_terms_json(p):
-    out = []
-    for mono, coeff in p.terms:
-        out.append([str(coeff), {p.universe.name(v): e for v, e in mono.exps}])
-    return out
+def _terms_json(g, universe):
+    """The terms of ``g.poly``, read off its binomial: ``Binomial`` keeps
+    the smaller exponents on ``plus``, the term ``Poly`` sorts first."""
+    b = g.binomial
+    return [[c, {universe.name(v): e for v, e in m.exps}] for c, m in (("1", b.plus), ("-1", b.minus))]
 
 
 def _emit_json(payload):
@@ -109,7 +109,7 @@ def cmd_generators(args):
                     "columns_used": g.size,
                     "label": g.label,
                     "text": _gen_text(g, u),
-                    "terms": _poly_terms_json(g.poly),
+                    "terms": _terms_json(g, u),
                 }
                 for i, g in enumerate(gens)
             ],
@@ -264,16 +264,9 @@ def cmd_verify(args):
     squarefreeness report.
 
     F is certified through F1, its single-cycle members, which come from
-    the same cycle enumeration as the requested family.  A union of
-    vertex-disjoint cycles has the quasi-minor prod(c_i) - prod(d_i),
-    c_i and d_i the two matchings of cycle i.  The order is
-    multiplicative on T-parts, so if prod(c_i) leads, some cycle has
-    T(c_i) > T(d_i); that cycle's lead c_i divides the union's lead in
-    both the s-part and the T-part, and properly in the T-part.  So no
-    union is in the basis that ``buchberger_check`` selects.  And
-    c1*c2 - d1*d2 = c2*(c1 - d1) + d1*(c2 - d2) puts every union in the
-    ideal of its cycles.  F1 and F thus have the same ideal and the same
-    leading terms: F is a Groebner basis exactly when F1 is."""
+    the same cycle enumeration as the requested family; the docstring of
+    ``buchberger_check`` shows why F is a Groebner basis exactly when F1
+    is."""
     spec = _read_spec(args.spec)
     pres = build_presentation(spec)
     gens, single = single_cycle_families(pres, args.family, args.max_minor_size)

@@ -265,7 +265,7 @@ def _product_cert(s, a, b, reducers, lead, order):
     return ReductionCert(s, reducers, order, quotients, u.zero(), REDUCED_TO_ZERO, 0)
 
 
-def buchberger_check(generators, order, max_steps=DEFAULT_MAX_STEPS):
+def buchberger_check(generators, order):
     """Certify ``generators`` (the family F) as a Groebner basis of the
     ideal it generates under ``order``.
 
@@ -328,12 +328,12 @@ def buchberger_check(generators, order, max_steps=DEFAULT_MAX_STEPS):
                 cert = _product_cert(s, a, b, reducers, table, order)
                 report.pairs.append(PairResult(i, j, False, cert, criterion="product"))
             else:
-                cert = _reduce(s, reducers, table, order, max_steps)
+                cert = _reduce(s, reducers, table, order, DEFAULT_MAX_STEPS)
                 report.pairs.append(PairResult(i, j, False, cert))
     in_basis = set(basis)
     for k, g in enumerate(gens):
         if k not in in_basis:
-            report.members.append(MemberResult(k, _reduce(g, reducers, table, order, max_steps)))
+            report.members.append(MemberResult(k, _reduce(g, reducers, table, order, DEFAULT_MAX_STEPS)))
     return report
 
 
@@ -351,8 +351,8 @@ class UniversalReport:
         return "\n".join(lines)
 
 
-def universal_gb_check(generators, orders, max_steps=DEFAULT_MAX_STEPS):
-    return UniversalReport([buchberger_check(generators, o, max_steps=max_steps) for o in orders])
+def universal_gb_check(generators, orders):
+    return UniversalReport([buchberger_check(generators, o) for o in orders])
 
 
 def default_order_suite(universe, kinds=("lex", "grevlex"), seeds=(1, 2, 3, 4)):

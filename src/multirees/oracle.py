@@ -69,7 +69,7 @@ class ImageData:
             self.ambient_ids = u.x_ids
             base, coeffs = {}, {}
             for i, (c, mexp) in enumerate(vals):
-                base[u.s_ids[i]] = tuple((u.vid(xn), e) for xn, e in sorted(mexp.items()) if e)
+                base[u.s_ids[i]] = tuple((u.vid(xn), e) for xn, e in sorted(mexp.items()))
                 coeffs[u.s_ids[i]] = c
         self.t_weight = {}
         self.t_image = {}

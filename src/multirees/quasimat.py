@@ -40,7 +40,7 @@ class QuasiMatrix:
     def is_full(self):
         return len(self.entries) == self.n_rows * self.n_cols
 
-    def pretty(self, names, row_labels=None, col_labels=None, empty="."):
+    def pretty(self, names, row_labels=None, col_labels=None):
         grid = []
         header = None
         if col_labels is not None:
@@ -49,7 +49,7 @@ class QuasiMatrix:
             row = [str(row_labels[r]) if row_labels is not None else ""]
             for c in range(self.n_cols):
                 v = self.entries.get((r, c))
-                row.append(empty if v is None else names(v))
+                row.append("." if v is None else names(v))
             grid.append(row)
         if header:
             grid.insert(0, header)
@@ -325,7 +325,7 @@ def expand_combination(pairs, universe):
     return total
 
 
-def generic_matrix(n_rows, n_cols, pattern=None, with_s_column=False, domain="QQ", prefix="a"):
+def generic_matrix(n_rows, n_cols, pattern=None, with_s_column=False, domain="QQ"):
     """A generic (quasi-)matrix with one fresh symbol per entry, optionally
     augmented on the left with a column of fresh sequence symbols.
 
@@ -336,9 +336,9 @@ def generic_matrix(n_rows, n_cols, pattern=None, with_s_column=False, domain="QQ
     for (r, c) in cells:
         if not (0 <= r < n_rows and 0 <= c < n_cols):
             raise ValueError("pattern cell out of range: %r" % ((r, c),))
-    T_names = ["%s%d%d" % (prefix, r + 1, c + 1) for (r, c) in cells]
+    T_names = ["a%d%d" % (r + 1, c + 1) for (r, c) in cells]
     if len(set(T_names)) != len(T_names):
-        T_names = ["%s_%d_%d" % (prefix, r + 1, c + 1) for (r, c) in cells]
+        T_names = ["a_%d_%d" % (r + 1, c + 1) for (r, c) in cells]
     s_names = ["s%d" % (i + 1) for i in range(n_rows)] if with_s_column else []
     universe = VarUniverse(s_names=s_names, T_names=T_names, domain=domain)
     shift = 1 if with_s_column else 0

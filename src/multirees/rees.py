@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 from .poly import (
@@ -237,8 +238,8 @@ def spec_from_dict(data):
     return ReesSpec(seq=seq, blocks=tuple(blocks))
 
 
-def spec_to_json(spec, indent=2):
-    return json.dumps(spec_to_dict(spec), indent=indent, sort_keys=False)
+def spec_to_json(spec):
+    return json.dumps(spec_to_dict(spec), indent=2, sort_keys=False)
 
 
 def spec_from_json(text):
@@ -356,19 +357,17 @@ class Presentation:
             for k, val in enumerate(self.spec.seq.concrete_terms, start=1):
                 p = u.zero()
                 for coeff, mexp in val:
-                    mono = Mono(tuple((u.vid(xn), e) for xn, e in mexp.items() if e))
+                    mono = Mono(tuple((u.vid(xn), e) for xn, e in mexp.items()))
                     p = p + u.term(coeff, mono)
                 images[u.s_ids[k - 1]] = p
             self._s_value_cache = images
         return self._s_value_cache
 
-    def phi(self, p, evaluate=None):
-        """Apply phi; with ``evaluate`` (default: in concrete mode) also
-        replace sequence symbols by their concrete values."""
+    def phi(self, p):
+        """Apply phi; in concrete mode also replace sequence symbols by
+        their concrete values."""
         out = p.substitute(self.phi_images())
-        if evaluate is None:
-            evaluate = self.spec.seq.mode == "concrete"
-        if evaluate:
+        if self.spec.seq.mode == "concrete":
             out = out.substitute(self.s_values())
         return out
 
@@ -391,15 +390,18 @@ def build_presentation(spec):
 
 @dataclass
 class Generator:
-    poly: Poly
+    """One emitted binomial; ``poly`` is built from it on first read."""
+
     binomial: Binomial
     kind: str  # "seq-linear" | "block-2x2" | "multiblock-cycle" | "binary"
     blocks: tuple
     size: int  # number of matrix columns consumed
     label: str
+    universe: VarUniverse = field(repr=False, compare=False)
 
-    def render(self, order=None):
-        return self.poly.render(order)
+    @cached_property
+    def poly(self):
+        return self.binomial.to_poly(self.universe)
 
 
 def _size_cap(pres, family, max_minor_size):
@@ -423,7 +425,7 @@ def _family(pres, items):
         if bino.is_zero() or bino.key() in seen:
             continue
         seen.add(bino.key())
-        out.append(Generator(bino.to_poly(u), bino, kind, tuple(sorted(set(blocks_))), size, label))
+        out.append(Generator(bino, kind, tuple(sorted(set(blocks_))), size, label, u))
     return out
 
 
@@ -444,46 +446,26 @@ def _restricted_items(pres, walks):
     4-cycles through the sequence column (seq-linear), the 4-cycles on
     two columns of one block (block-2x2), each by columns then rows, and
     then in walk order the cycles off the sequence column whose columns
-    lie in distinct blocks (multiblock-cycle)."""
-    seq_linear, block_2x2, multiblock = [], [], []
-    for walk in walks:
+    lie in distinct blocks (multiblock-cycle).  Each uses as many matrix
+    columns as it has block columns."""
+    label = pres.col_labels
+    kept = []
+    for i, walk in enumerate(walks):
         rows = tuple(sorted(r for r, _ in walk[0::2]))
         cols = tuple(sorted(c for _, c in walk[0::2]))
-        if cols[0] == 0:
-            if len(cols) == 2:
-                seq_linear.append((cols, rows, walk))
-            continue
-        blocks_ = [pres.col_blocks[c][0] for c in cols]
+        blocks_ = [pres.col_blocks[c][0] for c in cols if c]
         if len(set(blocks_)) == len(cols):
-            multiblock.append((blocks_, rows, cols, walk))
+            text = "cycle through rows %s cols %s" % (tuple(r + 1 for r in rows), tuple(label[c] for c in cols))
+            kept.append(((2, i), "multiblock-cycle", blocks_, text, walk))
+        elif len(cols) == 2 and cols[0] == 0:
+            text = "rows (%d,%d) of column %s against the sequence column" % (rows[0] + 1, rows[1] + 1, label[cols[1]])
+            kept.append(((0, cols, rows, walk), "seq-linear", blocks_, text, walk))
         elif len(cols) == 2:
-            block_2x2.append((cols, rows, walk))
+            text = "rows (%d,%d) cols %s,%s" % (rows[0] + 1, rows[1] + 1, label[cols[0]], label[cols[1]])
+            kept.append(((1, cols, rows, walk), "block-2x2", blocks_, text, walk))
     E = pres.matrix
-    label = pres.col_labels
-    for (_, c), (ku, kw), walk in sorted(seq_linear):
-        yield (
-            Binomial.from_matchings(E, walk[0::2], walk[1::2]),
-            "seq-linear",
-            pres.col_blocks[c][:1],
-            1,
-            "rows (%d,%d) of column %s against the sequence column" % (ku + 1, kw + 1, label[c]),
-        )
-    for (ca, cb), (ku, kw), walk in sorted(block_2x2):
-        yield (
-            Binomial.from_matchings(E, walk[0::2], walk[1::2]),
-            "block-2x2",
-            pres.col_blocks[ca][:1],
-            2,
-            "rows (%d,%d) cols %s,%s" % (ku + 1, kw + 1, label[ca], label[cb]),
-        )
-    for blocks_, rows, cols, walk in multiblock:
-        yield (
-            Binomial.from_matchings(E, walk[0::2], walk[1::2]),
-            "multiblock-cycle",
-            blocks_,
-            len(cols),
-            "cycle through rows %s cols %s" % (tuple(r + 1 for r in rows), tuple(label[c] for c in cols)),
-        )
+    for _, kind, blocks_, text, walk in sorted(kept, key=lambda item: item[0]):
+        yield Binomial.from_matchings(E, walk[0::2], walk[1::2]), kind, blocks_, len(blocks_), text
 
 
 def defining_generators(pres, family=RESTRICTED, max_minor_size=None):

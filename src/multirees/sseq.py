@@ -137,7 +137,6 @@ class SeqSpec:
                 )
                 for val in self.concrete_terms
             )
-            object.__setattr__(self, "concrete_terms", terms)
             for i, val in enumerate(terms):
                 if not val or any(c == 0 for c, _ in val):
                     raise SpecError("s%d is zero or has a zero coefficient" % (i + 1))
@@ -149,6 +148,9 @@ class SeqSpec:
                             raise SpecError("unknown ambient variable %r" % xn)
                         if e < 0:
                             raise SpecError("s%d has a negative exponent; values must be polynomials" % (i + 1))
+            # a zero exponent is no support: x*y^0 is the value x
+            terms = tuple(tuple((c, {xn: e for xn, e in m.items() if e}) for c, m in val) for val in terms)
+            object.__setattr__(self, "concrete_terms", terms)
         elif self.concrete_terms:
             raise SpecError("generic mode takes no concrete values")
 

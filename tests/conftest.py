@@ -4,7 +4,7 @@ The acceptance tests record one verdict line per criterion; the terminal
 summary prints them after the run so the pass/fail ledger is visible even
 though stdout inside tests is captured.  ``desk_scale_specs`` is the
 spec suite that the acceptance sweep and the Groebner differential
-share.
+share; ``emission_specs`` adds two wider ones for the emission tests.
 """
 from itertools import combinations
 
@@ -32,6 +32,17 @@ def desk_scale_specs():
             for o2 in opts:
                 out.append(ReesSpec(seq=SeqSpec(n=n), blocks=(o1, o2)))
     return out
+
+
+def emission_specs():
+    """The desk-scale specs, the paper's five-ideal example, and n = 5
+    with every two-row block (longer cycles, and unions of two)."""
+    paper = ReesSpec(
+        seq=SeqSpec(n=4, names=("p1", "p2", "x", "y")),
+        blocks=(((1, 2), 1), ((1, 3), 1), ((2, 3), 1), ((1, 4), 1), ((2, 4), 1)),
+    )
+    wide = ReesSpec(seq=SeqSpec(n=5), blocks=tuple((rows, 1) for rows in combinations(range(1, 6), 2)))
+    return desk_scale_specs() + [paper, wide]
 
 
 def record_criterion(number, label, ok, detail=""):

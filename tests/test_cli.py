@@ -18,8 +18,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import multirees
-from multirees.cli import _block_monomials, build_parser, main
-from multirees.rees import build_presentation, spec_from_dict
+from conftest import emission_specs
+from multirees.cli import _block_monomials, _terms_json, build_parser, main
+from multirees.quasimat import Binomial
+from multirees.rees import FULL, RESTRICTED, build_presentation, defining_generators, spec_from_dict
 from multirees.sseq import SMonomial, taylor_complex
 
 PAPER_SPEC = {
@@ -134,6 +136,24 @@ class TestGenerators:
         )
         assert code == 0
         assert payload["count"] == 22
+
+    @pytest.mark.parametrize("argv", [["--format", "json"], ["--format", "json", "--family", "full"], []])
+    def test_listing_builds_no_poly(self, spec_file, capsys, monkeypatch, argv):
+        # the listing reads each binomial; a generator's Poly waits for a reader
+        def to_poly(self, universe):
+            raise AssertionError("a Poly was built")
+
+        monkeypatch.setattr(Binomial, "to_poly", to_poly)
+        assert main(["generators", spec_file(PAPER_SPEC)] + argv) == 0
+
+    def test_json_terms_are_the_poly_terms(self):
+        for spec in emission_specs():
+            pres = build_presentation(spec)
+            u = pres.universe
+            for family in (RESTRICTED, FULL):
+                for g in defining_generators(pres, family):
+                    want = [[str(c), {u.name(v): e for v, e in m.exps}] for m, c in g.poly.terms]
+                    assert _terms_json(g, u) == want
 
     def test_cas_script(self, spec_file, capsys):
         path = spec_file(PAPER_SPEC)

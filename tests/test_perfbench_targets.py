@@ -1,21 +1,84 @@
 """The benchmark's tracer wraps functions by (module, name) from outside
-the program (``perfbench/tracing.py``, ``TARGETS``).  A rename or deletion
-in ``src/`` that drops one of those names would break
-``perfbench/run.py --trace 1``; this test catches it in the tier-1 run.
+the program (``perfbench/tracing.py``, ``TARGETS``) and counts work from
+the values they return (``COUNTERS``).  A rename or deletion in ``src/``
+that drops one of those names, or a change to a returned type that a
+counter reads, would break ``perfbench/run.py --trace 1``; these tests
+catch it in the tier-1 run.
 """
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
+
+from multirees.grobner import buchberger_check
+from multirees.oracle import oracle_check
+from multirees.poly import MonomialOrder
+from multirees.quasimat import binary_subquasi_enumerate, quasi_determinants
+from multirees.rees import FULL, RESTRICTED, ReesSpec, build_presentation, defining_generators
+from multirees.sseq import SeqSpec
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def test_tracing_targets_resolve():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracing_targets_resolve():
+    tracing = load_tracing()
     assert tracing.TARGETS
     for modname, names in tracing.TARGETS.items():
         module = importlib.import_module(modname)
         for name in names:
             assert callable(getattr(module, name, None)), "%s.%s" % (modname, name)
+
+
+def test_counters_read_their_targets_values():
+    tracing = load_tracing()
+    pres = build_presentation(
+        ReesSpec(
+            seq=SeqSpec(n=4, names=("p1", "p2", "x", "y")),
+            blocks=(((1, 2), 1), ((1, 3), 1), ((2, 3), 1), ((1, 4), 1), ((2, 4), 1)),
+        )
+    )
+    restricted = defining_generators(pres, RESTRICTED)
+    full = defining_generators(pres, FULL)
+    unions = binary_subquasi_enumerate(pres.matrix, max_size=8)
+    binomials = quasi_determinants(max(unions, key=lambda bqm: len(bqm.cycles)))
+    gb = buchberger_check([g.poly for g in full], MonomialOrder(pres.universe, "lex"))
+    oracle = oracle_check(pres, restricted, t_cap=2, ambient_cap=4)
+    returned = {
+        "rees.defining_generators": (restricted, full),
+        "quasimat.binary_subquasi_enumerate": (unions,),
+        "quasimat.quasi_determinants": (binomials,),
+        "grobner.buchberger_check": (gb,),
+        "oracle.oracle_check": (oracle,),
+    }
+    assert set(returned) == set(tracing.COUNTERS)
+    counts = Counter()
+    for name, values in returned.items():
+        for value in values:
+            tracing.COUNTERS[name](counts, value)
+    reduced = [pr for pr in gb.pairs if not pr.spair_zero]
+    assert (len(restricted), len(full)) == (8, 22)
+    assert binomials and reduced and oracle.reports
+    assert counts == Counter(
+        {
+            "rees.defining_generators.calls": 2,
+            "rees.generators_emitted": 8 + 22,
+            "quasimat.kept": 3 + 22,  # the multiblock cycles, and every binary minor
+            "quasimat.cycle_unions": len(unions),
+            "quasimat.quasi_determinants": len(binomials),
+            "grobner.pairs": len(gb.pairs),
+            "grobner.pairs_reduced": len(reduced),
+            "grobner.reduction_steps": sum(pr.cert.steps for pr in reduced),
+            "grobner.stuck": len(gb.failures),
+            "oracle.pieces": len(oracle.reports),
+            "oracle.piece_monomials": sum(r.piece_size for r in oracle.reports),
+            "oracle.multiples": sum(r.multiples for r in oracle.reports),
+            "oracle.span_rank": sum(r.span_dim for r in oracle.reports),
+        }
+    )

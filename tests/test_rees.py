@@ -13,13 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import desk_scale_specs
+from conftest import desk_scale_specs, emission_specs
 from multirees.poly import SpecError, mono_text
+from multirees.quasimat import Binomial, _entry_graph_cycles
 from multirees.rees import (
     FULL,
     RESTRICTED,
     IndexTuple,
     ReesSpec,
+    _family,
+    _restricted_items,
+    _size_cap,
     build_presentation,
     defining_generators,
     enumerate_column_tuples,
@@ -466,6 +470,59 @@ def _fields(gens):
     ]
 
 
+def reference_restricted_items(pres, walks):
+    """The restricted family's items as three lists in three loops: the
+    reference for ``rees._restricted_items``, which sorts them in one."""
+    seq_linear, block_2x2, multiblock = [], [], []
+    for walk in walks:
+        rows = tuple(sorted(r for r, _ in walk[0::2]))
+        cols = tuple(sorted(c for _, c in walk[0::2]))
+        if cols[0] == 0:
+            if len(cols) == 2:
+                seq_linear.append((cols, rows, walk))
+            continue
+        blocks_ = [pres.col_blocks[c][0] for c in cols]
+        if len(set(blocks_)) == len(cols):
+            multiblock.append((blocks_, rows, cols, walk))
+        elif len(cols) == 2:
+            block_2x2.append((cols, rows, walk))
+    E = pres.matrix
+    label = pres.col_labels
+    for (_, c), (ku, kw), walk in sorted(seq_linear):
+        yield (
+            Binomial.from_matchings(E, walk[0::2], walk[1::2]),
+            "seq-linear",
+            pres.col_blocks[c][:1],
+            1,
+            "rows (%d,%d) of column %s against the sequence column" % (ku + 1, kw + 1, label[c]),
+        )
+    for (ca, cb), (ku, kw), walk in sorted(block_2x2):
+        yield (
+            Binomial.from_matchings(E, walk[0::2], walk[1::2]),
+            "block-2x2",
+            pres.col_blocks[ca][:1],
+            2,
+            "rows (%d,%d) cols %s,%s" % (ku + 1, kw + 1, label[ca], label[cb]),
+        )
+    for blocks_, rows, cols, walk in multiblock:
+        yield (
+            Binomial.from_matchings(E, walk[0::2], walk[1::2]),
+            "multiblock-cycle",
+            blocks_,
+            len(cols),
+            "cycle through rows %s cols %s" % (tuple(r + 1 for r in rows), tuple(label[c] for c in cols)),
+        )
+
+
+def test_restricted_items_match_the_reference():
+    for spec in emission_specs():
+        pres = build_presentation(spec)
+        walks = _entry_graph_cycles(pres.matrix, _size_cap(pres, RESTRICTED, None))
+        got = _fields(_family(pres, _restricted_items(pres, walks)))
+        assert got == _fields(_family(pres, reference_restricted_items(pres, walks)))
+        assert got == _fields(defining_generators(pres, RESTRICTED))
+
+
 class TestSingleCycleFamilies:
     def test_desk_specs(self):
         # n <= 3 leaves no room for a union of two cycles, so F1 is F
@@ -536,6 +593,21 @@ class TestNormalityReport:
         rep = normality_report(pres, defining_generators(pres))
         assert rep.hypothesis_ok
         assert rep.verdict == "NORMAL_CM"
+
+    def test_zero_exponent_is_no_support(self):
+        # x*y^0 is the value x: disjoint from y, and identical to x
+        def spec(*values):
+            seq = SeqSpec(
+                n=2, mode="concrete", x_names=("x", "y"), concrete_terms=tuple(((1, m),) for m in values)
+            )
+            return ReesSpec(seq=seq, blocks=(((1, 2), 1),))
+
+        pres = build_presentation(spec({"x": 1, "y": 0}, {"y": 1}))
+        rep = normality_report(pres, defining_generators(pres))
+        assert rep.hypothesis_ok
+        assert rep.verdict == "NORMAL_CM"
+        assert spec_to_dict(pres.spec)["sequence"]["values"][0] == [[1, {"x": 1}]]
+        assert "s1 and s2 have identical values" in spec({"x": 1, "y": 0}, {"x": 1}).lint()
 
     def test_summary_lines(self):
         spec = ReesSpec(seq=SeqSpec(n=2), blocks=(((1, 2), 1),))
