@@ -32,10 +32,10 @@ from .rees import (
     FAMILIES,
     FULL,
     RESTRICTED,
+    SINGLE,
     build_presentation,
     defining_generators,
     normality_report,
-    single_cycle_families,
     spec_from_json,
     spec_to_dict,
 )
@@ -54,7 +54,7 @@ def _read_spec(path):
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise SpecError("cannot read spec file: %s" % exc)
     return spec_from_json(text)
 
@@ -170,7 +170,7 @@ def cmd_groebner(args):
         return EXIT_OK
     if args.universal:
         seeds = tuple(args.seed + i for i in (1, 2, 3, 4))
-        orders = default_order_suite(pres.universe, kinds=("lex", "grevlex"), seeds=seeds)
+        orders = default_order_suite(pres.universe, seeds=seeds)
         rep = universal_gb_check(gens, orders)
         ok = rep.ok
         if args.format == "json":
@@ -263,13 +263,14 @@ def cmd_verify(args):
     basis), the kernel oracle on the requested family, and the
     squarefreeness report.
 
-    F is certified through F1, its single-cycle members, which come from
-    the same cycle enumeration as the requested family; the docstring of
-    ``buchberger_check`` shows why F is a Groebner basis exactly when F1
-    is."""
+    F is certified through F1, its single-cycle members, which
+    ``defining_generators(pres, SINGLE)`` emits from its own cycle search;
+    the docstring of ``buchberger_check`` shows why F is a Groebner basis
+    exactly when F1 is."""
     spec = _read_spec(args.spec)
     pres = build_presentation(spec)
-    gens, single = single_cycle_families(pres, args.family, args.max_minor_size)
+    gens = defining_generators(pres, args.family, args.max_minor_size)
+    single = defining_generators(pres, SINGLE, args.max_minor_size)
     o_report = _oracle(pres, gens, args)
     single_polys = [g.poly for g in single]
     orders = [MonomialOrder(pres.universe, kind) for kind in ("lex", "grevlex")]

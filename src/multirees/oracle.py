@@ -437,7 +437,7 @@ class _Sweep:
                     return self.pres.universe.from_terms([(m0, c), (m, -c0)])
 
 
-def span_compare(pres, generators, tvec, weight, image_data=None, cap=DEFAULT_PIECE_CAP):
+def span_compare(pres, generators, tvec, weight, cap=DEFAULT_PIECE_CAP):
     """Compare the kernel piece with the span of generator multiples.
 
     ``generators`` are polynomials (or objects with ``.poly``), each a
@@ -447,10 +447,9 @@ def span_compare(pres, generators, tvec, weight, image_data=None, cap=DEFAULT_PI
     the links that join two components.  A missed piece carries as witness
     its first kernel basis binomial whose monomials lie in different
     components: it maps to zero but is no generator combination here.
-    This is one piece of the sweep ``oracle_check`` runs.
+    This is the one-piece sweep of ``oracle_check``.
     """
-    sweep = _Sweep(pres, generators, image_data or ImageData(pres), cap, [(tvec, weight)])
-    return sweep.compare(tvec, weight)
+    return oracle_check(pres, generators, degrees=[(tvec, weight)], cap=cap).reports[0]
 
 
 def default_degrees(pres, t_cap=None, ambient_cap=None, image_data=None):

@@ -100,10 +100,8 @@ class Mono:
     def support(self):
         return tuple(v for v, _ in self.exps)
 
-    def degree(self, ids=None):
-        if ids is None:
-            return sum(e for _, e in self.exps)
-        return sum(e for v, e in self.exps if v in ids)
+    def degree(self):
+        return sum(e for _, e in self.exps)
 
     def mul(self, other):
         out = dict(self.exps)
@@ -150,8 +148,8 @@ class Mono:
     def drop(self, ids):
         return Mono._raw(tuple((v, e) for v, e in self.exps if v not in ids))
 
-    def is_squarefree(self, ids=None):
-        return all(e <= 1 for v, e in self.exps if ids is None or v in ids)
+    def is_squarefree(self):
+        return all(e <= 1 for _, e in self.exps)
 
     def __eq__(self, other):
         return isinstance(other, Mono) and self.exps == other.exps
@@ -202,9 +200,6 @@ class VarUniverse:
         self.x_idset = frozenset(self.x_ids)
         self.t_idset = frozenset(self.t_ids)
         self.T_idset = frozenset(self.T_ids)
-
-    def var(self, name):
-        return self._by_name[name]
 
     def vid(self, name):
         return self._by_name[name].vid
@@ -445,12 +440,11 @@ class MonomialOrder:
         return "MonomialOrder(%s)" % self.describe()
 
 
-def mono_text(mono, universe, names=None):
+def mono_text(mono, universe):
     """Deterministic text for one monomial."""
     if mono.is_one():
         return "1"
-    if names is None:
-        names = universe.name
+    names = universe.name
     return "*".join(
         names(v) if e == 1 else "%s^%d" % (names(v), e) for v, e in mono.exps
     )

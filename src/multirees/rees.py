@@ -48,6 +48,7 @@ from .sseq import SeqSpec
 RESTRICTED = "restricted"
 FULL = "full"
 FAMILIES = (RESTRICTED, FULL)
+SINGLE = "single"  # F1, for library callers: not a CLI choice
 
 DEFAULT_MAX_MINOR_SIZE = 6
 
@@ -245,7 +246,7 @@ def spec_to_json(spec):
 def spec_from_json(text):
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SpecError("invalid JSON: %s" % exc)
     return spec_from_dict(data)
 
@@ -406,8 +407,9 @@ class Generator:
 
 def _size_cap(pres, family, max_minor_size):
     """rows + cols of the largest binary quasi-minor to emit."""
-    if family not in FAMILIES:
-        raise ValueError("family must be one of %s" % (FAMILIES,))
+    known = FAMILIES + (SINGLE,)
+    if family not in known:
+        raise ValueError("family must be one of %s" % (known,))
     if max_minor_size is None:
         max_minor_size = max(2, min(pres.spec.seq.n, DEFAULT_MAX_MINOR_SIZE))
     if max_minor_size < 2:
@@ -475,38 +477,26 @@ def defining_generators(pres, family=RESTRICTED, max_minor_size=None):
     (sequence column included), multi-cycle unions and all, up to the
     size cap.
 
+    ``single`` (F1): the binary quasi-minors of the single cycles, that
+    is F without its multi-cycle unions, in F's order.  For n <= 3 no
+    union fits in the matrix, so F1 is F.
+
     ``restricted``: the single-cycle quasi-minors of restricted shape,
-    read off the same cycle walks: the sequence-linear column relations
-    (4-cycles through the sequence column), the 2x2 minors inside one
-    block, and the cycles off the sequence column that use at most one
-    column per block.
-    """
-    size = _size_cap(pres, family, max_minor_size)
-    if family == FULL:
-        return _family(pres, _binary_items(pres, binary_subquasi_enumerate(pres.matrix, max_size=size)))
-    return _family(pres, _restricted_items(pres, _entry_graph_cycles(pres.matrix, size)))
+    read off the same cycle walks as F1: the sequence-linear column
+    relations (4-cycles through the sequence column), the 2x2 minors
+    inside one block, and the cycles off the sequence column that use at
+    most one column per block.
 
-
-def single_cycle_families(pres, family=RESTRICTED, max_minor_size=None):
-    """``(gens, single)`` from one cycle enumeration: ``gens`` is what
-    ``defining_generators`` emits for ``family``, and ``single`` is F1,
-    the binary quasi-minors of the single cycles of the augmented matrix
-    (F without its multi-cycle unions, in F's order).
-
-    For n <= 3 no union fits in the matrix, so F1 is F.  The restricted
-    family is a filter of F1's cycles, so on the default family no union
-    is enumerated at all.
+    Only ``full`` enumerates the unions of cycles.
     """
     size = _size_cap(pres, family, max_minor_size)
     E = pres.matrix
     if family == FULL:
-        bqms = binary_subquasi_enumerate(E, max_size=size)
-        gens = _family(pres, _binary_items(pres, bqms))
-        single = [bqm for bqm in bqms if len(bqm.cycles) == 1]
-        return gens, gens if len(single) == len(bqms) else _family(pres, _binary_items(pres, single))
+        return _family(pres, _binary_items(pres, binary_subquasi_enumerate(E, max_size=size)))
     walks = _entry_graph_cycles(E, size)
-    single = [BinaryQuasiMatrix(E, (walk,)) for walk in walks]
-    return _family(pres, _restricted_items(pres, walks)), _family(pres, _binary_items(pres, single))
+    if family == SINGLE:
+        return _family(pres, _binary_items(pres, [BinaryQuasiMatrix(E, (walk,)) for walk in walks]))
+    return _family(pres, _restricted_items(pres, walks))
 
 
 # --- squarefreeness / normality report ------------------------------------

@@ -206,8 +206,8 @@ class SeqSpec:
 class TaylorComplex:
     """Taylor complex of a list of SMonomials.
 
-    ``basis(p)`` lists the p-subsets of generator indices; the
-    differential entry at (J minus its r-th element, J) is
+    The basis in homological degree p is the p-subsets of generator
+    indices; the differential entry at (J minus its r-th element, J) is
     (-1)^(r-1) * lcm(J)/lcm(J minus r-th).
     """
 
@@ -220,9 +220,6 @@ class TaylorComplex:
 
     def rank(self, p):
         return comb(self.m, p)
-
-    def basis(self, p):
-        return list(combinations(range(self.m), p))
 
     def lcm_of(self, subset):
         subset = tuple(subset)
@@ -265,10 +262,10 @@ class TaylorComplex:
         return all(self.dd_is_zero(p) for p in range(2, self.m + 1))
 
 
-def taylor_complex(gens, max_generators=MAX_TAYLOR_GENERATORS):
+def taylor_complex(gens):
     gens = tuple(gens)
-    if len(gens) > max_generators:
-        raise GuardExceeded("Taylor complex limited to %d generators" % max_generators)
+    if len(gens) > MAX_TAYLOR_GENERATORS:
+        raise GuardExceeded("Taylor complex limited to %d generators" % MAX_TAYLOR_GENERATORS)
     if gens:
         n = gens[0].n
         for g in gens:

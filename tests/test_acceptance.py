@@ -222,7 +222,7 @@ def test_criterion_04_universal_groebner_generic_matrices():
             gens = [b.to_poly(u) for b in ibin_generators(qm)]
             if not gens:
                 continue
-            orders = default_order_suite(u, kinds=("lex", "grevlex"), seeds=(1, 2, 3, 4, 5))
+            orders = default_order_suite(u, seeds=(1, 2, 3, 4, 5))
             rep = universal_gb_check(gens, orders)
             orders_run += len(rep.reports)
             all_ok = all_ok and rep.ok

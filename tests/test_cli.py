@@ -591,6 +591,21 @@ def test_every_spec_maps_to_an_exit_code(tmp_path_factory, spec, argv):
     assert code in (0, 1, 2, 3), (code, err.getvalue())
 
 
+@pytest.mark.parametrize("command", sorted(CONTRACT_OPTIONS))
+@pytest.mark.parametrize(
+    "raw",
+    [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000],
+    ids=["not-utf8", "deeply-nested"],
+)
+def test_unreadable_spec_maps_to_exit_two(tmp_path, capsys, command, raw):
+    path = tmp_path / "spec.json"
+    path.write_bytes(raw)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("spec error: ")
+
+
 def test_python_dash_m(spec_file):
     # ``python -m multirees`` from a checkout, with src/ on the path
     src = str(Path(multirees.__file__).resolve().parent.parent)

@@ -37,7 +37,7 @@ from multirees.grobner import (
 )
 from multirees.poly import GuardExceeded, MonomialOrder, VarUniverse, leading
 from multirees.quasimat import generic_matrix, ibin_generators
-from multirees.rees import FULL, ReesSpec, build_presentation, defining_generators, single_cycle_families
+from multirees.rees import FULL, SINGLE, ReesSpec, build_presentation, defining_generators
 from multirees.sseq import SeqSpec
 
 
@@ -78,7 +78,7 @@ def union_families(n, rows):
     """(universe, F, F1) as polynomial lists for generic power-1 blocks."""
     spec = ReesSpec(seq=SeqSpec(n=n), blocks=tuple((r, 1) for r in rows))
     pres = build_presentation(spec)
-    single = [g.poly for g in single_cycle_families(pres)[1]]
+    single = [g.poly for g in defining_generators(pres, SINGLE)]
     return pres.universe, [g.poly for g in defining_generators(pres, FULL)], single
 
 

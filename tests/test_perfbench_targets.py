@@ -5,16 +5,22 @@ that drops one of those names, or a change to a returned type that a
 counter reads, would break ``perfbench/run.py --trace 1``; these tests
 catch it in the tier-1 run.
 """
+import contextlib
 import importlib
 import importlib.util
+import io
+import json
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
+from multirees.cli import main
 from multirees.grobner import buchberger_check
 from multirees.oracle import oracle_check
 from multirees.poly import MonomialOrder
 from multirees.quasimat import binary_subquasi_enumerate, quasi_determinants
-from multirees.rees import FULL, RESTRICTED, ReesSpec, build_presentation, defining_generators
+from multirees.rees import FULL, RESTRICTED, SINGLE, ReesSpec, build_presentation, defining_generators, spec_to_dict
 from multirees.sseq import SeqSpec
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -36,14 +42,16 @@ def test_tracing_targets_resolve():
             assert callable(getattr(module, name, None)), "%s.%s" % (modname, name)
 
 
+# the paper's five-ideal example
+PAPER = ReesSpec(
+    seq=SeqSpec(n=4, names=("p1", "p2", "x", "y")),
+    blocks=(((1, 2), 1), ((1, 3), 1), ((2, 3), 1), ((1, 4), 1), ((2, 4), 1)),
+)
+
+
 def test_counters_read_their_targets_values():
     tracing = load_tracing()
-    pres = build_presentation(
-        ReesSpec(
-            seq=SeqSpec(n=4, names=("p1", "p2", "x", "y")),
-            blocks=(((1, 2), 1), ((1, 3), 1), ((2, 3), 1), ((1, 4), 1), ((2, 4), 1)),
-        )
-    )
+    pres = build_presentation(PAPER)
     restricted = defining_generators(pres, RESTRICTED)
     full = defining_generators(pres, FULL)
     unions = binary_subquasi_enumerate(pres.matrix, max_size=8)
@@ -82,3 +90,30 @@ def test_counters_read_their_targets_values():
             "oracle.span_rank": sum(r.span_dim for r in oracle.reports),
         }
     )
+
+
+@pytest.fixture()
+def paper_file(tmp_path):
+    path = tmp_path / "paper.json"
+    path.write_text(json.dumps(spec_to_dict(PAPER)))
+    return str(path)
+
+
+@pytest.mark.parametrize("family", [RESTRICTED, FULL])
+def test_tracer_sees_both_verify_families(paper_file, family):
+    # verify emits the requested family and F1 through defining_generators
+    tracing = load_tracing()
+    pres = build_presentation(PAPER)
+    expected = len(defining_generators(pres, family)) + len(defining_generators(pres, SINGLE))
+    with tracing.installed(tracing.Tracer()) as tracer, contextlib.redirect_stdout(io.StringIO()):
+        code = main(["verify", paper_file, "--family", family, "--t-degree-cap", "1"])
+    assert code == 0
+    assert tracer.counts["rees.defining_generators.calls"] == 2
+    assert tracer.counts["rees.generators_emitted"] == expected
+
+
+def test_single_is_no_cli_family(paper_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", paper_file, "--family", SINGLE])
+    assert exc.value.code == 2
+    assert "invalid choice: 'single'" in capsys.readouterr().err

@@ -92,7 +92,6 @@ class TestMono:
     def test_squarefree(self):
         assert Mono(((0, 1), (3, 1))).is_squarefree()
         assert not Mono(((0, 2),)).is_squarefree()
-        assert Mono(((0, 2), (3, 1))).is_squarefree(ids={3})
 
 
 class TestPolyArithmetic:

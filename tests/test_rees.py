@@ -19,6 +19,7 @@ from multirees.quasimat import Binomial, _entry_graph_cycles
 from multirees.rees import (
     FULL,
     RESTRICTED,
+    SINGLE,
     IndexTuple,
     ReesSpec,
     _family,
@@ -29,7 +30,6 @@ from multirees.rees import (
     enumerate_column_tuples,
     enumerate_index_tuples,
     normality_report,
-    single_cycle_families,
     spec_from_dict,
     spec_from_json,
     spec_to_dict,
@@ -528,31 +528,24 @@ class TestSingleCycleFamilies:
         # n <= 3 leaves no room for a union of two cycles, so F1 is F
         for spec in desk_scale_specs():
             pres = build_presentation(spec)
-            full = _fields(defining_generators(pres, FULL))
-            restricted, single = single_cycle_families(pres)
-            assert _fields(restricted) == _fields(defining_generators(pres, RESTRICTED))
-            assert _fields(single) == full
-            gens, single_of_full = single_cycle_families(pres, FULL)
-            assert _fields(gens) == full and single_of_full is gens
+            assert _fields(defining_generators(pres, SINGLE)) == _fields(defining_generators(pres, FULL))
 
     def test_unions_left_out_in_order(self):
         spec = ReesSpec(seq=SeqSpec(n=4), blocks=(((2, 3), 1), ((1, 2, 3), 1), ((1, 3, 4), 1)))
         pres = build_presentation(spec)
-        restricted, single = single_cycle_families(pres)
+        single = defining_generators(pres, SINGLE)
         full = defining_generators(pres, FULL)
         keys = {g.binomial.key() for g in single}
-        assert {g.binomial.key() for g in restricted} <= keys
+        assert {g.binomial.key() for g in defining_generators(pres, RESTRICTED)} <= keys
         assert _fields(single) == [f for f in _fields(full) if f[0] in keys]
         assert len(single) < len(full)
-        gens, single_of_full = single_cycle_families(pres, FULL)
-        assert _fields(gens) == _fields(full) and _fields(single_of_full) == _fields(single)
 
     def test_arguments_checked(self):
         pres = build_presentation(ReesSpec(seq=SeqSpec(n=2), blocks=(((1, 2), 1),)))
         with pytest.raises(ValueError):
-            single_cycle_families(pres, RESTRICTED, max_minor_size=1)
+            defining_generators(pres, SINGLE, max_minor_size=1)
         with pytest.raises(ValueError):
-            single_cycle_families(pres, "other")
+            defining_generators(pres, "other")
 
 
 def paper_is_zero(pres, p):
