@@ -18,6 +18,14 @@ that subset only, skips a pair with coprime s-parts and coprime T-parts
 by Buchberger's product criterion, and reduces every other generator
 over the subset.
 
+It runs on packed monomials: each monomial is one int with a guarded
+field per variable, laid out so that the order key is read off the int,
+and a divisibility test or an lcm is a few int operations
+(``_Ring``).  A step records (reducer index, packed shift, coefficient);
+a certificate builds its target, quotients and remainder as ``Poly``
+only when they are read.  ``s_poly``, ``top_reduce`` and their helpers
+are the same steps on ``Poly``, the reference the tests compare with.
+
 Reduction is top-reduction only and can get stuck; a stuck state is
 reported as INCONCLUSIVE, never as a disproof.  All certificates carry
 the multipliers needed to replay the claimed identity exactly.
@@ -27,11 +35,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .poly import (
     GuardExceeded,
     MonomialOrder,
+    Packing,
     Poly,
+    UniverseMismatch,
     default_t_precedence,
     leading,
     mono_text,
@@ -49,12 +60,15 @@ def _lead_parts(p, order):
     lc, lm = leading(p, order)
     parts = s_term_parts(lc)
     if parts is None:
-        raise ValueError(
-            "polynomial is not of s-monomial type under %s: leading coefficient %s"
-            % (order.describe(), lc.render())
-        )
+        raise _not_s_monomial_type(lc, order)
     unit, smono = parts
     return unit, smono, lm
+
+
+def _not_s_monomial_type(lc, order):
+    return ValueError(
+        "polynomial is not of s-monomial type under %s: leading coefficient %s" % (order.describe(), lc.render())
+    )
 
 
 def s_poly(f, g, order):
@@ -224,45 +238,267 @@ class BuchbergerReport:
         return "\n".join(lines)
 
 
-def _lead_divides(a, b):
-    """Whether lead ``a`` divides lead ``b``: both the s-parts and the
-    T-parts divide."""
-    return a[1].divides(b[1]) and a[2].divides(b[2])
+class _Overflow(Exception):
+    """A packed field outgrew its width."""
 
 
-def _minimal_basis(lead):
-    """Indices of the leads that no other lead divides; of equal leads,
-    only the lowest index."""
-    return [
-        k
-        for k, lk in enumerate(lead)
-        if not any(
-            j != k and _lead_divides(lj, lk) and (j < k or not _lead_divides(lk, lj))
-            for j, lj in enumerate(lead)
-        )
-    ]
+def _div(c, u):
+    """c / u exactly: a sign flip for a unit +-1, a ``Fraction`` otherwise."""
+    if u == 1:
+        return c
+    if u == -1:
+        return -c
+    return Fraction(c) / u
 
 
-def _coprime(a, b):
-    return a[1].gcd(b[1]).is_one() and a[2].gcd(b[2]).is_one()
+class _Ring:
+    """The packed monomials of one check under one order.
+
+    Every variable of the universe has a field of ``width`` bits, whose
+    top bit is a guard that every stored monomial keeps clear.  The
+    coefficient variables (s, x and t blocks) take the low fields in id
+    order, s first, and the T-variables the fields above them, laid out so
+    that the T-part read as an int orders like ``order.key``: the highest
+    precedence on top for lex and grlex, the lowest on top for grevlex.
+    Graded orders add one field on top that holds the T-degree.  The order
+    key of a monomial is then its T-part for lex and grlex, and for
+    grevlex the degree minus the T-fields.
+
+    The sum of two stored monomials cannot carry past a guard, so a guard
+    set after a product means that a field overflowed (``_Overflow``).  A
+    monomial a divides b when ``(b - a) & guard == 0``, and ``lcm`` takes
+    the per-field max without a loop over fields (SWAR; Bachmann and
+    Schoenemann, ISSAC 1998).  A polynomial is a dict
+    {packed monomial: coefficient}, with integer coefficients where they
+    are integers.
+    """
+
+    def __init__(self, order, width):
+        u = order.universe
+        self.universe = u
+        self.order = order
+        self.width = width
+        coef = [v.vid for v in u.vars if v.block != "T"]
+        tfields = order.tvars if order.kind == "grevlex" else order.tvars[::-1]
+        self.layout = Packing(coef + list(tfields), width)
+        tshift = self.tshift = len(coef) * width
+        self.graded = order.kind != "lex"
+        self.dshift = len(u.vars) * width
+        ones = ((1 << ((len(u.vars) + self.graded) * width)) - 1) // ((1 << width) - 1)
+        self.guard = ones << (width - 1)
+        variables = (1 << self.dshift) - 1
+        self.var_guard = self.guard & variables
+        self.var_ones = ones & variables
+        self.non_s = ((1 << tshift) - 1) >> (len(u.s_ids) * width) << (len(u.s_ids) * width)
+        if order.kind == "grevlex":
+            low = (1 << (len(tfields) * width)) - 1
+            self.key = lambda m: (m >> tshift) - 2 * (m >> tshift & low)
+        else:
+            self.key = tshift.__rrshift__
+
+    def pack(self, p):
+        pack, tset = self.layout.pack, self.universe.T_idset
+        out = {}
+        for mono, c in p.terms:
+            m = pack(mono.exps)
+            if self.graded:
+                m += sum(e for v, e in mono.exps if v in tset) << self.dshift
+            out[m] = c.numerator if c.denominator == 1 else c
+        return out
+
+    def poly(self, packed):
+        unpack = self.layout.unpack
+        return self.universe.from_terms((unpack(m), c) for m, c in packed.items())
+
+    def lead_group(self, p):
+        """The monomials of ``p`` with the leading T-part."""
+        tshift = self.tshift
+        top = max(p, key=self.key) >> tshift
+        return [m for m in p if m >> tshift == top]
+
+    def lead(self, p, g):
+        """(unit, packed lead monomial) of ``p``, the packed generator
+        ``g``; ValueError unless the lead is of s-monomial type."""
+        group = self.lead_group(p)
+        m = group[0]
+        c = p[m]
+        if len(group) > 1 or m & self.non_s or (self.universe.domain == "ZZ" and abs(c) != 1):
+            raise _not_s_monomial_type(leading(g, self.order)[0], self.order)
+        return c, m
+
+    def _ge(self, a, b):
+        """The value bits of each field where a's field is at least b's."""
+        ge = ((a | self.guard) - b) & self.guard
+        return ge - (ge >> (self.width - 1))
+
+    def lcm(self, a, b):
+        mask = self._ge(a, b)
+        out = (a & mask) | (b & ~mask)
+        if self.graded:
+            # the degree field takes the sum of the T-fields: 2**width = 1
+            # modulo 2**width - 1, and the sum is below it
+            out &= (1 << self.dshift) - 1
+            degree = (out >> self.tshift) % ((1 << self.width) - 1)
+            if degree >> (self.width - 1):
+                raise _Overflow
+            out |= degree << self.dshift
+        return out
+
+    def gcd(self, a, b):
+        mask = self._ge(a, b)
+        return (b & mask) | (a & ~mask)
+
+    def support(self, m):
+        """The guards of the nonzero variable fields of ``m``."""
+        return ((m | self.var_guard) - self.var_ones) & self.var_guard
+
+    def s_pair(self, f, g, lead_f, lead_g):
+        """``_s_pair`` on packed polynomials."""
+        (uf, mf), (ug, mg) = lead_f, lead_g
+        top = self.lcm(mf, mg)
+        guard = self.guard
+        out = {}
+        for m, c in f.items():
+            m += top - mf
+            if m & guard:
+                raise _Overflow
+            out[m] = _div(c, uf)
+        for m, c in g.items():
+            m += top - mg
+            if m & guard:
+                raise _Overflow
+            c = out.get(m, 0) - _div(c, ug)
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+        return out
+
+    def reduce(self, work, reducers):
+        """``_reduce`` of the packed polynomial ``work``, in place, over
+        ``reducers``, a list of (unit, packed lead, packed polynomial).
+        Returns (status, steps, record) with one (reducer index, packed
+        shift, coefficient) per quotient term."""
+        guard = self.guard
+        record = []
+        steps = 0
+        while work:
+            group = self.lead_group(work)
+            low = group[0]
+            for m in group[1:]:
+                low = self.gcd(low, m)
+            for chosen, (ug, lg, g) in enumerate(reducers):
+                if not (low - lg) & guard:
+                    break
+            else:
+                return INCONCLUSIVE, steps, record
+            for shift, q in [(m - lg, _div(work[m], ug)) for m in group]:
+                record.append((chosen, shift, q))
+                for m, c in g.items():
+                    m += shift
+                    if m & guard:
+                        raise _Overflow
+                    c = work.get(m, 0) - q * c
+                    if c:
+                        work[m] = c
+                    else:
+                        del work[m]
+            steps += 1
+            if steps > DEFAULT_MAX_STEPS:
+                raise GuardExceeded("top-reduction exceeded %d steps" % DEFAULT_MAX_STEPS)
+        return REDUCED_TO_ZERO, steps, record
 
 
-def _product_cert(s, a, b, reducers, lead, order):
-    """Certificate of S(f, g) = (f'*g - g'*f)/(u_f*u_g) for reducers ``a``
-    and ``b``, where f' and g' are f and g without their leading terms.
+class _PackedCert(ReductionCert):
+    """A ``ReductionCert`` of the packed check.  ``target``, ``quotients``
+    and ``remainder`` are built as ``Poly`` on first read, from the packed
+    target and remainder and the record of quotient terms."""
+
+    def __init__(self, ring, target, reducers, status, steps, record, remainder, keys=()):
+        self.ring = ring
+        self.reducers = reducers
+        self.order = ring.order
+        self.status = status
+        self.steps = steps
+        self._target = target
+        self._record = record
+        self._remainder = remainder
+        self._keys = keys
+
+    @cached_property
+    def target(self):
+        return self.ring.poly(self._target)
+
+    @cached_property
+    def remainder(self):
+        return self.ring.poly(self._remainder)
+
+    @cached_property
+    def quotients(self):
+        terms = {idx: {} for idx in self._keys}
+        for idx, shift, c in self._record:
+            q = terms.setdefault(idx, {})
+            q[shift] = q.get(shift, 0) + c
+        return {idx: self.ring.poly(q) for idx, q in terms.items()}
+
+
+def _product_record(a, b, reducer_a, reducer_b):
+    """Quotient terms of S(f, g) = (f'*g - g'*f)/(u_f*u_g) for reducers
+    ``a`` and ``b``, where f' and g' are f and g without their leading
+    terms.
 
     Every term of f'*g lies below lm(f)*lm(g) = M, and so does every term
     of g'*f; the identity is a representation of the S-pair below its lcm,
     which is all that Buchberger's criterion asks of a pair."""
-    f, g = reducers[a], reducers[b]
-    uf, df, mf = lead[a]
-    ug, dg, mg = lead[b]
-    u = f.universe
-    scale = Fraction(1, 1) / (uf * ug)
-    tail_f = f - u.term(uf, df.mul(mf))
-    tail_g = g - u.term(ug, dg.mul(mg))
-    quotients = {a: tail_g * -scale, b: tail_f * scale}
-    return ReductionCert(s, reducers, order, quotients, u.zero(), REDUCED_TO_ZERO, 0)
+    (uf, mf, f), (ug, mg, g) = reducer_a, reducer_b
+    unit = uf * ug
+    for m, c in g.items():
+        if m != mg:
+            yield a, m, _div(-c, unit)
+    for m, c in f.items():
+        if m != mf:
+            yield b, m, _div(c, unit)
+
+
+def _run(gens, order, width):
+    """``buchberger_check`` with fields of ``width`` bits; ``_Overflow``
+    if they are too narrow."""
+    ring = _Ring(order, width)
+    polys = [ring.pack(g) for g in gens]
+    lead = [ring.lead(p, g) for p, g in zip(polys, gens)]
+    # a divisor packs to a smaller int, or to the same int when the leads
+    # are equal; so in this order a lead meets every lead that divides it
+    # first, and of equal leads the lowest index
+    basis = []
+    for k in sorted(range(len(gens)), key=lambda k: (lead[k][1], k)):
+        m = lead[k][1]
+        if all((m - lead[j][1]) & ring.guard for j in basis):
+            basis.append(k)
+    basis.sort()
+    reducers = [lead[k] + (polys[k],) for k in basis]
+    basis_polys = tuple(gens[k] for k in basis)
+    support = [ring.support(lead[k][1]) for k in basis]
+    report = BuchbergerReport(order=order, generators=gens, basis=tuple(basis))
+    for a, i in enumerate(basis):
+        for b in range(a + 1, len(basis)):
+            j = basis[b]
+            s = ring.s_pair(polys[i], polys[j], lead[i], lead[j])
+            if not s:
+                report.pairs.append(PairResult(i, j, True, None))
+            elif not support[a] & support[b]:
+                record = _product_record(a, b, reducers[a], reducers[b])
+                cert = _PackedCert(ring, s, basis_polys, REDUCED_TO_ZERO, 0, record, {}, keys=(a, b))
+                report.pairs.append(PairResult(i, j, False, cert, criterion="product"))
+            else:
+                work = dict(s)
+                cert = _PackedCert(ring, s, basis_polys, *ring.reduce(work, reducers), work)
+                report.pairs.append(PairResult(i, j, False, cert))
+    in_basis = set(basis)
+    for k, p in enumerate(polys):
+        if k not in in_basis:
+            work = dict(p)
+            report.members.append(MemberResult(k, _PackedCert(ring, p, basis_polys, *ring.reduce(work, reducers), work)))
+    return report
 
 
 def buchberger_check(generators, order):
@@ -270,11 +506,19 @@ def buchberger_check(generators, order):
     ideal it generates under ``order``.
 
     The check works on the subset G of generators whose leads are minimal
-    under divisibility (``_minimal_basis``).  Every S-pair of G must
-    top-reduce to zero over G, except that a pair whose s-parts and
-    T-parts are both coprime is certified by Buchberger's product
-    criterion, with the identity of ``_product_cert`` as its certificate.
-    Every generator outside G (a member) must top-reduce to zero over G.
+    under divisibility; of equal leads, G keeps the lowest index.  Every
+    S-pair of G must top-reduce to zero over G, except that a pair whose
+    s-parts and T-parts are both coprime is certified by Buchberger's
+    product criterion, with the identity of ``_product_record`` as its
+    certificate.  Every generator outside G (a member) must top-reduce to
+    zero over G.  Pairs run in index order, then the members.
+
+    The work runs on packed monomials (``_Ring``), from fields that hold
+    twice the largest degree of a generator term.  When a field
+    overflows, the check starts again at double width; what it computes
+    depends only on the input, so the run that completes is exact.  The
+    certificates record their steps and build their polynomials when
+    read.  ``_s_pair`` and ``_reduce`` are the same steps on ``Poly``.
 
     Why this decides what the check over all pairs of F decides:
 
@@ -311,30 +555,19 @@ def buchberger_check(generators, order):
     gens = tuple(generators)
     if not gens:
         raise ValueError("no generators")
+    u = gens[0].universe
+    if any(g.universe is not u for g in gens):
+        raise UniverseMismatch("generators from different universes")
+    if order.universe is not u:
+        raise UniverseMismatch("order over a different universe than the generators")
     if any(g.is_zero() for g in gens):
         raise ValueError("zero generator")
-    lead = [_lead_parts(g, order) for g in gens]
-    basis = _minimal_basis(lead)
-    reducers = tuple(gens[k] for k in basis)
-    table = [lead[k] for k in basis]
-    report = BuchbergerReport(order=order, generators=gens, basis=tuple(basis))
-    for a, i in enumerate(basis):
-        for b in range(a + 1, len(basis)):
-            j = basis[b]
-            s = _s_pair(gens[i], gens[j], lead[i], lead[j])
-            if s.is_zero():
-                report.pairs.append(PairResult(i, j, True, None))
-            elif _coprime(lead[i], lead[j]):
-                cert = _product_cert(s, a, b, reducers, table, order)
-                report.pairs.append(PairResult(i, j, False, cert, criterion="product"))
-            else:
-                cert = _reduce(s, reducers, table, order, DEFAULT_MAX_STEPS)
-                report.pairs.append(PairResult(i, j, False, cert))
-    in_basis = set(basis)
-    for k, g in enumerate(gens):
-        if k not in in_basis:
-            report.members.append(MemberResult(k, _reduce(g, reducers, table, order, DEFAULT_MAX_STEPS)))
-    return report
+    width = (2 * max(m.degree() for g in gens for m, _ in g.terms) + 1).bit_length() + 1
+    while True:
+        try:
+            return _run(gens, order, width)
+        except _Overflow:
+            width *= 2
 
 
 @dataclass

@@ -42,7 +42,7 @@ from functools import cached_property
 from itertools import combinations_with_replacement, product
 from math import comb, prod
 
-from .poly import CapExceeded, Mono, Poly, SpecError
+from .poly import CapExceeded, Mono, Packing, Poly, SpecError
 from .sseq import SMonomial, syzygy_generators
 
 DEFAULT_T_CAP = 3
@@ -275,10 +275,10 @@ class _Sweep:
     """What the pieces of one sweep share: the generators, evaluated and
     checked once, and every enumerated piece, memoized by degree.
 
-    Monomials are packed into Python ints with one field of ``width``
-    bits per coordinate.  Source coordinates are each block's variables in
-    block order, then the ambient symbols; image coordinates are the
-    ambient symbols, then t_1, ..., t_r.  Packing is additive, and so is
+    Monomials are packed by two ``Packing`` layouts of one field width:
+    ``src`` has each block's variables in block order, then the ambient
+    symbols; ``img`` has the ambient symbols, then t_1, ..., t_r.
+    Packing is additive, and so is
     the presentation map on exponent vectors: a monomial's packed image is
     the sum of its variables' packed images (``t_image``, or the symbol
     itself for an ambient symbol).  A coordinate of a monomial of degree
@@ -300,18 +300,16 @@ class _Sweep:
         self.data = data
         self.cap = cap
         bound = max((max(weight, sum(tvec)) for tvec, weight in degrees), default=0)
-        width = self.width = max(bound.bit_length(), 1)
+        width = max(bound.bit_length(), 1)
         self.block_vids = [tuple(bd.vids.values()) for bd in pres.blocks]
-        self.src_coords = [v for vids in self.block_vids for v in vids] + list(data.ambient_ids)
-        self.img_coords = list(data.ambient_ids) + list(pres.universe.t_ids)
-        unit = {v: 1 << (k * width) for k, v in enumerate(self.img_coords)}
+        self.src = Packing([v for vids in self.block_vids for v in vids] + list(data.ambient_ids), width)
+        self.img = Packing(list(data.ambient_ids) + list(pres.universe.t_ids), width)
         self.packed = {}  # ring variable -> (packed source, packed image, weight)
-        for k, v in enumerate(self.src_coords):
+        for v in self.src.coords:
             if v in data.t_image:
-                image = sum(e * unit[x] for x, e in data.t_image[v])
-                self.packed[v] = (1 << (k * width), image, data.t_weight[v])
+                self.packed[v] = (self.src.pack(((v, 1),)), self.img.pack(data.t_image[v]), data.t_weight[v])
             else:
-                self.packed[v] = (1 << (k * width), unit[v], 1)
+                self.packed[v] = (self.src.pack(((v, 1),)), self.img.pack(((v, 1),)), 1)
         self.tparts = {}
         self.ambient = {}
         self.pieces = {}
@@ -370,12 +368,6 @@ class _Sweep:
         piece = self.pieces[key] = (src, img)
         return piece
 
-    def unpack(self, packed, coords):
-        """The ``Mono`` of a packed source (``src_coords``) or image
-        (``img_coords``)."""
-        mask = (1 << self.width) - 1
-        return Mono(tuple((v, packed >> (k * self.width) & mask) for k, v in enumerate(coords)))
-
     @cached_property
     def moves(self):
         """(m_a, m_b, g_t, g_w) per nonzero generator, m_a and m_b packed.
@@ -387,7 +379,7 @@ class _Sweep:
             if p.is_zero():
                 continue
             ma, mb = _kernel_binomial(self.data, p)
-            pa, pb = (sum(e * self.packed[v][0] for v, e in m.exps) for m in (ma, mb))
+            pa, pb = self.src.pack(ma.exps), self.src.pack(mb.exps)
             out.append((pa, pb) + self.data.poly_degree(p))
         return out
 
@@ -428,11 +420,11 @@ class _Sweep:
         for i, v in enumerate(img):
             fibers.setdefault(v, []).append(i)
         groups = [g for g in fibers.values() if len(g) > 1]
-        groups.sort(key=lambda g: self.unpack(img[g[0]], self.img_coords).exps)
+        groups.sort(key=lambda g: self.img.unpack(img[g[0]]).exps)
         for i0, *rest in groups:
             for i in rest:
                 if comps.find(i0) != comps.find(i):
-                    m0, m = self.unpack(src[i0], self.src_coords), self.unpack(src[i], self.src_coords)
+                    m0, m = self.src.unpack(src[i0]), self.src.unpack(src[i])
                     c0, c = (prod(self.data.t_coeff.get(v, 1) ** e for v, e in x.exps) for x in (m0, m))
                     return self.pres.universe.from_terms([(m0, c), (m, -c0)])
 

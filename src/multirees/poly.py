@@ -164,6 +164,36 @@ class Mono:
 MONO_ONE = Mono(())
 
 
+class Packing:
+    """A layout of monomials in Python ints: the variables ``coords``, the
+    first in the lowest field, each in a field of ``width`` bits.
+
+    Packing is additive, so a product of monomials is the sum of their
+    ints, as long as no exponent reaches 2**width.  The caller sizes the
+    width, or keeps the top bit of every field clear as a guard and tests
+    it after each sum."""
+
+    __slots__ = ("coords", "width", "shift")
+
+    def __init__(self, coords, width):
+        self.coords = tuple(coords)
+        self.width = width
+        self.shift = {v: k * width for k, v in enumerate(self.coords)}
+
+    def pack(self, exps):
+        """The int of the (variable id, exponent) pairs ``exps``, such as
+        ``Mono.exps``."""
+        shift = self.shift
+        return sum(e << shift[v] for v, e in exps)
+
+    def unpack(self, packed):
+        """The ``Mono`` of the fields of ``coords``; bits above them are
+        ignored."""
+        width = self.width
+        mask = (1 << width) - 1
+        return Mono(tuple((v, packed >> (k * width) & mask) for k, v in enumerate(self.coords)))
+
+
 class VarUniverse:
     """Immutable inventory of variables; polynomials are bound to one.
 

@@ -4,7 +4,8 @@ The acceptance tests record one verdict line per criterion; the terminal
 summary prints them after the run so the pass/fail ledger is visible even
 though stdout inside tests is captured.  ``desk_scale_specs`` is the
 spec suite that the acceptance sweep and the Groebner differential
-share; ``emission_specs`` adds two wider ones for the emission tests.
+share; ``emission_specs`` adds two wider ones for the emission tests,
+and ``gb_heavy_specs`` are the benchmark's Buchberger-bound shapes.
 """
 from itertools import combinations
 
@@ -43,6 +44,15 @@ def emission_specs():
     )
     wide = ReesSpec(seq=SeqSpec(n=5), blocks=tuple((rows, 1) for rows in combinations(range(1, 6), 2)))
     return desk_scale_specs() + [paper, wide]
+
+
+def gb_heavy_specs():
+    """The four spec shapes of the benchmark's Buchberger-bound workload:
+    a power-two block on all three rows of n = 3, then each row pair at
+    power one, or one row at power two."""
+    heavy = ((1, 2, 3), 2)
+    others = [(rows, 1) for rows in combinations((1, 2, 3), 2)] + [((2,), 2)]
+    return [ReesSpec(seq=SeqSpec(n=3), blocks=(heavy, other)) for other in others]
 
 
 def record_criterion(number, label, ok, detail=""):

@@ -7,11 +7,14 @@ a hostile precedence exercises the honest INCONCLUSIVE path.
 
 ``buchberger_check`` certifies a minimal basis and skips coprime pairs;
 ``all_pairs_ok`` below, which reduces every S-pair of the whole family,
-is the reference it must agree with.  ``verify`` certifies the full
-family F through its single-cycle members F1; on specs where F has
-multi-cycle unions, the all-pairs verdict on F is the reference for the
-verdict on F1.
+is the reference its verdict must agree with.  It runs on packed
+monomials; ``reference_buchberger_check`` below is the same pair loop on
+``Poly``, and its report must equal the packed one field for field.
+``verify`` certifies the full family F through its single-cycle members
+F1; on specs where F has multi-cycle unions, the all-pairs verdict on F
+is the reference for the verdict on F1.
 """
+import json
 import random
 from fractions import Fraction
 
@@ -19,26 +22,142 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import desk_scale_specs
-from multirees.cli import _report_json
+from conftest import desk_scale_specs, gb_heavy_specs
+from multirees import grobner, poly
+from multirees.cli import _report_json, main
 from multirees.grobner import (
     DEFAULT_MAX_STEPS,
     INCONCLUSIVE,
     REDUCED_TO_ZERO,
     BuchbergerReport,
-    _lead_divides,
+    MemberResult,
+    PairResult,
+    ReductionCert,
     _lead_parts,
     _reduce,
+    _s_pair,
     buchberger_check,
     default_order_suite,
     s_poly,
     top_reduce,
     universal_gb_check,
 )
-from multirees.poly import GuardExceeded, MonomialOrder, VarUniverse, leading
+from multirees.poly import GuardExceeded, Mono, MonomialOrder, Poly, UniverseMismatch, VarUniverse, leading
 from multirees.quasimat import generic_matrix, ibin_generators
-from multirees.rees import FULL, SINGLE, ReesSpec, build_presentation, defining_generators
+from multirees.rees import FULL, SINGLE, ReesSpec, build_presentation, defining_generators, spec_to_dict
 from multirees.sseq import SeqSpec
+
+
+def _lead_divides(a, b):
+    """Whether lead ``a`` divides lead ``b``: both the s-parts and the
+    T-parts divide."""
+    return a[1].divides(b[1]) and a[2].divides(b[2])
+
+
+def _minimal_basis(lead):
+    """Indices of the leads that no other lead divides; of equal leads,
+    only the lowest index."""
+    return [
+        k
+        for k, lk in enumerate(lead)
+        if not any(
+            j != k and _lead_divides(lj, lk) and (j < k or not _lead_divides(lk, lj))
+            for j, lj in enumerate(lead)
+        )
+    ]
+
+
+def _coprime(a, b):
+    return a[1].gcd(b[1]).is_one() and a[2].gcd(b[2]).is_one()
+
+
+def _product_cert(s, a, b, reducers, lead, order):
+    """Certificate of S(f, g) = (f'*g - g'*f)/(u_f*u_g) for reducers ``a``
+    and ``b``, where f' and g' are f and g without their leading terms."""
+    f, g = reducers[a], reducers[b]
+    uf, df, mf = lead[a]
+    ug, dg, mg = lead[b]
+    u = f.universe
+    scale = Fraction(1, 1) / (uf * ug)
+    tail_f = f - u.term(uf, df.mul(mf))
+    tail_g = g - u.term(ug, dg.mul(mg))
+    quotients = {a: tail_g * -scale, b: tail_f * scale}
+    return ReductionCert(s, reducers, order, quotients, u.zero(), REDUCED_TO_ZERO, 0)
+
+
+def reference_buchberger_check(generators, order):
+    """``buchberger_check`` on ``Poly``: the same minimal basis, pairs,
+    criterion and first-applicable-reducer rule, with every certificate
+    built as it goes."""
+    gens = tuple(generators)
+    if not gens:
+        raise ValueError("no generators")
+    if any(g.is_zero() for g in gens):
+        raise ValueError("zero generator")
+    lead = [_lead_parts(g, order) for g in gens]
+    basis = _minimal_basis(lead)
+    reducers = tuple(gens[k] for k in basis)
+    table = [lead[k] for k in basis]
+    report = BuchbergerReport(order=order, generators=gens, basis=tuple(basis))
+    for a, i in enumerate(basis):
+        for b in range(a + 1, len(basis)):
+            j = basis[b]
+            s = _s_pair(gens[i], gens[j], lead[i], lead[j])
+            if s.is_zero():
+                report.pairs.append(PairResult(i, j, True, None))
+            elif _coprime(lead[i], lead[j]):
+                cert = _product_cert(s, a, b, reducers, table, order)
+                report.pairs.append(PairResult(i, j, False, cert, criterion="product"))
+            else:
+                cert = _reduce(s, reducers, table, order, grobner.DEFAULT_MAX_STEPS)
+                report.pairs.append(PairResult(i, j, False, cert))
+    in_basis = set(basis)
+    for k, g in enumerate(gens):
+        if k not in in_basis:
+            report.members.append(MemberResult(k, _reduce(g, reducers, table, order, grobner.DEFAULT_MAX_STEPS)))
+    return report
+
+
+def assert_same_cert(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert (got.status, got.steps) == (want.status, want.steps)
+    assert got.reducers == want.reducers and got.order is want.order
+    assert got.target == want.target
+    assert got.remainder == want.remainder
+    assert list(got.quotients.items()) == list(want.quotients.items())
+
+
+def assert_same_report(rep, ref):
+    """Every field of the packed report equals the reference's."""
+    assert rep.order is ref.order and rep.generators == ref.generators
+    assert rep.basis == ref.basis
+    assert [(p.i, p.j, p.spair_zero, p.criterion) for p in rep.pairs] == [
+        (p.i, p.j, p.spair_zero, p.criterion) for p in ref.pairs
+    ]
+    for got, want in zip(rep.pairs, ref.pairs):
+        assert_same_cert(got.cert, want.cert)
+    assert [m.k for m in rep.members] == [m.k for m in ref.members]
+    for got, want in zip(rep.members, ref.members):
+        assert_same_cert(got.cert, want.cert)
+    assert rep.summary() == ref.summary()
+    assert _report_json(rep) == _report_json(ref)
+
+
+def check_against_reference(gens, order):
+    """The packed report equals the reference report, or both raise the
+    same error."""
+    try:
+        ref = reference_buchberger_check(gens, order)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as got:
+            buchberger_check(gens, order)
+        assert str(got.value) == str(exc)
+        return None
+    rep = buchberger_check(gens, order)
+    assert_same_report(rep, ref)
+    return rep
 
 
 def all_pairs_ok(gens, order):
@@ -318,6 +437,126 @@ class TestAllPairsReference:
         rep = buchberger_check(gens, order)
         assert rep.ok == all_pairs_ok(gens, order)
         assert rep.verify_certificates()
+
+
+# the paper's five-ideal example
+PAPER = ReesSpec(
+    seq=SeqSpec(n=4, names=("p1", "p2", "x", "y")),
+    blocks=(((1, 2), 1), ((1, 3), 1), ((2, 3), 1), ((1, 4), 1), ((2, 4), 1)),
+)
+
+# generators with s-, x- and T-variables; a random term draws its
+# exponents in this order, with the x-variable in one term of eight, so
+# that most families have leads of s-monomial type
+RANDOM_UNIVERSES = {
+    domain: VarUniverse(s_names=("s1", "s2"), x_names=("x1",), T_names=("A", "B", "C", "D"), domain=domain)
+    for domain in ("QQ", "ZZ")
+}
+
+
+def random_term():
+    small = st.integers(0, 2)
+    return st.tuples(
+        st.sampled_from((1, -1, 1, -1, 2, -3, Fraction(1, 2))),
+        st.tuples(small, small, st.sampled_from((0,) * 7 + (1,)), small, small, small, small),
+    )
+
+
+class TestPackedAgainstReference:
+    """The packed check's report, certificate by certificate, against
+    ``reference_buchberger_check``."""
+
+    def test_desk_specs(self):
+        for u, gens in SMALL_DESK:
+            for order in (MonomialOrder(u, "lex"), MonomialOrder(u, "grevlex"), spread_first_lex(u)):
+                check_against_reference(gens, order)
+
+    def test_gb_heavy_shapes(self):
+        for spec in gb_heavy_specs():
+            pres = build_presentation(spec)
+            gens = [g.poly for g in defining_generators(pres, SINGLE)]
+            for kind in ("lex", "grevlex"):
+                assert check_against_reference(gens, MonomialOrder(pres.universe, kind)).ok
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        domain=st.sampled_from(("QQ", "QQ", "ZZ")),
+        binomials=st.lists(st.tuples(random_term(), random_term()), min_size=1, max_size=5),
+        kind=st.sampled_from(("lex", "grlex", "grevlex")),
+        precedence=st.permutations(range(4)),
+    )
+    def test_random_binomials(self, domain, binomials, kind, precedence):
+        u = RANDOM_UNIVERSES[domain]
+        vids = [v.vid for v in u.vars]
+        gens = [u.from_terms([(Mono(zip(vids, e)), c) for c, e in terms]) for terms in binomials]
+        order = MonomialOrder(u, kind, [u.T_ids[k] for k in precedence])
+        check_against_reference(gens, order)
+
+    def test_widening(self, monkeypatch):
+        # the member A*E - F walks down to D^8*E - F, past the three value
+        # bits that fit the generators' degree 2 twice over
+        u = VarUniverse(s_names=("s1",), T_names=tuple("ABCDEF"))
+        A, B, C, D, E, F = (u.poly_var(v) for v in "ABCDEF")
+        widths = []
+        run = grobner._run
+
+        def spy(gens, order, width):
+            widths.append(width)
+            return run(gens, order, width)
+
+        monkeypatch.setattr(grobner, "_run", spy)
+        rep = check_against_reference([A - B * B, B - C * C, C - D * D, A * E - F], MonomialOrder(u, "lex"))
+        assert widths == [4, 8]
+        assert rep.members[0].cert.remainder == D ** 8 * E - F
+
+    def test_step_guard(self, monkeypatch):
+        u = VarUniverse(s_names=("s1",), T_names=("A", "B"))
+        A, B = u.poly_var("A"), u.poly_var("B")
+        monkeypatch.setattr(grobner, "DEFAULT_MAX_STEPS", 3)
+        check_against_reference([A - B, A ** 6], MonomialOrder(u, "lex"))
+        with pytest.raises(GuardExceeded):
+            buchberger_check([A - B, A ** 6], MonomialOrder(u, "lex"))
+
+
+class TestUniverses:
+    def test_order_from_another_universe(self):
+        u = VarUniverse(s_names=("s1",), T_names=("A", "B", "C"))
+        u3 = VarUniverse(s_names=("s1",), T_names=("P", "Q", "R"))
+        A, B, C = (u.poly_var(v) for v in "ABC")
+        with pytest.raises(UniverseMismatch):
+            buchberger_check([A - B, B - C], MonomialOrder(u3, "lex"))
+
+    def test_generators_from_two_universes(self):
+        u = VarUniverse(s_names=("s1",), T_names=("A", "B", "C"))
+        v = VarUniverse(s_names=("s1",), T_names=("A", "B", "C"))
+        with pytest.raises(UniverseMismatch):
+            buchberger_check([u.poly_var("A") - u.poly_var("B"), v.poly_var("B") - v.poly_var("C")], MonomialOrder(u, "lex"))
+
+
+def test_hot_path_builds_no_poly(monkeypatch, tmp_path, capsys):
+    pres = build_presentation(gb_heavy_specs()[0])
+    gens = [g.poly for g in defining_generators(pres, SINGLE)]
+    path = tmp_path / "paper.json"
+    path.write_text(json.dumps(spec_to_dict(PAPER)))
+
+    def arithmetic(*args, **kwargs):
+        raise AssertionError("Poly arithmetic on the Buchberger path")
+
+    for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "term_mul"):
+        monkeypatch.setattr(Poly, name, arithmetic)
+    monkeypatch.setattr(poly, "leading", arithmetic)
+    monkeypatch.setattr(grobner, "leading", arithmetic)
+    rep = buchberger_check(gens, MonomialOrder(pres.universe, "grevlex"))
+    assert rep.ok and any(pr.cert is not None and pr.cert.steps for pr in rep.pairs)
+    assert main(["verify", str(path)]) == 0
+    monkeypatch.undo()
+    # a stuck case builds its certificates when they are read, and they replay
+    hostile = build_presentation(ReesSpec(seq=SeqSpec(n=2), blocks=(((1, 2), 2),)))
+    rep = buchberger_check([g.poly for g in defining_generators(hostile, FULL)], spread_first_lex(hostile.universe))
+    certs = [r.cert for r in rep.pairs + rep.members if r.cert is not None]
+    assert certs and not any({"target", "quotients", "remainder"} & set(vars(c)) for c in certs)
+    assert rep.failures and all(not r.cert.remainder.is_zero() for r in rep.failures)
+    assert rep.verify_certificates()
 
 
 class TestSingleCycleFamily:

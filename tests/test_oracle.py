@@ -596,8 +596,8 @@ class TestPackedSweep:
         for tvec, weight in degrees:
             src, img = sweep.piece(tvec, weight)
             monos = source_monomials(pres, tvec, weight, data)
-            assert [sweep.unpack(x, sweep.src_coords) for x in src] == monos
-            assert [sweep.unpack(x, sweep.img_coords) for x in img] == [data.image(m)[1] for m in monos]
+            assert [sweep.src.unpack(x) for x in src] == monos
+            assert [sweep.img.unpack(x) for x in img] == [data.image(m)[1] for m in monos]
         gens = defining_generators(pres, RESTRICTED)
         assert_sweep_matches_mono_reference(pres, gens[1:], degrees)
 

@@ -3,7 +3,9 @@ the program (``perfbench/tracing.py``, ``TARGETS``) and counts work from
 the values they return (``COUNTERS``).  A rename or deletion in ``src/``
 that drops one of those names, or a change to a returned type that a
 counter reads, would break ``perfbench/run.py --trace 1``; these tests
-catch it in the tier-1 run.
+catch it in the tier-1 run.  The tracer's Buchberger counts on the
+benchmark's Buchberger-bound shapes are pinned, so a change that does
+more or less S-pair work fails here.
 """
 import contextlib
 import importlib
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import gb_heavy_specs
 from multirees.cli import main
 from multirees.grobner import buchberger_check
 from multirees.oracle import oracle_check
@@ -117,3 +120,21 @@ def test_single_is_no_cli_family(paper_file, capsys):
         main(["verify", paper_file, "--family", SINGLE])
     assert exc.value.code == 2
     assert "invalid choice: 'single'" in capsys.readouterr().err
+
+
+def test_gb_heavy_work_counts(tmp_path):
+    # the S-pair work behind the four gb_heavy verdicts, as measured on
+    # the Poly implementation that the packed check replaced
+    tracing = load_tracing()
+    with tracing.installed(tracing.Tracer()) as tracer, contextlib.redirect_stdout(io.StringIO()):
+        for k, spec in enumerate(gb_heavy_specs()):
+            path = tmp_path / ("h%d.json" % k)
+            path.write_text(json.dumps(spec_to_dict(spec)))
+            assert main(["verify", str(path), "--format", "json"]) == 0
+    names = ("grobner.pairs", "grobner.pairs_reduced", "grobner.reduction_steps", "grobner.stuck")
+    assert {name: tracer.counts[name] for name in names} == {
+        "grobner.pairs": 1100,
+        "grobner.pairs_reduced": 1100,
+        "grobner.reduction_steps": 618,
+        "grobner.stuck": 0,
+    }
