@@ -23,8 +23,9 @@ field per variable, laid out so that the order key is read off the int,
 and a divisibility test or an lcm is a few int operations
 (``_Ring``).  A step records (reducer index, packed shift, coefficient);
 a certificate builds its target, quotients and remainder as ``Poly``
-only when they are read.  ``s_poly``, ``top_reduce`` and their helpers
-are the same steps on ``Poly``, the reference the tests compare with.
+only when they are read.  ``s_poly`` and ``top_reduce`` run the same
+packed steps on one pair or one target; the same steps on ``Poly``, the
+reference that all three are compared with, live in the tests.
 
 Reduction is top-reduction only and can get stuck; a stuck state is
 reported as INCONCLUSIVE, never as a disproof.  All certificates carry
@@ -46,55 +47,12 @@ from .poly import (
     default_t_precedence,
     leading,
     mono_text,
-    s_term_parts,
 )
 
 REDUCED_TO_ZERO = "REDUCED_TO_ZERO"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 DEFAULT_MAX_STEPS = 10000
-
-
-def _lead_parts(p, order):
-    """(unit, s-monomial, T-monomial) of an s-monomial-type polynomial."""
-    lc, lm = leading(p, order)
-    parts = s_term_parts(lc)
-    if parts is None:
-        raise _not_s_monomial_type(lc, order)
-    unit, smono = parts
-    return unit, smono, lm
-
-
-def _not_s_monomial_type(lc, order):
-    return ValueError(
-        "polynomial is not of s-monomial type under %s: leading coefficient %s" % (order.describe(), lc.render())
-    )
-
-
-def s_poly(f, g, order):
-    """The S-pair of two s-monomial-type polynomials.
-
-    Scaled so that it is a genuine polynomial: with leading terms
-    u_f*d_f*m_f and u_g*d_g*m_g, this is
-
-        (D/d_f)(1/u_f)(M/m_f)*f - (D/d_g)(1/u_g)(M/m_g)*g
-
-    for D = lcm(d_f, d_g) and M = lcm(m_f, m_g); both leading terms land
-    on D*M and cancel.
-    """
-    if f.universe is not g.universe:
-        raise ValueError("S-pair across universes")
-    return _s_pair(f, g, _lead_parts(f, order), _lead_parts(g, order))
-
-
-def _s_pair(f, g, lead_f, lead_g):
-    """``s_poly`` of f and g from their ``_lead_parts``."""
-    (uf, df, mf), (ug, dg, mg) = lead_f, lead_g
-    M = mf.lcm(mg)
-    D = df.lcm(dg)
-    left = f.term_mul(Fraction(1, 1) / uf, D.div(df).mul(M.div(mf)))
-    right = g.term_mul(Fraction(1, 1) / ug, D.div(dg).mul(M.div(mg)))
-    return left - right
 
 
 @dataclass
@@ -118,40 +76,6 @@ class ReductionCert:
         for idx, q in self.quotients.items():
             acc = acc + q * self.reducers[idx]
         return acc == self.target
-
-
-def top_reduce(p, reducers, order, max_steps=DEFAULT_MAX_STEPS):
-    """Top-reduce ``p`` by s-monomial-type ``reducers``; never inspects
-    trailing terms of ``p``, so a nonzero remainder means only that no
-    leading-term step applies (INCONCLUSIVE)."""
-    reducers = tuple(reducers)
-    lead = [_lead_parts(g, order) for g in reducers]
-    return _reduce(p, reducers, lead, order, max_steps)
-
-
-def _reduce(p, reducers, lead, order, max_steps):
-    """``top_reduce`` against ``lead``, the ``_lead_parts`` of each reducer;
-    each step uses the first reducer that applies."""
-    quotients = {}
-    work = p
-    steps = 0
-    while not work.is_zero():
-        lc, lm = leading(work, order)
-        for chosen, (_, dg, mg) in enumerate(lead):
-            if mg.divides(lm) and all(dg.divides(m) for m, _ in lc.terms):
-                break
-        else:
-            return ReductionCert(p, reducers, order, quotients, work, INCONCLUSIVE, steps)
-        ug, dg, mg = lead[chosen]
-        shift = lm.div(mg)
-        u = p.universe
-        q = Poly(u, tuple((m.div(dg).mul(shift), c / ug) for m, c in lc.terms))
-        work = work - q * reducers[chosen]
-        quotients[chosen] = quotients.get(chosen, u.zero()) + q
-        steps += 1
-        if steps > max_steps:
-            raise GuardExceeded("top-reduction exceeded %d steps" % max_steps)
-    return ReductionCert(p, reducers, order, quotients, work, REDUCED_TO_ZERO, steps)
 
 
 @dataclass
@@ -317,14 +241,19 @@ class _Ring:
         return [m for m in p if m >> tshift == top]
 
     def lead(self, p, g):
-        """(unit, packed lead monomial) of ``p``, the packed generator
-        ``g``; ValueError unless the lead is of s-monomial type."""
-        group = self.lead_group(p)
-        m = group[0]
-        c = p[m]
-        if len(group) > 1 or m & self.non_s or (self.universe.domain == "ZZ" and abs(c) != 1):
-            raise _not_s_monomial_type(leading(g, self.order)[0], self.order)
-        return c, m
+        """(unit, packed lead monomial) of ``p``, the packed ``g``: a unit
+        times an s-monomial times a T-monomial.  Otherwise ValueError, or
+        ``leading``'s ZeroPolynomial when ``g`` is zero."""
+        group = self.lead_group(p) if p else ()
+        if len(group) == 1:
+            m = group[0]
+            c = p[m]
+            if not m & self.non_s and (self.universe.domain != "ZZ" or abs(c) == 1):
+                return c, m
+        lc, _ = leading(g, self.order)
+        raise ValueError(
+            "polynomial is not of s-monomial type under %s: leading coefficient %s" % (self.order.describe(), lc.render())
+        )
 
     def _ge(self, a, b):
         """The value bits of each field where a's field is at least b's."""
@@ -353,7 +282,7 @@ class _Ring:
         return ((m | self.var_guard) - self.var_ones) & self.var_guard
 
     def s_pair(self, f, g, lead_f, lead_g):
-        """``_s_pair`` on packed polynomials."""
+        """``s_poly`` of the packed f and g from their ``lead``s."""
         (uf, mf), (ug, mg) = lead_f, lead_g
         top = self.lcm(mf, mg)
         guard = self.guard
@@ -374,11 +303,13 @@ class _Ring:
                 del out[m]
         return out
 
-    def reduce(self, work, reducers):
-        """``_reduce`` of the packed polynomial ``work``, in place, over
-        ``reducers``, a list of (unit, packed lead, packed polynomial).
-        Returns (status, steps, record) with one (reducer index, packed
-        shift, coefficient) per quotient term."""
+    def reduce(self, work, reducers, max_steps):
+        """``top_reduce`` of the packed polynomial ``work``, in place, over
+        ``reducers``, a list of (unit, packed lead, packed polynomial):
+        each step divides the whole leading coefficient by the first
+        reducer whose lead divides each of its terms.  Returns (status,
+        steps, record) with one (reducer index, packed shift, coefficient)
+        per quotient term; GuardExceeded past ``max_steps`` steps."""
         guard = self.guard
         record = []
         steps = 0
@@ -404,8 +335,8 @@ class _Ring:
                     else:
                         del work[m]
             steps += 1
-            if steps > DEFAULT_MAX_STEPS:
-                raise GuardExceeded("top-reduction exceeded %d steps" % DEFAULT_MAX_STEPS)
+            if steps > max_steps:
+                raise GuardExceeded("top-reduction exceeded %d steps" % max_steps)
         return REDUCED_TO_ZERO, steps, record
 
 
@@ -491,13 +422,14 @@ def _run(gens, order, width):
                 report.pairs.append(PairResult(i, j, False, cert, criterion="product"))
             else:
                 work = dict(s)
-                cert = _PackedCert(ring, s, basis_polys, *ring.reduce(work, reducers), work)
+                cert = _PackedCert(ring, s, basis_polys, *ring.reduce(work, reducers, DEFAULT_MAX_STEPS), work)
                 report.pairs.append(PairResult(i, j, False, cert))
     in_basis = set(basis)
     for k, p in enumerate(polys):
         if k not in in_basis:
             work = dict(p)
-            report.members.append(MemberResult(k, _PackedCert(ring, p, basis_polys, *ring.reduce(work, reducers), work)))
+            cert = _PackedCert(ring, p, basis_polys, *ring.reduce(work, reducers, DEFAULT_MAX_STEPS), work)
+            report.members.append(MemberResult(k, cert))
     return report
 
 
@@ -515,10 +447,12 @@ def buchberger_check(generators, order):
 
     The work runs on packed monomials (``_Ring``), from fields that hold
     twice the largest degree of a generator term.  When a field
-    overflows, the check starts again at double width; what it computes
-    depends only on the input, so the run that completes is exact.  The
+    overflows, the check starts again at double width (``_widened``,
+    which ``s_poly`` and ``top_reduce`` share); what it computes depends
+    only on the input, so the run that completes is exact.  The
     certificates record their steps and build their polynomials when
-    read.  ``_s_pair`` and ``_reduce`` are the same steps on ``Poly``.
+    read.  Generators and order must share one universe
+    (UniverseMismatch otherwise).
 
     Why this decides what the check over all pairs of F decides:
 
@@ -555,17 +489,62 @@ def buchberger_check(generators, order):
     gens = tuple(generators)
     if not gens:
         raise ValueError("no generators")
-    u = gens[0].universe
-    if any(g.universe is not u for g in gens):
-        raise UniverseMismatch("generators from different universes")
-    if order.universe is not u:
-        raise UniverseMismatch("order over a different universe than the generators")
     if any(g.is_zero() for g in gens):
         raise ValueError("zero generator")
-    width = (2 * max(m.degree() for g in gens for m, _ in g.terms) + 1).bit_length() + 1
+    return _widened(gens, order, lambda width: _run(gens, order, width))
+
+
+def s_poly(f, g, order):
+    """The S-pair of two s-monomial-type polynomials.
+
+    Scaled so that it is a genuine polynomial: with leading terms
+    u_f*d_f*m_f and u_g*d_g*m_g, this is
+
+        (D/d_f)(1/u_f)(M/m_f)*f - (D/d_g)(1/u_g)(M/m_g)*g
+
+    for D = lcm(d_f, d_g) and M = lcm(m_f, m_g); both leading terms land
+    on D*M and cancel.
+    """
+
+    def run(width):
+        ring = _Ring(order, width)
+        pf, pg = ring.pack(f), ring.pack(g)
+        return ring.poly(ring.s_pair(pf, pg, ring.lead(pf, f), ring.lead(pg, g)))
+
+    return _widened((f, g), order, run)
+
+
+def top_reduce(p, reducers, order, max_steps=DEFAULT_MAX_STEPS):
+    """Top-reduce ``p`` by s-monomial-type ``reducers`` (``_Ring.reduce``);
+    never inspects trailing terms of ``p``, so a nonzero remainder means
+    only that no leading-term step applies (INCONCLUSIVE)."""
+    reducers = tuple(reducers)
+
+    def run(width):
+        ring = _Ring(order, width)
+        table = []
+        for g in reducers:
+            packed = ring.pack(g)
+            table.append(ring.lead(packed, g) + (packed,))
+        target = ring.pack(p)
+        work = dict(target)
+        return _PackedCert(ring, target, reducers, *ring.reduce(work, table, max_steps), work)
+
+    return _widened((p,) + reducers, order, run)
+
+
+def _widened(polys, order, run):
+    """``run(width)`` with fields that hold twice the largest degree of a
+    term of ``polys``, run again at double width while a field overflows.
+    What a run computes depends only on its input, so the run that
+    completes is exact.  UniverseMismatch unless ``polys`` and ``order``
+    share one universe."""
+    if any(p.universe is not order.universe for p in polys):
+        raise UniverseMismatch("polynomials over a different universe than the order")
+    width = (2 * max((m.degree() for p in polys for m, _ in p.terms), default=0) + 1).bit_length() + 1
     while True:
         try:
-            return _run(gens, order, width)
+            return run(width)
         except _Overflow:
             width *= 2
 

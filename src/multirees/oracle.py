@@ -26,8 +26,10 @@ packed source and packed image, and a monomial is the sum of its parts.
 Packed ints hold one fixed-width field per coordinate, wide enough for
 the largest coordinate any piece of the sweep can have, so sums never
 carry and equal ints mean equal monomials.  ``Mono`` and ``Poly`` are
-built only for a witness; ``source_monomials`` and ``kernel_piece`` are
-the reference path on ``Mono``s that the tests compare the sweep with.
+built only for a witness.  ``source_monomials`` and ``kernel_piece``
+unpack one piece of a sweep, and its kernel basis, as ``Mono``s; the
+reference enumeration and fiber basis on ``Mono``s that the tests
+compare them with live in the tests.
 
 Grading: a piece is indexed by the tuple of block degrees (how many T
 variables of each block) together with the total ambient degree of the
@@ -40,10 +42,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations_with_replacement, product
-from math import comb, prod
+from math import comb
 
 from .poly import CapExceeded, Mono, Packing, Poly, SpecError
-from .sseq import SMonomial, syzygy_generators
 
 DEFAULT_T_CAP = 3
 DEFAULT_PIECE_CAP = 20000
@@ -133,37 +134,6 @@ class ImageData:
         return p
 
 
-def source_monomials(pres, tvec, weight, image_data=None, cap=None):
-    """Every presentation-ring monomial of the given degree, as ``Mono``s:
-    the reference enumeration; the oracle sweep enumerates the same
-    monomials, in the same order, packed (``_Sweep.piece``)."""
-    data = image_data or ImageData(pres)
-    if len(tvec) != pres.spec.r or any(d < 0 for d in tvec):
-        raise ValueError("block degree tuple must list %d nonnegative entries" % pres.spec.r)
-    parts = [list(combinations_with_replacement(bd.vids.values(), d)) for bd, d in zip(pres.blocks, tvec)]
-    out = []
-    for combo in product(*parts):
-        tpairs = {}
-        base_weight = 0
-        for piece in combo:
-            for vid in piece:
-                tpairs[vid] = tpairs.get(vid, 0) + 1
-                base_weight += data.t_weight[vid]
-        rest = weight - base_weight
-        if rest < 0:
-            continue
-        for amb in combinations_with_replacement(data.ambient_ids, rest):
-            pairs = dict(tpairs)
-            for vid in amb:
-                pairs[vid] = pairs.get(vid, 0) + 1
-            out.append(Mono(tuple(pairs.items())))
-            if cap is not None and len(out) > cap:
-                raise CapExceeded(
-                    "degree piece %r/%d exceeds the cap of %d monomials" % (tvec, weight, cap)
-                )
-    return out
-
-
 @dataclass
 class KernelPiece:
     tvec: tuple
@@ -179,32 +149,31 @@ class KernelPiece:
         return universe.from_terms([(self.monomials[i], c) for i, c in vec.items()])
 
 
-def _fiber_basis(data, monos):
-    """Kernel basis of the map on a list of monomials, one fiber at a
-    time: each fiber with k members gives k - 1 differences, written as
-    ``{monomial index: coefficient}``."""
-    fibers = {}
-    for i, m in enumerate(monos):
-        coeff, img = data.image(m)
-        fibers.setdefault(img, []).append((i, coeff))
-    basis = []
-    for img in sorted(fibers, key=lambda m: m.exps):
-        group = fibers[img]
-        if len(group) < 2:
-            continue
-        i0, c0 = group[0]
-        for i, c in group[1:]:
-            basis.append({i0: c, i: -c0})
-    return basis
+def _one_piece(pres, tvec, weight, data, cap):
+    """A ``_Sweep`` with no generators, and the packed (sources, images)
+    of its one piece."""
+    tvec = tuple(tvec)
+    sweep = _Sweep(pres, (), data or ImageData(pres), cap, [(tvec, weight)])
+    return sweep, sweep.piece(tvec, weight)
+
+
+def source_monomials(pres, tvec, weight, image_data=None, cap=None):
+    """Every presentation-ring monomial of the given degree, as ``Mono``s
+    in the sweep's order (``_Sweep.piece``)."""
+    sweep, (src, _) = _one_piece(pres, tvec, weight, image_data, cap)
+    return [sweep.src.unpack(m) for m in src]
 
 
 def kernel_piece(pres, tvec, weight, image_data=None, cap=DEFAULT_PIECE_CAP):
     """Basis of the kernel of the presentation map on one graded piece,
-    computed straight from the fibers (no generators involved).  This is
-    the reference path on ``Mono``s; ``oracle_check`` does not call it."""
-    data = image_data or ImageData(pres)
-    monos = source_monomials(pres, tvec, weight, data, cap=cap)
-    return KernelPiece(tuple(tvec), weight, monos, _fiber_basis(data, monos))
+    computed straight from the fibers (no generators involved): each
+    fiber with k members gives k - 1 differences (``_Sweep.fibers``),
+    written as ``{monomial index: coefficient}``."""
+    sweep, (src, img) = _one_piece(pres, tvec, weight, image_data, cap)
+    monos = [sweep.src.unpack(m) for m in src]
+    coeffs = [sweep.data.image(m)[0] for m in monos]
+    basis = [{i0: coeffs[i], i: -coeffs[i0]} for i0, *rest in sweep.fibers(img) for i in rest]
+    return KernelPiece(tuple(tvec), weight, monos, basis)
 
 
 class _Components:
@@ -324,8 +293,8 @@ class _Sweep:
         ]
 
     def _tparts(self, tvec):
-        """The T-parts of block degree ``tvec``, in ``source_monomials``'
-        order: products of one monomial per block.  Generated lazily and
+        """The T-parts of block degree ``tvec``: products of one monomial
+        per block, in ``itertools.product`` order.  Generated lazily and
         memoized once complete, so a piece over the cap stops before the
         whole product is built."""
         parts = self.tparts.get(tvec)
@@ -340,8 +309,9 @@ class _Sweep:
         self.tparts[tvec] = parts
 
     def piece(self, tvec, weight):
-        """(packed sources, packed images) of the piece, in the order of
-        ``source_monomials``, which raises the same errors."""
+        """(packed sources, packed images) of the piece: each T-part, then
+        each ambient monomial of the weight it leaves.  ValueError for a
+        malformed ``tvec``, CapExceeded for a piece over the cap."""
         key = (tvec, weight)
         piece = self.pieces.get(key)
         if piece is not None:
@@ -412,20 +382,26 @@ class _Sweep:
             witness=witness,
         )
 
-    def witness(self, src, img, comps):
-        """The first basis binomial of ``_fiber_basis`` order whose two
-        monomials lie in different components: fibers sorted by their
-        image's ``Mono.exps``, each fiber's first member against the rest."""
+    def fibers(self, img):
+        """The fibers of a piece with two or more members, as lists of
+        indices into the piece, sorted by their image's ``Mono.exps``.
+        Each fiber's first member against each other member, in this
+        order, is the kernel basis of ``kernel_piece``."""
         fibers = {}
         for i, v in enumerate(img):
             fibers.setdefault(v, []).append(i)
         groups = [g for g in fibers.values() if len(g) > 1]
         groups.sort(key=lambda g: self.img.unpack(img[g[0]]).exps)
-        for i0, *rest in groups:
+        return groups
+
+    def witness(self, src, img, comps):
+        """The first kernel basis binomial (``fibers``) whose two monomials
+        lie in different components."""
+        for i0, *rest in self.fibers(img):
             for i in rest:
                 if comps.find(i0) != comps.find(i):
                     m0, m = self.src.unpack(src[i0]), self.src.unpack(src[i])
-                    c0, c = (prod(self.data.t_coeff.get(v, 1) ** e for v, e in x.exps) for x in (m0, m))
+                    c0, c = self.data.image(m0)[0], self.data.image(m)[0]
                     return self.pres.universe.from_terms([(m0, c), (m, -c0)])
 
 
@@ -505,94 +481,3 @@ def oracle_check(pres, generators, degrees=None, t_cap=None, ambient_cap=None, c
     degrees = list(degrees)
     sweep = _Sweep(pres, generators, data, cap, degrees)
     return OracleReport([sweep.compare(tvec, weight) for tvec, weight in degrees])
-
-
-# --- syzygies of a plain monomial list -------------------------------------
-
-
-def monomial_syzygy_kernel(gens, degree):
-    """Basis of the total-degree-``degree`` piece of the syzygy module of a
-    monomial list: vectors with one monomial entry per slot whose weighted
-    images sum to zero.  Slot ``i`` carries monomials of degree
-    ``degree - gens[i].degree()``.
-
-    Because each slot maps monomials to monomials, the piece splits over
-    the fibers of the map: each target monomial with k preimages
-    contributes k - 1 differences.  Basis vectors are dicts
-    ``{(slot, multiplier): +-1}`` with SMonomial multipliers."""
-    gens = tuple(gens)
-    if not gens:
-        return []
-    n = gens[0].n
-    for u in gens:
-        u._check(gens[0])
-    basis = []
-    for exps in _compositions(degree, n):
-        w = SMonomial(exps)
-        fiber = [(i, w.div(u)) for i, u in enumerate(gens) if u.divides(w)]
-        for other in fiber[1:]:
-            basis.append({fiber[0]: 1, other: -1})
-    return basis
-
-
-@dataclass
-class SyzygyDegreeReport:
-    degree: int
-    kernel_dim: int
-    span_dim: int
-
-    @property
-    def ok(self):
-        return self.kernel_dim == self.span_dim
-
-    def line(self):
-        return "degree %d: kernel dim %d, pairwise span dim %d -> %s" % (
-            self.degree,
-            self.kernel_dim,
-            self.span_dim,
-            "ok" if self.ok else "MISSED",
-        )
-
-
-def syzygy_span_compare(gens, max_degree):
-    """Per total degree up to ``max_degree``, compare the syzygy kernel of
-    a monomial list against the span of monomial multiples of the pairwise
-    syzygies.  The pairwise span always sits inside the kernel (each
-    pairwise vector maps to zero), so dimension equality certifies that
-    the pairwise syzygies generate up to the bound."""
-    gens = tuple(gens)
-    if not gens:
-        return []
-    n = gens[0].n
-    pairwise = syzygy_generators(gens)
-    out = []
-    for degree in range(max_degree + 1):
-        kernel_dim = len(monomial_syzygy_kernel(gens, degree))
-        comps = _Components()
-        span_dim = 0
-        for vec in pairwise:
-            sz_degree = None
-            for slot, entry in enumerate(vec):
-                if entry is not None:
-                    sz_degree = entry[1].degree() + gens[slot].degree()
-                    break
-            rest = degree - sz_degree
-            if rest < 0:
-                continue
-            for mexps in _compositions(rest, n):
-                mult = SMonomial(mexps)
-                nodes = []
-                image = {}
-                for slot, entry in enumerate(vec):
-                    if entry is None:
-                        continue
-                    sign, mono = entry
-                    shifted = mono.mul(mult)
-                    nodes.append((slot, shifted))
-                    target = shifted.mul(gens[slot])
-                    image[target] = image.get(target, 0) + sign
-                if any(image.values()):
-                    raise ValueError("pairwise syzygy multiple does not map to zero")
-                span_dim += comps.join(*nodes)
-        out.append(SyzygyDegreeReport(degree=degree, kernel_dim=kernel_dim, span_dim=span_dim))
-    return out

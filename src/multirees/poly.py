@@ -529,15 +529,3 @@ def s_term_parts(lc):
     if u.domain == "ZZ" and abs(coeff) != 1:
         return None
     return coeff, mono
-
-
-def is_s_monomial_type(p, order):
-    """True when the leading coefficient is a unit times an s-monomial.
-
-    Concrete-mode recognition relies on the formal s-exponents carried by
-    construction; no factorization of coefficient values is attempted.
-    """
-    if p.is_zero():
-        return False
-    lc, _ = leading(p, order)
-    return s_term_parts(lc) is not None

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .poly import GuardExceeded, Mono, VarUniverse
+from .poly import GuardExceeded, Mono
 
 MAX_BINARY_SIZE = 12  # rows + cols of an emitted binary subquasi-matrix
 
@@ -36,9 +36,6 @@ class QuasiMatrix:
 
     def cells(self):
         return sorted(self.entries)
-
-    def is_full(self):
-        return len(self.entries) == self.n_rows * self.n_cols
 
     def pretty(self, names, row_labels=None, col_labels=None):
         grid = []
@@ -260,93 +257,3 @@ def quasi_determinants(bqm):
         seen.add(bino.key())
         out.append(bino)
     return out
-
-
-def ibin_generators(qm, max_size=MAX_BINARY_SIZE):
-    """All binary quasi-minors of ``qm`` up to sign, deduplicated."""
-    seen = set()
-    out = []
-    for bqm in binary_subquasi_enumerate(qm, max_size):
-        for bino in quasi_determinants(bqm):
-            if bino.key() in seen:
-                continue
-            seen.add(bino.key())
-            out.append(bino)
-    return out
-
-
-def rewrite_as_two_minors(delta, qm, universe):
-    """Express a binary quasi-minor ``delta`` of a full matrix ``qm`` as a
-    combination sum(multiplier * 2x2 minor); returns [(Poly, Poly)].
-
-    Recursion: with W1 any entry of the minus term, V1 the plus entry in
-    W1's row and V2 the plus entry in W1's column, and U the matrix entry
-    closing the rectangle, delta splits into (V1*V2 - U*W1) times the rest
-    of the plus term, plus W1 times a smaller binary quasi-minor; when U's
-    position already sits in the minus term the small minor degenerates
-    and both cells drop out.
-    """
-    if not qm.is_full():
-        raise ValueError("rewriting needs a full matrix")
-    pairs = []
-
-    def emit(coeff, mult_cells, plus_cells, minus_cells):
-        mult = universe.term(coeff, _cells_mono(qm, mult_cells))
-        bino = Binomial.from_matchings(qm, tuple(plus_cells), tuple(minus_cells))
-        sign = 1 if bino.plus_cells == frozenset(plus_cells) else -1
-        pairs.append((mult * sign, bino.to_poly(universe)))
-
-    def rec(plus, minus, mult_cells):
-        n = len(plus)
-        if n == 2:
-            emit(1, mult_cells, plus, minus)
-            return
-        w1 = min(minus)
-        v1 = next(p for p in plus if p[0] == w1[0])
-        v2 = next(p for p in plus if p[1] == w1[1])
-        u = (v2[0], v1[1])
-        rest = [p for p in plus if p not in (v1, v2)]
-        emit(1, mult_cells + rest, (v1, v2), (u, w1))
-        minus2 = [p for p in minus if p != w1]
-        if u in minus2:
-            # only possible for n >= 4: the rectangle entry is a minus cell
-            rec(rest, [p for p in minus2 if p != u], mult_cells + [w1, u])
-        else:
-            rec([u] + rest, minus2, mult_cells + [w1])
-
-    rec(sorted(delta.plus_cells), sorted(delta.minus_cells), [])
-    return pairs
-
-
-def expand_combination(pairs, universe):
-    total = universe.zero()
-    for mult, gen in pairs:
-        total = total + mult * gen
-    return total
-
-
-def generic_matrix(n_rows, n_cols, pattern=None, with_s_column=False, domain="QQ"):
-    """A generic (quasi-)matrix with one fresh symbol per entry, optionally
-    augmented on the left with a column of fresh sequence symbols.
-
-    Returns (QuasiMatrix, VarUniverse).  ``pattern`` restricts the entry
-    positions of the generic block (0-based cells).
-    """
-    cells = sorted(pattern) if pattern is not None else [(r, c) for r in range(n_rows) for c in range(n_cols)]
-    for (r, c) in cells:
-        if not (0 <= r < n_rows and 0 <= c < n_cols):
-            raise ValueError("pattern cell out of range: %r" % ((r, c),))
-    T_names = ["a%d%d" % (r + 1, c + 1) for (r, c) in cells]
-    if len(set(T_names)) != len(T_names):
-        T_names = ["a_%d_%d" % (r + 1, c + 1) for (r, c) in cells]
-    s_names = ["s%d" % (i + 1) for i in range(n_rows)] if with_s_column else []
-    universe = VarUniverse(s_names=s_names, T_names=T_names, domain=domain)
-    shift = 1 if with_s_column else 0
-    entries = {}
-    if with_s_column:
-        for r in range(n_rows):
-            entries[(r, 0)] = universe.vid("s%d" % (r + 1))
-    for nm, (r, c) in zip(T_names, cells):
-        entries[(r, c + shift)] = universe.vid(nm)
-    qm = QuasiMatrix(n_rows, n_cols + shift, entries)
-    return qm, universe

@@ -1,0 +1,205 @@
+"""Constructions that several test modules share and the package itself
+never runs.
+
+Generic matrices and their binary quasi-minors, the rewriting of a minor
+of a full matrix as a combination of two-by-two minors (criteria 04 and
+07, the quasi-matrix and Groebner tests), and the syzygy pieces of a
+plain monomial list against the span of its pairwise syzygies (criterion
+08 and the oracle tests).
+"""
+from dataclasses import dataclass
+
+from multirees.oracle import _Components, _compositions
+from multirees.poly import VarUniverse
+from multirees.quasimat import (
+    MAX_BINARY_SIZE,
+    Binomial,
+    QuasiMatrix,
+    _cells_mono,
+    binary_subquasi_enumerate,
+    quasi_determinants,
+)
+from multirees.sseq import SMonomial, syzygy_generators
+
+
+def generic_matrix(n_rows, n_cols, pattern=None, with_s_column=False, domain="QQ"):
+    """A generic (quasi-)matrix with one fresh symbol per entry, optionally
+    augmented on the left with a column of fresh sequence symbols.
+
+    Returns (QuasiMatrix, VarUniverse).  ``pattern`` restricts the entry
+    positions of the generic block (0-based cells).
+    """
+    cells = sorted(pattern) if pattern is not None else [(r, c) for r in range(n_rows) for c in range(n_cols)]
+    for (r, c) in cells:
+        if not (0 <= r < n_rows and 0 <= c < n_cols):
+            raise ValueError("pattern cell out of range: %r" % ((r, c),))
+    T_names = ["a%d%d" % (r + 1, c + 1) for (r, c) in cells]
+    if len(set(T_names)) != len(T_names):
+        T_names = ["a_%d_%d" % (r + 1, c + 1) for (r, c) in cells]
+    s_names = ["s%d" % (i + 1) for i in range(n_rows)] if with_s_column else []
+    universe = VarUniverse(s_names=s_names, T_names=T_names, domain=domain)
+    shift = 1 if with_s_column else 0
+    entries = {}
+    if with_s_column:
+        for r in range(n_rows):
+            entries[(r, 0)] = universe.vid("s%d" % (r + 1))
+    for nm, (r, c) in zip(T_names, cells):
+        entries[(r, c + shift)] = universe.vid(nm)
+    qm = QuasiMatrix(n_rows, n_cols + shift, entries)
+    return qm, universe
+
+
+def ibin_generators(qm, max_size=MAX_BINARY_SIZE):
+    """All binary quasi-minors of ``qm`` up to sign, deduplicated."""
+    seen = set()
+    out = []
+    for bqm in binary_subquasi_enumerate(qm, max_size):
+        for bino in quasi_determinants(bqm):
+            if bino.key() in seen:
+                continue
+            seen.add(bino.key())
+            out.append(bino)
+    return out
+
+
+def is_full(qm):
+    """Whether every position of ``qm`` holds an entry."""
+    return len(qm.entries) == qm.n_rows * qm.n_cols
+
+
+def rewrite_as_two_minors(delta, qm, universe):
+    """Express a binary quasi-minor ``delta`` of a full matrix ``qm`` as a
+    combination sum(multiplier * 2x2 minor); returns [(Poly, Poly)].
+
+    Recursion: with W1 any entry of the minus term, V1 the plus entry in
+    W1's row and V2 the plus entry in W1's column, and U the matrix entry
+    closing the rectangle, delta splits into (V1*V2 - U*W1) times the rest
+    of the plus term, plus W1 times a smaller binary quasi-minor; when U's
+    position already sits in the minus term the small minor degenerates
+    and both cells drop out.
+    """
+    if not is_full(qm):
+        raise ValueError("rewriting needs a full matrix")
+    pairs = []
+
+    def emit(coeff, mult_cells, plus_cells, minus_cells):
+        mult = universe.term(coeff, _cells_mono(qm, mult_cells))
+        bino = Binomial.from_matchings(qm, tuple(plus_cells), tuple(minus_cells))
+        sign = 1 if bino.plus_cells == frozenset(plus_cells) else -1
+        pairs.append((mult * sign, bino.to_poly(universe)))
+
+    def rec(plus, minus, mult_cells):
+        n = len(plus)
+        if n == 2:
+            emit(1, mult_cells, plus, minus)
+            return
+        w1 = min(minus)
+        v1 = next(p for p in plus if p[0] == w1[0])
+        v2 = next(p for p in plus if p[1] == w1[1])
+        u = (v2[0], v1[1])
+        rest = [p for p in plus if p not in (v1, v2)]
+        emit(1, mult_cells + rest, (v1, v2), (u, w1))
+        minus2 = [p for p in minus if p != w1]
+        if u in minus2:
+            # only possible for n >= 4: the rectangle entry is a minus cell
+            rec(rest, [p for p in minus2 if p != u], mult_cells + [w1, u])
+        else:
+            rec([u] + rest, minus2, mult_cells + [w1])
+
+    rec(sorted(delta.plus_cells), sorted(delta.minus_cells), [])
+    return pairs
+
+
+def expand_combination(pairs, universe):
+    total = universe.zero()
+    for mult, gen in pairs:
+        total = total + mult * gen
+    return total
+
+
+def monomial_syzygy_kernel(gens, degree):
+    """Basis of the total-degree-``degree`` piece of the syzygy module of a
+    monomial list: vectors with one monomial entry per slot whose weighted
+    images sum to zero.  Slot ``i`` carries monomials of degree
+    ``degree - gens[i].degree()``.
+
+    Because each slot maps monomials to monomials, the piece splits over
+    the fibers of the map: each target monomial with k preimages
+    contributes k - 1 differences.  Basis vectors are dicts
+    ``{(slot, multiplier): +-1}`` with SMonomial multipliers."""
+    gens = tuple(gens)
+    if not gens:
+        return []
+    n = gens[0].n
+    for u in gens:
+        u._check(gens[0])
+    basis = []
+    for exps in _compositions(degree, n):
+        w = SMonomial(exps)
+        fiber = [(i, w.div(u)) for i, u in enumerate(gens) if u.divides(w)]
+        for other in fiber[1:]:
+            basis.append({fiber[0]: 1, other: -1})
+    return basis
+
+
+@dataclass
+class SyzygyDegreeReport:
+    degree: int
+    kernel_dim: int
+    span_dim: int
+
+    @property
+    def ok(self):
+        return self.kernel_dim == self.span_dim
+
+    def line(self):
+        return "degree %d: kernel dim %d, pairwise span dim %d -> %s" % (
+            self.degree,
+            self.kernel_dim,
+            self.span_dim,
+            "ok" if self.ok else "MISSED",
+        )
+
+
+def syzygy_span_compare(gens, max_degree):
+    """Per total degree up to ``max_degree``, compare the syzygy kernel of
+    a monomial list against the span of monomial multiples of the pairwise
+    syzygies.  The pairwise span always sits inside the kernel (each
+    pairwise vector maps to zero), so dimension equality certifies that
+    the pairwise syzygies generate up to the bound."""
+    gens = tuple(gens)
+    if not gens:
+        return []
+    n = gens[0].n
+    pairwise = syzygy_generators(gens)
+    out = []
+    for degree in range(max_degree + 1):
+        kernel_dim = len(monomial_syzygy_kernel(gens, degree))
+        comps = _Components()
+        span_dim = 0
+        for vec in pairwise:
+            sz_degree = None
+            for slot, entry in enumerate(vec):
+                if entry is not None:
+                    sz_degree = entry[1].degree() + gens[slot].degree()
+                    break
+            rest = degree - sz_degree
+            if rest < 0:
+                continue
+            for mexps in _compositions(rest, n):
+                mult = SMonomial(mexps)
+                nodes = []
+                image = {}
+                for slot, entry in enumerate(vec):
+                    if entry is None:
+                        continue
+                    sign, mono = entry
+                    shifted = mono.mul(mult)
+                    nodes.append((slot, shifted))
+                    target = shifted.mul(gens[slot])
+                    image[target] = image.get(target, 0) + sign
+                if any(image.values()):
+                    raise ValueError("pairwise syzygy multiple does not map to zero")
+                span_dim += comps.join(*nodes)
+        out.append(SyzygyDegreeReport(degree=degree, kernel_dim=kernel_dim, span_dim=span_dim))
+    return out

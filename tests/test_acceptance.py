@@ -14,17 +14,11 @@ from random import Random
 import pytest
 
 from conftest import desk_scale_specs, record_criterion
+from helpers import expand_combination, generic_matrix, ibin_generators, rewrite_as_two_minors, syzygy_span_compare
 from multirees.grobner import default_order_suite, universal_gb_check
-from multirees.oracle import monomial_syzygy_kernel, oracle_check, syzygy_span_compare
+from multirees.oracle import oracle_check
 from multirees.poly import MonomialOrder, leading, mono_text
-from multirees.quasimat import (
-    binary_subquasi_enumerate,
-    expand_combination,
-    generic_matrix,
-    ibin_generators,
-    quasi_determinants,
-    rewrite_as_two_minors,
-)
+from multirees.quasimat import binary_subquasi_enumerate, quasi_determinants
 from multirees.rees import (
     FULL,
     RESTRICTED,

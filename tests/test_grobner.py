@@ -9,7 +9,10 @@ a hostile precedence exercises the honest INCONCLUSIVE path.
 ``all_pairs_ok`` below, which reduces every S-pair of the whole family,
 is the reference its verdict must agree with.  It runs on packed
 monomials; ``reference_buchberger_check`` below is the same pair loop on
-``Poly``, and its report must equal the packed one field for field.
+``Poly``, and its report must equal the packed one field for field.  The
+entry points ``s_poly`` and ``top_reduce`` run the same packed steps on
+one pair or one target, and ``reference_s_poly`` and
+``reference_top_reduce`` are their ``Poly`` references.
 ``verify`` certifies the full family F through its single-cycle members
 F1; on specs where F has multi-cycle unions, the all-pairs verdict on F
 is the reference for the verdict on F1.
@@ -33,19 +36,84 @@ from multirees.grobner import (
     MemberResult,
     PairResult,
     ReductionCert,
-    _lead_parts,
-    _reduce,
-    _s_pair,
     buchberger_check,
     default_order_suite,
     s_poly,
     top_reduce,
     universal_gb_check,
 )
-from multirees.poly import GuardExceeded, Mono, MonomialOrder, Poly, UniverseMismatch, VarUniverse, leading
-from multirees.quasimat import generic_matrix, ibin_generators
+from helpers import generic_matrix, ibin_generators
+from multirees.poly import (
+    GuardExceeded,
+    Mono,
+    MonomialOrder,
+    Poly,
+    UniverseMismatch,
+    VarUniverse,
+    ZeroPolynomial,
+    leading,
+    s_term_parts,
+)
 from multirees.rees import FULL, SINGLE, ReesSpec, build_presentation, defining_generators, spec_to_dict
 from multirees.sseq import SeqSpec
+
+
+def _lead_parts(p, order):
+    """(unit, s-monomial, T-monomial) of an s-monomial-type polynomial."""
+    lc, lm = leading(p, order)
+    parts = s_term_parts(lc)
+    if parts is None:
+        raise ValueError(
+            "polynomial is not of s-monomial type under %s: leading coefficient %s" % (order.describe(), lc.render())
+        )
+    unit, smono = parts
+    return unit, smono, lm
+
+
+def _s_pair(f, g, lead_f, lead_g):
+    """``reference_s_poly`` of f and g from their ``_lead_parts``."""
+    (uf, df, mf), (ug, dg, mg) = lead_f, lead_g
+    M = mf.lcm(mg)
+    D = df.lcm(dg)
+    left = f.term_mul(Fraction(1, 1) / uf, D.div(df).mul(M.div(mf)))
+    right = g.term_mul(Fraction(1, 1) / ug, D.div(dg).mul(M.div(mg)))
+    return left - right
+
+
+def _reduce(p, reducers, lead, order, max_steps):
+    """``reference_top_reduce`` against ``lead``, the ``_lead_parts`` of
+    each reducer; each step uses the first reducer that applies."""
+    quotients = {}
+    work = p
+    steps = 0
+    while not work.is_zero():
+        lc, lm = leading(work, order)
+        for chosen, (_, dg, mg) in enumerate(lead):
+            if mg.divides(lm) and all(dg.divides(m) for m, _ in lc.terms):
+                break
+        else:
+            return ReductionCert(p, reducers, order, quotients, work, INCONCLUSIVE, steps)
+        ug, dg, mg = lead[chosen]
+        shift = lm.div(mg)
+        u = p.universe
+        q = Poly(u, tuple((m.div(dg).mul(shift), c / ug) for m, c in lc.terms))
+        work = work - q * reducers[chosen]
+        quotients[chosen] = quotients.get(chosen, u.zero()) + q
+        steps += 1
+        if steps > max_steps:
+            raise GuardExceeded("top-reduction exceeded %d steps" % max_steps)
+    return ReductionCert(p, reducers, order, quotients, work, REDUCED_TO_ZERO, steps)
+
+
+def reference_s_poly(f, g, order):
+    """``s_poly`` on ``Poly``."""
+    return _s_pair(f, g, _lead_parts(f, order), _lead_parts(g, order))
+
+
+def reference_top_reduce(p, reducers, order, max_steps=DEFAULT_MAX_STEPS):
+    """``top_reduce`` on ``Poly``."""
+    reducers = tuple(reducers)
+    return _reduce(p, reducers, [_lead_parts(g, order) for g in reducers], order, max_steps)
 
 
 def _lead_divides(a, b):
@@ -145,19 +213,33 @@ def assert_same_report(rep, ref):
     assert _report_json(rep) == _report_json(ref)
 
 
-def check_against_reference(gens, order):
-    """The packed report equals the reference report, or both raise the
-    same error."""
+def assert_same_poly(got, want):
+    assert got == want
+
+
+# each packed entry point -> (its reference on Poly, the comparison)
+REFERENCES = {
+    buchberger_check: (reference_buchberger_check, assert_same_report),
+    s_poly: (reference_s_poly, assert_same_poly),
+    top_reduce: (reference_top_reduce, assert_same_cert),
+}
+
+
+def check_against_reference(*args, entry=buchberger_check):
+    """``entry(*args)`` equals its reference field for field, or both
+    raise an error of the same type and message; returns the packed
+    result, or None on an error."""
+    reference, assert_same = REFERENCES[entry]
     try:
-        ref = reference_buchberger_check(gens, order)
+        want = reference(*args)
     except ValueError as exc:
-        with pytest.raises(type(exc)) as got:
-            buchberger_check(gens, order)
-        assert str(got.value) == str(exc)
+        with pytest.raises(ValueError) as got:
+            entry(*args)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
         return None
-    rep = buchberger_check(gens, order)
-    assert_same_report(rep, ref)
-    return rep
+    got = entry(*args)
+    assert_same(got, want)
+    return got
 
 
 def all_pairs_ok(gens, order):
@@ -166,7 +248,7 @@ def all_pairs_ok(gens, order):
     lead = [_lead_parts(g, order) for g in gens]
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            s = s_poly(gens[i], gens[j], order)
+            s = _s_pair(gens[i], gens[j], lead[i], lead[j])
             if s.is_zero():
                 continue
             if _reduce(s, gens, lead, order, DEFAULT_MAX_STEPS).status != REDUCED_TO_ZERO:
@@ -462,6 +544,11 @@ def random_term():
     )
 
 
+# desk families in the entry-point sample: 3,186 calls, none on the 13
+# families of 37 generators, each of which costs more than the whole sample
+ENTRY_SAMPLE = 30
+
+
 class TestPackedAgainstReference:
     """The packed check's report, certificate by certificate, against
     ``reference_buchberger_check``."""
@@ -491,6 +578,42 @@ class TestPackedAgainstReference:
         gens = [u.from_terms([(Mono(zip(vids, e)), c) for c, e in terms]) for terms in binomials]
         order = MonomialOrder(u, kind, [u.T_ids[k] for k in precedence])
         check_against_reference(gens, order)
+
+    def test_entry_points_on_desk_sample(self):
+        # s_poly on every pair of a seeded sample of desk families, and
+        # top_reduce of every nonzero S-pair over the whole family; under
+        # spread-first lex some reductions stick
+        calls = 0
+        statuses = set()
+        for u, gens in random.Random(3).sample(SMALL_DESK, ENTRY_SAMPLE):
+            for order in (MonomialOrder(u, "lex"), MonomialOrder(u, "grevlex"), spread_first_lex(u)):
+                for i in range(len(gens)):
+                    for j in range(i + 1, len(gens)):
+                        s = check_against_reference(gens[i], gens[j], order, entry=s_poly)
+                        calls += 1
+                        if s:
+                            statuses.add(check_against_reference(s, gens, order, entry=top_reduce).status)
+                            calls += 1
+        assert calls == 3186 and statuses == {REDUCED_TO_ZERO, INCONCLUSIVE}
+
+    def test_entry_point_errors(self):
+        u = VarUniverse(s_names=("s1", "s2"), T_names=("A", "B"))
+        s1, s2, A, B = (u.poly_var(v) for v in ("s1", "s2", "A", "B"))
+        order = MonomialOrder(u, "lex")
+        cases = [
+            (s_poly, (u.zero(), A - B, order), ZeroPolynomial),
+            (s_poly, (A - B, u.zero(), order), ZeroPolynomial),
+            (top_reduce, (A, [A - B, u.zero()], order), ZeroPolynomial),
+            (s_poly, (s1 * A - B, (s1 + s2) * A - B, order), ValueError),
+            (top_reduce, (A, [(s1 + s2) * A - B], order), ValueError),
+            (top_reduce, (A ** 6, [A - B], order, 3), GuardExceeded),
+        ]
+        for entry, args, error in cases:
+            with pytest.raises(error):
+                entry(*args)
+            assert check_against_reference(*args, entry=entry) is None
+        # a zero target reduces to zero in no steps
+        assert check_against_reference(u.zero(), [A - B], order, entry=top_reduce).steps == 0
 
     def test_widening(self, monkeypatch):
         # the member A*E - F walks down to D^8*E - F, past the three value
@@ -525,6 +648,20 @@ class TestUniverses:
         A, B, C = (u.poly_var(v) for v in "ABC")
         with pytest.raises(UniverseMismatch):
             buchberger_check([A - B, B - C], MonomialOrder(u3, "lex"))
+
+    def test_entry_points_check_the_universe(self):
+        u = VarUniverse(s_names=("s1",), T_names=("A", "B", "C"))
+        v = VarUniverse(s_names=("s1",), T_names=("A", "B", "C"))
+        u3 = VarUniverse(s_names=("s1",), T_names=("P", "Q", "R"))
+        A, B, C = (u.poly_var(x) for x in "ABC")
+        with pytest.raises(UniverseMismatch):
+            s_poly(A - B, B - C, MonomialOrder(u3, "lex"))
+        with pytest.raises(UniverseMismatch):
+            top_reduce(A * B - C ** 2, [A - B, B - C], MonomialOrder(u3, "lex"))
+        with pytest.raises(UniverseMismatch):
+            top_reduce(A * B - C ** 2, [A - B, v.poly_var("B") - v.poly_var("C")], MonomialOrder(u, "lex"))
+        with pytest.raises(UniverseMismatch):
+            s_poly(A - B, v.poly_var("B") - v.poly_var("C"), MonomialOrder(u, "lex"))
 
     def test_generators_from_two_universes(self):
         u = VarUniverse(s_names=("s1",), T_names=("A", "B", "C"))

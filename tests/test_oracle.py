@@ -6,12 +6,14 @@ dimensions, raw exponent-vector enumeration for degree pieces, and exact
 rational row reduction (``Echelon``, checked against sympy's rank) as the
 reference for the oracle's fiber-connectivity spans.  The sweep's packed
 exponent vectors are compared, field for field, with the same sweep on
-``Mono``s (``source_monomials``, ``kernel_piece``).  A deliberately
+``Mono``s (``reference_source_monomials``, ``reference_kernel_piece``),
+and so are the entry points ``source_monomials`` and ``kernel_piece``,
+which unpack one piece of the sweep.  A deliberately
 broken family (one generator dropped) must be caught with a concrete
 witness polynomial that really lies in the kernel.
 """
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from random import Random
 
 import pytest
@@ -20,18 +22,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import desk_scale_specs
+from helpers import monomial_syzygy_kernel, syzygy_span_compare
 import multirees.oracle
 from multirees.oracle import (
+    DEFAULT_PIECE_CAP,
     ImageData,
+    KernelPiece,
     _Components,
     _Sweep,
     default_degrees,
     kernel_piece,
-    monomial_syzygy_kernel,
     oracle_check,
     source_monomials,
     span_compare,
-    syzygy_span_compare,
 )
 from multirees.poly import CapExceeded, Mono, SpecError
 from multirees.rees import FULL, RESTRICTED, ReesSpec, build_presentation, defining_generators, spec_from_dict
@@ -99,11 +102,66 @@ class Echelon:
         return len(self.pivots)
 
 
+def reference_source_monomials(pres, tvec, weight, image_data=None, cap=None):
+    """``source_monomials`` on ``Mono``s: every block's monomials by
+    ``combinations_with_replacement``, their product, then each ambient
+    monomial of the weight left."""
+    data = image_data or ImageData(pres)
+    if len(tvec) != pres.spec.r or any(d < 0 for d in tvec):
+        raise ValueError("block degree tuple must list %d nonnegative entries" % pres.spec.r)
+    parts = [list(combinations_with_replacement(bd.vids.values(), d)) for bd, d in zip(pres.blocks, tvec)]
+    out = []
+    for combo in product(*parts):
+        tpairs = {}
+        base_weight = 0
+        for piece in combo:
+            for vid in piece:
+                tpairs[vid] = tpairs.get(vid, 0) + 1
+                base_weight += data.t_weight[vid]
+        rest = weight - base_weight
+        if rest < 0:
+            continue
+        for amb in combinations_with_replacement(data.ambient_ids, rest):
+            pairs = dict(tpairs)
+            for vid in amb:
+                pairs[vid] = pairs.get(vid, 0) + 1
+            out.append(Mono(tuple(pairs.items())))
+            if cap is not None and len(out) > cap:
+                raise CapExceeded("degree piece %r/%d exceeds the cap of %d monomials" % (tvec, weight, cap))
+    return out
+
+
+def fiber_basis(data, monos):
+    """Kernel basis of the map on a list of monomials, one fiber at a
+    time, fibers sorted by their image's ``Mono.exps``: each fiber with k
+    members gives k - 1 differences, its first member against the rest."""
+    fibers = {}
+    for i, m in enumerate(monos):
+        coeff, img = data.image(m)
+        fibers.setdefault(img, []).append((i, coeff))
+    basis = []
+    for img in sorted(fibers, key=lambda m: m.exps):
+        group = fibers[img]
+        if len(group) < 2:
+            continue
+        i0, c0 = group[0]
+        for i, c in group[1:]:
+            basis.append({i0: c, i: -c0})
+    return basis
+
+
+def reference_kernel_piece(pres, tvec, weight, image_data=None, cap=DEFAULT_PIECE_CAP):
+    """``kernel_piece`` on ``Mono``s."""
+    data = image_data or ImageData(pres)
+    monos = reference_source_monomials(pres, tvec, weight, data, cap=cap)
+    return KernelPiece(tuple(tvec), weight, monos, fiber_basis(data, monos))
+
+
 def echelon_span(pres, generators, tvec, weight, data):
     """Reference span of the generator multiples in one piece: every
     multiple enumerated from its own multiplier monomials and row-reduced.
     Returns the echelon, the number of multiples and the kernel piece."""
-    piece = kernel_piece(pres, tvec, weight, data)
+    piece = reference_kernel_piece(pres, tvec, weight, data)
     index = {m: i for i, m in enumerate(piece.monomials)}
     ech = Echelon()
     multiples = 0
@@ -113,19 +171,19 @@ def echelon_span(pres, generators, tvec, weight, data):
         dt = tuple(a - b for a, b in zip(tvec, gt))
         if min(dt) < 0 or weight < gw:
             continue
-        for mult in source_monomials(pres, dt, weight - gw, data):
+        for mult in reference_source_monomials(pres, dt, weight - gw, data):
             ech.insert({index[m.mul(mult)]: c for m, c in p.terms})
             multiples += 1
     return ech, multiples, piece
 
 
-def mono_reference(pres, generators, tvec, weight, data):
+def mono_reference(pres, generators, piece, data):
     """The sweep's report fields for one piece, computed on ``Mono``s from
-    ``kernel_piece``: every multiple q*m_a, q*m_b formed by ``Mono.mul``
-    over the quotient piece from ``source_monomials``, fibers from
-    ``ImageData.image``, and the first basis binomial across two
-    components as witness."""
-    piece = kernel_piece(pres, tvec, weight, data)
+    ``reference_kernel_piece``: every multiple q*m_a, q*m_b formed by
+    ``Mono.mul`` over the quotient piece from
+    ``reference_source_monomials``, fibers from ``ImageData.image``, and
+    the first basis binomial across two components as witness."""
+    tvec, weight = piece.tvec, piece.weight
     index = {m: i for i, m in enumerate(piece.monomials)}
     comps = _Components()
     span_dim = multiples = 0
@@ -138,7 +196,7 @@ def mono_reference(pres, generators, tvec, weight, data):
         if min(dt) < 0 or weight < gw:
             continue
         (ma, _), (mb, _) = p.terms
-        for q in source_monomials(pres, dt, weight - gw, data):
+        for q in reference_source_monomials(pres, dt, weight - gw, data):
             multiples += 1
             span_dim += comps.join(index[q.mul(ma)], index[q.mul(mb)])
     witness = None
@@ -149,14 +207,18 @@ def mono_reference(pres, generators, tvec, weight, data):
 
 
 def assert_sweep_matches_mono_reference(pres, generators, degrees):
-    """Every report field of one ``oracle_check`` sweep equals the ``Mono``
-    reference, and every witness maps to zero; returns the reports."""
+    """Every report field of one ``oracle_check`` sweep, and every field of
+    ``kernel_piece`` on each of its pieces, equals the ``Mono`` reference,
+    and every witness maps to zero; returns the reports."""
     data = ImageData(pres)
     reports = oracle_check(pres, generators, degrees=degrees).reports
     assert [(r.tvec, r.weight) for r in reports] == [(tuple(t), w) for t, w in degrees]
     for rep in reports:
+        piece = reference_kernel_piece(pres, rep.tvec, rep.weight, data)
+        got = kernel_piece(pres, rep.tvec, rep.weight, data)
+        assert (got.tvec, got.weight, got.monomials, got.basis) == (piece.tvec, piece.weight, piece.monomials, piece.basis)
         got = (rep.piece_size, rep.kernel_dim, rep.span_dim, rep.multiples, rep.ok, rep.witness)
-        assert got == mono_reference(pres, generators, rep.tvec, rep.weight, data)
+        assert got == mono_reference(pres, generators, piece, data)
         if rep.witness is not None:
             assert pres.phi(rep.witness).is_zero()
     return reports
@@ -300,6 +362,19 @@ class TestSourceMonomials:
     def test_cap_enforced(self, paper):
         with pytest.raises(CapExceeded):
             source_monomials(paper, (1, 1, 1, 0, 0), 4, cap=3)
+
+    @pytest.mark.parametrize(
+        "tvec, weight, cap",
+        [((1, 1), 2, None), ((-1, 0, 0, 0, 0), 2, None), ((1, 1, 1, 0, 0), 4, 3), ((1, 1, 1, 0, 0), 4, 0)],
+    )
+    def test_errors_match_the_reference(self, paper, tvec, weight, cap):
+        data = ImageData(paper)
+        for entry, reference in ((source_monomials, reference_source_monomials), (kernel_piece, reference_kernel_piece)):
+            with pytest.raises(ValueError) as want:
+                reference(paper, tvec, weight, data, cap)
+            with pytest.raises(ValueError) as got:
+                entry(paper, tvec, weight, data, cap)
+            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 class TestKernelPiece:
@@ -595,11 +670,24 @@ class TestPackedSweep:
         sweep = _Sweep(pres, [], data, None, degrees)
         for tvec, weight in degrees:
             src, img = sweep.piece(tvec, weight)
-            monos = source_monomials(pres, tvec, weight, data)
+            monos = reference_source_monomials(pres, tvec, weight, data)
             assert [sweep.src.unpack(x) for x in src] == monos
+            assert source_monomials(pres, tvec, weight, data) == monos
             assert [sweep.img.unpack(x) for x in img] == [data.image(m)[1] for m in monos]
         gens = defining_generators(pres, RESTRICTED)
         assert_sweep_matches_mono_reference(pres, gens[1:], degrees)
+
+    def test_desk_sample(self):
+        # a seeded sample of desk-scale specs, each with its restricted
+        # family less one generator, so that witnesses occur
+        pieces = missed = 0
+        for k, spec in enumerate(Random(5).sample(desk_scale_specs(), 120)):
+            pres = build_presentation(spec)
+            family = drop_one(defining_generators(pres, RESTRICTED), k)
+            reports = assert_sweep_matches_mono_reference(pres, family, default_degrees(pres, t_cap=3, ambient_cap=5))
+            pieces += len(reports)
+            missed += sum(not r.ok for r in reports)
+        assert pieces > 2000 and missed > 100
 
     def test_cap_stops_before_the_whole_t_part_product(self):
         # 45 monomials of degree 8 per block, so 2,025 T-parts of weight
@@ -614,10 +702,10 @@ class TestPackedSweep:
 
     def test_sweep_leaves_the_mono_path(self, paper, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("the sweep called the Mono reference path")
+            raise AssertionError("the sweep called an entry point of one piece")
 
         monkeypatch.setattr(multirees.oracle, "source_monomials", refuse)
-        monkeypatch.setattr(multirees.oracle, "_fiber_basis", refuse)
+        monkeypatch.setattr(multirees.oracle, "kernel_piece", refuse)
         gens = defining_generators(paper, RESTRICTED)
         assert oracle_check(paper, gens, t_cap=3, ambient_cap=4).ok
         broken = oracle_check(paper, gens[1:], t_cap=3, ambient_cap=4)

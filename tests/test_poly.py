@@ -20,11 +20,18 @@ from multirees.poly import (
     VarUniverse,
     ZeroPolynomial,
     default_t_precedence,
-    is_s_monomial_type,
     leading,
     mono_text,
     s_term_parts,
 )
+
+
+def is_s_monomial_type(p, order):
+    """True when the leading coefficient is a unit times an s-monomial."""
+    if p.is_zero():
+        return False
+    lc, _ = leading(p, order)
+    return s_term_parts(lc) is not None
 
 
 @pytest.fixture(scope="module")

@@ -10,6 +10,7 @@ from itertools import combinations
 
 import pytest
 
+from helpers import expand_combination, generic_matrix, ibin_generators, is_full, rewrite_as_two_minors
 from multirees.poly import GuardExceeded, Mono
 from multirees.quasimat import (
     Binomial,
@@ -17,11 +18,7 @@ from multirees.quasimat import (
     QuasiMatrix,
     _entry_graph_cycles,
     binary_subquasi_enumerate,
-    expand_combination,
-    generic_matrix,
-    ibin_generators,
     quasi_determinants,
-    rewrite_as_two_minors,
 )
 
 
@@ -78,7 +75,7 @@ class TestQuasiMatrix:
     def test_cells_and_fullness(self):
         qm = QuasiMatrix(2, 2, {(0, 0): 1, (1, 1): 2})
         assert qm.cells() == [(0, 0), (1, 1)]
-        assert not qm.is_full()
+        assert not is_full(qm)
 
     def test_pretty(self):
         qm, uni = generic_matrix(2, 2)
