@@ -73,8 +73,57 @@ def _terms_json(g, universe):
     return [[c, {universe.name(v): e for v, e in m.exps}] for c, m in (("1", b.plus), ("-1", b.minus))]
 
 
+_quote = json.encoder.encode_basestring_ascii
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _write_json(value, write, pad=""):
+    """Write ``value`` as ``json.dumps(value, indent=2)`` renders it, one
+    chunk per scalar, key or bracket.  Only exact str, int, bool, None,
+    dict with str keys, list and tuple are accepted: any other type (a
+    float, a Fraction, a set, a subclass of int or str) raises TypeError."""
+    kind = type(value)
+    if kind is str:
+        write(_quote(value))
+    elif kind is int:
+        write(int.__repr__(value))
+    elif kind is bool or value is None:
+        write(_LITERALS[value])
+    elif kind is dict:
+        if not value:
+            write("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError("JSON object keys must be str, not %s" % type(key).__name__)
+            write(sep + _quote(key) + ": ")
+            _write_json(item, write, inner)
+            sep = ",\n" + inner
+        write("\n" + pad + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            write("[]")
+            return
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in value:
+            write(sep)
+            _write_json(item, write, inner)
+            sep = ",\n" + inner
+        write("\n" + pad + "]")
+    else:
+        raise TypeError("cannot write %s as JSON" % kind.__name__)
+
+
 def _emit_json(payload):
-    print(json.dumps(payload, indent=2, sort_keys=False))
+    """Stream the whole document to stdout.  The payload is complete
+    before the first write, so an error while building it leaves stdout
+    empty."""
+    write = sys.stdout.write
+    _write_json(payload, write)
+    write("\n")
 
 
 # --- generators ------------------------------------------------------------

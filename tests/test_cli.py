@@ -8,10 +8,13 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,9 +22,9 @@ from hypothesis import strategies as st
 
 import multirees
 from conftest import emission_specs
-from multirees.cli import _block_monomials, _terms_json, build_parser, main
+from multirees.cli import _block_monomials, _terms_json, _write_json, build_parser, main
 from multirees.quasimat import Binomial
-from multirees.rees import FULL, RESTRICTED, build_presentation, defining_generators, spec_from_dict
+from multirees.rees import FULL, RESTRICTED, build_presentation, defining_generators, spec_from_dict, spec_to_dict
 from multirees.sseq import SMonomial, taylor_complex
 
 PAPER_SPEC = {
@@ -621,6 +624,28 @@ def test_python_dash_m(spec_file):
     assert "overall: PASS" in proc.stdout
 
 
+def test_stdout_closed_mid_stream_exits_one_without_traceback(spec_file):
+    # the reader takes the first 4 KB of a 157 KB document and closes the
+    # pipe while the child is still writing
+    src = str(Path(multirees.__file__).resolve().parent.parent)
+    path = spec_file(spec_to_dict(emission_specs()[-1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "multirees", "generators", path, "--family", "full", "--format", "json"],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        assert len(proc.stdout.read(4096)) == 4096
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
 def test_closed_stdout_exits_one_without_traceback(spec_file):
     # the read end of the pipe is closed before the child writes, as when
     # ``| head`` has already exited
@@ -640,3 +665,102 @@ def test_closed_stdout_exits_one_without_traceback(spec_file):
         os.close(write_end)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
+
+
+class TestJsonWriter:
+    """``_write_json`` writes the bytes of ``json.dumps(value, indent=2)``,
+    and every ``--format json`` command goes through it."""
+
+    @staticmethod
+    def written(value):
+        buf = io.StringIO()
+        _write_json(value, buf.write)
+        return buf.getvalue()
+
+    leaves = st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64) | st.text()
+    values = st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(), inner, max_size=4),
+        max_leaves=30,
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=values)
+    @example(value={"quote\"": "back\\slash", "ctrl": "\x00\x01\x1f\b\f\n\r\t", "del": "\x7f"})
+    @example(value=["\u2028\u2029", "caf\u00e9 \u03b1\u2260\u03b2", "\U0001d53d astral", "\ud800 lone"])
+    @example(value={"": [], "a": {}, "b": [[], {}, [[]]], "c": {"d": {}}})
+    @example(value=(1, "a", (None, True, False), [(), -(2**70)]))
+    @example(value=[-1, 0, 2**64, -(2**64) - 1])
+    def test_bytes_equal_json_dumps(self, value):
+        assert self.written(value) == json.dumps(value, indent=2)
+
+    # json.dumps renders 1.5, {1: 2}, {True: 1} and subclasses of int and
+    # str (as "1.5", {"1": 2}, {"true": 1}); the writer refuses them on
+    # purpose, so that a new type in a payload fails here instead of
+    # rendering differently.  Fraction and set fail in json.dumps too.
+    class Label(str):
+        pass
+
+    class Count(int):
+        pass
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.5, Fraction(1, 2), {1}, {1: 2}, {True: 1}, Label("a"), Count(1), {Label("a"): 1}, {"k": [1, 1.5]}],
+        ids=[
+            "float", "fraction", "set", "int-key", "bool-key",
+            "str-subclass", "int-subclass", "str-subclass-key", "nested-float",
+        ],
+    )
+    def test_unknown_types_raise(self, value):
+        with pytest.raises(TypeError):
+            _write_json(value, io.StringIO().write)
+
+    @pytest.mark.parametrize("family", [RESTRICTED, FULL])
+    def test_generators_on_emission_specs(self, spec_file, capsys, family):
+        for i, spec in enumerate(emission_specs()):
+            path = spec_file(spec_to_dict(spec), "s%d.json" % i)
+            self.assert_reference_bytes(capsys, ["generators", path, "--family", family])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify"],
+            ["oracle"],
+            ["oracle", "--drop-generator", "1"],
+            ["groebner"],
+            ["groebner", "--universal"],
+            ["taylor"],
+        ],
+        ids=" ".join,
+    )
+    def test_commands_on_a_sample(self, spec_file, capsys, argv):
+        specs = random.Random(14).sample(emission_specs(), 30)
+        for i, spec in enumerate(specs):
+            path = spec_file(spec_to_dict(spec), "s%d.json" % i)
+            self.assert_reference_bytes(capsys, argv[:1] + [path] + argv[1:])
+
+    @staticmethod
+    def assert_reference_bytes(capsys, argv):
+        code = main(argv + ["--format", "json"])
+        captured = capsys.readouterr()
+        if code == 2:
+            # a spec with no generator to drop
+            assert captured.out == "" and "no generator with index 1" in captured.err
+        else:
+            assert code in (0, 1) and captured.err == ""
+            assert captured.out == json.dumps(json.loads(captured.out), indent=2) + "\n", argv
+
+    def test_output_is_streamed(self, spec_file, monkeypatch):
+        # a document joined before it is written would hold all of it in
+        # memory at once; the writer hands stdout one small chunk at a time
+        chunks = []
+        path = spec_file(spec_to_dict(emission_specs()[-1]))
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=chunks.append, flush=lambda: None))
+        assert main(["generators", path, "--family", "full", "--format", "json"]) == 0
+        out = "".join(chunks)
+        assert len(out) > 100_000 and len(chunks) > 1000
+        assert max(map(len, chunks)) <= len(out) // 100
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
