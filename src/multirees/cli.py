@@ -313,8 +313,9 @@ def cmd_verify(args):
     squarefreeness report.
 
     F is certified through F1, its single-cycle members, which
-    ``defining_generators(pres, SINGLE)`` emits from its own cycle search;
-    the docstring of ``buchberger_check`` shows why F is a Groebner basis
+    ``defining_generators(pres, SINGLE)`` emits from the cycle walks the
+    presentation already searched for the restricted family; the
+    docstring of ``buchberger_check`` shows why F is a Groebner basis
     exactly when F1 is."""
     spec = _read_spec(args.spec)
     pres = build_presentation(spec)

@@ -75,10 +75,10 @@ class ImageData:
         self.t_weight = {}
         self.t_image = {}
         self.t_coeff = {}
-        for vid, (l, it) in pres.var_block.items():
+        for vid, (l, s_exps) in pres.var_block.items():
             acc = {}
             coeff = 1
-            for i, e in enumerate(it.s_exponents()):
+            for i, e in enumerate(s_exps):
                 if not e:
                     continue
                 svid = u.s_ids[i]

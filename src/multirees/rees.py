@@ -1,9 +1,9 @@
 """Presentations of multi-Rees algebras over a fixed sequence.
 
-Blocks of presentation variables T[l;...] stand for the degree-a_l
-monomials in the chosen subsequence of block l; the map
+Block l has one presentation variable T[s^e] for each degree-a_l
+monomial s^e in the sequence symbols of its rows K_l; the map
 
-    phi(T[l;j]) = s^j * t_l
+    phi(T[s^e]) = s^e * t_l
 
 sends each to its value times a block tag.  The kernel of phi is the
 defining ideal.  This module builds the augmented presentation matrix
@@ -12,19 +12,19 @@ generating families (a restricted binomial family, and every binary
 quasi-minor of the matrix) from the cycles of its entry graph, and
 assembles the supporting reports.
 
-Index tuples: a block of amplitude a over n sequence symbols uses weakly
-increasing tuples 0 <= j_1 <= ... <= j_{n-1} <= a, displayed high index
-first, with s^j = prod_i s_i^(j_i - j_{i-1}) (j_0 = 0, j_n = a).  The
-shift j -> j|k raises every component with index >= k by one, so that
-s_u * s^(j|w) = s_w * s^(j|u) for all u, w: these are the sequence-linear
-relations read off the matrix.
+Variables and columns are indexed by exponent vectors.  Block l has one
+column per degree-(a_l - 1) monomial s^u in K_l, whose row-k entry is
+T[s^u * s_k]; so s_k * T[s^u * s_w] = s_w * T[s^u * s_k] under phi, and
+these are the sequence-linear relations read off the matrix.  Names use
+the paper's ladder of s^e, its partial sums e_1 + ... + e_i for
+i = n-1 down to 1: T[l;110] is s_2 * t_l over four symbols at power 1.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 
 from .poly import (
     Mono,
@@ -51,77 +51,6 @@ FAMILIES = (RESTRICTED, FULL)
 SINGLE = "single"  # F1, for library callers: not a CLI choice
 
 DEFAULT_MAX_MINOR_SIZE = 6
-
-
-class IndexTuple:
-    """Weakly increasing exponent ladder for one block variable."""
-
-    __slots__ = ("n", "a", "js")
-
-    def __init__(self, n, a, js):
-        js = tuple(int(j) for j in js)
-        if len(js) != n - 1:
-            raise ValueError("expected %d components, got %d" % (n - 1, len(js)))
-        if any(j < 0 for j in js) or (js and js[-1] > a):
-            raise ValueError("components must lie in 0..%d" % a)
-        if any(js[i] > js[i + 1] for i in range(len(js) - 1)):
-            raise ValueError("components must be weakly increasing")
-        self.n = n
-        self.a = a
-        self.js = js
-
-    def display(self):
-        """Highest index first, the order used in variable names."""
-        return tuple(reversed(self.js))
-
-    def display_str(self):
-        sep = "" if self.a <= 9 else ","
-        return sep.join(str(d) for d in self.display())
-
-    def s_exponents(self):
-        full = (0,) + self.js + (self.a,)
-        return tuple(full[i + 1] - full[i] for i in range(self.n))
-
-    def support(self):
-        """1-based positions with a positive exponent."""
-        return tuple(i + 1 for i, e in enumerate(self.s_exponents()) if e)
-
-    def last_exponent(self):
-        return self.a - (self.js[-1] if self.js else 0)
-
-    def in_column_set(self):
-        """Whether this tuple indexes a column (final exponent positive)."""
-        return self.last_exponent() >= 1
-
-    def shift(self, k):
-        """Raise every component with index >= k (1-based); k = n is the
-        identity.  Turns a column tuple into the row-k variable index."""
-        if not (1 <= k <= self.n):
-            raise ValueError("row index out of range")
-        return IndexTuple(self.n, self.a, tuple(j + 1 if i + 1 >= k else j for i, j in enumerate(self.js)))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IndexTuple)
-            and (self.n, self.a, self.js) == (other.n, other.a, other.js)
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.a, self.js))
-
-    def __repr__(self):
-        return "IndexTuple(n=%d, a=%d, %r)" % (self.n, self.a, self.display())
-
-
-def enumerate_index_tuples(n, a):
-    """All index tuples, largest display first (the variable order)."""
-    out = [IndexTuple(n, a, js) for js in combinations_with_replacement(range(a + 1), n - 1)]
-    out.sort(key=lambda it: it.display(), reverse=True)
-    return out
-
-
-def enumerate_column_tuples(n, a):
-    return [it for it in enumerate_index_tuples(n, a) if it.in_column_set()]
 
 
 @dataclass(frozen=True)
@@ -251,21 +180,44 @@ def spec_from_json(text):
     return spec_from_dict(data)
 
 
-def _t_name(l, it):
-    return "T[%d;%s]" % (l, it.display_str())
+def _ladder(e):
+    """The paper's name for s^e: its partial sums e_1 + ... + e_i for
+    i = n-1 down to 1.  A block's variables and columns come largest
+    ladder first."""
+    return tuple(accumulate(e[:-1]))[::-1]
+
+
+def _ladder_text(l, e, power):
+    """``l;ladder``: digits run together up to power 9, comma separated
+    beyond."""
+    sep = "" if power <= 9 else ","
+    return "%d;%s" % (l, sep.join(map(str, _ladder(e))))
+
+
+def _monomials(n, rows, degree):
+    """Exponent vectors of the degree-``degree`` monomials in the symbols
+    ``rows`` (1-based), largest ladder first."""
+    out = []
+    for combo in combinations_with_replacement(rows, degree):
+        e = [0] * n
+        for k in combo:
+            e[k - 1] += 1
+        out.append(tuple(e))
+    out.sort(key=_ladder, reverse=True)
+    return out
 
 
 @dataclass
 class BlockData:
-    """One block: ``tuples`` lists every index tuple of its power, and
-    ``vids`` maps the ``js`` of each one whose support lies inside
-    ``rows`` (a variable of the presentation ring) to its id, in id
+    """One block: ``columns`` lists the exponent vector u of each
+    degree-(power - 1) monomial in ``rows``, one matrix column each, and
+    ``vids`` maps the exponent vector e of each degree-``power`` monomial
+    in ``rows`` (a variable of the presentation ring) to its id, in id
     order."""
 
     index: int
     rows: tuple
     power: int
-    tuples: list
     columns: list
     vids: dict = field(default_factory=dict)
 
@@ -274,30 +226,26 @@ class Presentation:
     """The variable universe, the augmented matrix, and the map phi.
 
     The T-block of the universe is the presentation ring: one variable
-    per index tuple of a block whose support lies inside the block's
-    rows, in block order, then largest display first."""
+    per degree-a_l monomial in a block's rows, in block order, then
+    largest ladder first.  ``var_block[vid]`` is its ``(l, e)`` and
+    ``col_blocks[c]`` the ``(l, u)`` of block column c, whose row-k entry
+    is the variable of u + unit_k."""
 
     def __init__(self, spec):
         seq = spec.seq
         n = seq.n
-        t_names = ["t%d" % l for l in range(1, spec.r + 1)]
-        T_names, T_keys, ring = [], [], []
-        blocks = []
-        for l, (rows, power) in enumerate(spec.blocks, start=1):
-            bd = BlockData(index=l, rows=rows, power=power, tuples=enumerate_index_tuples(n, power), columns=[])
-            blocks.append(bd)
-            for it in bd.tuples:
-                if set(it.support()) <= set(rows):
-                    ring.append((bd, it))
-                    T_names.append(_t_name(l, it))
-                    T_keys.append((l, it.display(), len(it.support())))
+        blocks = [
+            BlockData(index=l, rows=rows, power=power, columns=_monomials(n, rows, power - 1))
+            for l, (rows, power) in enumerate(spec.blocks, start=1)
+        ]
+        ring = [(bd, e) for bd in blocks for e in _monomials(n, bd.rows, bd.power)]
         try:
             universe = VarUniverse(
                 s_names=seq.names,
                 x_names=seq.x_names,
-                t_names=t_names,
-                T_names=T_names,
-                T_keys=T_keys,
+                t_names=["t%d" % l for l in range(1, spec.r + 1)],
+                T_names=["T[%s]" % _ladder_text(bd.index, e, bd.power) for bd, e in ring],
+                T_keys=[(bd.index, _ladder(e), n - e.count(0)) for bd, e in ring],
                 domain=spec.domain,
             )
         except ValueError as exc:
@@ -306,33 +254,30 @@ class Presentation:
         self.universe = universe
         self.blocks = blocks
         self.var_block = {}
-        for (bd, it), vid in zip(ring, universe.T_ids):
-            bd.vids[it.js] = vid
-            self.var_block[vid] = (bd.index, it)
+        for (bd, e), vid in zip(ring, universe.T_ids):
+            bd.vids[e] = vid
+            self.var_block[vid] = (bd.index, e)
+        entries = {(k, 0): vid for k, vid in enumerate(universe.s_ids)}
+        self.col_blocks = [None]
+        self.col_labels = ["s"]
         for bd in blocks:
-            rowset = set(bd.rows)
-            k1 = bd.rows[0]
-            bd.columns = [
-                it
-                for it in bd.tuples
-                if it.in_column_set() and set(it.shift(k1).support()) <= rowset
-            ]
-        entries = {}
-        col_blocks = [None]
-        for k in range(1, n + 1):
-            entries[(k - 1, 0)] = universe.s_ids[k - 1]
-        c = 1
-        for bd in blocks:
-            for it in bd.columns:
+            for u in bd.columns:
+                c = len(self.col_blocks)
                 for k in bd.rows:
-                    entries[(k - 1, c)] = bd.vids[it.shift(k).js]
-                col_blocks.append((bd.index, it))
-                c += 1
-        self.matrix = QuasiMatrix(n, c, entries)
-        self.col_blocks = col_blocks
-        self.col_labels = ["s"] + ["[%d;%s]" % (l, it.display_str()) for l, it in col_blocks[1:]]
+                    entries[(k - 1, c)] = bd.vids[u[:k - 1] + (u[k - 1] + 1,) + u[k:]]
+                self.col_blocks.append((bd.index, u))
+                self.col_labels.append("[%s]" % _ladder_text(bd.index, u, bd.power))
+        self.matrix = QuasiMatrix(n, len(self.col_blocks), entries)
+        self._walks = {}
         self._phi_cache = None
         self._s_value_cache = None
+
+    def cycle_walks(self, max_vertices):
+        """The cycle walks of the matrix's entry graph with at most
+        ``max_vertices`` vertices, searched once per cap."""
+        if max_vertices not in self._walks:
+            self._walks[max_vertices] = _entry_graph_cycles(self.matrix, max_vertices)
+        return self._walks[max_vertices]
 
     # --- the map phi ---------------------------------------------------
 
@@ -341,8 +286,8 @@ class Presentation:
         if self._phi_cache is None:
             u = self.universe
             images = {}
-            for vid, (l, it) in self.var_block.items():
-                pairs = [(u.s_ids[i], e) for i, e in enumerate(it.s_exponents()) if e]
+            for vid, (l, e) in self.var_block.items():
+                pairs = [(u.s_ids[i], x) for i, x in enumerate(e) if x]
                 pairs.append((u.t_ids[l - 1], 1))
                 images[vid] = Poly(u, ((Mono(tuple(pairs)), 1),))
             self._phi_cache = images
@@ -487,13 +432,14 @@ def defining_generators(pres, family=RESTRICTED, max_minor_size=None):
     inside one block, and the cycles off the sequence column that use at
     most one column per block.
 
-    Only ``full`` enumerates the unions of cycles.
+    Only ``full`` enumerates the unions of cycles; ``single`` and
+    ``restricted`` share the presentation's one cycle search per cap.
     """
     size = _size_cap(pres, family, max_minor_size)
     E = pres.matrix
     if family == FULL:
         return _family(pres, _binary_items(pres, binary_subquasi_enumerate(E, max_size=size)))
-    walks = _entry_graph_cycles(E, size)
+    walks = pres.cycle_walks(size)
     if family == SINGLE:
         return _family(pres, _binary_items(pres, [BinaryQuasiMatrix(E, (walk,)) for walk in walks]))
     return _family(pres, _restricted_items(pres, walks))

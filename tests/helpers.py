@@ -5,9 +5,11 @@ Generic matrices and their binary quasi-minors, the rewriting of a minor
 of a full matrix as a combination of two-by-two minors (criteria 04 and
 07, the quasi-matrix and Groebner tests), and the syzygy pieces of a
 plain monomial list against the span of its pairwise syzygies (criterion
-08 and the oracle tests).
+08 and the oracle tests); the presentation's layout built the paper's
+way, from ladders and their shifts (the presentation tests).
 """
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 from multirees.oracle import _Components, _compositions
 from multirees.poly import VarUniverse
@@ -203,3 +205,47 @@ def syzygy_span_compare(gens, max_degree):
                 span_dim += comps.join(*nodes)
         out.append(SyzygyDegreeReport(degree=degree, kernel_dim=kernel_dim, span_dim=span_dim))
     return out
+
+
+def ladder_layout(spec):
+    """The presentation's T names, ``Var.key``s, matrix entries (as
+    names), column labels and ``var_block`` images (by name), built the
+    paper's way.
+
+    Block l of power a indexes its variables by ladders: weakly
+    increasing j_1 <= ... <= j_(n-1) in 0..a, shown highest first, for
+    s^j = prod_i s_i^(j_i - j_(i-1)) with j_0 = 0 and j_n = a, largest
+    ladder first, kept when the support lies in the block's rows.  A
+    ladder with j_(n-1) < a is a column when its shift at the block's
+    first row keeps the support inside; the shift at k, which raises
+    every j_i with i >= k, is its row-k entry."""
+    n = spec.seq.n
+    names, keys, images = [], [], {}
+    entries = {(k, 0): name for k, name in enumerate(spec.seq.names)}
+    labels = ["s"]
+    for l, (rows, a) in enumerate(spec.blocks, start=1):
+
+        def exps(js):
+            full = (0,) + js + (a,)
+            return tuple(full[i + 1] - full[i] for i in range(n))
+
+        def inside(js):
+            return all(i + 1 in rows for i, e in enumerate(exps(js)) if e)
+
+        def shift(js, k):
+            return tuple(j + 1 if i + 1 >= k else j for i, j in enumerate(js))
+
+        def name(js):
+            return "T[%d;%s]" % (l, ("," if a > 9 else "").join(map(str, js[::-1])))
+
+        ladders = sorted(combinations_with_replacement(range(a + 1), n - 1), key=lambda js: js[::-1], reverse=True)
+        for js in filter(inside, ladders):
+            names.append(name(js))
+            keys.append((l, js[::-1], sum(1 for e in exps(js) if e)))
+            images[name(js)] = (l, exps(js))
+        for js in ladders:
+            if exps(js)[-1] and inside(shift(js, rows[0])):
+                for k in rows:
+                    entries[(k - 1, len(labels))] = name(shift(js, k))
+                labels.append(name(js)[1:])
+    return names, keys, entries, labels, images

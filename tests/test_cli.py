@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import multirees
 from conftest import emission_specs
 from multirees.cli import _block_monomials, _terms_json, _write_json, build_parser, main
-from multirees.quasimat import Binomial
+from multirees.quasimat import Binomial, _entry_graph_cycles
 from multirees.rees import FULL, RESTRICTED, build_presentation, defining_generators, spec_from_dict, spec_to_dict
 from multirees.sseq import SMonomial, taylor_complex
 
@@ -332,6 +332,20 @@ class TestVerify:
             witness = poly_from_text(pres.universe, piece["witness"])
             assert witness.render() == piece["witness"] and len(witness.terms) == 2
             assert pres.phi(witness).is_zero()
+
+    def test_one_cycle_search(self, spec_file, capsys, monkeypatch):
+        # the restricted family and F1 read the same cycle walks
+        caps = []
+
+        def counted(qm, max_vertices):
+            caps.append(max_vertices)
+            return _entry_graph_cycles(qm, max_vertices)
+
+        monkeypatch.setattr("multirees.rees._entry_graph_cycles", counted)
+        monkeypatch.setattr("multirees.quasimat._entry_graph_cycles", counted)
+        assert main(["verify", spec_file(PAPER_SPEC), "--t-degree-cap", "1"]) == 0
+        assert "overall: PASS" in capsys.readouterr().out
+        assert caps == [8]
 
     def test_degenerate_spec_verifies(self, spec_file, capsys):
         path = spec_file({"sequence": {"n": 2}, "blocks": [{"rows": [1], "power": 1}]})

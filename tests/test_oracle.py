@@ -317,8 +317,8 @@ class TestImageData:
         pres = build_presentation(spec)
         data = ImageData(pres)
         u = pres.universe
-        # js (1,1) has step exponents (1,0,0): it picks up symbol 1, value 2
-        vid = pres.blocks[0].vids[(1, 1)]
+        # the variable of s1 picks up symbol 1's value 2
+        vid = pres.blocks[0].vids[(1, 0, 0)]
         coeff, img = data.image(Mono(((vid, 1),)))
         assert coeff == 2
         assert dict(img.exps) == {u.t_ids[0]: 1}

@@ -1,41 +1,38 @@
-"""Presentation builder: index tuples, matrix layout, generating families.
+"""Presentation builder: variables and columns, matrix layout,
+generating families.
 
 The five-ideal height-two example is frozen in full (matrix layout and
 the complete restricted family) from an independently validated run;
-combinatorial counts are checked against closed forms, and the shift
-identity that drives the sequence-linear relations is property-tested.
+the layout of the desk-scale specs and of ``UNIVERSE_SPECS`` is checked
+against the paper's construction from ladders and their shifts
+(``helpers.ladder_layout``).
 """
 import json
-from itertools import combinations, combinations_with_replacement
-from math import comb
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import desk_scale_specs, emission_specs
+from helpers import ladder_layout
 from multirees.poly import SpecError, mono_text
 from multirees.quasimat import Binomial, _entry_graph_cycles
 from multirees.rees import (
     FULL,
     RESTRICTED,
     SINGLE,
-    IndexTuple,
     ReesSpec,
     _family,
     _restricted_items,
     _size_cap,
     build_presentation,
     defining_generators,
-    enumerate_column_tuples,
-    enumerate_index_tuples,
     normality_report,
     spec_from_dict,
     spec_from_json,
     spec_to_dict,
     spec_to_json,
 )
-from multirees.sseq import SeqSpec, SMonomial
+from multirees.sseq import SeqSpec
 
 
 @pytest.fixture(scope="module")
@@ -46,83 +43,6 @@ def paper():
         blocks=(((1, 2), 1), ((1, 3), 1), ((2, 3), 1), ((1, 4), 1), ((2, 4), 1)),
     )
     return build_presentation(spec)
-
-
-class TestIndexTuple:
-    def test_display_reverses_internal_order(self):
-        it = IndexTuple(4, 1, (0, 1, 1))
-        assert it.display() == (1, 1, 0)
-        assert it.display_str() == "110"
-
-    def test_display_str_commas_for_large_amplitude(self):
-        it = IndexTuple(2, 11, (10,))
-        assert it.display_str() == "10"
-        it2 = IndexTuple(3, 11, (3, 10))
-        assert it2.display_str() == "10,3"
-
-    def test_s_exponents_sum_to_amplitude(self):
-        it = IndexTuple(4, 3, (1, 2, 2))
-        assert it.s_exponents() == (1, 1, 0, 1)
-        assert sum(it.s_exponents()) == 3
-
-    def test_monotonicity_enforced(self):
-        with pytest.raises(ValueError):
-            IndexTuple(3, 2, (2, 1))
-        with pytest.raises(ValueError):
-            IndexTuple(3, 2, (0, 3))
-
-    def test_shift_raises_tail(self):
-        it = IndexTuple(4, 2, (0, 1, 1))
-        assert it.shift(1).js == (1, 2, 2)
-        assert it.shift(3).js == (0, 1, 2)
-        assert it.shift(4).js == it.js
-        with pytest.raises(ValueError):
-            it.shift(0)
-        with pytest.raises(ValueError):
-            # shifting a non-column tuple would push a component past the cap
-            IndexTuple(2, 1, (1,)).shift(1)
-
-    def test_counts_closed_form(self):
-        for n in range(1, 7):
-            for a in range(1, 6):
-                assert len(enumerate_index_tuples(n, a)) == comb(a + n - 1, n - 1)
-                assert len(enumerate_column_tuples(n, a)) == comb(a + n - 2, n - 1)
-
-    def test_enumeration_order_display_descending(self):
-        tuples = enumerate_index_tuples(3, 2)
-        displays = [it.display() for it in tuples]
-        assert displays == sorted(displays, reverse=True)
-
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_shift_identity(self, data):
-        # s_u * s^(j shifted at w) == s_w * s^(j shifted at u)
-        n = data.draw(st.integers(min_value=2, max_value=5))
-        a = data.draw(st.integers(min_value=1, max_value=4))
-        # column tuples only: shifting must stay under the amplitude cap
-        js = tuple(
-            sorted(
-                data.draw(
-                    st.lists(
-                        st.integers(min_value=0, max_value=a - 1),
-                        min_size=n - 1,
-                        max_size=n - 1,
-                    )
-                )
-            )
-        )
-        it = IndexTuple(n, a, js)
-        u = data.draw(st.integers(min_value=1, max_value=n))
-        w = data.draw(st.integers(min_value=1, max_value=n))
-        su = SMonomial.gen(n, u)
-        sw = SMonomial.gen(n, w)
-        left = su.mul(SMonomial(it.shift(w).s_exponents()))
-        right = sw.mul(SMonomial(it.shift(u).s_exponents()))
-        assert left == right
-
-    def test_column_set_is_positive_last_exponent(self):
-        for it in enumerate_index_tuples(3, 2):
-            assert it.in_column_set() == (it.s_exponents()[-1] >= 1)
 
 
 class TestSpecValidation:
@@ -311,22 +231,31 @@ class TestPaperExample:
         assert img.render() == "p2*t3"
 
     def test_selected_columns_have_support_inside_block(self, paper):
-        for bd in paper.blocks:
-            k1 = bd.rows[0]
-            for it in bd.tuples:
-                selected = it in bd.columns
-                if not it.in_column_set():
-                    # top component already at the cap: not shiftable, never a column
-                    assert not selected
-                    continue
-                inside = set(it.shift(k1).support()) <= set(bd.rows)
-                assert selected == inside
+        # a column is a degree-(a-1) exponent vector u with support inside
+        # the block's rows, and u + unit_k is a variable for each row k
+        for pres in (paper, build_presentation(UNIVERSE_SPECS["power-3"])):
+            n = pres.spec.seq.n
+            for bd in pres.blocks:
+                want = [u for u in _exponent_vectors(n, bd.power - 1) if _support(u) <= set(bd.rows)]
+                assert sorted(bd.columns) == sorted(want)
+                for u in bd.columns:
+                    for k in bd.rows:
+                        assert u[:k - 1] + (u[k - 1] + 1,) + u[k:] in bd.vids
 
     def test_presentation_ring_membership(self, paper):
         # T[3;111] is s1 * t3, and s1 lies outside block 3's rows {2, 3}:
         # the universe has no such variable
         with pytest.raises(KeyError):
             paper.universe.vid("T[3;111]")
+
+
+def _exponent_vectors(n, degree):
+    return [e for e in product(range(degree + 1), repeat=n) if sum(e) == degree]
+
+
+def _support(e):
+    """1-based positions with a positive exponent."""
+    return {i + 1 for i, x in enumerate(e) if x}
 
 
 def _every_row_set(n, size):
@@ -360,22 +289,42 @@ UNIVERSE_SPECS = {
     "n6-two-row": _every_row_set(6, 2),
     "n5-two-row": _every_row_set(5, 2),
     "power-3": ReesSpec(seq=SeqSpec(n=4), blocks=(((1, 2, 4), 3), ((2, 3), 1))),
+    # names separate the ladder's entries by commas beyond power 9
+    "power-10": ReesSpec(seq=SeqSpec(n=3), blocks=(((1, 2, 3), 10),)),
+    "power-11": ReesSpec(seq=SeqSpec(n=4), blocks=(((1, 3, 4), 11), ((2, 3), 9))),
+    "power-12": ReesSpec(seq=SeqSpec(n=2), blocks=(((1, 2), 12), ((2,), 10))),
 }
+
+
+def layout(pres):
+    """What ``helpers.ladder_layout`` builds, read off a presentation."""
+    u = pres.universe
+    return (
+        [u.name(v) for v in u.T_ids],
+        [u.vars[v].key for v in u.T_ids],
+        {cell: u.name(v) for cell, v in pres.matrix.entries.items()},
+        pres.col_labels,
+        {u.name(v): image for v, image in pres.var_block.items()},
+    )
 
 
 class TestUniverse:
     """The T-block of the universe is the presentation ring, one variable
     per power product of a block's own rows, and each is a matrix entry:
     a ring monomial m with s_k in its support is the row-k entry of the
-    column labelled m / s_k * s_n."""
+    column of m / s_k.  Names, keys, entries, column labels and variable
+    blocks agree with the paper's construction from ladders and shifts."""
 
     @staticmethod
     def assert_universe_is_the_ring(pres):
         u = pres.universe
         assert set(pres.matrix.entries.values()) == set(u.s_ids) | set(u.T_ids)
         for bd in pres.blocks:
-            ring = [it for it in bd.tuples if set(it.support()) <= set(bd.rows)]
-            assert [pres.var_block[v] for v in bd.vids.values()] == [(bd.index, it) for it in ring]
+            ring = [e for e in _exponent_vectors(pres.spec.seq.n, bd.power) if _support(e) <= set(bd.rows)]
+            assert sorted(bd.vids) == sorted(ring)
+            assert list(bd.vids.values()) == sorted(bd.vids.values())
+            assert [pres.var_block[v] for v in bd.vids.values()] == [(bd.index, e) for e in bd.vids]
+        assert layout(pres) == ladder_layout(pres.spec)
 
     def test_desk_scale_specs(self):
         specs = desk_scale_specs()
@@ -386,6 +335,28 @@ class TestUniverse:
     @pytest.mark.parametrize("name", sorted(UNIVERSE_SPECS))
     def test_other_shapes(self, name):
         self.assert_universe_is_the_ring(build_presentation(UNIVERSE_SPECS[name]))
+
+    def test_commas_from_power_ten(self):
+        names, _, _, labels, _ = layout(build_presentation(UNIVERSE_SPECS["power-11"]))
+        # s1^3 s3^7 s4 at power 11 has the ladder (10, 3, 3); s2^9 at power 9
+        # has (9, 9, 0), its digits run together
+        assert "T[1;10,3,3]" in names and "[1;10,3,3]" in labels
+        assert "T[2;990]" in names and "[2;880]" in labels
+
+    def test_sequence_linear_identity(self):
+        # rows k and w of a block column u hold T[u*s_k] and T[u*s_w], so
+        # s_k * T[u*s_w] and s_w * T[u*s_k] have one value
+        for spec in desk_scale_specs() + list(UNIVERSE_SPECS.values()):
+            pres = build_presentation(spec)
+            u = pres.universe
+            images = pres.phi_images()
+            column = {}
+            for (k, c), vid in pres.matrix.entries.items():
+                if c:
+                    column.setdefault(c, []).append((u.poly_var(spec.seq.names[k]), images[vid]))
+            for cells in column.values():
+                for (sk, vk), (sw, vw) in combinations(cells, 2):
+                    assert (sk * vw - sw * vk).is_zero()
 
     def test_ring_sizes(self, paper):
         # five two-row blocks at power 1 over n = 4: two variables each
