@@ -9,6 +9,7 @@ against the paper's construction from ladders and their shifts
 """
 import json
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -43,6 +44,65 @@ def paper():
         blocks=(((1, 2), 1), ((1, 3), 1), ((2, 3), 1), ((1, 4), 1), ((2, 4), 1)),
     )
     return build_presentation(spec)
+
+
+def _full_block(n, a):
+    """One block on all n rows at power a: every ladder is a variable."""
+    return build_presentation(ReesSpec(seq=SeqSpec(n=n), blocks=((tuple(range(1, n + 1)), a),)))
+
+
+def _by_name(pres):
+    u = pres.universe
+    return {u.name(v): v for v in u.T_ids}
+
+
+class TestIndexTuple:
+    """The ladders j_1 <= ... <= j_(n-1) that name the variables, read off
+    a presentation: shown highest first, s^j = prod s_i^(j_i - j_(i-1))
+    with j_0 = 0 and j_n = a, and the shift at k raises every j_i, i >= k."""
+
+    def test_display_reverses_internal_order(self):
+        pres = _full_block(4, 1)
+        vid = _by_name(pres)["T[1;110]"]
+        # the ladder (0, 1, 1) shows as 110 and stands for s2
+        assert pres.universe.vars[vid].key[1] == (1, 1, 0)
+        assert pres.var_block[vid] == (1, (0, 1, 0, 0))
+
+    def test_s_exponents_sum_to_amplitude(self):
+        pres = _full_block(4, 3)
+        # the ladder (1, 2, 2) is s1 s2 s4
+        assert pres.var_block[_by_name(pres)["T[1;221]"]] == (1, (1, 1, 0, 1))
+        assert all(sum(e) == 3 for _, e in pres.var_block.values())
+
+    def test_shift_raises_tail(self):
+        pres = _full_block(4, 2)
+        c = pres.col_labels.index("[1;110]")
+        names = {k: pres.universe.name(v) for (k, col), v in pres.matrix.entries.items() if col == c}
+        # the ladder (0, 1, 1) shifted at 1, 3 and 4
+        assert names[0] == "T[1;221]"
+        assert names[2] == "T[1;210]"
+        assert names[3] == "T[1;110]"
+        # the ladder (1,) at power 1 has its top at the cap: not shiftable,
+        # so not a column
+        assert "[1;1]" not in _full_block(2, 1).col_labels
+
+    def test_counts_closed_form(self):
+        for n in range(1, 7):
+            for a in range(1, 6):
+                (bd,) = _full_block(n, a).blocks
+                assert len(bd.vids) == comb(a + n - 1, n - 1)
+                assert len(bd.columns) == comb(a + n - 2, n - 1)
+
+    def test_enumeration_order_display_descending(self):
+        u = _full_block(3, 2).universe
+        displays = [u.vars[v].key[1] for v in u.T_ids]
+        assert displays == sorted(displays, reverse=True)
+
+    def test_column_set_is_positive_last_exponent(self):
+        pres = _full_block(3, 2)
+        labels = set(pres.col_labels)
+        for vid, (_, e) in pres.var_block.items():
+            assert (pres.universe.name(vid)[1:] in labels) == (e[-1] >= 1)
 
 
 class TestSpecValidation:
