@@ -483,17 +483,17 @@ def mono_text(mono, universe):
 def default_t_precedence(universe):
     """Canonical precedence: blocks in listed order; inside a block,
     variables whose value concentrates on fewer sequence symbols come
-    first, ties broken by larger index tuple.  (Concentration first is
-    what keeps graded-reverse-lex leading monomials squarefree: the
-    variable shared by both columns of a 2x2 block minor is the spread
-    one, and it must rank below the concentrated pair.)  Plain
-    T-variables keep their listed order."""
+    first, ties broken by the larger ladder of the exponent vector.
+    (Concentration first is what keeps graded-reverse-lex leading
+    monomials squarefree: the variable shared by both columns of a 2x2
+    block minor is the spread one, and it must rank below the
+    concentrated pair.)  Plain T-variables keep their listed order."""
     keyed = []
     for pos, vid in enumerate(universe.T_ids):
         key = universe.vars[vid].key
         if isinstance(key, tuple) and len(key) == 3 and isinstance(key[1], tuple):
-            l, js, spread = key
-            keyed.append(((0, l, spread, tuple(-j for j in js)), pos, vid))
+            l, ladder, spread = key
+            keyed.append(((0, l, spread, tuple(-j for j in ladder)), pos, vid))
         else:
             keyed.append(((1, 0, 0, ()), pos, vid))
     keyed.sort(key=lambda t: (t[0], t[1]))
@@ -515,17 +515,3 @@ def leading(p, order):
     for mono, coeff in groups[lm]:
         lc[mono.drop(tset)] = coeff
     return Poly._make(u, lc), lm
-
-
-def s_term_parts(lc):
-    """Split a coefficient polynomial into (unit, s-monomial) if it is a
-    single term supported on the s-block; None otherwise."""
-    if len(lc.terms) != 1:
-        return None
-    mono, coeff = lc.terms[0]
-    u = lc.universe
-    if any(v not in u.s_idset for v, _ in mono.exps):
-        return None
-    if u.domain == "ZZ" and abs(coeff) != 1:
-        return None
-    return coeff, mono

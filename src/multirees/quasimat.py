@@ -8,8 +8,10 @@ graph.  Each union of c cycles carries 2^(c-1) binary quasi-determinants
 up to sign: per cycle the entries split into the two alternating perfect
 matchings, and each term of a quasi-determinant takes one matching per
 cycle, the first cycle's held fixed (flipping every cycle swaps the
-terms).  The union search takes the cycles shortest first and stops at
-the first one too long for the room left under the size cap.
+terms).  A matrix searches its entry graph once per size cap and keeps
+the cycle walks, which every generating family reads.  The union search
+takes the cycles shortest first and stops at the first one too long for
+the room left under the size cap.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ MAX_BINARY_SIZE = 12  # rows + cols of an emitted binary subquasi-matrix
 class QuasiMatrix:
     """Rows x cols grid with entries (variable ids) at some positions."""
 
-    __slots__ = ("n_rows", "n_cols", "entries")
+    __slots__ = ("n_rows", "n_cols", "entries", "_walks")
 
     def __init__(self, n_rows, n_cols, entries):
         self.n_rows = n_rows
@@ -33,6 +35,16 @@ class QuasiMatrix:
         for (r, c) in self.entries:
             if not (0 <= r < n_rows and 0 <= c < n_cols):
                 raise ValueError("entry out of range: %r" % ((r, c),))
+        self._walks = {}
+
+    def cycle_walks(self, max_vertices):
+        """The cycle walks of the entry graph with at most
+        ``max_vertices`` vertices, shortest first.  The search runs once
+        per cap, and every caller reads the same tuple; a cap over the
+        guard raises on every call."""
+        if max_vertices not in self._walks:
+            self._walks[max_vertices] = _entry_graph_cycles(self, max_vertices)
+        return self._walks[max_vertices]
 
     def cells(self):
         return sorted(self.entries)
@@ -170,11 +182,11 @@ def _cells_mono(qm, cells):
 
 def _entry_graph_cycles(qm, max_vertices):
     """All simple cycles of the bipartite entry graph with at most
-    ``max_vertices`` vertices, as cell walks.  Rows are vertices
-    0..n_rows-1, columns n_rows..n_rows+n_cols-1; each cycle is emitted
-    once, anchored at its smallest vertex.  The walks are guaranteed to
-    come shortest first (then by sorted cells): the union search's early
-    stop relies on it."""
+    ``max_vertices`` vertices, as a tuple of cell walks.  Rows are
+    vertices 0..n_rows-1, columns n_rows..n_rows+n_cols-1; each cycle is
+    emitted once, anchored at its smallest vertex.  The walks are
+    guaranteed to come shortest first (then by sorted cells): the union
+    search's early stop relies on it."""
     if max_vertices > MAX_BINARY_SIZE:
         raise GuardExceeded("max_size %d exceeds the hard guard %d" % (max_vertices, MAX_BINARY_SIZE))
     R = qm.n_rows
@@ -184,6 +196,7 @@ def _entry_graph_cycles(qm, max_vertices):
         adj.setdefault(R + c, []).append(r)
     for v in adj:
         adj[v].sort()
+    cell = {rc: rc for rc in qm.entries}  # walks share one tuple per cell
     cycles = []
 
     def dfs(path, seen):
@@ -196,7 +209,7 @@ def _entry_graph_cycles(qm, max_vertices):
                     rows = path[0::2]
                     cols = [x - R for x in path[1::2]]
                     turn = zip(rows[1:] + rows[:1], cols)
-                    cycles.append(tuple(cell for pair in zip(zip(rows, cols), turn) for cell in pair))
+                    cycles.append(tuple(cell[rc] for pair in zip(zip(rows, cols), turn) for rc in pair))
             elif w > first and w not in seen and len(path) < max_vertices:
                 seen.add(w)
                 path.append(w)
@@ -206,8 +219,7 @@ def _entry_graph_cycles(qm, max_vertices):
 
     for s in sorted(adj):
         dfs([s], {s})
-    cycles.sort(key=lambda cy: (len(cy), sorted(cy)))
-    return cycles
+    return tuple(sorted(cycles, key=lambda cy: (len(cy), sorted(cy))))
 
 
 def binary_subquasi_enumerate(qm, max_size=MAX_BINARY_SIZE):
@@ -217,7 +229,7 @@ def binary_subquasi_enumerate(qm, max_size=MAX_BINARY_SIZE):
     bit n_rows + c for column c (its even cells are a perfect matching).
     Walks come shortest first and touch as many vertices as they have
     cells, so the search stops at the first walk longer than the room left."""
-    cycles = _entry_graph_cycles(qm, max_size)
+    cycles = qm.cycle_walks(max_size)
     R = qm.n_rows
     masks = [sum(1 << r | 1 << (R + c) for r, c in cy[0::2]) for cy in cycles]
     out = []

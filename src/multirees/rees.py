@@ -9,7 +9,8 @@ sends each to its value times a block tag.  The kernel of phi is the
 defining ideal.  This module builds the augmented presentation matrix
 (sequence column next to the block columns), emits the two candidate
 generating families (a restricted binomial family, and every binary
-quasi-minor of the matrix) from the cycles of its entry graph, and
+quasi-minor of the matrix) and F1 from the cycle walks of its entry
+graph, which the matrix searches once per cap for every family, and
 assembles the supporting reports.
 
 Variables and columns are indexed by exponent vectors.  Block l has one
@@ -39,7 +40,6 @@ from .quasimat import (
     BinaryQuasiMatrix,
     Binomial,
     QuasiMatrix,
-    _entry_graph_cycles,
     binary_subquasi_enumerate,
     quasi_determinants,
 )
@@ -168,10 +168,6 @@ def spec_from_dict(data):
     return ReesSpec(seq=seq, blocks=tuple(blocks))
 
 
-def spec_to_json(spec):
-    return json.dumps(spec_to_dict(spec), indent=2, sort_keys=False)
-
-
 def spec_from_json(text):
     try:
         data = json.loads(text)
@@ -268,16 +264,8 @@ class Presentation:
                 self.col_blocks.append((bd.index, u))
                 self.col_labels.append("[%s]" % _ladder_text(bd.index, u, bd.power))
         self.matrix = QuasiMatrix(n, len(self.col_blocks), entries)
-        self._walks = {}
         self._phi_cache = None
         self._s_value_cache = None
-
-    def cycle_walks(self, max_vertices):
-        """The cycle walks of the matrix's entry graph with at most
-        ``max_vertices`` vertices, searched once per cap."""
-        if max_vertices not in self._walks:
-            self._walks[max_vertices] = _entry_graph_cycles(self.matrix, max_vertices)
-        return self._walks[max_vertices]
 
     # --- the map phi ---------------------------------------------------
 
@@ -432,14 +420,14 @@ def defining_generators(pres, family=RESTRICTED, max_minor_size=None):
     inside one block, and the cycles off the sequence column that use at
     most one column per block.
 
-    Only ``full`` enumerates the unions of cycles; ``single`` and
-    ``restricted`` share the presentation's one cycle search per cap.
+    Every family reads the matrix's cycle walks, searched once per cap;
+    only ``full`` enumerates their unions.
     """
     size = _size_cap(pres, family, max_minor_size)
     E = pres.matrix
     if family == FULL:
         return _family(pres, _binary_items(pres, binary_subquasi_enumerate(E, max_size=size)))
-    walks = pres.cycle_walks(size)
+    walks = E.cycle_walks(size)
     if family == SINGLE:
         return _family(pres, _binary_items(pres, [BinaryQuasiMatrix(E, (walk,)) for walk in walks]))
     return _family(pres, _restricted_items(pres, walks))

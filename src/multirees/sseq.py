@@ -91,11 +91,6 @@ def s_lcm(a, b):
     return SMonomial(tuple(max(x, y) for x, y in zip(a.exps, b.exps)))
 
 
-def s_gcd(a, b):
-    a._check(b)
-    return SMonomial(tuple(min(x, y) for x, y in zip(a.exps, b.exps)))
-
-
 @dataclass(frozen=True)
 class SeqSpec:
     """Description of the ambient sequence s_1,...,s_n.

@@ -6,7 +6,9 @@ of a full matrix as a combination of two-by-two minors (criteria 04 and
 07, the quasi-matrix and Groebner tests), and the syzygy pieces of a
 plain monomial list against the span of its pairwise syzygies (criterion
 08 and the oracle tests); the presentation's layout built the paper's
-way, from ladders and their shifts (the presentation tests).
+way, from ladders and their shifts (the presentation tests); the split
+of a leading coefficient into a unit and an s-monomial (the polynomial
+and Groebner tests).
 """
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -249,3 +251,17 @@ def ladder_layout(spec):
                     entries[(k - 1, len(labels))] = name(shift(js, k))
                 labels.append(name(js)[1:])
     return names, keys, entries, labels, images
+
+
+def s_term_parts(lc):
+    """Split a coefficient polynomial into (unit, s-monomial) if it is a
+    single term supported on the s-block; None otherwise."""
+    if len(lc.terms) != 1:
+        return None
+    mono, coeff = lc.terms[0]
+    u = lc.universe
+    if any(v not in u.s_idset for v, _ in mono.exps):
+        return None
+    if u.domain == "ZZ" and abs(coeff) != 1:
+        return None
+    return coeff, mono

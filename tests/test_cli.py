@@ -333,20 +333,6 @@ class TestVerify:
             assert witness.render() == piece["witness"] and len(witness.terms) == 2
             assert pres.phi(witness).is_zero()
 
-    def test_one_cycle_search(self, spec_file, capsys, monkeypatch):
-        # the restricted family and F1 read the same cycle walks
-        caps = []
-
-        def counted(qm, max_vertices):
-            caps.append(max_vertices)
-            return _entry_graph_cycles(qm, max_vertices)
-
-        monkeypatch.setattr("multirees.rees._entry_graph_cycles", counted)
-        monkeypatch.setattr("multirees.quasimat._entry_graph_cycles", counted)
-        assert main(["verify", spec_file(PAPER_SPEC), "--t-degree-cap", "1"]) == 0
-        assert "overall: PASS" in capsys.readouterr().out
-        assert caps == [8]
-
     def test_degenerate_spec_verifies(self, spec_file, capsys):
         path = spec_file({"sequence": {"n": 2}, "blocks": [{"rows": [1], "power": 1}]})
         code, payload = run_json(
@@ -354,6 +340,28 @@ class TestVerify:
         )
         assert code == 0
         assert payload["generators"] == 0
+
+
+@pytest.mark.parametrize("family", [RESTRICTED, FULL])
+@pytest.mark.parametrize("command", ["generators", "groebner", "oracle", "verify"])
+def test_one_cycle_search(spec_file, monkeypatch, command, family):
+    # F, F1 and the restricted family all read the matrix's one search;
+    # the restricted family is no Groebner basis of the paper example
+    caps = []
+
+    def counted(qm, max_vertices):
+        caps.append(max_vertices)
+        return _entry_graph_cycles(qm, max_vertices)
+
+    monkeypatch.setattr("multirees.quasimat._entry_graph_cycles", counted)
+    # the patch sees every search only while no other module binds the function
+    others = [m for m in sys.modules if m.startswith("multirees") and m != "multirees.quasimat"]
+    assert [m for m in others if hasattr(sys.modules[m], "_entry_graph_cycles")] == []
+    argv = [command, spec_file(PAPER_SPEC), "--family", family, "--format", "json"]
+    if command in ("oracle", "verify"):
+        argv += ["--t-degree-cap", "1"]
+    assert main(argv) == (1 if (command, family) == ("groebner", RESTRICTED) else 0)
+    assert caps == [8]
 
 
 def concrete_value_exponents(spec, exps):

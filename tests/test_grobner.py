@@ -42,7 +42,7 @@ from multirees.grobner import (
     top_reduce,
     universal_gb_check,
 )
-from helpers import generic_matrix, ibin_generators
+from helpers import generic_matrix, ibin_generators, s_term_parts
 from multirees.poly import (
     GuardExceeded,
     Mono,
@@ -52,7 +52,6 @@ from multirees.poly import (
     VarUniverse,
     ZeroPolynomial,
     leading,
-    s_term_parts,
 )
 from multirees.rees import FULL, SINGLE, ReesSpec, build_presentation, defining_generators, spec_to_dict
 from multirees.sseq import SeqSpec

@@ -104,15 +104,18 @@ def paper_file(tmp_path):
 
 @pytest.mark.parametrize("family", [RESTRICTED, FULL])
 def test_tracer_sees_both_verify_families(paper_file, family):
-    # verify emits the requested family and F1 through defining_generators
+    # verify emits the requested family and F1 through defining_generators;
+    # only F enumerates unions, through the rees module global the tracer wraps
     tracing = load_tracing()
     pres = build_presentation(PAPER)
     expected = len(defining_generators(pres, family)) + len(defining_generators(pres, SINGLE))
+    unions = len(binary_subquasi_enumerate(pres.matrix, max_size=8)) if family == FULL else 0
     with tracing.installed(tracing.Tracer()) as tracer, contextlib.redirect_stdout(io.StringIO()):
         code = main(["verify", paper_file, "--family", family, "--t-degree-cap", "1"])
     assert code == 0
     assert tracer.counts["rees.defining_generators.calls"] == 2
     assert tracer.counts["rees.generators_emitted"] == expected
+    assert tracer.counts["quasimat.cycle_unions"] == unions
 
 
 def test_single_is_no_cli_family(paper_file, capsys):

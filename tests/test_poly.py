@@ -12,6 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import s_term_parts
 from multirees.poly import (
     Mono,
     MonomialOrder,
@@ -22,7 +23,6 @@ from multirees.poly import (
     default_t_precedence,
     leading,
     mono_text,
-    s_term_parts,
 )
 
 

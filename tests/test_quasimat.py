@@ -10,6 +10,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import desk_scale_specs
 from helpers import expand_combination, generic_matrix, ibin_generators, is_full, rewrite_as_two_minors
 from multirees.poly import GuardExceeded, Mono
 from multirees.quasimat import (
@@ -20,6 +21,7 @@ from multirees.quasimat import (
     binary_subquasi_enumerate,
     quasi_determinants,
 )
+from multirees.rees import build_presentation
 
 
 def brute_binary_cell_sets(qm, max_size=12):
@@ -142,11 +144,15 @@ class TestBinaryEnumeration:
                 assert [(walk,) for walk in _entry_graph_cycles(qm, max_size)] == want
 
     def test_unions_in_reference_order(self):
+        # the memo hands out the uncached search's walks, one object per cap
         shapes = [generic_matrix(*shape)[0] for shape in GENERIC_SHAPES]
-        for qm in shapes + list(seeded_sparse_matrices()) + list(repeated_entry_matrices()):
+        desk = [build_presentation(spec).matrix for spec in desk_scale_specs()]
+        for qm in shapes + list(seeded_sparse_matrices()) + list(repeated_entry_matrices()) + desk:
             for max_size in range(4, 13):
                 got = [b.cycles for b in binary_subquasi_enumerate(qm, max_size)]
                 assert got == reference_unions(qm, max_size)
+                walks = qm.cycle_walks(max_size)
+                assert walks == _entry_graph_cycles(qm, max_size) and qm.cycle_walks(max_size) is walks
 
     def test_walks_come_shortest_first(self):
         qm, _ = generic_matrix(4, 4)
@@ -169,6 +175,10 @@ class TestBinaryEnumeration:
             binary_subquasi_enumerate(qm, max_size=13)
         with pytest.raises(GuardExceeded):
             _entry_graph_cycles(qm, 13)
+        # a failed search is never memoized, so it fails on every call
+        for _ in range(2):
+            with pytest.raises(GuardExceeded):
+                qm.cycle_walks(13)
 
     def test_cycle_shape_validation(self):
         qm, _ = generic_matrix(2, 2)

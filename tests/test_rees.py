@@ -31,9 +31,12 @@ from multirees.rees import (
     spec_from_dict,
     spec_from_json,
     spec_to_dict,
-    spec_to_json,
 )
 from multirees.sseq import SeqSpec
+
+
+def spec_to_json(spec):
+    return json.dumps(spec_to_dict(spec), indent=2, sort_keys=False)
 
 
 @pytest.fixture(scope="module")
