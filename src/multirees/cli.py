@@ -313,10 +313,11 @@ def cmd_verify(args):
     squarefreeness report.
 
     F is certified through F1, its single-cycle members, which
-    ``defining_generators(pres, SINGLE)`` emits from the cycle walks the
-    presentation already searched for the restricted family; the
-    docstring of ``buchberger_check`` shows why F is a Groebner basis
-    exactly when F1 is."""
+    ``defining_generators(pres, SINGLE)`` emits from the cycle walks that
+    the presentation matrix keeps (``QuasiMatrix.cycle_walks``), the one
+    search that the requested family reads too; the docstring of
+    ``buchberger_check`` shows why F is a Groebner basis exactly when F1
+    is."""
     spec = _read_spec(args.spec)
     pres = build_presentation(spec)
     gens = defining_generators(pres, args.family, args.max_minor_size)

@@ -42,7 +42,6 @@ from .poly import (
     GuardExceeded,
     MonomialOrder,
     Packing,
-    Poly,
     UniverseMismatch,
     default_t_precedence,
     leading,
@@ -55,21 +54,43 @@ INCONCLUSIVE = "INCONCLUSIVE"
 DEFAULT_MAX_STEPS = 10000
 
 
-@dataclass
 class ReductionCert:
-    """Replayable record of a top-reduction run.
+    """Replayable record of a top-reduction run over ``reducers``.
 
     ``quotients`` maps reducer index -> multiplier polynomial, so that
         target == sum(quotients[i] * reducers[i]) + remainder.
-    """
+    ``target``, ``quotients`` and ``remainder`` are built as ``Poly`` on
+    first read, through ``ring``, from the packed target and remainder
+    and the ``record`` of (reducer index, packed shift, coefficient)
+    quotient terms; ``keys`` lists reducer indices whose quotient exists
+    even without a term."""
 
-    target: Poly
-    reducers: tuple
-    order: MonomialOrder
-    quotients: dict
-    remainder: Poly
-    status: str
-    steps: int
+    def __init__(self, ring, target, reducers, status, steps, record, remainder, keys=()):
+        self.ring = ring
+        self.reducers = reducers
+        self.order = ring.order
+        self.status = status
+        self.steps = steps
+        self._target = target
+        self._record = record
+        self._remainder = remainder
+        self._keys = keys
+
+    @cached_property
+    def target(self):
+        return self.ring.poly(self._target)
+
+    @cached_property
+    def remainder(self):
+        return self.ring.poly(self._remainder)
+
+    @cached_property
+    def quotients(self):
+        terms = {idx: {} for idx in self._keys}
+        for idx, shift, c in self._record:
+            q = terms.setdefault(idx, {})
+            q[shift] = q.get(shift, 0) + c
+        return {idx: self.ring.poly(q) for idx, q in terms.items()}
 
     def verify(self):
         acc = self.remainder
@@ -303,13 +324,14 @@ class _Ring:
                 del out[m]
         return out
 
-    def reduce(self, work, reducers, max_steps):
+    def reduce(self, work, reducers):
         """``top_reduce`` of the packed polynomial ``work``, in place, over
         ``reducers``, a list of (unit, packed lead, packed polynomial):
         each step divides the whole leading coefficient by the first
         reducer whose lead divides each of its terms.  Returns (status,
         steps, record) with one (reducer index, packed shift, coefficient)
-        per quotient term; GuardExceeded past ``max_steps`` steps."""
+        per quotient term; GuardExceeded past ``DEFAULT_MAX_STEPS`` steps,
+        read when the reduction runs."""
         guard = self.guard
         record = []
         steps = 0
@@ -335,42 +357,9 @@ class _Ring:
                     else:
                         del work[m]
             steps += 1
-            if steps > max_steps:
-                raise GuardExceeded("top-reduction exceeded %d steps" % max_steps)
+            if steps > DEFAULT_MAX_STEPS:
+                raise GuardExceeded("top-reduction exceeded %d steps" % DEFAULT_MAX_STEPS)
         return REDUCED_TO_ZERO, steps, record
-
-
-class _PackedCert(ReductionCert):
-    """A ``ReductionCert`` of the packed check.  ``target``, ``quotients``
-    and ``remainder`` are built as ``Poly`` on first read, from the packed
-    target and remainder and the record of quotient terms."""
-
-    def __init__(self, ring, target, reducers, status, steps, record, remainder, keys=()):
-        self.ring = ring
-        self.reducers = reducers
-        self.order = ring.order
-        self.status = status
-        self.steps = steps
-        self._target = target
-        self._record = record
-        self._remainder = remainder
-        self._keys = keys
-
-    @cached_property
-    def target(self):
-        return self.ring.poly(self._target)
-
-    @cached_property
-    def remainder(self):
-        return self.ring.poly(self._remainder)
-
-    @cached_property
-    def quotients(self):
-        terms = {idx: {} for idx in self._keys}
-        for idx, shift, c in self._record:
-            q = terms.setdefault(idx, {})
-            q[shift] = q.get(shift, 0) + c
-        return {idx: self.ring.poly(q) for idx, q in terms.items()}
 
 
 def _product_record(a, b, reducer_a, reducer_b):
@@ -418,17 +407,17 @@ def _run(gens, order, width):
                 report.pairs.append(PairResult(i, j, True, None))
             elif not support[a] & support[b]:
                 record = _product_record(a, b, reducers[a], reducers[b])
-                cert = _PackedCert(ring, s, basis_polys, REDUCED_TO_ZERO, 0, record, {}, keys=(a, b))
+                cert = ReductionCert(ring, s, basis_polys, REDUCED_TO_ZERO, 0, record, {}, keys=(a, b))
                 report.pairs.append(PairResult(i, j, False, cert, criterion="product"))
             else:
                 work = dict(s)
-                cert = _PackedCert(ring, s, basis_polys, *ring.reduce(work, reducers, DEFAULT_MAX_STEPS), work)
+                cert = ReductionCert(ring, s, basis_polys, *ring.reduce(work, reducers), work)
                 report.pairs.append(PairResult(i, j, False, cert))
     in_basis = set(basis)
     for k, p in enumerate(polys):
         if k not in in_basis:
             work = dict(p)
-            cert = _PackedCert(ring, p, basis_polys, *ring.reduce(work, reducers, DEFAULT_MAX_STEPS), work)
+            cert = ReductionCert(ring, p, basis_polys, *ring.reduce(work, reducers), work)
             report.members.append(MemberResult(k, cert))
     return report
 
@@ -514,7 +503,7 @@ def s_poly(f, g, order):
     return _widened((f, g), order, run)
 
 
-def top_reduce(p, reducers, order, max_steps=DEFAULT_MAX_STEPS):
+def top_reduce(p, reducers, order):
     """Top-reduce ``p`` by s-monomial-type ``reducers`` (``_Ring.reduce``);
     never inspects trailing terms of ``p``, so a nonzero remainder means
     only that no leading-term step applies (INCONCLUSIVE)."""
@@ -528,7 +517,7 @@ def top_reduce(p, reducers, order, max_steps=DEFAULT_MAX_STEPS):
             table.append(ring.lead(packed, g) + (packed,))
         target = ring.pack(p)
         work = dict(target)
-        return _PackedCert(ring, target, reducers, *ring.reduce(work, table, max_steps), work)
+        return ReductionCert(ring, target, reducers, *ring.reduce(work, table), work)
 
     return _widened((p,) + reducers, order, run)
 

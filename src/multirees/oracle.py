@@ -25,11 +25,13 @@ a piece is enumerated as T-part x ambient part, each part with its
 packed source and packed image, and a monomial is the sum of its parts.
 Packed ints hold one fixed-width field per coordinate, wide enough for
 the largest coordinate any piece of the sweep can have, so sums never
-carry and equal ints mean equal monomials.  ``Mono`` and ``Poly`` are
-built only for a witness.  ``source_monomials`` and ``kernel_piece``
-unpack one piece of a sweep, and its kernel basis, as ``Mono``s; the
-reference enumeration and fiber basis on ``Mono``s that the tests
-compare them with live in the tests.
+carry and equal ints mean equal monomials.  Pieces stay packed;
+``Mono`` and ``Poly`` serve the generator intake, where each generator
+is evaluated, checked and imaged once, and the witness of a missed
+piece.  ``source_monomials`` and ``kernel_piece`` unpack one piece of a
+sweep, and its kernel basis, as ``Mono``s; the reference enumeration
+and fiber basis on ``Mono``s that the tests compare them with live in
+the tests.
 
 Grading: a piece is indexed by the tuple of block degrees (how many T
 variables of each block) together with the total ambient degree of the
@@ -141,35 +143,29 @@ class KernelPiece:
     monomials: list
     basis: list  # vectors as {monomial index: coefficient}
 
-    @property
-    def dim(self):
-        return len(self.basis)
-
-    def vector_to_poly(self, universe, vec):
-        return universe.from_terms([(self.monomials[i], c) for i, c in vec.items()])
 
 
-def _one_piece(pres, tvec, weight, data, cap):
+def _one_piece(pres, tvec, weight, cap):
     """A ``_Sweep`` with no generators, and the packed (sources, images)
     of its one piece."""
     tvec = tuple(tvec)
-    sweep = _Sweep(pres, (), data or ImageData(pres), cap, [(tvec, weight)])
+    sweep = _Sweep(pres, (), ImageData(pres), cap, [(tvec, weight)])
     return sweep, sweep.piece(tvec, weight)
 
 
-def source_monomials(pres, tvec, weight, image_data=None, cap=None):
+def source_monomials(pres, tvec, weight, cap=None):
     """Every presentation-ring monomial of the given degree, as ``Mono``s
     in the sweep's order (``_Sweep.piece``)."""
-    sweep, (src, _) = _one_piece(pres, tvec, weight, image_data, cap)
+    sweep, (src, _) = _one_piece(pres, tvec, weight, cap)
     return [sweep.src.unpack(m) for m in src]
 
 
-def kernel_piece(pres, tvec, weight, image_data=None, cap=DEFAULT_PIECE_CAP):
+def kernel_piece(pres, tvec, weight, cap=DEFAULT_PIECE_CAP):
     """Basis of the kernel of the presentation map on one graded piece,
     computed straight from the fibers (no generators involved): each
     fiber with k members gives k - 1 differences (``_Sweep.fibers``),
     written as ``{monomial index: coefficient}``."""
-    sweep, (src, img) = _one_piece(pres, tvec, weight, image_data, cap)
+    sweep, (src, img) = _one_piece(pres, tvec, weight, cap)
     monos = [sweep.src.unpack(m) for m in src]
     coeffs = [sweep.data.image(m)[0] for m in monos]
     basis = [{i0: coeffs[i], i: -coeffs[i0]} for i0, *rest in sweep.fibers(img) for i in rest]
@@ -256,7 +252,10 @@ class _Sweep:
     when T-variables weigh 0 (constant concrete values).  The field holds
     the largest such bound of the sweep, and q*m_a lies in the piece, so
     no sum ever carries into the next field and packing is injective on
-    every piece.  ``Mono`` and ``Poly`` are built only for a witness.
+    every piece.  Pieces stay packed; ``moves`` reads each generator's
+    ``Poly`` (evaluated through ``Poly.substitute`` in concrete mode) and
+    images its two terms as ``Mono``s once, and ``witness`` builds one
+    ``Poly``.
 
     A generator a*m_a + b*m_b of degree (g_t, g_w) has as multiples in
     piece (t, w) the binomials q*m_a - q*m_b, where q runs over the piece
@@ -420,11 +419,16 @@ def span_compare(pres, generators, tvec, weight, cap=DEFAULT_PIECE_CAP):
     return oracle_check(pres, generators, degrees=[(tvec, weight)], cap=cap).reports[0]
 
 
-def default_degrees(pres, t_cap=None, ambient_cap=None, image_data=None):
+def default_degrees(pres, t_cap=None, ambient_cap=None):
     """The default sweep: block degrees summing to at most ``t_cap``
     (default 3), ambient weight up to ``ambient_cap`` (default three times
     the largest block power, plus two)."""
-    data = image_data or ImageData(pres)
+    return _degrees(ImageData(pres), t_cap, ambient_cap)
+
+
+def _degrees(data, t_cap, ambient_cap):
+    """``default_degrees`` from the presentation's ``ImageData``."""
+    pres = data.pres
     r = pres.spec.r
     if t_cap is None:
         t_cap = DEFAULT_T_CAP
@@ -473,11 +477,10 @@ class OracleReport:
 def oracle_check(pres, generators, degrees=None, t_cap=None, ambient_cap=None, cap=DEFAULT_PIECE_CAP):
     """Compare spans piece by piece over a degree sweep; certifies that the
     family spans the kernel in every listed degree.  The pieces share one
-    ``_Sweep``: each generator is evaluated and checked once, and each
-    piece is enumerated once, whether as a piece or as a quotient piece."""
+    ``_Sweep`` over one ``ImageData``, which also gives the default
+    degrees: each generator is evaluated and checked once, and each piece
+    is enumerated once, whether as a piece or as a quotient piece."""
     data = ImageData(pres)
-    if degrees is None:
-        degrees = default_degrees(pres, t_cap=t_cap, ambient_cap=ambient_cap, image_data=data)
-    degrees = list(degrees)
+    degrees = list(_degrees(data, t_cap, ambient_cap) if degrees is None else degrees)
     sweep = _Sweep(pres, generators, data, cap, degrees)
     return OracleReport([sweep.compare(tvec, weight) for tvec, weight in degrees])

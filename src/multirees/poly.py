@@ -387,22 +387,16 @@ class Poly:
             out = out + acc
         return out
 
-    def render(self, order=None, names=None):
-        """Deterministic human-readable form; ``names`` overrides the
-        vid -> text mapping (e.g. for CAS-safe identifiers)."""
+    def render(self, names=None):
+        """Deterministic human-readable form, the largest ``Mono.exps``
+        first; ``names`` overrides the vid -> text mapping (e.g. for
+        CAS-safe identifiers)."""
         if self.is_zero():
             return "0"
-        u = self.universe
         if names is None:
-            names = u.name
-        terms = list(self.terms)
-        if order is not None:
-            tset = u.T_idset
-            terms.sort(key=lambda t: (order.key(t[0].restrict(tset)), t[0].exps), reverse=True)
-        else:
-            terms.sort(key=lambda t: t[0].exps, reverse=True)
+            names = self.universe.name
         parts = []
-        for mono, coeff in terms:
+        for mono, coeff in reversed(self.terms):
             factors = []
             for vid, e in mono.exps:
                 nm = names(vid)
@@ -455,12 +449,6 @@ class MonomialOrder:
         if self.kind == "grlex":
             return (deg,) + exps
         return (deg,) + tuple(-e for e in reversed(exps))
-
-    def greater(self, a, b):
-        return self.key(a) > self.key(b)
-
-    def max(self, monos):
-        return max(monos, key=self.key)
 
     def describe(self):
         u = self.universe

@@ -46,22 +46,14 @@ class QuasiMatrix:
             self._walks[max_vertices] = _entry_graph_cycles(self, max_vertices)
         return self._walks[max_vertices]
 
-    def cells(self):
-        return sorted(self.entries)
-
-    def pretty(self, names, row_labels=None, col_labels=None):
-        grid = []
-        header = None
-        if col_labels is not None:
-            header = [""] + [str(c) for c in col_labels]
+    def pretty(self, names, row_labels, col_labels):
+        grid = [[""] + [str(c) for c in col_labels]]
         for r in range(self.n_rows):
-            row = [str(row_labels[r]) if row_labels is not None else ""]
+            row = [str(row_labels[r])]
             for c in range(self.n_cols):
                 v = self.entries.get((r, c))
                 row.append("." if v is None else names(v))
             grid.append(row)
-        if header:
-            grid.insert(0, header)
         widths = [max(len(row[i]) for row in grid) for i in range(len(grid[0]))]
         lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in grid]
         return "\n".join(lines)
@@ -95,10 +87,6 @@ class BinaryQuasiMatrix:
 
     def cols(self):
         return sorted({c for _, c in self.cells})
-
-    def size(self):
-        """rows + cols touched."""
-        return len(self.rows()) + len(self.cols())
 
     def validate(self):
         rdeg, cdeg = {}, {}
@@ -140,7 +128,7 @@ class Binomial:
 
     __slots__ = ("plus", "minus", "plus_cells", "minus_cells")
 
-    def __init__(self, plus, minus, plus_cells=(), minus_cells=()):
+    def __init__(self, plus, minus, plus_cells, minus_cells):
         if minus.exps < plus.exps:
             plus, minus = minus, plus
             plus_cells, minus_cells = minus_cells, plus_cells

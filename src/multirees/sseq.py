@@ -31,11 +31,6 @@ class SMonomial:
     def one(cls, n):
         return cls((0,) * n)
 
-    @classmethod
-    def gen(cls, n, i):
-        """The i-th sequence symbol (1-based) as an SMonomial."""
-        return cls(tuple(1 if k == i - 1 else 0 for k in range(n)))
-
     @property
     def n(self):
         return len(self.exps)

@@ -8,10 +8,13 @@ plain monomial list against the span of its pairwise syzygies (criterion
 08 and the oracle tests); the presentation's layout built the paper's
 way, from ladders and their shifts (the presentation tests); the split
 of a leading coefficient into a unit and an s-monomial (the polynomial
-and Groebner tests).
+and Groebner tests); small generic and concrete specs drawn by
+Hypothesis (the oracle and Groebner tests).
 """
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+
+from hypothesis import strategies as st
 
 from multirees.oracle import _Components, _compositions
 from multirees.poly import VarUniverse
@@ -23,7 +26,32 @@ from multirees.quasimat import (
     binary_subquasi_enumerate,
     quasi_determinants,
 )
-from multirees.sseq import SMonomial, syzygy_generators
+from multirees.rees import ReesSpec
+from multirees.sseq import SMonomial, SeqSpec, syzygy_generators
+
+
+@st.composite
+def small_specs(draw, max_n=3, max_blocks=2):
+    """Generic and concrete specs with n <= ``max_n``, at most
+    ``max_blocks`` blocks and powers at most 2; concrete values are
+    monomials or prime constants."""
+    n = draw(st.integers(1, max_n))
+    blocks = tuple(
+        (tuple(sorted(draw(st.sets(st.integers(1, n), min_size=1)))), draw(st.integers(1, 2)))
+        for _ in range(draw(st.integers(1, max_blocks)))
+    )
+    if draw(st.booleans()):
+        return ReesSpec(seq=SeqSpec(n=n), blocks=blocks)
+    x_names = ("x", "y")[: draw(st.integers(0, 2))]
+    values = []
+    for _ in range(n):
+        exps = {x: draw(st.integers(0, 2)) for x in x_names}
+        if any(exps.values()):
+            values.append(((draw(st.sampled_from((1, -1, 2))), exps),))
+        else:
+            values.append(((draw(st.sampled_from((2, 3, 5))), {}),))
+    seq = SeqSpec(n=n, mode="concrete", x_names=x_names, concrete_terms=tuple(values))
+    return ReesSpec(seq=seq, blocks=blocks)
 
 
 def generic_matrix(n_rows, n_cols, pattern=None, with_s_column=False, domain="QQ"):

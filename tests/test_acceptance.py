@@ -268,7 +268,7 @@ def brute_matching_pairs(qm, cells):
 
 def test_criterion_06_quasi_minor_combinatorics():
     qm3, _ = generic_matrix(3, 3)
-    spanning = [b for b in binary_subquasi_enumerate(qm3) if b.size() == 6]
+    spanning = [b for b in binary_subquasi_enumerate(qm3) if len(b.rows()) + len(b.cols()) == 6]
     six_ok = len(spanning) == 6
 
     pattern = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3)]

@@ -19,30 +19,29 @@ is the reference for the verdict on F1.
 """
 import json
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import desk_scale_specs, gb_heavy_specs
 from multirees import grobner, poly
 from multirees.cli import _report_json, main
 from multirees.grobner import (
-    DEFAULT_MAX_STEPS,
     INCONCLUSIVE,
     REDUCED_TO_ZERO,
     BuchbergerReport,
     MemberResult,
     PairResult,
-    ReductionCert,
     buchberger_check,
     default_order_suite,
     s_poly,
     top_reduce,
     universal_gb_check,
 )
-from helpers import generic_matrix, ibin_generators, s_term_parts
+from helpers import generic_matrix, ibin_generators, s_term_parts, small_specs
 from multirees.poly import (
     GuardExceeded,
     Mono,
@@ -55,6 +54,26 @@ from multirees.poly import (
 )
 from multirees.rees import FULL, SINGLE, ReesSpec, build_presentation, defining_generators, spec_to_dict
 from multirees.sseq import SeqSpec
+
+
+@dataclass
+class ReferenceCert:
+    """The fields of ``grobner.ReductionCert``, held as ``Poly`` from the
+    start: target == sum(quotients[i] * reducers[i]) + remainder."""
+
+    target: Poly
+    reducers: tuple
+    order: MonomialOrder
+    quotients: dict
+    remainder: Poly
+    status: str
+    steps: int
+
+    def verify(self):
+        acc = self.remainder
+        for idx, q in self.quotients.items():
+            acc = acc + q * self.reducers[idx]
+        return acc == self.target
 
 
 def _lead_parts(p, order):
@@ -79,9 +98,10 @@ def _s_pair(f, g, lead_f, lead_g):
     return left - right
 
 
-def _reduce(p, reducers, lead, order, max_steps):
+def _reduce(p, reducers, lead, order):
     """``reference_top_reduce`` against ``lead``, the ``_lead_parts`` of
-    each reducer; each step uses the first reducer that applies."""
+    each reducer; each step uses the first reducer that applies, and the
+    step guard is ``grobner.DEFAULT_MAX_STEPS`` when the reduction runs."""
     quotients = {}
     work = p
     steps = 0
@@ -91,7 +111,7 @@ def _reduce(p, reducers, lead, order, max_steps):
             if mg.divides(lm) and all(dg.divides(m) for m, _ in lc.terms):
                 break
         else:
-            return ReductionCert(p, reducers, order, quotients, work, INCONCLUSIVE, steps)
+            return ReferenceCert(p, reducers, order, quotients, work, INCONCLUSIVE, steps)
         ug, dg, mg = lead[chosen]
         shift = lm.div(mg)
         u = p.universe
@@ -99,9 +119,9 @@ def _reduce(p, reducers, lead, order, max_steps):
         work = work - q * reducers[chosen]
         quotients[chosen] = quotients.get(chosen, u.zero()) + q
         steps += 1
-        if steps > max_steps:
-            raise GuardExceeded("top-reduction exceeded %d steps" % max_steps)
-    return ReductionCert(p, reducers, order, quotients, work, REDUCED_TO_ZERO, steps)
+        if steps > grobner.DEFAULT_MAX_STEPS:
+            raise GuardExceeded("top-reduction exceeded %d steps" % grobner.DEFAULT_MAX_STEPS)
+    return ReferenceCert(p, reducers, order, quotients, work, REDUCED_TO_ZERO, steps)
 
 
 def reference_s_poly(f, g, order):
@@ -109,10 +129,10 @@ def reference_s_poly(f, g, order):
     return _s_pair(f, g, _lead_parts(f, order), _lead_parts(g, order))
 
 
-def reference_top_reduce(p, reducers, order, max_steps=DEFAULT_MAX_STEPS):
+def reference_top_reduce(p, reducers, order):
     """``top_reduce`` on ``Poly``."""
     reducers = tuple(reducers)
-    return _reduce(p, reducers, [_lead_parts(g, order) for g in reducers], order, max_steps)
+    return _reduce(p, reducers, [_lead_parts(g, order) for g in reducers], order)
 
 
 def _lead_divides(a, b):
@@ -149,7 +169,7 @@ def _product_cert(s, a, b, reducers, lead, order):
     tail_f = f - u.term(uf, df.mul(mf))
     tail_g = g - u.term(ug, dg.mul(mg))
     quotients = {a: tail_g * -scale, b: tail_f * scale}
-    return ReductionCert(s, reducers, order, quotients, u.zero(), REDUCED_TO_ZERO, 0)
+    return ReferenceCert(s, reducers, order, quotients, u.zero(), REDUCED_TO_ZERO, 0)
 
 
 def reference_buchberger_check(generators, order):
@@ -176,12 +196,12 @@ def reference_buchberger_check(generators, order):
                 cert = _product_cert(s, a, b, reducers, table, order)
                 report.pairs.append(PairResult(i, j, False, cert, criterion="product"))
             else:
-                cert = _reduce(s, reducers, table, order, grobner.DEFAULT_MAX_STEPS)
+                cert = _reduce(s, reducers, table, order)
                 report.pairs.append(PairResult(i, j, False, cert))
     in_basis = set(basis)
     for k, g in enumerate(gens):
         if k not in in_basis:
-            report.members.append(MemberResult(k, _reduce(g, reducers, table, order, grobner.DEFAULT_MAX_STEPS)))
+            report.members.append(MemberResult(k, _reduce(g, reducers, table, order)))
     return report
 
 
@@ -250,7 +270,7 @@ def all_pairs_ok(gens, order):
             s = _s_pair(gens[i], gens[j], lead[i], lead[j])
             if s.is_zero():
                 continue
-            if _reduce(s, gens, lead, order, DEFAULT_MAX_STEPS).status != REDUCED_TO_ZERO:
+            if _reduce(s, gens, lead, order).status != REDUCED_TO_ZERO:
                 return False
     return True
 
@@ -333,7 +353,7 @@ class TestSPoly:
                     continue
                 _, lm = leading(s, order)
                 lcm = leading(gens[i], order)[1].lcm(leading(gens[j], order)[1])
-                assert order.greater(lcm, lm)
+                assert order.key(lcm) > order.key(lm)
 
     def test_includes_coefficient_lcm(self):
         # leading coefficients s1^2 and s1*s2 must scale to lcm s1^2*s2
@@ -386,13 +406,14 @@ class TestTopReduce:
         assert cert.status == REDUCED_TO_ZERO
         assert cert.verify()
 
-    def test_step_guard(self):
+    def test_step_guard(self, monkeypatch):
         uni = VarUniverse(s_names=("s1",), T_names=("A", "B"))
         s1, A, B = uni.poly_var("s1"), uni.poly_var("A"), uni.poly_var("B")
         order = MonomialOrder(uni, "lex")
         # reducing A^6 by A - B takes six steps
+        monkeypatch.setattr(grobner, "DEFAULT_MAX_STEPS", 3)
         with pytest.raises(GuardExceeded):
-            top_reduce(A ** 6, [A - B], order, max_steps=3)
+            top_reduce(A ** 6, [A - B], order)
 
 
 class TestBuchberger:
@@ -595,7 +616,7 @@ class TestPackedAgainstReference:
                             calls += 1
         assert calls == 3186 and statuses == {REDUCED_TO_ZERO, INCONCLUSIVE}
 
-    def test_entry_point_errors(self):
+    def test_entry_point_errors(self, monkeypatch):
         u = VarUniverse(s_names=("s1", "s2"), T_names=("A", "B"))
         s1, s2, A, B = (u.poly_var(v) for v in ("s1", "s2", "A", "B"))
         order = MonomialOrder(u, "lex")
@@ -605,7 +626,6 @@ class TestPackedAgainstReference:
             (top_reduce, (A, [A - B, u.zero()], order), ZeroPolynomial),
             (s_poly, (s1 * A - B, (s1 + s2) * A - B, order), ValueError),
             (top_reduce, (A, [(s1 + s2) * A - B], order), ValueError),
-            (top_reduce, (A ** 6, [A - B], order, 3), GuardExceeded),
         ]
         for entry, args, error in cases:
             with pytest.raises(error):
@@ -613,6 +633,11 @@ class TestPackedAgainstReference:
             assert check_against_reference(*args, entry=entry) is None
         # a zero target reduces to zero in no steps
         assert check_against_reference(u.zero(), [A - B], order, entry=top_reduce).steps == 0
+        # reducing A^6 by A - B takes six steps, past a guard of three
+        monkeypatch.setattr(grobner, "DEFAULT_MAX_STEPS", 3)
+        with pytest.raises(GuardExceeded):
+            top_reduce(A ** 6, [A - B], order)
+        assert check_against_reference(A ** 6, [A - B], order, entry=top_reduce) is None
 
     def test_widening(self, monkeypatch):
         # the member A*E - F walks down to D^8*E - F, past the three value
@@ -731,6 +756,23 @@ class TestSingleCycleFamily:
                 rep = buchberger_check(single, order)
                 assert rep.ok == all_pairs_ok(full, order)
                 assert rep.verify_certificates()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(spec=small_specs(max_n=5, max_blocks=4))
+    def test_full_and_single_agree_drawn(self, spec):
+        # the lemma of buchberger_check: the check gives F's verdict on F1
+        # and keeps the same basis; at most 22 matrix entries keep F under
+        # a thousand generators
+        pres = build_presentation(spec)
+        assume(len(pres.matrix.entries) <= 22)
+        full = [g.poly for g in defining_generators(pres, FULL)]
+        single = [g.poly for g in defining_generators(pres, SINGLE)]
+        assume(full)
+        for kind in ("lex", "grevlex"):
+            order = MonomialOrder(pres.universe, kind)
+            rep_full, rep_single = buchberger_check(full, order), buchberger_check(single, order)
+            assert rep_full.ok == rep_single.ok
+            assert {full[k] for k in rep_full.basis} == {single[k] for k in rep_single.basis}
 
 
 class TestOrderSuite:

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import desk_scale_specs
-from helpers import monomial_syzygy_kernel, syzygy_span_compare
+from helpers import monomial_syzygy_kernel, small_specs, syzygy_span_compare
 import multirees.oracle
 from multirees.oracle import (
     DEFAULT_PIECE_CAP,
@@ -102,11 +102,12 @@ class Echelon:
         return len(self.pivots)
 
 
-def reference_source_monomials(pres, tvec, weight, image_data=None, cap=None):
+def reference_source_monomials(pres, tvec, weight, cap=None, data=None):
     """``source_monomials`` on ``Mono``s: every block's monomials by
     ``combinations_with_replacement``, their product, then each ambient
-    monomial of the weight left."""
-    data = image_data or ImageData(pres)
+    monomial of the weight left.  ``data``, the presentation's
+    ``ImageData``, is built when not given."""
+    data = data or ImageData(pres)
     if len(tvec) != pres.spec.r or any(d < 0 for d in tvec):
         raise ValueError("block degree tuple must list %d nonnegative entries" % pres.spec.r)
     parts = [list(combinations_with_replacement(bd.vids.values(), d)) for bd, d in zip(pres.blocks, tvec)]
@@ -150,10 +151,10 @@ def fiber_basis(data, monos):
     return basis
 
 
-def reference_kernel_piece(pres, tvec, weight, image_data=None, cap=DEFAULT_PIECE_CAP):
+def reference_kernel_piece(pres, tvec, weight, cap=DEFAULT_PIECE_CAP, data=None):
     """``kernel_piece`` on ``Mono``s."""
-    data = image_data or ImageData(pres)
-    monos = reference_source_monomials(pres, tvec, weight, data, cap=cap)
+    data = data or ImageData(pres)
+    monos = reference_source_monomials(pres, tvec, weight, cap, data)
     return KernelPiece(tuple(tvec), weight, monos, fiber_basis(data, monos))
 
 
@@ -161,7 +162,7 @@ def echelon_span(pres, generators, tvec, weight, data):
     """Reference span of the generator multiples in one piece: every
     multiple enumerated from its own multiplier monomials and row-reduced.
     Returns the echelon, the number of multiples and the kernel piece."""
-    piece = reference_kernel_piece(pres, tvec, weight, data)
+    piece = reference_kernel_piece(pres, tvec, weight, data=data)
     index = {m: i for i, m in enumerate(piece.monomials)}
     ech = Echelon()
     multiples = 0
@@ -171,10 +172,16 @@ def echelon_span(pres, generators, tvec, weight, data):
         dt = tuple(a - b for a, b in zip(tvec, gt))
         if min(dt) < 0 or weight < gw:
             continue
-        for mult in reference_source_monomials(pres, dt, weight - gw, data):
+        for mult in reference_source_monomials(pres, dt, weight - gw, data=data):
             ech.insert({index[m.mul(mult)]: c for m, c in p.terms})
             multiples += 1
     return ech, multiples, piece
+
+
+def vector_to_poly(piece, universe, vec):
+    """The polynomial of a kernel basis vector {monomial index: coefficient}
+    of ``piece``."""
+    return universe.from_terms([(piece.monomials[i], c) for i, c in vec.items()])
 
 
 def mono_reference(pres, generators, piece, data):
@@ -196,14 +203,14 @@ def mono_reference(pres, generators, piece, data):
         if min(dt) < 0 or weight < gw:
             continue
         (ma, _), (mb, _) = p.terms
-        for q in reference_source_monomials(pres, dt, weight - gw, data):
+        for q in reference_source_monomials(pres, dt, weight - gw, data=data):
             multiples += 1
             span_dim += comps.join(index[q.mul(ma)], index[q.mul(mb)])
     witness = None
-    if span_dim < piece.dim:
+    if span_dim < len(piece.basis):
         vec = next(v for v in piece.basis if len({comps.find(i) for i in v}) == 2)
-        witness = piece.vector_to_poly(pres.universe, vec)
-    return (len(piece.monomials), piece.dim, span_dim, multiples, witness is None, witness)
+        witness = vector_to_poly(piece, pres.universe, vec)
+    return (len(piece.monomials), len(piece.basis), span_dim, multiples, witness is None, witness)
 
 
 def assert_sweep_matches_mono_reference(pres, generators, degrees):
@@ -214,8 +221,8 @@ def assert_sweep_matches_mono_reference(pres, generators, degrees):
     reports = oracle_check(pres, generators, degrees=degrees).reports
     assert [(r.tvec, r.weight) for r in reports] == [(tuple(t), w) for t, w in degrees]
     for rep in reports:
-        piece = reference_kernel_piece(pres, rep.tvec, rep.weight, data)
-        got = kernel_piece(pres, rep.tvec, rep.weight, data)
+        piece = reference_kernel_piece(pres, rep.tvec, rep.weight, data=data)
+        got = kernel_piece(pres, rep.tvec, rep.weight)
         assert (got.tvec, got.weight, got.monomials, got.basis) == (piece.tvec, piece.weight, piece.monomials, piece.basis)
         got = (rep.piece_size, rep.kernel_dim, rep.span_dim, rep.multiples, rep.ok, rep.witness)
         assert got == mono_reference(pres, generators, piece, data)
@@ -341,7 +348,7 @@ class TestSourceMonomials:
         data = ImageData(small)
         for tvec in [(0,), (1,), (2,)]:
             for weight in range(0, 5):
-                got = source_monomials(small, tvec, weight, data)
+                got = source_monomials(small, tvec, weight)
                 assert len(set(got)) == len(got)
                 assert set(got) == brute_source_monomials(small, data, tvec, weight)
 
@@ -350,7 +357,7 @@ class TestSourceMonomials:
         # the all-zero T-vector is the ambient-only quotient piece of a
         # T-degree-one generator
         for tvec in [(1, 0, 0, 1, 0), (0, 1, 1, 0, 0), (0, 0, 0, 0, 0)]:
-            got = source_monomials(paper, tvec, 2, data)
+            got = source_monomials(paper, tvec, 2)
             assert set(got) == brute_source_monomials(paper, data, tvec, 2)
 
     def test_degree_validation(self, small):
@@ -368,12 +375,11 @@ class TestSourceMonomials:
         [((1, 1), 2, None), ((-1, 0, 0, 0, 0), 2, None), ((1, 1, 1, 0, 0), 4, 3), ((1, 1, 1, 0, 0), 4, 0)],
     )
     def test_errors_match_the_reference(self, paper, tvec, weight, cap):
-        data = ImageData(paper)
         for entry, reference in ((source_monomials, reference_source_monomials), (kernel_piece, reference_kernel_piece)):
             with pytest.raises(ValueError) as want:
-                reference(paper, tvec, weight, data, cap)
+                reference(paper, tvec, weight, cap)
             with pytest.raises(ValueError) as got:
-                entry(paper, tvec, weight, data, cap)
+                entry(paper, tvec, weight, cap)
             assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
@@ -382,19 +388,19 @@ class TestKernelPiece:
         data = ImageData(small)
         for tvec in [(1,), (2,), (3,)]:
             for weight in range(0, 7):
-                piece = kernel_piece(small, tvec, weight, data)
-                assert piece.dim == sympy_kernel_dim(data, piece.monomials)
+                piece = kernel_piece(small, tvec, weight)
+                assert len(piece.basis) == sympy_kernel_dim(data, piece.monomials)
 
     def test_dim_matches_sympy_on_paper_example(self, paper):
         data = ImageData(paper)
         for tvec, weight in [((1, 1, 0, 0, 0), 2), ((1, 0, 1, 1, 0), 3), ((2, 0, 0, 0, 0), 2)]:
-            piece = kernel_piece(paper, tvec, weight, data)
-            assert piece.dim == sympy_kernel_dim(data, piece.monomials)
+            piece = kernel_piece(paper, tvec, weight)
+            assert len(piece.basis) == sympy_kernel_dim(data, piece.monomials)
 
     def test_basis_vectors_map_to_zero(self, paper):
         data = ImageData(paper)
-        piece = kernel_piece(paper, (1, 1, 1, 0, 0), 3, data)
-        assert piece.dim > 0
+        piece = kernel_piece(paper, (1, 1, 1, 0, 0), 3)
+        assert piece.basis
         for vec in piece.basis:
             images = {}
             for i, c in vec.items():
@@ -454,7 +460,7 @@ class TestSpanCompare:
         # the witness is a kernel basis vector of the missed piece, and it
         # genuinely lies in the kernel of the presentation map
         piece = kernel_piece(paper, bad.tvec, bad.weight)
-        assert witness in [piece.vector_to_poly(paper.universe, v) for v in piece.basis]
+        assert witness in [vector_to_poly(piece, paper.universe, v) for v in piece.basis]
         assert len(witness.terms) == 2
         assert paper.phi(witness).is_zero()
 
@@ -502,7 +508,7 @@ def sweep_verdicts_match_echelon(pres, families):
     T-degree 3 and ambient weight 5 against ``echelon_span``, piece by
     piece; returns the verdicts seen."""
     data = ImageData(pres)
-    degrees = default_degrees(pres, t_cap=3, ambient_cap=5, image_data=data)
+    degrees = default_degrees(pres, t_cap=3, ambient_cap=5)
     verdicts = set()
     for gens in families:
         # one sweep per family, so the pieces share its memo
@@ -514,13 +520,13 @@ def sweep_verdicts_match_echelon(pres, families):
             assert (rep.ok, rep.span_dim, rep.kernel_dim, rep.multiples, rep.piece_size) == (
                 not outside,
                 ech.rank,
-                piece.dim,
+                len(piece.basis),
                 multiples,
                 len(piece.monomials),
             )
             if outside:
                 # the witness is the first basis vector outside the span
-                assert rep.witness == piece.vector_to_poly(pres.universe, outside[0])
+                assert rep.witness == vector_to_poly(piece, pres.universe, outside[0])
             verdicts.add(rep.ok)
     return verdicts
 
@@ -614,29 +620,6 @@ CONSTANT_SPEC = {
 }
 
 
-@st.composite
-def small_specs(draw):
-    """Generic and concrete specs with n <= 3, at most two blocks and
-    powers at most 2; concrete values are monomials or prime constants."""
-    n = draw(st.integers(1, 3))
-    blocks = tuple(
-        (tuple(sorted(draw(st.sets(st.integers(1, n), min_size=1)))), draw(st.integers(1, 2)))
-        for _ in range(draw(st.integers(1, 2)))
-    )
-    if draw(st.booleans()):
-        return ReesSpec(seq=SeqSpec(n=n), blocks=blocks)
-    x_names = ("x", "y")[: draw(st.integers(0, 2))]
-    values = []
-    for _ in range(n):
-        exps = {x: draw(st.integers(0, 2)) for x in x_names}
-        if any(exps.values()):
-            values.append(((draw(st.sampled_from((1, -1, 2))), exps),))
-        else:
-            values.append(((draw(st.sampled_from(PRIMES)), {}),))
-    seq = SeqSpec(n=n, mode="concrete", x_names=x_names, concrete_terms=tuple(values))
-    return ReesSpec(seq=seq, blocks=blocks)
-
-
 class TestPackedSweep:
     """The sweep's packed exponent vectors against the ``Mono`` path."""
 
@@ -666,13 +649,13 @@ class TestPackedSweep:
     def test_pieces_decode_to_source_monomials(self, spec):
         pres = build_presentation(spec)
         data = ImageData(pres)
-        degrees = default_degrees(pres, t_cap=2, ambient_cap=4, image_data=data)
+        degrees = default_degrees(pres, t_cap=2, ambient_cap=4)
         sweep = _Sweep(pres, [], data, None, degrees)
         for tvec, weight in degrees:
             src, img = sweep.piece(tvec, weight)
-            monos = reference_source_monomials(pres, tvec, weight, data)
+            monos = reference_source_monomials(pres, tvec, weight, data=data)
             assert [sweep.src.unpack(x) for x in src] == monos
-            assert source_monomials(pres, tvec, weight, data) == monos
+            assert source_monomials(pres, tvec, weight) == monos
             assert [sweep.img.unpack(x) for x in img] == [data.image(m)[1] for m in monos]
         gens = defining_generators(pres, RESTRICTED)
         assert_sweep_matches_mono_reference(pres, gens[1:], degrees)
@@ -769,6 +752,45 @@ class TestOracleCheck:
         gens = defining_generators(paper, RESTRICTED)
         report = oracle_check(paper, gens, degrees=[])
         assert report.reports == [] and report.ok
+
+
+def count_image_data(monkeypatch):
+    """The presentations of the ``ImageData`` that the oracle module
+    builds from now on, one entry per construction."""
+    built = []
+
+    class Counted(ImageData):
+        def __init__(self, pres):
+            built.append(pres)
+            super().__init__(pres)
+
+    monkeypatch.setattr(multirees.oracle, "ImageData", Counted)
+    return built
+
+
+class TestOneImageTable:
+    """Every entry point builds the table of its own presentation, once."""
+
+    def test_oracle_check_builds_one(self, paper, monkeypatch):
+        built = count_image_data(monkeypatch)
+        assert oracle_check(paper, defining_generators(paper, RESTRICTED)).ok
+        assert built == [paper]
+        pres = build_presentation(spec_from_dict(CONSTANT_SPEC))
+        assert oracle_check(pres, defining_generators(pres, RESTRICTED), t_cap=2).ok
+        assert built == [paper, pres]
+
+    def test_one_piece_entry_points_build_one_each(self, paper, monkeypatch):
+        built = count_image_data(monkeypatch)
+        gens = defining_generators(paper, RESTRICTED)
+        calls = [
+            lambda: source_monomials(paper, (1, 1, 0, 0, 0), 2),
+            lambda: kernel_piece(paper, (1, 1, 0, 0, 0), 2),
+            lambda: default_degrees(paper),
+            lambda: span_compare(paper, gens, (1, 1, 0, 0, 0), 2),
+        ]
+        for k, call in enumerate(calls, 1):
+            call()
+            assert built == [paper] * k
 
 
 def brute_syzygy_kernel_dim(gens, degree):

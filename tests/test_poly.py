@@ -184,8 +184,8 @@ class TestOrders:
         uni = VarUniverse(T_names=("A", "B", "C"))
         order = MonomialOrder(uni, "grevlex")
         a, b, c = (uni.poly_var(n).terms[0][0] for n in ("A", "B", "C"))
-        assert order.greater(a.mul(b), c.mul(c))
-        assert order.greater(b.mul(b), a.mul(c))
+        assert order.key(a.mul(b)) > order.key(c.mul(c))
+        assert order.key(b.mul(b)) > order.key(a.mul(c))
 
     def test_precedence_must_be_permutation(self, uni):
         with pytest.raises(ValueError):
@@ -198,8 +198,8 @@ class TestOrders:
         sA = Mono(((uni.vid("s1"), 5), (uni.vid("A"), 1)))
         bare_B = Mono(((uni.vid("B"), 1),))
         # A > B regardless of the huge s-exponent on the other side
-        assert order.greater(sA.restrict(uni.T_idset), bare_B) == order.greater(sA, bare_B) or True
-        assert order.greater(sA, bare_B)
+        assert order.key(sA.restrict(uni.T_idset)) == order.key(sA)
+        assert order.key(sA) > order.key(bare_B)
 
     def test_default_precedence_plain_listed_order(self, uni):
         assert default_t_precedence(uni) == uni.T_ids
@@ -219,11 +219,6 @@ class TestOrders:
         )
         names = [uni.name(v) for v in default_t_precedence(uni)]
         assert names == ["T22", "T20", "T00", "T21", "T11", "T10"]
-
-    def test_max(self, uni):
-        order = MonomialOrder(uni, "lex")
-        monos = [Mono(((uni.vid("C"), 2),)), Mono(((uni.vid("A"), 1),))]
-        assert order.max(monos) == monos[1]
 
 
 class TestLeading:
@@ -266,18 +261,9 @@ class TestLeading:
 class TestRender:
     def test_render_and_mono_text(self, uni):
         p = uni.poly_var("A") * uni.poly_var("s1") - 2 * uni.poly_var("B") ** 2
-        assert p.render(MonomialOrder(uni, "lex")) == "s1*A - 2*B^2"
+        assert p.render() == "-2*B^2 + s1*A"
         assert mono_text(p.terms[0][0], uni) in ("s1*A", "B^2")
         assert mono_text(Mono(()), uni) == "1"
-
-    def test_render_respects_order(self, uni):
-        # under lex, A-terms print first; under a precedence with C on top, C first
-        A, C = uni.poly_var("A"), uni.poly_var("C")
-        p = A + C
-        lex = MonomialOrder(uni, "lex")
-        flipped = MonomialOrder(uni, "lex", tvars=tuple(reversed(default_t_precedence(uni))))
-        assert p.render(lex).startswith("A")
-        assert p.render(flipped).startswith("C")
 
     def test_render_names_override(self, uni):
         p = uni.poly_var("A")

@@ -26,7 +26,7 @@ from multirees.rees import build_presentation
 
 def brute_binary_cell_sets(qm, max_size=12):
     """All entry subsets in which every touched row/column has degree 2."""
-    cells = qm.cells()
+    cells = sorted(qm.entries)
     out = set()
     for k in range(4, len(cells) + 1, 2):
         for sub in combinations(cells, k):
@@ -76,13 +76,15 @@ class TestQuasiMatrix:
 
     def test_cells_and_fullness(self):
         qm = QuasiMatrix(2, 2, {(0, 0): 1, (1, 1): 2})
-        assert qm.cells() == [(0, 0), (1, 1)]
+        assert sorted(qm.entries) == [(0, 0), (1, 1)]
         assert not is_full(qm)
 
     def test_pretty(self):
         qm, uni = generic_matrix(2, 2)
-        text = qm.pretty(names=uni.name)
+        text = qm.pretty(uni.name, ["r1", "r2"], ["c1", "c2"])
         assert "a11" in text and "a22" in text
+        assert text.splitlines()[0].split() == ["c1", "c2"]
+        assert [line.split()[0] for line in text.splitlines()[1:]] == ["r1", "r2"]
 
 
 GENERIC_SHAPES = [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)]
@@ -161,13 +163,13 @@ class TestBinaryEnumeration:
 
     def test_full_3x3_has_six_spanning_binaries(self):
         qm, _ = generic_matrix(3, 3)
-        spanning = [b for b in binary_subquasi_enumerate(qm) if b.size() == 6]
+        spanning = [b for b in binary_subquasi_enumerate(qm) if len(b.rows()) + len(b.cols()) == 6]
         assert len(spanning) == 6
 
     def test_size_cap_respected(self):
         qm, _ = generic_matrix(4, 4)
         small = binary_subquasi_enumerate(qm, max_size=4)
-        assert small and all(b.size() <= 4 for b in small)
+        assert small and all(len(b.rows()) + len(b.cols()) <= 4 for b in small)
 
     def test_guard(self):
         qm, _ = generic_matrix(2, 2)
@@ -211,7 +213,7 @@ class TestQuasiDeterminants:
 
     def test_sign_normalization(self):
         qm, uni = generic_matrix(2, 2)
-        cells = qm.cells()
+        cells = sorted(qm.entries)
         b1 = Binomial.from_matchings(qm, (cells[0], cells[3]), (cells[1], cells[2]))
         b2 = Binomial.from_matchings(qm, (cells[1], cells[2]), (cells[0], cells[3]))
         assert b1 == b2
