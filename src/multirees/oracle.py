@@ -16,8 +16,12 @@ spans a piece exactly when every fiber is one component (the Markov-basis
 view of Diaconis and Sturmfels 1998).  The multiples of a generator
 a*m_a + b*m_b in a piece are q*m_a - q*m_b for the monomials q of the
 quotient piece, whose degree is the piece's less the generator's.  A
-sweep checks each generator once and enumerates each piece once, whether
-it serves as a piece or as a quotient piece.
+sweep checks each generator once, files it under its degree, and
+enumerates each piece once, whether it serves as a piece or as a
+quotient piece.  A piece joins its links in a union-find over its
+monomial indices (a flat list with path halving) and stops joining once
+the joins reach the kernel dimension: links stay inside fibers, so no
+later link can merge two components.
 
 The sweep runs on packed exponent vectors.  Each T-variable maps to a
 monomial in the sequence times a t-symbol, so images are additive:
@@ -144,7 +148,6 @@ class KernelPiece:
     basis: list  # vectors as {monomial index: coefficient}
 
 
-
 def _one_piece(pres, tvec, weight, cap):
     """A ``_Sweep`` with no generators, and the packed (sources, images)
     of its one piece."""
@@ -170,30 +173,6 @@ def kernel_piece(pres, tvec, weight, cap=DEFAULT_PIECE_CAP):
     coeffs = [sweep.data.image(m)[0] for m in monos]
     basis = [{i0: coeffs[i], i: -coeffs[i0]} for i0, *rest in sweep.fibers(img) for i in rest]
     return KernelPiece(tuple(tvec), weight, monos, basis)
-
-
-class _Components:
-    """Union-find over hashable nodes."""
-
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        parent = self.parent
-        root = x
-        while root in parent:
-            root = parent[root]
-        while x != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def join(self, a, b):
-        """Merge the components of ``a`` and ``b``; True if they were apart."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
 
 
 @dataclass
@@ -260,6 +239,13 @@ class _Sweep:
     A generator a*m_a + b*m_b of degree (g_t, g_w) has as multiples in
     piece (t, w) the binomials q*m_a - q*m_b, where q runs over the piece
     of degree (t - g_t, w - g_w); each links two monomials of one fiber.
+    ``moves`` files the generators by degree: a piece makes one degree
+    test and one quotient lookup per generator degree.  ``compare`` joins
+    links in ``parent``, a union-find list over piece indices with path
+    halving.  Components never leave a fiber, so ``span_dim``, the joins
+    that merge, never exceeds the kernel dimension, the piece size less
+    the number of fibers.  Once they are equal every fiber is one
+    component, and the piece only adds up its multiples.
     """
 
     def __init__(self, pres, generators, data, cap, degrees):
@@ -331,45 +317,61 @@ class _Sweep:
                     )
             amb = self.ambient.get(rest)
             if amb is None:
-                amb = self.ambient[rest] = self._monomials(self.data.ambient_ids, rest)
-            src += [ts + s for s, _, _ in amb]
-            img += [ti + i for _, i, _ in amb]
+                monos = self._monomials(self.data.ambient_ids, rest)
+                amb = self.ambient[rest] = ([s for s, _, _ in monos], [i for _, i, _ in monos])
+            src += [ts + s for s in amb[0]]
+            img += [ti + i for i in amb[1]]
         piece = self.pieces[key] = (src, img)
         return piece
 
     @cached_property
     def moves(self):
-        """(m_a, m_b, g_t, g_w) per nonzero generator, m_a and m_b packed.
-        First read once the first piece is enumerated, so a piece over the
-        cap is reported before a generator the oracle cannot use."""
-        out = []
+        """{(g_t, g_w): [(m_a, m_b), ...]}: the nonzero generators by
+        degree, m_a and m_b packed.  First read once the first piece is
+        enumerated, so a piece over the cap is reported before a generator
+        the oracle cannot use."""
+        out = {}
         for g in self.generators:
             p = self.data.evaluate(getattr(g, "poly", g))
             if p.is_zero():
                 continue
             ma, mb = _kernel_binomial(self.data, p)
-            pa, pb = self.src.pack(ma.exps), self.src.pack(mb.exps)
-            out.append((pa, pb) + self.data.poly_degree(p))
+            out.setdefault(self.data.poly_degree(p), []).append((self.src.pack(ma.exps), self.src.pack(mb.exps)))
         return out
 
     def compare(self, tvec, weight):
         tvec = tuple(tvec)
         src, img = self.piece(tvec, weight)
         kernel_dim = len(src) - len(set(img))
-        index = {m: i for i, m in enumerate(src)}
-        comps = _Components()
+        parent, index = list(range(len(src))), None
         span_dim = n_multiples = 0
-        for pa, pb, gt, gw in self.moves:
+        for (gt, gw), pairs in self.moves.items():
             dt = tuple(a - b for a, b in zip(tvec, gt))
             if gw > weight or min(dt) < 0:
                 continue
             quotient = self.piece(dt, weight - gw)[0]
-            n_multiples += len(quotient)
-            for q in quotient:
-                span_dim += comps.join(index[q + pa], index[q + pb])
+            n_multiples += len(quotient) * len(pairs)
+            if span_dim == kernel_dim or not quotient:
+                continue
+            if index is None:
+                index = {m: i for i, m in enumerate(src)}
+            for pa, pb in pairs:
+                for q in quotient:
+                    a, b = index[q + pa], index[q + pb]
+                    while parent[a] != a:
+                        parent[a] = a = parent[parent[a]]
+                    while parent[b] != b:
+                        parent[b] = b = parent[parent[b]]
+                    if a != b:
+                        parent[a] = b
+                        span_dim += 1
+                        if span_dim == kernel_dim:
+                            break
+                if span_dim == kernel_dim:
+                    break
         witness = None
         if span_dim < kernel_dim:
-            witness = self.witness(src, img, comps)
+            witness = self.witness(src, img, parent)
         return SpanReport(
             tvec=tvec,
             weight=weight,
@@ -393,12 +395,18 @@ class _Sweep:
         groups.sort(key=lambda g: self.img.unpack(img[g[0]]).exps)
         return groups
 
-    def witness(self, src, img, comps):
+    def witness(self, src, img, parent):
         """The first kernel basis binomial (``fibers``) whose two monomials
-        lie in different components."""
+        lie in different components of the union-find ``parent``."""
+
+        def root(i):
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
         for i0, *rest in self.fibers(img):
             for i in rest:
-                if comps.find(i0) != comps.find(i):
+                if root(i0) != root(i):
                     m0, m = self.src.unpack(src[i0]), self.src.unpack(src[i])
                     c0, c = self.data.image(m0)[0], self.data.image(m)[0]
                     return self.pres.universe.from_terms([(m0, c), (m, -c0)])

@@ -5,7 +5,8 @@ summary prints them after the run so the pass/fail ledger is visible even
 though stdout inside tests is captured.  ``desk_scale_specs`` is the
 spec suite that the acceptance sweep and the Groebner differential
 share; ``emission_specs`` adds two wider ones for the emission tests,
-and ``gb_heavy_specs`` are the benchmark's Buchberger-bound shapes.
+and ``gb_heavy_specs`` are the shapes of the benchmark's workload with
+the largest S-pair checks and oracle pieces.
 """
 from itertools import combinations
 
@@ -47,9 +48,10 @@ def emission_specs():
 
 
 def gb_heavy_specs():
-    """The four spec shapes of the benchmark's Buchberger-bound workload:
-    a power-two block on all three rows of n = 3, then each row pair at
-    power one, or one row at power two."""
+    """The four spec shapes of the benchmark's gb_heavy workload: a
+    power-two block on all three rows of n = 3, then each row pair at
+    power one, or one row at power two.  Despite the name, the kernel
+    oracle takes a larger share of their time than Buchberger's check."""
     heavy = ((1, 2, 3), 2)
     others = [(rows, 1) for rows in combinations((1, 2, 3), 2)] + [((2,), 2)]
     return [ReesSpec(seq=SeqSpec(n=3), blocks=(heavy, other)) for other in others]

@@ -5,18 +5,19 @@ Generic matrices and their binary quasi-minors, the rewriting of a minor
 of a full matrix as a combination of two-by-two minors (criteria 04 and
 07, the quasi-matrix and Groebner tests), and the syzygy pieces of a
 plain monomial list against the span of its pairwise syzygies (criterion
-08 and the oracle tests); the presentation's layout built the paper's
-way, from ladders and their shifts (the presentation tests); the split
-of a leading coefficient into a unit and an s-monomial (the polynomial
-and Groebner tests); small generic and concrete specs drawn by
-Hypothesis (the oracle and Groebner tests).
+08 and the oracle tests), with the union-find over hashable nodes that
+this span and the oracle's ``Mono`` reference share; the presentation's
+layout built the paper's way, from ladders and their shifts (the
+presentation tests); the split of a leading coefficient into a unit and
+an s-monomial (the polynomial and Groebner tests); small generic and
+concrete specs drawn by Hypothesis (the oracle and Groebner tests).
 """
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from hypothesis import strategies as st
 
-from multirees.oracle import _Components, _compositions
+from multirees.oracle import _compositions
 from multirees.poly import VarUniverse
 from multirees.quasimat import (
     MAX_BINARY_SIZE,
@@ -52,6 +53,30 @@ def small_specs(draw, max_n=3, max_blocks=2):
             values.append(((draw(st.sampled_from((2, 3, 5))), {}),))
     seq = SeqSpec(n=n, mode="concrete", x_names=x_names, concrete_terms=tuple(values))
     return ReesSpec(seq=seq, blocks=blocks)
+
+
+class Components:
+    """Union-find over hashable nodes, for the references on ``Mono``s."""
+
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x):
+        parent = self.parent
+        root = x
+        while root in parent:
+            root = parent[root]
+        while x != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def join(self, a, b):
+        """Merge the components of ``a`` and ``b``; True if they were apart."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
 
 
 def generic_matrix(n_rows, n_cols, pattern=None, with_s_column=False, domain="QQ"):
@@ -207,7 +232,7 @@ def syzygy_span_compare(gens, max_degree):
     out = []
     for degree in range(max_degree + 1):
         kernel_dim = len(monomial_syzygy_kernel(gens, degree))
-        comps = _Components()
+        comps = Components()
         span_dim = 0
         for vec in pairwise:
             sz_degree = None

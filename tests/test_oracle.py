@@ -21,14 +21,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import desk_scale_specs
-from helpers import monomial_syzygy_kernel, small_specs, syzygy_span_compare
+from conftest import desk_scale_specs, gb_heavy_specs
+from helpers import Components, monomial_syzygy_kernel, small_specs, syzygy_span_compare
 import multirees.oracle
 from multirees.oracle import (
     DEFAULT_PIECE_CAP,
     ImageData,
     KernelPiece,
-    _Components,
     _Sweep,
     default_degrees,
     kernel_piece,
@@ -192,7 +191,7 @@ def mono_reference(pres, generators, piece, data):
     the first basis binomial across two components as witness."""
     tvec, weight = piece.tvec, piece.weight
     index = {m: i for i, m in enumerate(piece.monomials)}
-    comps = _Components()
+    comps = Components()
     span_dim = multiples = 0
     for g in generators:
         p = data.evaluate(g.poly)
@@ -672,6 +671,21 @@ class TestPackedSweep:
             missed += sum(not r.ok for r in reports)
         assert pieces > 2000 and missed > 100
 
+    def test_gb_heavy_shapes(self):
+        # the benchmark's largest pieces (84 monomials on average, up to
+        # 420), where the union-find follows long chains: the default
+        # sweep of each shape, with its restricted family and with one
+        # generator dropped
+        pieces = missed = 0
+        for k, spec in enumerate(gb_heavy_specs()):
+            pres = build_presentation(spec)
+            gens = defining_generators(pres, RESTRICTED)
+            for family in (gens, drop_one(gens, k)):
+                reports = assert_sweep_matches_mono_reference(pres, family, default_degrees(pres))
+                pieces += len(reports)
+                missed += sum(not r.ok for r in reports)
+        assert (pieces, missed) == (388, 44)
+
     def test_cap_stops_before_the_whole_t_part_product(self):
         # 45 monomials of degree 8 per block, so 2,025 T-parts of weight
         # 16, each with one monomial in the piece: the cap of 100 is hit
@@ -747,6 +761,24 @@ class TestOracleCheck:
         stray = u.poly_var("t3") - u.poly_var("T[3;100]")
         with pytest.raises(CapExceeded):
             oracle_check(paper, gens + [stray], degrees=[piece], cap=size - 1)
+
+    def test_repeated_generators_change_only_the_multiples(self, paper):
+        # each link stays inside one fiber, so once every fiber is one
+        # component the sweep stops joining: a family with every generator
+        # twice has the same spans and witnesses, and twice the multiples
+        gens = defining_generators(paper, RESTRICTED)
+        degrees = default_degrees(paper, t_cap=3, ambient_cap=4)
+
+        def fields(r):
+            return (r.tvec, r.weight, r.piece_size, r.kernel_dim, r.span_dim, r.ok, r.witness)
+
+        for family in (gens, gens[1:]):
+            once = oracle_check(paper, family, degrees=degrees).reports
+            twice = assert_sweep_matches_mono_reference(paper, family + family, degrees)
+            assert [fields(r) for r in twice] == [fields(r) for r in once]
+            assert [r.multiples for r in twice] == [2 * r.multiples for r in once]
+            assert any(r.span_dim for r in once)
+        assert any(not r.ok for r in once)
 
     def test_no_degrees_no_pieces(self, paper):
         gens = defining_generators(paper, RESTRICTED)

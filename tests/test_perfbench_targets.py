@@ -3,9 +3,9 @@ the program (``perfbench/tracing.py``, ``TARGETS``) and counts work from
 the values they return (``COUNTERS``).  A rename or deletion in ``src/``
 that drops one of those names, or a change to a returned type that a
 counter reads, would break ``perfbench/run.py --trace 1``; these tests
-catch it in the tier-1 run.  The tracer's Buchberger counts on the
-benchmark's Buchberger-bound shapes are pinned, so a change that does
-more or less S-pair work fails here.
+catch it in the tier-1 run.  The tracer's Buchberger and oracle counts
+on the gb_heavy shapes are pinned, so a change that does more or less
+S-pair or oracle work fails here.
 """
 import contextlib
 import importlib
@@ -127,17 +127,22 @@ def test_single_is_no_cli_family(paper_file, capsys):
 
 def test_gb_heavy_work_counts(tmp_path):
     # the S-pair work behind the four gb_heavy verdicts, as measured on
-    # the Poly implementation that the packed check replaced
+    # the Poly implementation that the packed check replaced, and the
+    # oracle's pieces, monomials, multiples and span rank
     tracing = load_tracing()
     with tracing.installed(tracing.Tracer()) as tracer, contextlib.redirect_stdout(io.StringIO()):
         for k, spec in enumerate(gb_heavy_specs()):
             path = tmp_path / ("h%d.json" % k)
             path.write_text(json.dumps(spec_to_dict(spec)))
             assert main(["verify", str(path), "--format", "json"]) == 0
-    names = ("grobner.pairs", "grobner.pairs_reduced", "grobner.reduction_steps", "grobner.stuck")
-    assert {name: tracer.counts[name] for name in names} == {
+    expected = {
         "grobner.pairs": 1100,
         "grobner.pairs_reduced": 1100,
         "grobner.reduction_steps": 618,
         "grobner.stuck": 0,
+        "oracle.pieces": 194,
+        "oracle.piece_monomials": 16379,
+        "oracle.multiples": 24699,
+        "oracle.span_rank": 11955,
     }
+    assert {name: tracer.counts[name] for name in expected} == expected
