@@ -4,14 +4,15 @@ A quasi-matrix may leave positions empty.  Its entry graph is the
 bipartite graph on rows and columns with one edge per entry; a binary
 subquasi-matrix is an entry subset in which every touched row and column
 has exactly two entries, i.e. a disjoint union of cycles of the entry
-graph.  Each union of c cycles carries 2^(c-1) binary quasi-determinants
-up to sign: per cycle the entries split into the two alternating perfect
-matchings, and each term of a quasi-determinant takes one matching per
-cycle, the first cycle's held fixed (flipping every cycle swaps the
-terms).  A matrix searches its entry graph once per size cap and keeps
-the cycle walks, which every generating family reads.  The union search
-takes the cycles shortest first and stops at the first one too long for
-the room left under the size cap.
+graph, kept as the tuple of its cycle walks.  A walk lists its cells in
+cyclic order, so its even and odd cells are the two alternating perfect
+matchings.  Each union of c cycles carries 2^(c-1) binary
+quasi-determinants up to sign: each term takes one matching per cycle,
+the first cycle's held fixed (flipping every cycle swaps the terms).  A
+matrix searches its entry graph once per size cap and keeps the cycle
+walks, which every generating family reads.  The union search takes the
+cycles shortest first and stops at the first one too long for the room
+left under the size cap.
 """
 from __future__ import annotations
 
@@ -60,62 +61,6 @@ class QuasiMatrix:
 
     def __repr__(self):
         return "QuasiMatrix(%dx%d, %d entries)" % (self.n_rows, self.n_cols, len(self.entries))
-
-
-class BinaryQuasiMatrix:
-    """A union of vertex-disjoint cycles of the entry graph of ``parent``.
-
-    ``cycles`` stores each cycle as its cells in cyclic walk order, so
-    even- and odd-indexed cells are the two alternating matchings.
-    """
-
-    __slots__ = ("parent", "cycles", "cells")
-
-    def __init__(self, parent, cycles):
-        self.parent = parent
-        self.cycles = tuple(tuple(cy) for cy in cycles)
-        cells = []
-        for cy in self.cycles:
-            cells.extend(cy)
-        self.cells = frozenset(cells)
-        if len(cells) != len(self.cells):
-            raise ValueError("cycles overlap")
-        self.validate()
-
-    def rows(self):
-        return sorted({r for r, _ in self.cells})
-
-    def cols(self):
-        return sorted({c for _, c in self.cells})
-
-    def validate(self):
-        rdeg, cdeg = {}, {}
-        for (r, c) in self.cells:
-            if (r, c) not in self.parent.entries:
-                raise ValueError("cell %r has no entry" % ((r, c),))
-            rdeg[r] = rdeg.get(r, 0) + 1
-            cdeg[c] = cdeg.get(c, 0) + 1
-        if any(d != 2 for d in rdeg.values()) or any(d != 2 for d in cdeg.values()):
-            raise ValueError("not binary: some touched row/column lacks exactly two entries")
-        for cy in self.cycles:
-            if len(cy) < 4 or len(cy) % 2:
-                raise ValueError("malformed cycle %r" % (cy,))
-            for i, cell in enumerate(cy):
-                nxt = cy[(i + 1) % len(cy)]
-                same_row = cell[0] == nxt[0]
-                same_col = cell[1] == nxt[1]
-                if same_row == same_col:
-                    raise ValueError("cells %r and %r are not adjacent" % (cell, nxt))
-
-    def matchings(self):
-        """Per cycle, the two alternating matchings (tuples of cells)."""
-        out = []
-        for cy in self.cycles:
-            out.append((cy[0::2], cy[1::2]))
-        return out
-
-    def __repr__(self):
-        return "BinaryQuasiMatrix(cycles=%r)" % (self.cycles,)
 
 
 class Binomial:
@@ -212,11 +157,12 @@ def _entry_graph_cycles(qm, max_vertices):
 
 def binary_subquasi_enumerate(qm, max_size=MAX_BINARY_SIZE):
     """Every binary subquasi-matrix of ``qm`` with rows+cols at most
-    ``max_size``, as vertex-disjoint cycle unions in depth-first pre-order
-    over the walk indices.  A walk's vertex mask has bit r for row r and
-    bit n_rows + c for column c (its even cells are a perfect matching).
-    Walks come shortest first and touch as many vertices as they have
-    cells, so the search stops at the first walk longer than the room left."""
+    ``max_size``, each as the tuple of its vertex-disjoint cycle walks
+    from ``qm.cycle_walks``, in depth-first pre-order over the walk
+    indices.  A walk's vertex mask has bit r for row r and bit n_rows + c
+    for column c (its even cells are a perfect matching).  Walks come
+    shortest first and touch as many vertices as they have cells, so the
+    search stops at the first walk longer than the room left."""
     cycles = qm.cycle_walks(max_size)
     R = qm.n_rows
     masks = [sum(1 << r | 1 << (R + c) for r, c in cy[0::2]) for cy in cycles]
@@ -229,7 +175,7 @@ def binary_subquasi_enumerate(qm, max_size=MAX_BINARY_SIZE):
             if used & masks[i]:
                 continue
             chosen.append(cycles[i])
-            out.append(BinaryQuasiMatrix(qm, tuple(chosen)))
+            out.append(tuple(chosen))
             rec(i + 1, chosen, used | masks[i], room - len(cycles[i]))
             chosen.pop()
 
@@ -237,13 +183,15 @@ def binary_subquasi_enumerate(qm, max_size=MAX_BINARY_SIZE):
     return out
 
 
-def quasi_determinants(bqm):
-    """All binary quasi-determinants of one binary quasi-matrix, up to sign,
-    zero differences dropped.  The first cycle's matching stays on the plus
-    side, since flipping every cycle gives the same normalized binomial;
-    repeated entries can still make two patterns agree."""
-    qm = bqm.parent
-    match = bqm.matchings()
+def quasi_determinants(qm, cycles):
+    """All binary quasi-determinants of the cycle union ``cycles`` of
+    ``qm``, up to sign, zero differences dropped.  ``cycles`` is a union
+    that ``binary_subquasi_enumerate(qm, ...)`` returned, or ``(walk,)``
+    for a walk of ``qm.cycle_walks``; it is not checked.  The first
+    cycle's matching stays on the plus side, since flipping every cycle
+    gives the same normalized binomial; repeated entries can still make
+    two patterns agree."""
+    match = [(cy[0::2], cy[1::2]) for cy in cycles]
     seen = set()
     out = []
     for bits in product((0, 1), repeat=len(match) - 1):

@@ -37,7 +37,6 @@ from .poly import (
     spec_field,
 )
 from .quasimat import (
-    BinaryQuasiMatrix,
     Binomial,
     QuasiMatrix,
     binary_subquasi_enumerate,
@@ -364,15 +363,23 @@ def _family(pres, items):
     return out
 
 
-def _binary_items(pres, bqms):
-    for bqm in bqms:
-        cols = bqm.cols()
+def _union_axes(cycles):
+    """The sorted rows and columns of a cycle union, read off its even
+    cells, which form a perfect matching."""
+    even = [cell for cy in cycles for cell in cy[0::2]]
+    return tuple(sorted(r for r, _ in even)), tuple(sorted(c for _, c in even))
+
+
+def _binary_items(pres, unions):
+    E = pres.matrix
+    for cycles in unions:
+        rows, cols = _union_axes(cycles)
         blocks_ = [pres.col_blocks[c][0] for c in cols if c]
         label = "binary quasi-minor on rows %s cols %s" % (
-            tuple(r + 1 for r in bqm.rows()),
+            tuple(r + 1 for r in rows),
             tuple(pres.col_labels[c] for c in cols),
         )
-        for bino in quasi_determinants(bqm):
+        for bino in quasi_determinants(E, cycles):
             yield bino, "binary", blocks_, len(cols), label
 
 
@@ -386,8 +393,7 @@ def _restricted_items(pres, walks):
     label = pres.col_labels
     kept = []
     for i, walk in enumerate(walks):
-        rows = tuple(sorted(r for r, _ in walk[0::2]))
-        cols = tuple(sorted(c for _, c in walk[0::2]))
+        rows, cols = _union_axes((walk,))
         blocks_ = [pres.col_blocks[c][0] for c in cols if c]
         if len(set(blocks_)) == len(cols):
             text = "cycle through rows %s cols %s" % (tuple(r + 1 for r in rows), tuple(label[c] for c in cols))
@@ -429,7 +435,7 @@ def defining_generators(pres, family=RESTRICTED, max_minor_size=None):
         return _family(pres, _binary_items(pres, binary_subquasi_enumerate(E, max_size=size)))
     walks = E.cycle_walks(size)
     if family == SINGLE:
-        return _family(pres, _binary_items(pres, [BinaryQuasiMatrix(E, (walk,)) for walk in walks]))
+        return _family(pres, _binary_items(pres, [(walk,) for walk in walks]))
     return _family(pres, _restricted_items(pres, walks))
 
 

@@ -1,9 +1,12 @@
 """Constructions that several test modules share and the package itself
 never runs.
 
-Generic matrices and their binary quasi-minors, the rewriting of a minor
-of a full matrix as a combination of two-by-two minors (criteria 04 and
-07, the quasi-matrix and Groebner tests), and the syzygy pieces of a
+Generic matrices and their binary quasi-minors, the cells, rows and
+columns of a cycle union and a check of the shape of each union that
+the search returns (criterion 06 and the quasi-matrix tests), the
+rewriting of a minor of a full matrix as a combination of
+two-by-two minors (criteria 04 and 07, the quasi-matrix and Groebner
+tests), and the syzygy pieces of a
 plain monomial list against the span of its pairwise syzygies (criterion
 08 and the oracle tests), with the union-find over hashable nodes that
 this span and the oracle's ``Mono`` reference share; the presentation's
@@ -110,13 +113,47 @@ def ibin_generators(qm, max_size=MAX_BINARY_SIZE):
     """All binary quasi-minors of ``qm`` up to sign, deduplicated."""
     seen = set()
     out = []
-    for bqm in binary_subquasi_enumerate(qm, max_size):
-        for bino in quasi_determinants(bqm):
+    for cycles in binary_subquasi_enumerate(qm, max_size):
+        for bino in quasi_determinants(qm, cycles):
             if bino.key() in seen:
                 continue
             seen.add(bino.key())
             out.append(bino)
     return out
+
+
+def union_cells(cycles):
+    """The cells of a cycle union, as a frozenset."""
+    return frozenset(cell for cy in cycles for cell in cy)
+
+
+def union_rows_cols(cycles):
+    """The sorted rows and columns that a cycle union touches, read off
+    all of its cells."""
+    cells = union_cells(cycles)
+    return sorted({r for r, _ in cells}), sorted({c for _, c in cells})
+
+
+def assert_binary_union(qm, cycles):
+    """Assert that ``cycles`` is a binary subquasi-matrix of ``qm`` in the
+    form the union search returns: cells that are entries, every touched
+    row and column holding exactly two of them, each walk of even length
+    at least 4 that alternates row and column steps, no cell in two
+    walks, and rows and columns read off the even cells equal to those
+    of all cells."""
+    cells = [cell for cy in cycles for cell in cy]
+    assert all(cell in qm.entries for cell in cells), "a cell has no entry: %r" % (cycles,)
+    assert len(set(cells)) == len(cells), "cycles overlap: %r" % (cycles,)
+    rows, cols = union_rows_cols(cycles)
+    assert all(sum(1 for r, _ in cells if r == row) == 2 for row in rows), "not binary: %r" % (cycles,)
+    assert all(sum(1 for _, c in cells if c == col) == 2 for col in cols), "not binary: %r" % (cycles,)
+    for cy in cycles:
+        assert len(cy) >= 4 and len(cy) % 2 == 0, "malformed cycle %r" % (cy,)
+        steps = [(a[0] == b[0], a[1] == b[1]) for a, b in zip(cy, cy[1:] + cy[:1])]
+        assert all(same_row != same_col for same_row, same_col in steps), "cells not adjacent: %r" % (cy,)
+        assert all(steps[i][0] != steps[i - 1][0] for i in range(len(cy))), "steps do not alternate: %r" % (cy,)
+    even = [cell for cy in cycles for cell in cy[0::2]]
+    assert (sorted(r for r, _ in even), sorted(c for _, c in even)) == (rows, cols), "even cells: %r" % (cycles,)
 
 
 def is_full(qm):

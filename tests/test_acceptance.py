@@ -14,7 +14,15 @@ from random import Random
 import pytest
 
 from conftest import desk_scale_specs, record_criterion
-from helpers import expand_combination, generic_matrix, ibin_generators, rewrite_as_two_minors, syzygy_span_compare
+from helpers import (
+    expand_combination,
+    generic_matrix,
+    ibin_generators,
+    rewrite_as_two_minors,
+    syzygy_span_compare,
+    union_cells,
+    union_rows_cols,
+)
 from multirees.grobner import default_order_suite, universal_gb_check
 from multirees.oracle import oracle_check
 from multirees.poly import MonomialOrder, leading, mono_text
@@ -268,28 +276,28 @@ def brute_matching_pairs(qm, cells):
 
 def test_criterion_06_quasi_minor_combinatorics():
     qm3, _ = generic_matrix(3, 3)
-    spanning = [b for b in binary_subquasi_enumerate(qm3) if len(b.rows()) + len(b.cols()) == 6]
+    spanning = [u for u in binary_subquasi_enumerate(qm3) if sum(map(len, union_rows_cols(u))) == 6]
     six_ok = len(spanning) == 6
 
     pattern = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
     qm4, u4 = generic_matrix(4, 4, pattern=pattern)
-    unions = [b for b in binary_subquasi_enumerate(qm4) if len(b.cycles) == 2]
+    unions = [u for u in binary_subquasi_enumerate(qm4) if len(u) == 2]
     two_block_ok = len(unions) == 1
     if two_block_ok:
         a, b, c, d, e, f, g, h = (
             u4.poly_var(n) for n in ("a11", "a12", "a21", "a22", "a33", "a34", "a43", "a44")
         )
         expected = {a * d * e * h - b * c * g * f, a * d * g * f - b * c * e * h}
-        got = {bino.to_poly(u4) for bino in quasi_determinants(unions[0])}
+        got = {bino.to_poly(u4) for bino in quasi_determinants(qm4, unions[0])}
         two_block_ok = all(any(p in (q, -q) for q in expected) for p in got) and len(got) == 2
 
     count_ok = True
     for shape in [(2, 2), (3, 3), (4, 4), (2, 4), (3, 4)]:
         qm, _ = generic_matrix(*shape)
-        for bqm in binary_subquasi_enumerate(qm, max_size=8):
-            dets = {b.key() for b in quasi_determinants(bqm)}
-            brute = brute_matching_pairs(qm, bqm.cells)
-            count_ok = count_ok and len(dets) == 2 ** (len(bqm.cycles) - 1)
+        for union in binary_subquasi_enumerate(qm, max_size=8):
+            dets = {b.key() for b in quasi_determinants(qm, union)}
+            brute = brute_matching_pairs(qm, union_cells(union))
+            count_ok = count_ok and len(dets) == 2 ** (len(union) - 1)
             count_ok = count_ok and len(brute) == len(dets)
 
     ok = six_ok and two_block_ok and count_ok

@@ -4,8 +4,9 @@ the values they return (``COUNTERS``).  A rename or deletion in ``src/``
 that drops one of those names, or a change to a returned type that a
 counter reads, would break ``perfbench/run.py --trace 1``; these tests
 catch it in the tier-1 run.  The tracer's Buchberger and oracle counts
-on the gb_heavy shapes are pinned, so a change that does more or less
-S-pair or oracle work fails here.
+on the gb_heavy shapes, and the emission counts on wide_emit's n = 6
+shape, are pinned, so a change that does more or less S-pair, oracle or
+emission work fails here.
 """
 import contextlib
 import importlib
@@ -13,6 +14,7 @@ import importlib.util
 import io
 import json
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -58,7 +60,7 @@ def test_counters_read_their_targets_values():
     restricted = defining_generators(pres, RESTRICTED)
     full = defining_generators(pres, FULL)
     unions = binary_subquasi_enumerate(pres.matrix, max_size=8)
-    binomials = quasi_determinants(max(unions, key=lambda bqm: len(bqm.cycles)))
+    binomials = quasi_determinants(pres.matrix, max(unions, key=len))
     gb = buchberger_check([g.poly for g in full], MonomialOrder(pres.universe, "lex"))
     oracle = oracle_check(pres, restricted, t_cap=2, ambient_cap=4)
     returned = {
@@ -146,3 +148,22 @@ def test_gb_heavy_work_counts(tmp_path):
         "oracle.span_rank": 11955,
     }
     assert {name: tracer.counts[name] for name in expected} == expected
+
+
+def test_wide_emit_work_counts(tmp_path):
+    # the unions, quasi-determinants and generators behind wide_emit's
+    # n = 6 shape (every row pair a block at power one), with the blocks
+    # in lexicographic order, under both families
+    tracing = load_tracing()
+    spec = ReesSpec(seq=SeqSpec(n=6), blocks=tuple((rows, 1) for rows in combinations(range(1, 7), 2)))
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(spec_to_dict(spec)))
+    names = ("quasimat.cycle_unions", "quasimat.quasi_determinants", "rees.generators_emitted")
+    counts = {}
+    for family in (FULL, RESTRICTED):
+        with tracing.installed(tracing.Tracer()) as tracer, contextlib.redirect_stdout(io.StringIO()):
+            assert main(["generators", str(path), "--family", family, "--format", "json"]) == 0
+        counts[family] = tuple(tracer.counts[name] for name in names)
+    assert counts == {FULL: (1347, 1522, 1522), RESTRICTED: (0, 0, 212)}
+    unions = binary_subquasi_enumerate(build_presentation(spec).matrix, max_size=12)
+    assert len(unions) == 1347 and sum(1 for u in unions if len(u) == 2) == 175

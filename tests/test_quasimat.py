@@ -11,11 +11,19 @@ from itertools import combinations
 import pytest
 
 from conftest import desk_scale_specs
-from helpers import expand_combination, generic_matrix, ibin_generators, is_full, rewrite_as_two_minors
+from helpers import (
+    assert_binary_union,
+    expand_combination,
+    generic_matrix,
+    ibin_generators,
+    is_full,
+    rewrite_as_two_minors,
+    union_cells,
+    union_rows_cols,
+)
 from multirees.poly import GuardExceeded, Mono
 from multirees.quasimat import (
     Binomial,
-    BinaryQuasiMatrix,
     QuasiMatrix,
     _entry_graph_cycles,
     binary_subquasi_enumerate,
@@ -129,12 +137,12 @@ class TestBinaryEnumeration:
     @pytest.mark.parametrize("shape", GENERIC_SHAPES)
     def test_matches_subset_filter_oracle(self, shape):
         qm, _ = generic_matrix(*shape)
-        got = {bqm.cells for bqm in binary_subquasi_enumerate(qm)}
+        got = {union_cells(u) for u in binary_subquasi_enumerate(qm)}
         assert got == brute_binary_cell_sets(qm)
 
     def test_matches_oracle_on_sparse_patterns(self):
         for qm in seeded_sparse_matrices():
-            got = {bqm.cells for bqm in binary_subquasi_enumerate(qm)}
+            got = {union_cells(u) for u in binary_subquasi_enumerate(qm)}
             assert got == brute_binary_cell_sets(qm)
 
     def test_binary_cycles_are_the_single_cycle_unions(self):
@@ -142,7 +150,7 @@ class TestBinaryEnumeration:
         shapes = [generic_matrix(*shape)[0] for shape in GENERIC_SHAPES]
         for qm in shapes + list(seeded_sparse_matrices()):
             for max_size in (4, 12):
-                want = [b.cycles for b in binary_subquasi_enumerate(qm, max_size) if len(b.cycles) == 1]
+                want = [u for u in binary_subquasi_enumerate(qm, max_size) if len(u) == 1]
                 assert [(walk,) for walk in _entry_graph_cycles(qm, max_size)] == want
 
     def test_unions_in_reference_order(self):
@@ -151,8 +159,10 @@ class TestBinaryEnumeration:
         desk = [build_presentation(spec).matrix for spec in desk_scale_specs()]
         for qm in shapes + list(seeded_sparse_matrices()) + list(repeated_entry_matrices()) + desk:
             for max_size in range(4, 13):
-                got = [b.cycles for b in binary_subquasi_enumerate(qm, max_size)]
+                got = binary_subquasi_enumerate(qm, max_size)
                 assert got == reference_unions(qm, max_size)
+                for union in got:
+                    assert_binary_union(qm, union)
                 walks = qm.cycle_walks(max_size)
                 assert walks == _entry_graph_cycles(qm, max_size) and qm.cycle_walks(max_size) is walks
 
@@ -163,13 +173,13 @@ class TestBinaryEnumeration:
 
     def test_full_3x3_has_six_spanning_binaries(self):
         qm, _ = generic_matrix(3, 3)
-        spanning = [b for b in binary_subquasi_enumerate(qm) if len(b.rows()) + len(b.cols()) == 6]
+        spanning = [u for u in binary_subquasi_enumerate(qm) if sum(map(len, union_rows_cols(u))) == 6]
         assert len(spanning) == 6
 
     def test_size_cap_respected(self):
         qm, _ = generic_matrix(4, 4)
         small = binary_subquasi_enumerate(qm, max_size=4)
-        assert small and all(len(b.rows()) + len(b.cols()) <= 4 for b in small)
+        assert small and all(sum(map(len, union_rows_cols(u))) <= 4 for u in small)
 
     def test_guard(self):
         qm, _ = generic_matrix(2, 2)
@@ -185,13 +195,13 @@ class TestBinaryEnumeration:
     def test_cycle_shape_validation(self):
         qm, _ = generic_matrix(2, 2)
         cells = [(0, 0), (0, 1), (1, 1), (1, 0)]
-        BinaryQuasiMatrix(qm, (cells,))  # proper walk order
-        with pytest.raises(ValueError):
-            BinaryQuasiMatrix(qm, ((cells[0], cells[2], cells[1], cells[3]),))
-        with pytest.raises(ValueError):
-            BinaryQuasiMatrix(qm, (cells, cells))  # overlap
-        with pytest.raises(ValueError):
-            BinaryQuasiMatrix(qm, (cells[:3],))  # odd length
+        assert_binary_union(qm, (cells,))  # proper walk order
+        with pytest.raises(AssertionError):
+            assert_binary_union(qm, ((cells[0], cells[2], cells[1], cells[3]),))  # crossed order
+        with pytest.raises(AssertionError):
+            assert_binary_union(qm, (cells, cells))  # overlap
+        with pytest.raises(AssertionError):
+            assert_binary_union(qm, (cells[:3],))  # odd length
 
 
 class TestQuasiDeterminants:
@@ -205,11 +215,11 @@ class TestQuasiDeterminants:
     @pytest.mark.parametrize("shape", [(2, 3), (3, 3), (2, 4), (3, 4), (4, 4)])
     def test_counts_match_brute_force(self, shape):
         qm, _ = generic_matrix(*shape)
-        for bqm in binary_subquasi_enumerate(qm, max_size=8):
-            got = {b.key() for b in quasi_determinants(bqm)}
-            assert got == brute_quasi_determinants(qm, bqm.cells)
+        for union in binary_subquasi_enumerate(qm, max_size=8):
+            got = {b.key() for b in quasi_determinants(qm, union)}
+            assert got == brute_quasi_determinants(qm, union_cells(union))
             # 2^(c-1) when no product collision collapses a pair
-            assert len(got) == 2 ** (len(bqm.cycles) - 1)
+            assert len(got) == 2 ** (len(union) - 1)
 
     def test_sign_normalization(self):
         qm, uni = generic_matrix(2, 2)
@@ -222,8 +232,7 @@ class TestQuasiDeterminants:
     def test_zero_difference_dropped(self):
         # one variable everywhere: both matchings give the same product
         uni_qm = QuasiMatrix(2, 2, {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0})
-        bqm = BinaryQuasiMatrix(uni_qm, ([(0, 0), (0, 1), (1, 1), (1, 0)],))
-        assert quasi_determinants(bqm) == []
+        assert quasi_determinants(uni_qm, (((0, 0), (0, 1), (1, 1), (1, 0)),)) == []
 
 
 class TestRewriter:
