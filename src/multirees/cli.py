@@ -12,6 +12,7 @@ import functools
 import json
 import os
 import sys
+from types import GeneratorType
 
 from .grobner import (
     MemberResult,
@@ -77,50 +78,45 @@ _quote = json.encoder.encode_basestring_ascii
 _LITERALS = {True: "true", False: "false", None: "null"}
 
 
-def _write_json(value, write, pad=""):
-    """Write ``value`` as ``json.dumps(value, indent=2)`` renders it, one
-    chunk per scalar, key or bracket.  Only exact str, int, bool, None,
-    dict with str keys, list and tuple are accepted: any other type (a
-    float, a Fraction, a set, a subclass of int or str) raises TypeError."""
+def _write_json(value, write, pad="", head=""):
+    """Write ``head``, then ``value`` as ``json.dumps(value, indent=2)``
+    renders it, in one chunk per scalar or bracket; a scalar shares its
+    chunk with the key or separator before it.  Only exact str, int,
+    bool, None, dict with str keys, list, tuple and generator (a lazy
+    array) are accepted: any other type (a float, a Fraction, a set,
+    another iterator, a subclass of int or str) raises TypeError."""
     kind = type(value)
     if kind is str:
-        write(_quote(value))
+        write(head + _quote(value))
     elif kind is int:
-        write(int.__repr__(value))
+        write(head + int.__repr__(value))
     elif kind is bool or value is None:
-        write(_LITERALS[value])
+        write(head + _LITERALS[value])
     elif kind is dict:
-        if not value:
-            write("{}")
-            return
         inner = pad + "  "
-        sep = "{\n" + inner
+        sep = opening = head + "{\n" + inner
         for key, item in value.items():
             if type(key) is not str:
                 raise TypeError("JSON object keys must be str, not %s" % type(key).__name__)
-            write(sep + _quote(key) + ": ")
-            _write_json(item, write, inner)
+            _write_json(item, write, inner, sep + _quote(key) + ": ")
             sep = ",\n" + inner
-        write("\n" + pad + "}")
-    elif kind is list or kind is tuple:
-        if not value:
-            write("[]")
-            return
+        write(head + "{}" if sep is opening else "\n" + pad + "}")
+    elif kind is list or kind is tuple or kind is GeneratorType:
         inner = pad + "  "
-        sep = "[\n" + inner
+        sep = opening = head + "[\n" + inner
         for item in value:
-            write(sep)
-            _write_json(item, write, inner)
+            _write_json(item, write, inner, sep)
             sep = ",\n" + inner
-        write("\n" + pad + "]")
+        write(head + "[]" if sep is opening else "\n" + pad + "]")
     else:
         raise TypeError("cannot write %s as JSON" % kind.__name__)
 
 
 def _emit_json(payload):
-    """Stream the whole document to stdout.  The payload is complete
-    before the first write, so an error while building it leaves stdout
-    empty."""
+    """Stream the whole document to stdout.  Emission, caps and guards
+    finish before the first byte, so an error there leaves stdout empty;
+    a record that a generator in the payload yields is rendered as it is
+    written, and never held with the others."""
     write = sys.stdout.write
     _write_json(payload, write)
     write("\n")
@@ -150,7 +146,7 @@ def cmd_generators(args):
                     for (r, c), v in sorted(pres.matrix.entries.items())
                 ],
             },
-            "generators": [
+            "generators": (
                 {
                     "index": i + 1,
                     "kind": g.kind,
@@ -161,7 +157,7 @@ def cmd_generators(args):
                     "terms": _terms_json(g, u),
                 }
                 for i, g in enumerate(gens)
-            ],
+            ),
         }
         _emit_json(payload)
         return EXIT_OK

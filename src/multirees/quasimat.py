@@ -27,7 +27,7 @@ MAX_BINARY_SIZE = 12  # rows + cols of an emitted binary subquasi-matrix
 class QuasiMatrix:
     """Rows x cols grid with entries (variable ids) at some positions."""
 
-    __slots__ = ("n_rows", "n_cols", "entries", "_walks")
+    __slots__ = ("n_rows", "n_cols", "entries", "_walks", "_pairs")
 
     def __init__(self, n_rows, n_cols, entries):
         self.n_rows = n_rows
@@ -37,6 +37,7 @@ class QuasiMatrix:
             if not (0 <= r < n_rows and 0 <= c < n_cols):
                 raise ValueError("entry out of range: %r" % ((r, c),))
         self._walks = {}
+        self._pairs = {}  # (variable, exponent) -> the one tuple its monomials share
 
     def cycle_walks(self, max_vertices):
         """The cycle walks of the entry graph with at most
@@ -67,8 +68,9 @@ class Binomial:
     """Sign-normalized difference of two entry products.
 
     The term whose monomial key is smallest under the global symbol order
-    carries +1.  Cell sets are kept so structural facts (one entry per
-    touched column in each term) stay checkable after emission.
+    carries +1.  Each term keeps its cells as the tuple it was given (a
+    matching, in walk order), so structural facts (one entry per touched
+    column in each term) stay checkable after emission.
     """
 
     __slots__ = ("plus", "minus", "plus_cells", "minus_cells")
@@ -79,8 +81,8 @@ class Binomial:
             plus_cells, minus_cells = minus_cells, plus_cells
         self.plus = plus
         self.minus = minus
-        self.plus_cells = frozenset(plus_cells)
-        self.minus_cells = frozenset(minus_cells)
+        self.plus_cells = plus_cells
+        self.minus_cells = minus_cells
 
     @classmethod
     def from_matchings(cls, qm, plus_cells, minus_cells):
@@ -106,11 +108,17 @@ class Binomial:
 
 
 def _cells_mono(qm, cells):
+    """The product of the entries at ``cells``.  Counting makes each
+    variable unique, so the pairs need sorting only, not the checks of
+    ``Mono()``; each pair is the one tuple the matrix's table holds for
+    it, shared by every monomial of the matrix."""
+    entries = qm.entries
     counts = {}
     for cell in cells:
-        v = qm.entries[cell]
+        v = entries[cell]
         counts[v] = counts.get(v, 0) + 1
-    return Mono(tuple(counts.items()))
+    table = qm._pairs
+    return Mono._raw(tuple(sorted(table.setdefault(pair, pair) for pair in counts.items())))
 
 
 def _entry_graph_cycles(qm, max_vertices):

@@ -389,10 +389,16 @@ def _restricted_items(pres, walks):
     two columns of one block (block-2x2), each by columns then rows, and
     then in walk order the cycles off the sequence column whose columns
     lie in distinct blocks (multiblock-cycle).  Each uses as many matrix
-    columns as it has block columns."""
+    columns as it has block columns.  A longer walk through the sequence
+    column has no restricted shape, so it is passed over before its axes
+    are read."""
+    E = pres.matrix
     label = pres.col_labels
+    seq_cells = {(r, 0) for r in range(E.n_rows)}
     kept = []
     for i, walk in enumerate(walks):
+        if len(walk) > 4 and not seq_cells.isdisjoint(walk):
+            continue
         rows, cols = _union_axes((walk,))
         blocks_ = [pres.col_blocks[c][0] for c in cols if c]
         if len(set(blocks_)) == len(cols):
@@ -404,7 +410,6 @@ def _restricted_items(pres, walks):
         elif len(cols) == 2:
             text = "rows (%d,%d) cols %s,%s" % (rows[0] + 1, rows[1] + 1, label[cols[0]], label[cols[1]])
             kept.append(((1, cols, rows, walk), "block-2x2", blocks_, text, walk))
-    E = pres.matrix
     for _, kind, blocks_, text, walk in sorted(kept, key=lambda item: item[0]):
         yield Binomial.from_matchings(E, walk[0::2], walk[1::2]), kind, blocks_, len(blocks_), text
 

@@ -179,7 +179,7 @@ def rewrite_as_two_minors(delta, qm, universe):
     def emit(coeff, mult_cells, plus_cells, minus_cells):
         mult = universe.term(coeff, _cells_mono(qm, mult_cells))
         bino = Binomial.from_matchings(qm, tuple(plus_cells), tuple(minus_cells))
-        sign = 1 if bino.plus_cells == frozenset(plus_cells) else -1
+        sign = 1 if set(bino.plus_cells) == set(plus_cells) else -1
         pairs.append((mult * sign, bino.to_poly(universe)))
 
     def rec(plus, minus, mult_cells):

@@ -11,8 +11,9 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -24,8 +25,16 @@ import multirees
 from conftest import emission_specs
 from multirees.cli import _block_monomials, _terms_json, _write_json, build_parser, main
 from multirees.quasimat import Binomial, _entry_graph_cycles
-from multirees.rees import FULL, RESTRICTED, build_presentation, defining_generators, spec_from_dict, spec_to_dict
-from multirees.sseq import SMonomial, taylor_complex
+from multirees.rees import (
+    FULL,
+    RESTRICTED,
+    ReesSpec,
+    build_presentation,
+    defining_generators,
+    spec_from_dict,
+    spec_to_dict,
+)
+from multirees.sseq import SeqSpec, SMonomial, taylor_complex
 
 PAPER_SPEC = {
     "sequence": {"mode": "generic", "n": 4, "names": ["p1", "p2", "x", "y"]},
@@ -699,6 +708,17 @@ class TestJsonWriter:
         _write_json(value, buf.write)
         return buf.getvalue()
 
+    @classmethod
+    def lazy(cls, value):
+        """``value`` with every list swapped for a generator expression."""
+        if type(value) is list:
+            return (cls.lazy(item) for item in value)
+        if type(value) is tuple:
+            return tuple(cls.lazy(item) for item in value)
+        if type(value) is dict:
+            return {key: cls.lazy(item) for key, item in value.items()}
+        return value
+
     leaves = st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64) | st.text()
     values = st.recursive(
         leaves,
@@ -715,8 +735,13 @@ class TestJsonWriter:
     @example(value={"": [], "a": {}, "b": [[], {}, [[]]], "c": {"d": {}}})
     @example(value=(1, "a", (None, True, False), [(), -(2**70)]))
     @example(value=[-1, 0, 2**64, -(2**64) - 1])
+    @example(value=[])
+    @example(value=[[[]], {"a": [[], [1]]}, ([],)])
     def test_bytes_equal_json_dumps(self, value):
-        assert self.written(value) == json.dumps(value, indent=2)
+        # a generator is written as the list it yields
+        expected = json.dumps(value, indent=2)
+        assert self.written(value) == expected
+        assert self.written(self.lazy(value)) == expected
 
     # json.dumps renders 1.5, {1: 2}, {True: 1} and subclasses of int and
     # str (as "1.5", {"1": 2}, {"true": 1}); the writer refuses them on
@@ -730,10 +755,14 @@ class TestJsonWriter:
 
     @pytest.mark.parametrize(
         "value",
-        [1.5, Fraction(1, 2), {1}, {1: 2}, {True: 1}, Label("a"), Count(1), {Label("a"): 1}, {"k": [1, 1.5]}],
+        [
+            1.5, Fraction(1, 2), {1}, {1: 2}, {True: 1}, Label("a"), Count(1), {Label("a"): 1}, {"k": [1, 1.5]},
+            iter([1]), map(int, "1"), (x for x in [1, 1.5]),
+        ],
         ids=[
             "float", "fraction", "set", "int-key", "bool-key",
             "str-subclass", "int-subclass", "str-subclass-key", "nested-float",
+            "list-iterator", "map", "float-in-generator",
         ],
     )
     def test_unknown_types_raise(self, value):
@@ -786,3 +815,28 @@ class TestJsonWriter:
         assert len(out) > 100_000 and len(chunks) > 1000
         assert max(map(len, chunks)) <= len(out) // 100
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_guard_leaves_stdout_empty(self, spec_file, capsys):
+        # the generator records render as they are written, but emission
+        # and its guard finish before the first byte
+        path = spec_file(spec_to_dict(emission_specs()[-1]))
+        assert main(["generators", path, "--family", "full", "--format", "json", "--max-minor-size", "7"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cap exceeded" in captured.err
+
+    def test_emission_memory(self, spec_file, monkeypatch):
+        # wide_emit's n = 6 shape, fifteen 2-row blocks: cells kept as
+        # tuples, shared exponent pairs and records rendered as they are
+        # written hold the traced peak, the output buffer included, to
+        # 5.4 MB; building every record before the first write, with cells
+        # as frozensets, took it to 12.0 MB
+        blocks = tuple((rows, 1) for rows in combinations(range(1, 7), 2))
+        path = spec_file(spec_to_dict(ReesSpec(seq=SeqSpec(n=6), blocks=blocks)))
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        tracemalloc.start()
+        try:
+            assert main(["generators", path, "--family", "full", "--format", "json"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8_000_000

@@ -6,11 +6,12 @@ by brute force over unordered pairs of disjoint matchings covering the
 cells.  Both agree exactly with the structured enumeration.
 """
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from conftest import desk_scale_specs
+from conftest import desk_scale_specs, emission_specs
 from helpers import (
     assert_binary_union,
     expand_combination,
@@ -23,13 +24,15 @@ from helpers import (
 )
 from multirees.poly import GuardExceeded, Mono
 from multirees.quasimat import (
+    MAX_BINARY_SIZE,
     Binomial,
     QuasiMatrix,
+    _cells_mono,
     _entry_graph_cycles,
     binary_subquasi_enumerate,
     quasi_determinants,
 )
-from multirees.rees import build_presentation
+from multirees.rees import FULL, build_presentation, defining_generators
 
 
 def brute_binary_cell_sets(qm, max_size=12):
@@ -233,6 +236,33 @@ class TestQuasiDeterminants:
         # one variable everywhere: both matchings give the same product
         uni_qm = QuasiMatrix(2, 2, {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0})
         assert quasi_determinants(uni_qm, (((0, 0), (0, 1), (1, 1), (1, 0)),)) == []
+
+
+class TestCellsMono:
+    def test_matches_the_validated_monomial(self):
+        # _cells_mono skips the sort-and-check pass of Mono(); over every
+        # walk matching and every term of the full family it must give the
+        # monomial Mono() validates, and within one matrix equal
+        # (variable, exponent) pairs must be one shared object
+        squares = 0
+        for spec in emission_specs():
+            pres = build_presentation(spec)
+            qm = pres.matrix
+            terms = []
+            for g in defining_generators(pres, FULL):
+                b = g.binomial
+                terms += [(b.plus, b.plus_cells), (b.minus, b.minus_cells)]
+            for walk in qm.cycle_walks(MAX_BINARY_SIZE):
+                for cells in (walk[0::2], walk[1::2]):
+                    terms.append((_cells_mono(qm, cells), cells))
+            shared = {}
+            for mono, cells in terms:
+                assert mono.exps == Mono(tuple(Counter(qm.entries[cell] for cell in cells).items())).exps
+                for pair in mono.exps:
+                    assert shared.setdefault(pair, pair) is pair
+                squares += any(e == 2 for _, e in mono.exps)
+        # power-2 blocks repeat a variable within one matching
+        assert squares > 0
 
 
 class TestRewriter:
