@@ -14,12 +14,7 @@ import os
 import sys
 from types import GeneratorType
 
-from .grobner import (
-    MemberResult,
-    buchberger_check,
-    default_order_suite,
-    universal_gb_check,
-)
+from .grobner import MemberResult, buchberger_check, default_order_suite
 from .oracle import DEFAULT_PIECE_CAP, ImageData, oracle_check
 from .poly import (
     ORDER_KINDS,
@@ -27,6 +22,7 @@ from .poly import (
     GuardExceeded,
     MonomialOrder,
     SpecError,
+    leading,
     mono_text,
 )
 from .rees import (
@@ -184,76 +180,143 @@ def cmd_generators(args):
     return EXIT_OK
 
 
+# --- check results ----------------------------------------------------------
+#
+# One renderer per check result: for ``--format json`` it returns the
+# result's JSON record, otherwise its text lines, both from the same fields.
+
+
+def _report(rep, fmt):
+    """A Buchberger report: the head, then each stuck pair or member with
+    its remainder, of which the text shows the leading term."""
+    stuck = [(res, res.cert.remainder) for res in rep.failures]
+    if fmt == "json":
+        return {
+            "order": rep.order.describe(),
+            "ok": rep.ok,
+            "pairs": len(rep.pairs),
+            "basis": len(rep.basis),
+            "product_criterion": rep.product_criterion,
+            "stuck": [
+                dict(
+                    {"member": res.k + 1} if isinstance(res, MemberResult) else {"i": res.i + 1, "j": res.j + 1},
+                    remainder=rem.render(),
+                )
+                for res, rem in stuck
+            ],
+        }
+    lines = [
+        "groebner check under %s: %s (%d generators, %d in the basis, %d pairs, %d by the product criterion, %d stuck)"
+        % (
+            rep.order.describe(),
+            "CERTIFIED" if rep.ok else "INCONCLUSIVE",
+            len(rep.generators),
+            len(rep.basis),
+            len(rep.pairs),
+            rep.product_criterion,
+            len(stuck),
+        )
+    ]
+    for res, rem in stuck:
+        lc, lm = leading(rem, rep.order)
+        lines.append(
+            "  stuck %s: remainder leading term (%s) * %s" % (res.label, lc.render(), mono_text(lm, rep.order.universe))
+        )
+    return lines
+
+
+def _groebner(polys, order, fmt):
+    """(verdict, rendered report) of ``buchberger_check``: the report is
+    dropped before the next check runs."""
+    rep = buchberger_check(polys, order)
+    return rep.ok, _report(rep, fmt)
+
+
+def _piece(r, fmt):
+    """One graded piece of the kernel oracle (the text names a witness in
+    ``_oracle_text``)."""
+    if fmt == "json":
+        return {
+            "t_degrees": list(r.tvec),
+            "ambient_degree": r.weight,
+            "piece_size": r.piece_size,
+            "kernel_dim": r.kernel_dim,
+            "span_dim": r.span_dim,
+            "ok": r.ok,
+            "witness": r.witness.render() if r.witness is not None else None,
+        }
+    return "degrees t=%s ambient=%d: piece %d, kernel dim %d, family span %d [%s]" % (
+        r.tvec,
+        r.weight,
+        r.piece_size,
+        r.kernel_dim,
+        r.span_dim,
+        "ok" if r.ok else "MISSED",
+    )
+
+
+def _oracle_text(rep, pieces):
+    """The oracle head, a line per piece of ``pieces``, then the witness of
+    each missed piece."""
+    verdict = "ok" if rep.ok else "%d MISSED" % len(rep.failures)
+    return (
+        ["kernel oracle over %d graded pieces: %s" % (len(rep.reports), verdict)]
+        + ["  " + _piece(r, "text") for r in pieces]
+        + ["witness (maps to zero, outside the family span): %s" % r.witness.render() for r in rep.failures]
+    )
+
+
+def _normality(rep, fmt):
+    """The squarefreeness report; the symbol-level leads, computed when
+    read, show only in the text."""
+    if fmt == "json":
+        return {"verdict": rep.verdict, "structural_ok": rep.structural_ok, "hypothesis_ok": rep.hypothesis_ok}
+    lines = [
+        "verdict: %s" % rep.verdict,
+        "structural squarefreeness (distinct columns per term, sequence part squarefree): %s"
+        % ("pass" if rep.structural_ok else "FAIL"),
+    ]
+    for desc, ok in rep.symbol_results.items():
+        lines.append("symbol-level squarefree leading terms under %s: %s" % (desc, "pass" if ok else "no"))
+    lines.append("regularity hypothesis attested: %s" % ("yes" if rep.hypothesis_ok else "no"))
+    return lines + ["note: %s" % note for note in rep.notes]
+
+
 # --- groebner --------------------------------------------------------------
-
-
-def _stuck_json(res):
-    where = {"member": res.k + 1} if isinstance(res, MemberResult) else {"i": res.i + 1, "j": res.j + 1}
-    return dict(where, remainder=res.cert.remainder.render())
-
-
-def _report_json(rep):
-    return {
-        "order": rep.order.describe(),
-        "ok": rep.ok,
-        "pairs": len(rep.pairs),
-        "basis": len(rep.basis),
-        "product_criterion": rep.product_criterion,
-        "stuck": [_stuck_json(res) for res in rep.failures],
-    }
 
 
 def cmd_groebner(args):
     spec = _read_spec(args.spec)
     pres = build_presentation(spec)
     gens = [g.poly for g in defining_generators(pres, args.family, args.max_minor_size)]
+    fmt = args.format
     if not gens:
-        if args.format == "json":
+        if fmt == "json":
             _emit_json({"command": "groebner", "ok": True, "generators": 0})
         else:
             print("no relations; nothing to certify")
         return EXIT_OK
     if args.universal:
-        seeds = tuple(args.seed + i for i in (1, 2, 3, 4))
-        orders = default_order_suite(pres.universe, seeds=seeds)
-        rep = universal_gb_check(gens, orders)
-        ok = rep.ok
-        if args.format == "json":
-            _emit_json(
-                {
-                    "command": "groebner",
-                    "universal": True,
-                    "seed": args.seed,
-                    "ok": ok,
-                    "orders": [_report_json(r) for r in rep.reports],
-                }
-            )
-        else:
-            print("seed: %d" % args.seed)
-            print(rep.summary())
-        return EXIT_OK if ok else EXIT_FAIL
-    order = MonomialOrder(pres.universe, args.order)
-    rep = buchberger_check(gens, order)
-    if args.format == "json":
-        _emit_json({"command": "groebner", "universal": False, "ok": rep.ok, "orders": [_report_json(rep)]})
+        orders = default_order_suite(pres.universe, seeds=tuple(args.seed + i for i in (1, 2, 3, 4)))
     else:
-        print(rep.summary())
-    return EXIT_OK if rep.ok else EXIT_FAIL
+        orders = [MonomialOrder(pres.universe, args.order)]
+    results = [_groebner(gens, order, fmt) for order in orders]
+    ok = all(verdict for verdict, _ in results)
+    if fmt == "json":
+        payload = {"command": "groebner", "universal": args.universal}
+        if args.universal:
+            payload["seed"] = args.seed
+        _emit_json(dict(payload, ok=ok, orders=[out for _, out in results]))
+    elif args.universal:
+        print("seed: %d" % args.seed)
+        print("universal groebner check over %d orders: %s" % (len(orders), "CERTIFIED" if ok else "INCONCLUSIVE"))
+        print("\n".join("  " + line for _, out in results for line in out))
+    else:
+        print("\n".join(results[0][1]))
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 # --- oracle ----------------------------------------------------------------
-
-
-def _piece_json(r):
-    return {
-        "t_degrees": list(r.tvec),
-        "ambient_degree": r.weight,
-        "piece_size": r.piece_size,
-        "kernel_dim": r.kernel_dim,
-        "span_dim": r.span_dim,
-        "ok": r.ok,
-        "witness": r.witness.render() if r.witness is not None else None,
-    }
 
 
 def _oracle(pres, gens, args):
@@ -286,16 +349,13 @@ def cmd_oracle(args):
             "family": args.family,
             "dropped": dropped,
             "ok": rep.ok,
-            "pieces": [_piece_json(r) for r in rep.reports],
+            "pieces": [_piece(r, "json") for r in rep.reports],
         }
         _emit_json(payload)
     else:
         if dropped:
             print("dropped generators: %s" % ", ".join("g%d" % i for i in dropped))
-        print(rep.summary())
-        for r in rep.failures:
-            if r.witness is not None:
-                print("witness (maps to zero, outside the family span): %s" % r.witness.render())
+        print("\n".join(_oracle_text(rep, rep.reports)))
     return EXIT_OK if rep.ok else EXIT_FAIL
 
 
@@ -306,7 +366,8 @@ def cmd_verify(args):
     """Three-way check: S-pair certification of the full binary family F
     (the restricted family generates the same ideal but is not itself a
     basis), the kernel oracle on the requested family, and the
-    squarefreeness report.
+    squarefreeness report.  Each report becomes what verify prints of it
+    before the next check runs; nothing is written before the last one.
 
     F is certified through F1, its single-cycle members, which
     ``defining_generators(pres, SINGLE)`` emits from the cycle walks that
@@ -314,50 +375,42 @@ def cmd_verify(args):
     search that the requested family reads too; the docstring of
     ``buchberger_check`` shows why F is a Groebner basis exactly when F1
     is."""
+    fmt = args.format
     spec = _read_spec(args.spec)
     pres = build_presentation(spec)
     gens = defining_generators(pres, args.family, args.max_minor_size)
-    single = defining_generators(pres, SINGLE, args.max_minor_size)
-    o_report = _oracle(pres, gens, args)
-    single_polys = [g.poly for g in single]
-    orders = [MonomialOrder(pres.universe, kind) for kind in ("lex", "grevlex")]
-    g_reports = [buchberger_check(single_polys, order) for order in orders] if single_polys else []
-    groebner_ok = all(r.ok for r in g_reports)
-    n_report = normality_report(pres, gens, orders)
-    ok = groebner_ok and o_report.ok
-    if args.format == "json":
+    single = [g.poly for g in defining_generators(pres, SINGLE, args.max_minor_size)]
+    rep = _oracle(pres, gens, args)
+    oracle_ok = rep.ok
+    if fmt == "json":
+        oracle = {"ok": rep.ok, "pieces": len(rep.reports), "failures": [_piece(r, fmt) for r in rep.failures]}
+    else:
+        oracle = _oracle_text(rep, rep.failures)
+    del rep  # the Groebner checks run without the oracle's pieces
+    orders = [MonomialOrder(pres.universe, kind) for kind in ("lex", "grevlex")] if single else []
+    results = [_groebner(single, order, fmt) for order in orders]
+    normality = _normality(normality_report(pres, gens), fmt)
+    ok = oracle_ok and all(verdict for verdict, _ in results)
+    if fmt == "json":
         _emit_json(
             {
                 "command": "verify",
                 "family": args.family,
                 "generators": len(gens),
-                "groebner": {"family": FULL, "reports": [_report_json(r) for r in g_reports]},
-                "oracle": {
-                    "ok": o_report.ok,
-                    "pieces": len(o_report.reports),
-                    "failures": [_piece_json(r) for r in o_report.failures],
-                },
-                "normality": {
-                    "verdict": n_report.verdict,
-                    "structural_ok": n_report.structural_ok,
-                    "hypothesis_ok": n_report.hypothesis_ok,
-                },
+                "groebner": {"family": FULL, "reports": [out for _, out in results]},
+                "oracle": oracle,
+                "normality": normality,
                 "ok": ok,
             }
         )
     else:
-        print("generators: %d (family=%s)" % (len(gens), args.family))
-        print(
+        lines = [
+            "generators: %d (family=%s)" % (len(gens), args.family),
             "groebner certification of the full binary family runs on its single-cycle members F1 (%d members)"
-            % len(single_polys)
-        )
-        for r in g_reports:
-            print(r.summary())
-        print(o_report.summary().splitlines()[0])
-        for r in o_report.failures:
-            print("  " + r.line())
-        print(n_report.summary())
-        print("overall: %s" % ("PASS" if ok else "FAIL"))
+            % len(single),
+        ]
+        lines += [line for _, out in results for line in out] + oracle + normality
+        print("\n".join(lines + ["overall: %s" % ("PASS" if ok else "FAIL")]))
     return EXIT_OK if ok else EXIT_FAIL
 
 

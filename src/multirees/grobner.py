@@ -45,7 +45,6 @@ from .poly import (
     UniverseMismatch,
     default_t_precedence,
     leading,
-    mono_text,
 )
 
 REDUCED_TO_ZERO = "REDUCED_TO_ZERO"
@@ -158,29 +157,6 @@ class BuchbergerReport:
 
     def verify_certificates(self):
         return all(r.cert.verify() for r in self.pairs + self.members if r.cert is not None)
-
-    def summary(self):
-        verdict = "CERTIFIED" if self.ok else "INCONCLUSIVE"
-        lines = [
-            "groebner check under %s: %s (%d generators, %d in the basis, %d pairs, "
-            "%d by the product criterion, %d stuck)"
-            % (
-                self.order.describe(),
-                verdict,
-                len(self.generators),
-                len(self.basis),
-                len(self.pairs),
-                self.product_criterion,
-                len(self.failures),
-            )
-        ]
-        for r in self.failures:
-            lc, lm = leading(r.cert.remainder, self.order)
-            lines.append(
-                "  stuck %s: remainder leading term (%s) * %s"
-                % (r.label, lc.render(), mono_text(lm, self.order.universe))
-            )
-        return "\n".join(lines)
 
 
 class _Overflow(Exception):
@@ -536,24 +512,6 @@ def _widened(polys, order, run):
             return run(width)
         except _Overflow:
             width *= 2
-
-
-@dataclass
-class UniversalReport:
-    reports: list
-
-    @property
-    def ok(self):
-        return all(r.ok for r in self.reports)
-
-    def summary(self):
-        lines = ["universal groebner check over %d orders: %s" % (len(self.reports), "CERTIFIED" if self.ok else "INCONCLUSIVE")]
-        lines.extend("  " + r.summary().splitlines()[0] for r in self.reports)
-        return "\n".join(lines)
-
-
-def universal_gb_check(generators, orders):
-    return UniversalReport([buchberger_check(generators, o) for o in orders])
 
 
 def default_order_suite(universe, seeds=(1, 2, 3, 4)):

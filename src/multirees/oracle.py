@@ -186,17 +186,6 @@ class SpanReport:
     ok: bool
     witness: Poly | None = None
 
-    def line(self):
-        verdict = "ok" if self.ok else "MISSED"
-        return "degrees t=%s ambient=%d: piece %d, kernel dim %d, family span %d [%s]" % (
-            self.tvec,
-            self.weight,
-            self.piece_size,
-            self.kernel_dim,
-            self.span_dim,
-            verdict,
-        )
-
 
 def _kernel_binomial(data, p):
     """(m_a, m_b) of a generator a*m_a + b*m_b of the kernel, evaluated over
@@ -435,15 +424,21 @@ def default_degrees(pres, t_cap=None, ambient_cap=None):
 
 
 def _degrees(data, t_cap, ambient_cap):
-    """``default_degrees`` from the presentation's ``ImageData``."""
+    """``default_degrees`` from the presentation's ``ImageData``.  A block
+    degree tuple summing to ``total`` has ambient weight at least ``total``
+    times the smallest block weight, so the totals stop at the first one
+    whose every tuple lies above ``ambient_cap``."""
     pres = data.pres
     r = pres.spec.r
     if t_cap is None:
         t_cap = DEFAULT_T_CAP
     if ambient_cap is None:
         ambient_cap = 3 * max(bd.power for bd in pres.blocks) + 2
+    lightest = min(data.min_block_weight)
     out = []
     for total in range(1, t_cap + 1):
+        if total * lightest > ambient_cap:
+            break
         for tvec in _compositions(total, r):
             base = sum(d * w for d, w in zip(tvec, data.min_block_weight))
             for weight in range(base, ambient_cap + 1):
@@ -471,15 +466,6 @@ class OracleReport:
     @property
     def failures(self):
         return [r for r in self.reports if not r.ok]
-
-    def summary(self):
-        lines = [
-            "kernel oracle over %d graded pieces: %s"
-            % (len(self.reports), "ok" if self.ok else "%d MISSED" % len(self.failures))
-        ]
-        for r in self.reports:
-            lines.append("  " + r.line())
-        return "\n".join(lines)
 
 
 def oracle_check(pres, generators, degrees=None, t_cap=None, ambient_cap=None, cap=DEFAULT_PIECE_CAP):

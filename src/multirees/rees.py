@@ -449,25 +449,30 @@ def defining_generators(pres, family=RESTRICTED, max_minor_size=None):
 
 @dataclass
 class NormalityReport:
+    """``symbol_results`` is computed on first read: the verdict does not
+    depend on it."""
+
     verdict: str  # "NORMAL_CM" | "INDETERMINATE"
     structural_ok: bool
     structural_failures: list
-    symbol_results: dict
     hypothesis_ok: bool
     notes: list
+    generators: list = field(repr=False)
+    universe: VarUniverse = field(repr=False)
 
-    def summary(self):
-        lines = ["verdict: %s" % self.verdict]
-        lines.append(
-            "structural squarefreeness (distinct columns per term, sequence part squarefree): %s"
-            % ("pass" if self.structural_ok else "FAIL")
-        )
-        for desc, ok in self.symbol_results.items():
-            lines.append("symbol-level squarefree leading terms under %s: %s" % (desc, "pass" if ok else "no"))
-        lines.append("regularity hypothesis attested: %s" % ("yes" if self.hypothesis_ok else "no"))
-        for note in self.notes:
-            lines.append("note: %s" % note)
-        return "\n".join(lines)
+    @cached_property
+    def symbol_results(self):
+        """Per canonical order (lex, grevlex): whether every generator's
+        leading monomial, and its leading coefficient when that is one
+        term, is squarefree."""
+        out = {}
+        for kind in ("lex", "grevlex"):
+            order = MonomialOrder(self.universe, kind)
+            leads = (leading(g.poly, order) for g in self.generators)
+            out[order.describe()] = all(
+                lm.is_squarefree() and (len(lc.terms) != 1 or lc.terms[0][0].is_squarefree()) for lc, lm in leads
+            )
+        return out
 
 
 def _term_structural_ok(universe, mono, cells):
@@ -478,7 +483,7 @@ def _term_structural_ok(universe, mono, cells):
     return all(e <= 1 for v, e in mono.exps if v in universe.s_idset)
 
 
-def normality_report(pres, gens, orders=None):
+def normality_report(pres, gens):
     """Squarefreeness-based normality/Cohen-Macaulayness report on the
     ``Generator`` list ``gens`` emitted for ``pres``.
 
@@ -498,21 +503,6 @@ def normality_report(pres, gens, orders=None):
         ):
             failures.append(g)
     structural_ok = not failures
-    if orders is None:
-        orders = [MonomialOrder(u, "lex"), MonomialOrder(u, "grevlex")]
-    symbol_results = {}
-    for order in orders:
-        ok = True
-        for g in gens:
-            lc, lm = leading(g.poly, order)
-            if not lm.is_squarefree():
-                ok = False
-                break
-            smono = lc.terms[0][0] if len(lc.terms) == 1 else None
-            if smono is not None and not smono.is_squarefree():
-                ok = False
-                break
-        symbol_results[order.describe()] = ok
     seq = pres.spec.seq
     if seq.mode == "generic":
         hypothesis_ok = True
@@ -526,7 +516,8 @@ def normality_report(pres, gens, orders=None):
         verdict=verdict,
         structural_ok=structural_ok,
         structural_failures=failures,
-        symbol_results=symbol_results,
         hypothesis_ok=hypothesis_ok,
         notes=notes,
+        generators=gens,
+        universe=u,
     )

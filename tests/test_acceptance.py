@@ -23,7 +23,7 @@ from helpers import (
     union_cells,
     union_rows_cols,
 )
-from multirees.grobner import default_order_suite, universal_gb_check
+from multirees.grobner import buchberger_check, default_order_suite
 from multirees.oracle import oracle_check
 from multirees.poly import MonomialOrder, leading, mono_text
 from multirees.quasimat import binary_subquasi_enumerate, quasi_determinants
@@ -223,9 +223,8 @@ def test_criterion_04_universal_groebner_generic_matrices():
             if not gens:
                 continue
             orders = default_order_suite(u, seeds=(1, 2, 3, 4, 5))
-            rep = universal_gb_check(gens, orders)
-            orders_run += len(rep.reports)
-            all_ok = all_ok and rep.ok
+            orders_run += len(orders)
+            all_ok = all([buchberger_check(gens, order).ok for order in orders]) and all_ok
     elapsed = time.time() - t0
     ok = all_ok and elapsed < 120.0
     assert record_criterion(

@@ -22,8 +22,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import multirees
+import multirees.cli
 from conftest import emission_specs
 from multirees.cli import _block_monomials, _terms_json, _write_json, build_parser, main
+from multirees.poly import MonomialOrder, leading, mono_text
 from multirees.quasimat import Binomial, _entry_graph_cycles
 from multirees.rees import (
     FULL,
@@ -349,6 +351,125 @@ class TestVerify:
         )
         assert code == 0
         assert payload["generators"] == 0
+
+
+def text_and_json(capsys, argv):
+    """(exit code, text lines, JSON payload) of one command, run in both
+    formats, which must agree on the exit code."""
+    code = main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    json_code, payload = run_json(capsys, argv + ["--format", "json"])
+    assert json_code == code
+    return code, lines, payload
+
+
+def stuck_labels(report):
+    """The labels of a JSON report's stuck pairs and members."""
+    return [
+        "member %d" % s["member"] if "member" in s else "pair (%d, %d)" % (s["i"], s["j"]) for s in report["stuck"]
+    ]
+
+
+def stuck_lines(lines, indent):
+    """The labels of the stuck lines at ``indent`` after each head line
+    of a Buchberger report, one list per head."""
+    out = []
+    for line in lines:
+        if line.lstrip().startswith("groebner check under "):
+            out.append([])
+        elif line.startswith(indent + "stuck "):
+            out[-1].append(line[len(indent + "stuck ") :].split(":")[0])
+    return out
+
+
+WITNESS = "witness (maps to zero, outside the family span): "
+
+
+class TestFailingText:
+    """On a failing spec the text names each stuck pair or member and each
+    witness that the JSON names, in the same order."""
+
+    def test_groebner(self, spec_file, capsys):
+        path = spec_file(PAPER_SPEC)
+        code, lines, payload = text_and_json(capsys, ["groebner", path, "--family", "restricted"])
+        assert code == 1
+        (report,) = payload["orders"]
+        assert stuck_labels(report) and stuck_lines(lines, "  ") == [stuck_labels(report)]
+        # each text line shows the leading term of the remainder the JSON lists
+        u = build_presentation(spec_from_dict(PAPER_SPEC)).universe
+        order = MonomialOrder(u, "lex")
+        assert report["order"] == order.describe()
+        for line, stuck in zip(lines[1:], report["stuck"]):
+            lc, lm = leading(poly_from_text(u, stuck["remainder"]), order)
+            assert line.endswith(": remainder leading term (%s) * %s" % (lc.render(), mono_text(lm, u)))
+
+    def test_groebner_universal(self, spec_file, capsys):
+        path = spec_file(PAPER_SPEC)
+        code, lines, payload = text_and_json(capsys, ["groebner", path, "--family", "restricted", "--universal"])
+        assert code == 1
+        assert lines[1] == "universal groebner check over 10 orders: INCONCLUSIVE"
+        heads = [line for line in lines if line.startswith("  groebner check under ")]
+        assert [h.split(": ")[0][len("  groebner check under ") :] for h in heads] == [
+            r["order"] for r in payload["orders"]
+        ]
+        assert stuck_lines(lines, "    ") == [stuck_labels(r) for r in payload["orders"]]
+        assert sum(map(len, stuck_lines(lines, "    "))) > 0
+
+    def test_oracle(self, spec_file, capsys):
+        path = spec_file(PAPER_SPEC)
+        code, lines, payload = text_and_json(capsys, ["oracle", path, "--max-minor-size", "2"])
+        assert code == 1
+        missed = [p for p in payload["pieces"] if not p["ok"]]
+        assert lines[0] == "kernel oracle over %d graded pieces: %d MISSED" % (len(payload["pieces"]), len(missed))
+        assert [line[len(WITNESS) :] for line in lines if line.startswith(WITNESS)] == [p["witness"] for p in missed]
+
+    def test_verify(self, spec_file, capsys):
+        path = spec_file(PAPER_SPEC)
+        code, lines, payload = text_and_json(capsys, ["verify", path, "--max-minor-size", "2"])
+        assert code == 1 and lines[-1] == "overall: FAIL"
+        failures = payload["oracle"]["failures"]
+        assert len(failures) == 6
+        assert "kernel oracle over %d graded pieces: 6 MISSED" % payload["oracle"]["pieces"] in lines
+        assert sum(line.endswith("[MISSED]") for line in lines) == 6
+        assert [line[len(WITNESS) :] for line in lines if line.startswith(WITNESS)] == [p["witness"] for p in failures]
+        reports = payload["groebner"]["reports"]
+        assert stuck_lines(lines, "  ") == [stuck_labels(r) for r in reports]
+        assert all(stuck_labels(r) for r in reports)
+
+
+class TestVerifyRendersWhatItPrints:
+    def test_json_computes_no_symbol_level_lead(self, spec_file, capsys, monkeypatch):
+        # the symbol-level leads of the squarefreeness report show only in
+        # the text, so the JSON never computes them
+        calls = []
+
+        def counted(p, order):
+            calls.append(order.kind)
+            return leading(p, order)
+
+        monkeypatch.setattr("multirees.rees.leading", counted)
+        path = spec_file(PAPER_SPEC)
+        caps = ["--t-degree-cap", "2", "--s-degree-cap", "3"]
+        code, payload = run_json(capsys, ["verify", path, "--format", "json"] + caps)
+        assert code == 0 and payload["normality"]["verdict"] == "NORMAL_CM"
+        assert calls == []
+        assert main(["verify", path] + caps) == 0
+        assert "symbol-level squarefree leading terms under lex[" in capsys.readouterr().out
+        assert set(calls) == {"lex", "grevlex"}
+
+    @pytest.mark.parametrize("argv, missed", [(["--t-degree-cap", "2"], 0), (["--max-minor-size", "2"], 6)])
+    def test_text_renders_missed_pieces_only(self, spec_file, capsys, monkeypatch, argv, missed):
+        rendered = []
+        piece = multirees.cli._piece
+
+        def counted(r, fmt):
+            rendered.append(r.ok)
+            return piece(r, fmt)
+
+        monkeypatch.setattr("multirees.cli._piece", counted)
+        main(["verify", spec_file(PAPER_SPEC)] + argv)
+        assert "overall: %s" % ("FAIL" if missed else "PASS") in capsys.readouterr().out
+        assert rendered == [False] * missed
 
 
 @pytest.mark.parametrize("family", [RESTRICTED, FULL])

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from conftest import desk_scale_specs, gb_heavy_specs
 from multirees import grobner, poly
-from multirees.cli import _report_json, main
+from multirees.cli import _groebner, _report, main
 from multirees.grobner import (
     INCONCLUSIVE,
     REDUCED_TO_ZERO,
@@ -39,7 +39,6 @@ from multirees.grobner import (
     default_order_suite,
     s_poly,
     top_reduce,
-    universal_gb_check,
 )
 from helpers import generic_matrix, ibin_generators, s_term_parts, small_specs
 from multirees.poly import (
@@ -228,8 +227,8 @@ def assert_same_report(rep, ref):
     assert [m.k for m in rep.members] == [m.k for m in ref.members]
     for got, want in zip(rep.members, ref.members):
         assert_same_cert(got.cert, want.cert)
-    assert rep.summary() == ref.summary()
-    assert _report_json(rep) == _report_json(ref)
+    assert _report(rep, "text") == _report(ref, "text")
+    assert _report(rep, "json") == _report(ref, "json")
 
 
 def assert_same_poly(got, want):
@@ -444,14 +443,14 @@ class TestBuchberger:
         rep = buchberger_check(gens, spread_first_lex(u))
         assert not rep.ok
         assert rep.verify_certificates()  # stuck certificates still replay
-        assert "INCONCLUSIVE" in rep.summary()
+        assert "INCONCLUSIVE" in _report(rep, "text")[0]
         canonical = buchberger_check(gens, MonomialOrder(u, "lex"))
         assert canonical.ok
 
     def test_summary_text(self, twocol):
         _, uni, gens = twocol
         rep = buchberger_check(gens, MonomialOrder(uni, "lex"))
-        assert "CERTIFIED" in rep.summary()
+        assert "CERTIFIED" in _report(rep, "text")[0]
 
     def test_product_criterion_certificate_replays(self):
         # leads 2*s1*A and s2*B share neither an s-symbol nor a T-variable;
@@ -494,14 +493,14 @@ class TestBuchberger:
         assert member.cert.remainder == B * C - D
         assert not rep.ok and rep.failures == [member]
         assert rep.verify_certificates()
-        assert "stuck member 2" in rep.summary()
-        payload = _report_json(rep)
+        assert _report(rep, "text")[1:] == ["  stuck member 2: remainder leading term (1) * B*C"]
+        payload = _report(rep, "json")
         assert payload["ok"] is False
         assert payload["stuck"] == [{"member": 2, "remainder": (B * C - D).render()}]
 
     def test_stuck_pair_is_named(self):
         # leads A*B and A*D share A; the S-pair B*C - C*D has a lead that
-        # neither divides.  Summary and JSON both count generators from 1.
+        # neither divides.  Text and JSON both count generators from 1.
         uni = VarUniverse(s_names=("s1",), T_names=("A", "B", "C", "D"))
         A, B, C, D = (uni.poly_var(v) for v in "ABCD")
         rep = buchberger_check([A * B - C, A * D - C], MonomialOrder(uni, "lex"))
@@ -509,8 +508,8 @@ class TestBuchberger:
         assert (pair.i, pair.j) == (0, 1) and pair.cert.status == INCONCLUSIVE
         assert pair.cert.remainder == B * C - C * D
         assert not rep.ok and rep.failures == [pair]
-        assert "stuck pair (1, 2)" in rep.summary()
-        assert _report_json(rep)["stuck"] == [{"i": 1, "j": 2, "remainder": (B * C - C * D).render()}]
+        assert _report(rep, "text")[1:] == ["  stuck pair (1, 2): remainder leading term (1) * B*C"]
+        assert _report(rep, "json")["stuck"] == [{"i": 1, "j": 2, "remainder": (B * C - C * D).render()}]
 
 
 class TestAllPairsReference:
@@ -789,6 +788,7 @@ class TestOrderSuite:
 
     def test_universal_check_aggregates(self, twocol):
         _, uni, gens = twocol
-        rep = universal_gb_check(gens, default_order_suite(uni, seeds=(1, 2)))
-        assert rep.ok
-        assert "universal" in rep.summary()
+        suite = default_order_suite(uni, seeds=(1, 2))
+        results = [_groebner(gens, order, "text") for order in suite]
+        assert all(ok for ok, _ in results)
+        assert [out[0].split(":")[0] for _, out in results] == ["groebner check under " + o.describe() for o in suite]

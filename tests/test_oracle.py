@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from conftest import desk_scale_specs, gb_heavy_specs
 from helpers import Components, monomial_syzygy_kernel, small_specs, syzygy_span_compare
 import multirees.oracle
+from multirees.cli import _oracle_text, _piece
 from multirees.oracle import (
     DEFAULT_PIECE_CAP,
     ImageData,
@@ -715,7 +716,7 @@ class TestOracleCheck:
         for family in (RESTRICTED, FULL):
             gens = defining_generators(paper, family)
             report = oracle_check(paper, gens, t_cap=2, ambient_cap=3)
-            assert report.ok, report.summary()
+            assert report.ok, _oracle_text(report, report.failures)
 
     def test_default_degrees_respect_caps(self, small):
         degrees = default_degrees(small, t_cap=2, ambient_cap=5)
@@ -726,11 +727,65 @@ class TestOracleCheck:
         # block of power two: one T variable needs ambient weight two
         assert min(w for t, w in degrees if t == (1,)) == 2
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # every block variable weighs 1: ambient cap 5 admits totals to 5
+            ReesSpec(seq=SeqSpec(n=3), blocks=(((1, 2), 1), ((1, 3), 1), ((2, 3), 1))),
+            # lightest weight 2: ambient cap 8 admits totals to 4
+            ReesSpec(seq=SeqSpec(n=2), blocks=(((1, 2), 2),)),
+            # a block weighing 2 beside one weighing 1
+            ReesSpec(seq=SeqSpec(n=3), blocks=(((1, 2, 3), 2), ((1, 3), 1))),
+            # a constant value weighs 0: no total can be ruled out
+            ReesSpec(
+                seq=SeqSpec(n=2, mode="concrete", x_names=("x",), concrete_terms=(((1, {"x": 1}),), ((2, {}),))),
+                blocks=(((2,), 1), ((1, 2), 1)),
+            ),
+        ],
+        ids=["triangle", "power2", "mixed", "weight0"],
+    )
+    def test_degrees_stop_above_the_ambient_cap(self, spec, monkeypatch):
+        # a block degree tuple summing to `total` weighs at least `total`
+        # times the lightest block weight; the totals stop at the first one
+        # past the ambient cap, and the list is the one that every total
+        # up to the T-degree cap gives
+        pres = build_presentation(spec)
+        weights = ImageData(pres).min_block_weight
+        ambient_cap = 3 * max(power for _, power in spec.blocks) + 2
+        t_cap = 12
+        expected = [
+            (tvec, weight)
+            for total in range(1, t_cap + 1)
+            for tvec in product(range(total + 1), repeat=spec.r)
+            if sum(tvec) == total
+            for weight in range(sum(d * w for d, w in zip(tvec, weights)), ambient_cap + 1)
+        ]
+        totals = []
+        compositions = multirees.oracle._compositions
+
+        def counted(total, parts):
+            if parts == spec.r:
+                totals.append(total)
+            return compositions(total, parts)
+
+        monkeypatch.setattr(multirees.oracle, "_compositions", counted)
+        assert default_degrees(pres, t_cap=t_cap) == expected
+        last = t_cap if min(weights) == 0 else ambient_cap // min(weights)
+        assert totals == list(range(1, last + 1))
+        if min(weights):
+            # a huge T-degree cap visits no more totals, and lists the same
+            totals.clear()
+            assert default_degrees(pres, t_cap=400) == expected
+            assert totals == list(range(1, last + 1))
+
     def test_summary_mentions_every_piece(self, small):
         gens = defining_generators(small, RESTRICTED)
         report = oracle_check(small, gens, t_cap=2, ambient_cap=4)
         assert report.ok
-        assert report.summary().count("degrees t=") == len(report.reports)
+        lines = _oracle_text(report, report.reports)
+        assert lines[0] == "kernel oracle over %d graded pieces: ok" % len(report.reports)
+        assert lines[1:] == ["  " + _piece(r, "text") for r in report.reports]
+        assert all(line.startswith("  degrees t=") for line in lines[1:])
 
     def test_concrete_mode_end_to_end(self):
         seq = SeqSpec(
@@ -743,7 +798,7 @@ class TestOracleCheck:
         pres = build_presentation(spec)
         gens = defining_generators(pres, RESTRICTED)
         report = oracle_check(pres, gens, t_cap=2, ambient_cap=4)
-        assert report.ok, report.summary()
+        assert report.ok, _oracle_text(report, report.failures)
 
     def test_piece_cap_propagates(self, paper):
         gens = defining_generators(paper, RESTRICTED)

@@ -15,6 +15,7 @@ import pytest
 
 from conftest import desk_scale_specs, emission_specs
 from helpers import ladder_layout
+from multirees.cli import _normality
 from multirees.poly import SpecError, mono_text
 from multirees.quasimat import Binomial, _entry_graph_cycles
 from multirees.rees import (
@@ -639,6 +640,6 @@ class TestNormalityReport:
     def test_summary_lines(self):
         spec = ReesSpec(seq=SeqSpec(n=2), blocks=(((1, 2), 1),))
         pres = build_presentation(spec)
-        text = normality_report(pres, defining_generators(pres)).summary()
+        text = "\n".join(_normality(normality_report(pres, defining_generators(pres)), "text"))
         assert "verdict: NORMAL_CM" in text
         assert "structural squarefreeness" in text
