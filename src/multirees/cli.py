@@ -330,18 +330,11 @@ def cmd_oracle(args):
     spec = _read_spec(args.spec)
     pres = build_presentation(spec)
     gens = defining_generators(pres, args.family, args.max_minor_size)
-    dropped = []
-    if args.drop_generator:
-        keep = []
-        for i, g in enumerate(gens, start=1):
-            if i in args.drop_generator:
-                dropped.append(i)
-            else:
-                keep.append(g)
-        missing = set(args.drop_generator) - set(dropped)
-        if missing:
-            raise SpecError("no generator with index %s" % ", ".join(map(str, sorted(missing))))
-        gens = keep
+    dropped = sorted(set(args.drop_generator or ()))
+    missing = [i for i in dropped if not 1 <= i <= len(gens)]
+    if missing:
+        raise SpecError("no generator with index %s" % ", ".join(map(str, missing)))
+    gens = [g for i, g in enumerate(gens, start=1) if i not in dropped]
     rep = _oracle(pres, gens, args)
     if args.format == "json":
         payload = {

@@ -16,16 +16,19 @@ which S-pairs and top-reduction stay exact:
 generators with divisibility-minimal leads: it checks the S-pairs of
 that subset only, skips a pair with coprime s-parts and coprime T-parts
 by Buchberger's product criterion, and reduces every other generator
-over the subset.
+over the subset.  Every pair and member gets a ``ReductionCert``; a zero
+S-pair takes the general path and reduces to zero in 0 steps.
 
 It runs on packed monomials: each monomial is one int with a guarded
 field per variable, laid out so that the order key is read off the int,
 and a divisibility test or an lcm is a few int operations
-(``_Ring``).  A step records (reducer index, packed shift, coefficient);
-a certificate builds its target, quotients and remainder as ``Poly``
-only when they are read.  ``s_poly`` and ``top_reduce`` run the same
-packed steps on one pair or one target; the same steps on ``Poly``, the
-reference that all three are compared with, live in the tests.
+(``_Ring``); a polynomial enters as one (unit, lead, polynomial)
+``entry``.  A certificate keeps its quotient terms as data, (reducer
+index, packed shift, coefficient), from a reduction's steps or from the
+product identity, and builds its target, quotients and remainder as
+``Poly`` only when they are read.  ``s_poly`` and ``top_reduce`` run the
+same packed steps on one pair or one target; the same steps on ``Poly``,
+the reference that all three are compared with, live in the tests.
 
 Reduction is top-reduction only and can get stuck; a stuck state is
 reported as INCONCLUSIVE, never as a disproof.  All certificates carry
@@ -60,11 +63,10 @@ class ReductionCert:
         target == sum(quotients[i] * reducers[i]) + remainder.
     ``target``, ``quotients`` and ``remainder`` are built as ``Poly`` on
     first read, through ``ring``, from the packed target and remainder
-    and the ``record`` of (reducer index, packed shift, coefficient)
-    quotient terms; ``keys`` lists reducer indices whose quotient exists
-    even without a term."""
+    and the ``record``, a list of (reducer index, packed shift,
+    coefficient) quotient terms."""
 
-    def __init__(self, ring, target, reducers, status, steps, record, remainder, keys=()):
+    def __init__(self, ring, target, reducers, status, steps, record, remainder):
         self.ring = ring
         self.reducers = reducers
         self.order = ring.order
@@ -73,7 +75,6 @@ class ReductionCert:
         self._target = target
         self._record = record
         self._remainder = remainder
-        self._keys = keys
 
     @cached_property
     def target(self):
@@ -85,7 +86,7 @@ class ReductionCert:
 
     @cached_property
     def quotients(self):
-        terms = {idx: {} for idx in self._keys}
+        terms = {}
         for idx, shift, c in self._record:
             q = terms.setdefault(idx, {})
             q[shift] = q.get(shift, 0) + c
@@ -101,17 +102,18 @@ class ReductionCert:
 @dataclass
 class PairResult:
     """One S-pair of the basis, by generator index.  ``criterion`` names
-    the criterion that certified the pair without reducing it."""
+    the criterion that certified the pair without reducing it; a zero
+    S-pair reduces to zero in 0 steps."""
 
     i: int
     j: int
     spair_zero: bool
-    cert: ReductionCert | None
+    cert: ReductionCert
     criterion: str | None = None
 
     @property
     def ok(self):
-        return self.spair_zero or self.cert.status == REDUCED_TO_ZERO
+        return self.cert.status == REDUCED_TO_ZERO
 
     @property
     def label(self):
@@ -156,7 +158,7 @@ class BuchbergerReport:
         return sum(1 for pr in self.pairs if pr.criterion == "product")
 
     def verify_certificates(self):
-        return all(r.cert.verify() for r in self.pairs + self.members if r.cert is not None)
+        return all(r.cert.verify() for r in self.pairs + self.members)
 
 
 class _Overflow(Exception):
@@ -237,16 +239,18 @@ class _Ring:
         top = max(p, key=self.key) >> tshift
         return [m for m in p if m >> tshift == top]
 
-    def lead(self, p, g):
-        """(unit, packed lead monomial) of ``p``, the packed ``g``: a unit
-        times an s-monomial times a T-monomial.  Otherwise ValueError, or
-        ``leading``'s ZeroPolynomial when ``g`` is zero."""
+    def entry(self, g):
+        """(unit, packed lead monomial, packed polynomial) of ``g``, whose
+        leading term is a unit times an s-monomial times a T-monomial.
+        Otherwise ValueError, or ``leading``'s ZeroPolynomial when ``g``
+        is zero."""
+        p = self.pack(g)
         group = self.lead_group(p) if p else ()
         if len(group) == 1:
             m = group[0]
             c = p[m]
             if not m & self.non_s and (self.universe.domain != "ZZ" or abs(c) == 1):
-                return c, m
+                return c, m, p
         lc, _ = leading(g, self.order)
         raise ValueError(
             "polynomial is not of s-monomial type under %s: leading coefficient %s" % (self.order.describe(), lc.render())
@@ -278,9 +282,9 @@ class _Ring:
         """The guards of the nonzero variable fields of ``m``."""
         return ((m | self.var_guard) - self.var_ones) & self.var_guard
 
-    def s_pair(self, f, g, lead_f, lead_g):
-        """``s_poly`` of the packed f and g from their ``lead``s."""
-        (uf, mf), (ug, mg) = lead_f, lead_g
+    def s_pair(self, entry_f, entry_g):
+        """``s_poly`` of the packed f and g from their ``entry``s."""
+        (uf, mf, f), (ug, mg, g) = entry_f, entry_g
         top = self.lcm(mf, mg)
         guard = self.guard
         out = {}
@@ -300,11 +304,17 @@ class _Ring:
                 del out[m]
         return out
 
+    def certify(self, target, entries, reducers):
+        """The certificate of ``reduce`` on the packed ``target`` over the
+        ``entry``s of ``reducers``."""
+        work = dict(target)
+        return ReductionCert(self, target, reducers, *self.reduce(work, entries), work)
+
     def reduce(self, work, reducers):
         """``top_reduce`` of the packed polynomial ``work``, in place, over
-        ``reducers``, a list of (unit, packed lead, packed polynomial):
-        each step divides the whole leading coefficient by the first
-        reducer whose lead divides each of its terms.  Returns (status,
+        ``reducers``, a list of ``entry``s: each step divides the whole
+        leading coefficient by the first reducer whose lead divides each of
+        its terms.  Returns (status,
         steps, record) with one (reducer index, packed shift, coefficient)
         per quotient term; GuardExceeded past ``DEFAULT_MAX_STEPS`` steps,
         read when the reduction runs."""
@@ -338,63 +348,51 @@ class _Ring:
         return REDUCED_TO_ZERO, steps, record
 
 
-def _product_record(a, b, reducer_a, reducer_b):
-    """Quotient terms of S(f, g) = (f'*g - g'*f)/(u_f*u_g) for reducers
-    ``a`` and ``b``, where f' and g' are f and g without their leading
-    terms.
+def _product_record(table, a, b):
+    """Quotient terms of S(f, g) = (f'*g - g'*f)/(u_f*u_g) for the
+    ``entry``s f = ``table[a]`` and g = ``table[b]``, where f' and g' are
+    f and g without their leading terms.
 
     Every term of f'*g lies below lm(f)*lm(g) = M, and so does every term
     of g'*f; the identity is a representation of the S-pair below its lcm,
     which is all that Buchberger's criterion asks of a pair."""
-    (uf, mf, f), (ug, mg, g) = reducer_a, reducer_b
+    (uf, mf, f), (ug, mg, g) = table[a], table[b]
     unit = uf * ug
-    for m, c in g.items():
-        if m != mg:
-            yield a, m, _div(-c, unit)
-    for m, c in f.items():
-        if m != mf:
-            yield b, m, _div(c, unit)
+    return [(a, m, _div(-c, unit)) for m, c in g.items() if m != mg] + [
+        (b, m, _div(c, unit)) for m, c in f.items() if m != mf
+    ]
 
 
 def _run(gens, order, width):
     """``buchberger_check`` with fields of ``width`` bits; ``_Overflow``
     if they are too narrow."""
     ring = _Ring(order, width)
-    polys = [ring.pack(g) for g in gens]
-    lead = [ring.lead(p, g) for p, g in zip(polys, gens)]
+    entries = [ring.entry(g) for g in gens]
     # a divisor packs to a smaller int, or to the same int when the leads
     # are equal; so in this order a lead meets every lead that divides it
     # first, and of equal leads the lowest index
     basis = []
-    for k in sorted(range(len(gens)), key=lambda k: (lead[k][1], k)):
-        m = lead[k][1]
-        if all((m - lead[j][1]) & ring.guard for j in basis):
+    for k in sorted(range(len(gens)), key=lambda k: (entries[k][1], k)):
+        m = entries[k][1]
+        if all((m - entries[j][1]) & ring.guard for j in basis):
             basis.append(k)
     basis.sort()
-    reducers = [lead[k] + (polys[k],) for k in basis]
+    table = [entries[k] for k in basis]
     basis_polys = tuple(gens[k] for k in basis)
-    support = [ring.support(lead[k][1]) for k in basis]
+    support = [ring.support(m) for _, m, _ in table]
     report = BuchbergerReport(order=order, generators=gens, basis=tuple(basis))
     for a, i in enumerate(basis):
         for b in range(a + 1, len(basis)):
-            j = basis[b]
-            s = ring.s_pair(polys[i], polys[j], lead[i], lead[j])
-            if not s:
-                report.pairs.append(PairResult(i, j, True, None))
-            elif not support[a] & support[b]:
-                record = _product_record(a, b, reducers[a], reducers[b])
-                cert = ReductionCert(ring, s, basis_polys, REDUCED_TO_ZERO, 0, record, {}, keys=(a, b))
-                report.pairs.append(PairResult(i, j, False, cert, criterion="product"))
+            s = ring.s_pair(table[a], table[b])
+            if s and not support[a] & support[b]:
+                cert = ReductionCert(ring, s, basis_polys, REDUCED_TO_ZERO, 0, _product_record(table, a, b), {})
+                report.pairs.append(PairResult(i, basis[b], False, cert, criterion="product"))
             else:
-                work = dict(s)
-                cert = ReductionCert(ring, s, basis_polys, *ring.reduce(work, reducers), work)
-                report.pairs.append(PairResult(i, j, False, cert))
+                report.pairs.append(PairResult(i, basis[b], not s, ring.certify(s, table, basis_polys)))
     in_basis = set(basis)
-    for k, p in enumerate(polys):
+    for k, (_, _, p) in enumerate(entries):
         if k not in in_basis:
-            work = dict(p)
-            cert = ReductionCert(ring, p, basis_polys, *ring.reduce(work, reducers), work)
-            report.members.append(MemberResult(k, cert))
+            report.members.append(MemberResult(k, ring.certify(p, table, basis_polys)))
     return report
 
 
@@ -404,11 +402,14 @@ def buchberger_check(generators, order):
 
     The check works on the subset G of generators whose leads are minimal
     under divisibility; of equal leads, G keeps the lowest index.  Every
-    S-pair of G must top-reduce to zero over G, except that a pair whose
-    s-parts and T-parts are both coprime is certified by Buchberger's
-    product criterion, with the identity of ``_product_record`` as its
-    certificate.  Every generator outside G (a member) must top-reduce to
-    zero over G.  Pairs run in index order, then the members.
+    S-pair of G must top-reduce to zero over G, except that a nonzero
+    S-pair whose s-parts and T-parts are both coprime is certified by
+    Buchberger's product criterion, with the quotient terms of
+    ``_product_record``'s identity stored as its certificate.  A zero
+    S-pair is not a special case: it reduces to zero in 0 steps, and its
+    ``spair_zero`` is set.  Every generator outside G (a member) must
+    top-reduce to zero over G.  Pairs run in index order, then the
+    members.
 
     The work runs on packed monomials (``_Ring``), from fields that hold
     twice the largest degree of a generator term.  When a field
@@ -473,8 +474,7 @@ def s_poly(f, g, order):
 
     def run(width):
         ring = _Ring(order, width)
-        pf, pg = ring.pack(f), ring.pack(g)
-        return ring.poly(ring.s_pair(pf, pg, ring.lead(pf, f), ring.lead(pg, g)))
+        return ring.poly(ring.s_pair(ring.entry(f), ring.entry(g)))
 
     return _widened((f, g), order, run)
 
@@ -487,13 +487,7 @@ def top_reduce(p, reducers, order):
 
     def run(width):
         ring = _Ring(order, width)
-        table = []
-        for g in reducers:
-            packed = ring.pack(g)
-            table.append(ring.lead(packed, g) + (packed,))
-        target = ring.pack(p)
-        work = dict(target)
-        return ReductionCert(ring, target, reducers, *ring.reduce(work, table), work)
+        return ring.certify(ring.pack(p), [ring.entry(g) for g in reducers], reducers)
 
     return _widened((p,) + reducers, order, run)
 

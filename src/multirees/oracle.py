@@ -156,7 +156,7 @@ def _one_piece(pres, tvec, weight, cap):
     return sweep, sweep.piece(tvec, weight)
 
 
-def source_monomials(pres, tvec, weight, cap=None):
+def source_monomials(pres, tvec, weight, cap=DEFAULT_PIECE_CAP):
     """Every presentation-ring monomial of the given degree, as ``Mono``s
     in the sweep's order (``_Sweep.piece``)."""
     sweep, (src, _) = _one_piece(pres, tvec, weight, cap)
@@ -298,12 +298,9 @@ class _Sweep:
             rest = weight - tw
             if rest < 0:
                 continue
-            if self.cap is not None:
-                size = comb(rest + n_amb - 1, rest) if n_amb else int(rest == 0)
-                if len(src) + size > self.cap:
-                    raise CapExceeded(
-                        "degree piece %r/%d exceeds the cap of %d monomials" % (tvec, weight, self.cap)
-                    )
+            size = comb(rest + n_amb - 1, rest) if n_amb else int(rest == 0)
+            if len(src) + size > self.cap:
+                raise CapExceeded("degree piece %r/%d exceeds the cap of %d monomials" % (tvec, weight, self.cap))
             amb = self.ambient.get(rest)
             if amb is None:
                 monos = self._monomials(self.data.ambient_ids, rest)

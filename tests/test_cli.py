@@ -259,6 +259,23 @@ class TestOracle:
         assert code == 2
         assert "spec error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_drop_selection_is_sorted_and_unique(self, spec_file, capsys, fmt):
+        path = spec_file(PAPER_SPEC)
+        argv = ["oracle", path, "--format", fmt, "--t-degree-cap", "1"]
+        drops = ["--drop-generator", "6", "--drop-generator", "6", "--drop-generator", "2"]
+        assert main(argv + drops) == 1
+        out = capsys.readouterr().out
+        if fmt == "json":
+            assert json.loads(out)["dropped"] == [2, 6]
+        else:
+            assert out.startswith("dropped generators: g2, g6\n")
+        drops = ["--drop-generator", "99", "--drop-generator", "1", "--drop-generator", "0"]
+        assert main(argv + drops) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().endswith("no generator with index 0, 99")
+
     def test_piece_cap_exceeded(self, spec_file, capsys):
         path = spec_file(PAPER_SPEC)
         code = main(["oracle", path, "--piece-cap", "3"])

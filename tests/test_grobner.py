@@ -159,7 +159,9 @@ def _coprime(a, b):
 
 def _product_cert(s, a, b, reducers, lead, order):
     """Certificate of S(f, g) = (f'*g - g'*f)/(u_f*u_g) for reducers ``a``
-    and ``b``, where f' and g' are f and g without their leading terms."""
+    and ``b``, where f' and g' are f and g without their leading terms;
+    as for a reduction, a reducer without a quotient term has no
+    quotient."""
     f, g = reducers[a], reducers[b]
     uf, df, mf = lead[a]
     ug, dg, mg = lead[b]
@@ -167,7 +169,7 @@ def _product_cert(s, a, b, reducers, lead, order):
     scale = Fraction(1, 1) / (uf * ug)
     tail_f = f - u.term(uf, df.mul(mf))
     tail_g = g - u.term(ug, dg.mul(mg))
-    quotients = {a: tail_g * -scale, b: tail_f * scale}
+    quotients = {k: q for k, q in ((a, tail_g * -scale), (b, tail_f * scale)) if not q.is_zero()}
     return ReferenceCert(s, reducers, order, quotients, u.zero(), REDUCED_TO_ZERO, 0)
 
 
@@ -189,14 +191,11 @@ def reference_buchberger_check(generators, order):
         for b in range(a + 1, len(basis)):
             j = basis[b]
             s = _s_pair(gens[i], gens[j], lead[i], lead[j])
-            if s.is_zero():
-                report.pairs.append(PairResult(i, j, True, None))
-            elif _coprime(lead[i], lead[j]):
+            if not s.is_zero() and _coprime(lead[i], lead[j]):
                 cert = _product_cert(s, a, b, reducers, table, order)
                 report.pairs.append(PairResult(i, j, False, cert, criterion="product"))
             else:
-                cert = _reduce(s, reducers, table, order)
-                report.pairs.append(PairResult(i, j, False, cert))
+                report.pairs.append(PairResult(i, j, s.is_zero(), _reduce(s, reducers, table, order)))
     in_basis = set(basis)
     for k, g in enumerate(gens):
         if k not in in_basis:
@@ -205,9 +204,6 @@ def reference_buchberger_check(generators, order):
 
 
 def assert_same_cert(got, want):
-    if want is None:
-        assert got is None
-        return
     assert (got.status, got.steps) == (want.status, want.steps)
     assert got.reducers == want.reducers and got.order is want.order
     assert got.target == want.target
@@ -471,6 +467,21 @@ class TestBuchberger:
         assert pr.cert.verify()
         assert rep.ok
 
+    @pytest.mark.parametrize("kind", ["lex", "grevlex"])
+    def test_zero_s_pair_reduces_in_no_steps(self, kind):
+        # s2*(s1*A - s1*B) - s1*(s2*A - s2*B) = 0: the pair takes the
+        # reduction path and leaves a 0-step certificate of 0 = 0
+        uni = VarUniverse(s_names=("s1", "s2"), T_names=("A", "B"))
+        s1, s2, A, B = (uni.poly_var(v) for v in ("s1", "s2", "A", "B"))
+        rep = check_against_reference([s1 * A - s1 * B, s2 * A - s2 * B], MonomialOrder(uni, kind))
+        assert rep.basis == (0, 1) and rep.members == []
+        (pr,) = rep.pairs
+        assert pr.spair_zero and pr.criterion is None and pr.ok
+        assert (pr.cert.status, pr.cert.steps) == (REDUCED_TO_ZERO, 0)
+        assert pr.cert.target.is_zero() and pr.cert.remainder.is_zero()
+        assert pr.cert.quotients == {} and pr.cert.verify()
+        assert rep.ok and rep.product_criterion == 0 and rep.verify_certificates()
+
     def test_equal_leads_keep_lower_index(self):
         uni = VarUniverse(s_names=("s1",), T_names=("A", "B", "C"))
         A, B, C = (uni.poly_var(v) for v in "ABC")
@@ -707,13 +718,13 @@ def test_hot_path_builds_no_poly(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(poly, "leading", arithmetic)
     monkeypatch.setattr(grobner, "leading", arithmetic)
     rep = buchberger_check(gens, MonomialOrder(pres.universe, "grevlex"))
-    assert rep.ok and any(pr.cert is not None and pr.cert.steps for pr in rep.pairs)
+    assert rep.ok and any(pr.cert.steps for pr in rep.pairs)
     assert main(["verify", str(path)]) == 0
     monkeypatch.undo()
     # a stuck case builds its certificates when they are read, and they replay
     hostile = build_presentation(ReesSpec(seq=SeqSpec(n=2), blocks=(((1, 2), 2),)))
     rep = buchberger_check([g.poly for g in defining_generators(hostile, FULL)], spread_first_lex(hostile.universe))
-    certs = [r.cert for r in rep.pairs + rep.members if r.cert is not None]
+    certs = [r.cert for r in rep.pairs + rep.members]
     assert certs and not any({"target", "quotients", "remainder"} & set(vars(c)) for c in certs)
     assert rep.failures and all(not r.cert.remainder.is_zero() for r in rep.failures)
     assert rep.verify_certificates()

@@ -650,7 +650,7 @@ class TestPackedSweep:
         pres = build_presentation(spec)
         data = ImageData(pres)
         degrees = default_degrees(pres, t_cap=2, ambient_cap=4)
-        sweep = _Sweep(pres, [], data, None, degrees)
+        sweep = _Sweep(pres, [], data, DEFAULT_PIECE_CAP, degrees)
         for tvec, weight in degrees:
             src, img = sweep.piece(tvec, weight)
             monos = reference_source_monomials(pres, tvec, weight, data=data)
