@@ -56,33 +56,36 @@ def _read_spec(path):
     return spec_from_json(text)
 
 
-def _gen_text(g, universe):
-    return "%s - %s" % (
-        mono_text(g.binomial.plus, universe),
-        mono_text(g.binomial.minus, universe),
+def _gen_text(g, names):
+    """``mono_text`` of the binomial's two monomials (neither is 1), from
+    the variable names in id order."""
+    return " - ".join(
+        ["*".join([names[v] if e == 1 else "%s^%d" % (names[v], e) for v, e in m.exps]) for m in (g.binomial.plus, g.binomial.minus)]
     )
-
-
-def _terms_json(g, universe):
-    """The terms of ``g.poly``, read off its binomial: ``Binomial`` keeps
-    the smaller exponents on ``plus``, the term ``Poly`` sorts first."""
-    b = g.binomial
-    return [[c, {universe.name(v): e for v, e in m.exps}] for c, m in (("1", b.plus), ("-1", b.minus))]
 
 
 _quote = json.encoder.encode_basestring_ascii
 _LITERALS = {True: "true", False: "false", None: "null"}
 
 
+class _Rendered(str):
+    """JSON text that ``_write_json`` writes as it is: an item already
+    rendered at the depth of the array or object that holds it."""
+
+
 def _write_json(value, write, pad="", head=""):
     """Write ``head``, then ``value`` as ``json.dumps(value, indent=2)``
     renders it, in one chunk per scalar or bracket; a scalar shares its
-    chunk with the key or separator before it.  Only exact str, int,
-    bool, None, dict with str keys, list, tuple and generator (a lazy
-    array) are accepted: any other type (a float, a Fraction, a set,
-    another iterator, a subclass of int or str) raises TypeError."""
+    chunk with the key or separator before it, and so does an item that
+    is already rendered (``_Rendered``), which is written as it is.  Only
+    exact str, int, bool, None, dict with str keys, list, tuple, generator
+    (a lazy array) and ``_Rendered`` are accepted: any other type (a
+    float, a Fraction, a set, another iterator, another subclass of int
+    or str) raises TypeError."""
     kind = type(value)
-    if kind is str:
+    if kind is _Rendered:
+        write(head + value)
+    elif kind is str:
         write(head + _quote(value))
     elif kind is int:
         write(head + int.__repr__(value))
@@ -111,14 +114,64 @@ def _write_json(value, write, pad="", head=""):
 def _emit_json(payload):
     """Stream the whole document to stdout.  Emission, caps and guards
     finish before the first byte, so an error there leaves stdout empty;
-    a record that a generator in the payload yields is rendered as it is
-    written, and never held with the others."""
+    a record that a generator in the payload yields is rendered when it
+    is reached, written in one chunk, and never held with the others."""
     write = sys.stdout.write
     _write_json(payload, write)
     write("\n")
 
 
 # --- generators ------------------------------------------------------------
+
+# One record of the ``generators`` array, at that array's depth.  Its
+# terms are those of ``g.poly``, read off the binomial: ``Binomial`` keeps
+# the smaller exponents on ``plus``, the term ``Poly`` sorts first.  Each
+# monomial is a product of matrix entries, so never 1 (never ``{}``), and
+# each cycle has a block column, so ``blocks`` is never ``[]``.
+_RECORD = """{
+      "index": %d,
+      "kind": %s,
+      "blocks": [%s
+      ],
+      "columns_used": %d,
+      "label": %s,
+      "text": %s,
+      "terms": [
+        [
+          "1",
+          {%s
+          }
+        ],
+        [
+          "-1",
+          {%s
+          }
+        ]
+      ]
+    }"""
+
+
+def _records(gens, u):
+    """The ``generators`` records, each rendered from ``_RECORD`` when it
+    is reached: the bytes ``json.dumps(record, indent=2)`` gives there."""
+    names = [var.name for var in u.vars]
+    keys = ["\n            %s: " % _quote(name) for name in names]
+    pairs = {}  # (variable, exponent) -> its key and value in a term
+    for i, g in enumerate(gens, 1):
+        b = g.binomial
+        yield _Rendered(
+            _RECORD
+            % (
+                i,
+                _quote(g.kind),
+                ",".join(["\n        %d" % k for k in g.blocks]),
+                g.size,
+                _quote(g.label),
+                _quote(_gen_text(g, names)),
+                ",".join([pairs.get(p) or pairs.setdefault(p, keys[p[0]] + "%d" % p[1]) for p in b.plus.exps]),
+                ",".join([pairs.get(p) or pairs.setdefault(p, keys[p[0]] + "%d" % p[1]) for p in b.minus.exps]),
+            )
+        )
 
 
 def cmd_generators(args):
@@ -142,18 +195,7 @@ def cmd_generators(args):
                     for (r, c), v in sorted(pres.matrix.entries.items())
                 ],
             },
-            "generators": (
-                {
-                    "index": i + 1,
-                    "kind": g.kind,
-                    "blocks": list(g.blocks),
-                    "columns_used": g.size,
-                    "label": g.label,
-                    "text": _gen_text(g, u),
-                    "terms": _terms_json(g, u),
-                }
-                for i, g in enumerate(gens)
-            ),
+            "generators": _records(gens, u),
         }
         _emit_json(payload)
         return EXIT_OK
@@ -172,8 +214,9 @@ def cmd_generators(args):
         for vid in u.T_ids:
             print("phi(%s) = %s" % (u.name(vid), pres.phi_images()[vid].render()))
         print()
+    names = [var.name for var in u.vars]
     for i, g in enumerate(gens):
-        print("g%-3d [%-16s blocks %s]  %s" % (i + 1, g.kind + ";", ",".join(map(str, g.blocks)), _gen_text(g, u)))
+        print("g%-3d [%-16s blocks %s]  %s" % (i + 1, g.kind + ";", ",".join(map(str, g.blocks)), _gen_text(g, names)))
     print("%d generators (family=%s)" % (len(gens), args.family))
     for note in notes:
         print("note: %s" % note)

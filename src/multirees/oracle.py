@@ -50,10 +50,11 @@ from functools import cached_property
 from itertools import combinations_with_replacement, product
 from math import comb
 
-from .poly import CapExceeded, Mono, Packing, Poly, SpecError
+from .poly import CapExceeded, GuardExceeded, Mono, Packing, Poly, SpecError
 
 DEFAULT_T_CAP = 3
 DEFAULT_PIECE_CAP = 20000
+MAX_DEGREES = 100_000  # block degree tuples visited plus pieces listed, per sweep
 
 
 class ImageData:
@@ -424,7 +425,11 @@ def _degrees(data, t_cap, ambient_cap):
     """``default_degrees`` from the presentation's ``ImageData``.  A block
     degree tuple summing to ``total`` has ambient weight at least ``total``
     times the smallest block weight, so the totals stop at the first one
-    whose every tuple lies above ``ambient_cap``."""
+    whose every tuple lies above ``ambient_cap``.  A block of weight 0 (a
+    constant value) never stops them, and a large ``ambient_cap`` lists
+    many weights per tuple: the tuples visited and the pieces listed are
+    counted before each is added, and past ``MAX_DEGREES`` GuardExceeded
+    is raised."""
     pres = data.pres
     r = pres.spec.r
     if t_cap is None:
@@ -433,13 +438,16 @@ def _degrees(data, t_cap, ambient_cap):
         ambient_cap = 3 * max(bd.power for bd in pres.blocks) + 2
     lightest = min(data.min_block_weight)
     out = []
+    visited = 0
     for total in range(1, t_cap + 1):
         if total * lightest > ambient_cap:
             break
         for tvec in _compositions(total, r):
             base = sum(d * w for d, w in zip(tvec, data.min_block_weight))
-            for weight in range(base, ambient_cap + 1):
-                out.append((tvec, weight))
+            visited += 1
+            if visited + len(out) + max(0, ambient_cap + 1 - base) > MAX_DEGREES:
+                raise GuardExceeded("the degree sweep exceeds the hard guard of %d tuples and pieces" % MAX_DEGREES)
+            out.extend((tvec, weight) for weight in range(base, ambient_cap + 1))
     return out
 
 

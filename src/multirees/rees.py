@@ -321,7 +321,7 @@ def build_presentation(spec):
 # --- generating families -------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Generator:
     """One emitted binomial; ``poly`` is built from it on first read."""
 
@@ -331,10 +331,13 @@ class Generator:
     size: int  # number of matrix columns consumed
     label: str
     universe: VarUniverse = field(repr=False, compare=False)
+    _poly: Poly = field(default=None, init=False, repr=False, compare=False)
 
-    @cached_property
+    @property
     def poly(self):
-        return self.binomial.to_poly(self.universe)
+        if self._poly is None:
+            self._poly = self.binomial.to_poly(self.universe)
+        return self._poly
 
 
 def _size_cap(pres, family, max_minor_size):
@@ -351,15 +354,18 @@ def _size_cap(pres, family, max_minor_size):
 
 def _family(pres, items):
     """Generators from (binomial, kind, blocks, size, label) items, in
-    order, zero and repeated binomials dropped."""
+    order, zero and repeated binomials dropped; generators on the same
+    blocks share one tuple of them."""
     u = pres.universe
     out = []
     seen = set()
+    shared = {}
     for bino, kind, blocks_, size, label in items:
         if bino.is_zero() or bino.key() in seen:
             continue
         seen.add(bino.key())
-        out.append(Generator(bino, kind, tuple(sorted(set(blocks_))), size, label, u))
+        blocks_ = tuple(sorted(set(blocks_)))
+        out.append(Generator(bino, kind, shared.setdefault(blocks_, blocks_), size, label, u))
     return out
 
 

@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -24,7 +25,8 @@ from hypothesis import strategies as st
 import multirees
 import multirees.cli
 from conftest import emission_specs
-from multirees.cli import _block_monomials, _terms_json, _write_json, build_parser, main
+from multirees.cli import _block_monomials, _records, _write_json, build_parser, main
+from multirees.oracle import MAX_DEGREES, ImageData
 from multirees.poly import MonomialOrder, leading, mono_text
 from multirees.quasimat import Binomial, _entry_graph_cycles
 from multirees.rees import (
@@ -160,14 +162,72 @@ class TestGenerators:
         monkeypatch.setattr(Binomial, "to_poly", to_poly)
         assert main(["generators", spec_file(PAPER_SPEC)] + argv) == 0
 
-    def test_json_terms_are_the_poly_terms(self):
+    @staticmethod
+    def records(spec, family):
+        """(generator, its rendered record, the text ``json.dumps`` gives
+        for its record at the depth of the ``generators`` array), for
+        each generator of ``family``."""
+        pres = build_presentation(spec)
+        u = pres.universe
+        gens = defining_generators(pres, family)
+        for i, (g, text) in enumerate(zip(gens, _records(gens, u), strict=True), 1):
+            b = g.binomial
+            record = {
+                "index": i,
+                "kind": g.kind,
+                "blocks": list(g.blocks),
+                "columns_used": g.size,
+                "label": g.label,
+                "text": "%s - %s" % (mono_text(b.plus, u), mono_text(b.minus, u)),
+                "terms": [[c, {u.name(v): e for v, e in m.exps}] for c, m in (("1", b.plus), ("-1", b.minus))],
+            }
+            yield g, text, json.dumps(record, indent=2).replace("\n", "\n    ")
+
+    @pytest.mark.parametrize("family", [RESTRICTED, FULL])
+    def test_records_are_json_dumps(self, family):
         for spec in emission_specs():
-            pres = build_presentation(spec)
-            u = pres.universe
+            for _, text, want in self.records(spec, family):
+                assert text == want
+
+    def test_json_terms_are_the_poly_terms(self):
+        # Binomial keeps the smaller exponents on plus, the term Poly sorts first
+        for spec in emission_specs():
+            u = build_presentation(spec).universe
             for family in (RESTRICTED, FULL):
-                for g in defining_generators(pres, family):
+                for g, text, _ in self.records(spec, family):
                     want = [[str(c), {u.name(v): e for v, e in m.exps}] for m, c in g.poly.terms]
-                    assert _terms_json(g, u) == want
+                    assert json.loads(text)["terms"] == want
+
+    # names that JSON escapes, or that only ASCII escapes spell
+    ODD_NAMES = ['q"uote', "back\\slash", "ctrl\x00\x1f\b\f\n\r\t\x7f", "sep\u2028\u2029", "caf\u00e9 \u03b1", "\U0001d53d", "\ud800"]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"sequence": {"n": 4, "names": ODD_NAMES[:4]}, "blocks": [{"rows": [1, 2], "power": 1}, {"rows": [2, 3, 4], "power": 2}]},
+            {
+                "sequence": {
+                    "mode": "concrete",
+                    "n": 3,
+                    "names": ODD_NAMES[4:],
+                    "ambient": ODD_NAMES[:3],
+                    "values": [[[1, {ODD_NAMES[0]: 1}]], [[1, {ODD_NAMES[1]: 1, ODD_NAMES[2]: 2}]], [[5, {}]]],
+                },
+                "blocks": [{"rows": [1, 2], "power": 1}, {"rows": [2, 3], "power": 1}, {"rows": [1, 3], "power": 1}],
+            },
+        ],
+        ids=["generic", "concrete"],
+    )
+    @pytest.mark.parametrize("family", [RESTRICTED, FULL])
+    def test_records_escape_names(self, spec_file, capsys, spec, family):
+        texts = []
+        for _, text, want in self.records(spec_from_dict(spec), family):
+            assert text == want
+            texts.append(json.loads(text)["text"])
+        assert all(any(name in t for t in texts) for name in spec["sequence"]["names"])
+        assert main(["generators", spec_file(spec), "--format", "json", "--family", family]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
     def test_cas_script(self, spec_file, capsys):
         path = spec_file(PAPER_SPEC)
@@ -631,6 +691,37 @@ class TestErrors:
         assert "no graded piece" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "spec, caps",
+        [
+            # a constant value weighs 0, so no T-degree total is ruled out
+            (
+                {
+                    "sequence": {"mode": "concrete", "n": 2, "ambient": ["x"], "values": [[[1, {"x": 1}]], [[3, {}]]]},
+                    "blocks": [{"rows": [2], "power": 1}],
+                },
+                {"--t-degree-cap": 100_000},
+            ),
+            ({"sequence": {"n": 2}, "blocks": [{"rows": [1, 2], "power": 1}]}, {"--s-degree-cap": 10**9}),
+        ],
+        ids=["weight-0-block", "huge-ambient-cap"],
+    )
+    @pytest.mark.parametrize("command", ["oracle", "verify"])
+    def test_degree_list_over_the_guard(self, spec_file, capsys, spec, caps, command):
+        # one block: a tuple per T-degree total up to its cap (default 3),
+        # with a piece per weight from its own up to the ambient cap
+        # (default 3 * power + 2); the list is counted, never built
+        (weight,) = ImageData(build_presentation(spec_from_dict(spec))).min_block_weight
+        t_cap, ambient_cap = caps.get("--t-degree-cap", 3), caps.get("--s-degree-cap", 5)
+        size = sum(1 + max(0, ambient_cap + 1 - total * weight) for total in range(1, t_cap + 1))
+        assert size > MAX_DEGREES
+        argv = [command, spec_file(spec)] + [str(x) for item in caps.items() for x in item]
+        start = time.perf_counter()
+        assert main(argv) == 3
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "hard guard of %d" % MAX_DEGREES in captured.err
+
+    @pytest.mark.parametrize(
         "sequence, block",
         [
             ({"n": 2}, {"rows": [1, 2], "power": "x"}),
@@ -944,13 +1035,14 @@ class TestJsonWriter:
 
     def test_output_is_streamed(self, spec_file, monkeypatch):
         # a document joined before it is written would hold all of it in
-        # memory at once; the writer hands stdout one small chunk at a time
+        # memory at once; the writer hands stdout one small chunk at a time,
+        # at least one per generator record
         chunks = []
         path = spec_file(spec_to_dict(emission_specs()[-1]))
         monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=chunks.append, flush=lambda: None))
         assert main(["generators", path, "--family", "full", "--format", "json"]) == 0
         out = "".join(chunks)
-        assert len(out) > 100_000 and len(chunks) > 1000
+        assert len(out) > 100_000 and len(chunks) >= json.loads(out)["count"]
         assert max(map(len, chunks)) <= len(out) // 100
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
@@ -964,10 +1056,11 @@ class TestJsonWriter:
 
     def test_emission_memory(self, spec_file, monkeypatch):
         # wide_emit's n = 6 shape, fifteen 2-row blocks: cells kept as
-        # tuples, shared exponent pairs and records rendered as they are
-        # written hold the traced peak, the output buffer included, to
-        # 5.4 MB; building every record before the first write, with cells
-        # as frozensets, took it to 12.0 MB
+        # tuples, shared exponent pairs and each record rendered as one
+        # write when it is reached hold the traced peak, the output buffer
+        # included, to 3.1 MB; a write per key and value took it to 5.6 MB,
+        # and building every record before the first write, with cells as
+        # frozensets, to 12.0 MB
         blocks = tuple((rows, 1) for rows in combinations(range(1, 7), 2))
         path = spec_file(spec_to_dict(ReesSpec(seq=SeqSpec(n=6), blocks=blocks)))
         monkeypatch.setattr(sys, "stdout", io.StringIO())

@@ -36,7 +36,7 @@ from multirees.oracle import (
     source_monomials,
     span_compare,
 )
-from multirees.poly import CapExceeded, Mono, SpecError
+from multirees.poly import CapExceeded, GuardExceeded, Mono, SpecError
 from multirees.rees import FULL, RESTRICTED, ReesSpec, build_presentation, defining_generators, spec_from_dict
 from multirees.sseq import SMonomial, SeqSpec, syzygy_generators
 
@@ -777,6 +777,22 @@ class TestOracleCheck:
             totals.clear()
             assert default_degrees(pres, t_cap=400) == expected
             assert totals == list(range(1, last + 1))
+
+    def test_degree_guard_counts_tuples_and_pieces(self, monkeypatch):
+        # a constant value weighs 0, so every T-degree total is visited;
+        # the power-2 block on row 1 weighs 2, so the tuples with more than
+        # 8 // 2 of its variables list no piece, and still count
+        seq = SeqSpec(n=2, mode="concrete", x_names=("x",), concrete_terms=(((1, {"x": 1}),), ((2, {}),)))
+        pres = build_presentation(ReesSpec(seq=seq, blocks=(((2,), 1), ((1,), 2))))
+        assert ImageData(pres).min_block_weight == [0, 2]
+        degrees = default_degrees(pres, t_cap=12)
+        visited = sum(total + 1 for total in range(1, 13))
+        assert visited > len({tvec for tvec, _ in degrees})
+        monkeypatch.setattr(multirees.oracle, "MAX_DEGREES", visited + len(degrees))
+        assert default_degrees(pres, t_cap=12) == degrees
+        monkeypatch.setattr(multirees.oracle, "MAX_DEGREES", visited + len(degrees) - 1)
+        with pytest.raises(GuardExceeded, match="hard guard of %d" % (visited + len(degrees) - 1)):
+            default_degrees(pres, t_cap=12)
 
     def test_summary_mentions_every_piece(self, small):
         gens = defining_generators(small, RESTRICTED)
