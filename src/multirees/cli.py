@@ -12,7 +12,6 @@ import functools
 import json
 import os
 import sys
-from types import GeneratorType
 
 from .grobner import MemberResult, buchberger_check, default_order_suite
 from .oracle import DEFAULT_PIECE_CAP, ImageData, oracle_check
@@ -64,64 +63,16 @@ def _gen_text(g, names):
     )
 
 
-_quote = json.encoder.encode_basestring_ascii
-_LITERALS = {True: "true", False: "false", None: "null"}
-
-
-class _Rendered(str):
-    """JSON text that ``_write_json`` writes as it is: an item already
-    rendered at the depth of the array or object that holds it."""
-
-
-def _write_json(value, write, pad="", head=""):
-    """Write ``head``, then ``value`` as ``json.dumps(value, indent=2)``
-    renders it, in one chunk per scalar or bracket; a scalar shares its
-    chunk with the key or separator before it, and so does an item that
-    is already rendered (``_Rendered``), which is written as it is.  Only
-    exact str, int, bool, None, dict with str keys, list, tuple, generator
-    (a lazy array) and ``_Rendered`` are accepted: any other type (a
-    float, a Fraction, a set, another iterator, another subclass of int
-    or str) raises TypeError."""
-    kind = type(value)
-    if kind is _Rendered:
-        write(head + value)
-    elif kind is str:
-        write(head + _quote(value))
-    elif kind is int:
-        write(head + int.__repr__(value))
-    elif kind is bool or value is None:
-        write(head + _LITERALS[value])
-    elif kind is dict:
-        inner = pad + "  "
-        sep = opening = head + "{\n" + inner
-        for key, item in value.items():
-            if type(key) is not str:
-                raise TypeError("JSON object keys must be str, not %s" % type(key).__name__)
-            _write_json(item, write, inner, sep + _quote(key) + ": ")
-            sep = ",\n" + inner
-        write(head + "{}" if sep is opening else "\n" + pad + "}")
-    elif kind is list or kind is tuple or kind is GeneratorType:
-        inner = pad + "  "
-        sep = opening = head + "[\n" + inner
-        for item in value:
-            _write_json(item, write, inner, sep)
-            sep = ",\n" + inner
-        write(head + "[]" if sep is opening else "\n" + pad + "]")
-    else:
-        raise TypeError("cannot write %s as JSON" % kind.__name__)
-
-
 def _emit_json(payload):
-    """Stream the whole document to stdout.  Emission, caps and guards
-    finish before the first byte, so an error there leaves stdout empty;
-    a record that a generator in the payload yields is rendered when it
-    is reached, written in one chunk, and never held with the others."""
-    write = sys.stdout.write
-    _write_json(payload, write)
-    write("\n")
+    """Write ``json.dumps(payload, indent=2)`` and a newline to stdout in
+    one chunk.  The payload is complete before it is rendered, so an error
+    in emission, a cap or a guard leaves stdout empty."""
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 # --- generators ------------------------------------------------------------
+
+_quote = json.encoder.encode_basestring_ascii
 
 # One record of the ``generators`` array, at that array's depth.  Its
 # terms are those of ``g.poly``, read off the binomial: ``Binomial`` keeps
@@ -159,18 +110,15 @@ def _records(gens, u):
     pairs = {}  # (variable, exponent) -> its key and value in a term
     for i, g in enumerate(gens, 1):
         b = g.binomial
-        yield _Rendered(
-            _RECORD
-            % (
-                i,
-                _quote(g.kind),
-                ",".join(["\n        %d" % k for k in g.blocks]),
-                g.size,
-                _quote(g.label),
-                _quote(_gen_text(g, names)),
-                ",".join([pairs.get(p) or pairs.setdefault(p, keys[p[0]] + "%d" % p[1]) for p in b.plus.exps]),
-                ",".join([pairs.get(p) or pairs.setdefault(p, keys[p[0]] + "%d" % p[1]) for p in b.minus.exps]),
-            )
+        yield _RECORD % (
+            i,
+            _quote(g.kind),
+            ",".join(["\n        %d" % k for k in g.blocks]),
+            g.size,
+            _quote(g.label),
+            _quote(_gen_text(g, names)),
+            ",".join([pairs.get(p) or pairs.setdefault(p, keys[p[0]] + "%d" % p[1]) for p in b.plus.exps]),
+            ",".join([pairs.get(p) or pairs.setdefault(p, keys[p[0]] + "%d" % p[1]) for p in b.minus.exps]),
         )
 
 
@@ -195,9 +143,20 @@ def cmd_generators(args):
                     for (r, c), v in sorted(pres.matrix.entries.items())
                 ],
             },
-            "generators": _records(gens, u),
+            "generators": [],
         }
-        _emit_json(payload)
+        if not gens:
+            _emit_json(payload)
+            return EXIT_OK
+        # "generators" is the last key, so the document ends with "[]\n}":
+        # write it through the "[", then each record when it is reached
+        write = sys.stdout.write
+        write(json.dumps(payload, indent=2)[:-3])
+        sep = "\n    "
+        for record in _records(gens, u):
+            write(sep + record)
+            sep = ",\n    "
+        write("\n  ]\n}\n")
         return EXIT_OK
     if args.format == "cas":
         names = [u.vars[v].cas_name for v in u.s_ids + u.x_ids + u.T_ids]

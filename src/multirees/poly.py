@@ -227,8 +227,6 @@ class VarUniverse:
         self.t_ids = tuple(v.vid for v in vars_ if v.block == "t")
         self.T_ids = tuple(v.vid for v in vars_ if v.block == "T")
         self.s_idset = frozenset(self.s_ids)
-        self.x_idset = frozenset(self.x_ids)
-        self.t_idset = frozenset(self.t_ids)
         self.T_idset = frozenset(self.T_ids)
 
     def vid(self, name):

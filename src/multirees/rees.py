@@ -26,8 +26,10 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, combinations_with_replacement
+from math import comb
 
 from .poly import (
+    GuardExceeded,
     Mono,
     MonomialOrder,
     Poly,
@@ -42,7 +44,7 @@ from .quasimat import (
     binary_subquasi_enumerate,
     quasi_determinants,
 )
-from .sseq import SeqSpec
+from .sseq import MAX_VARIABLES, SeqSpec
 
 RESTRICTED = "restricted"
 FULL = "full"
@@ -78,6 +80,14 @@ class ReesSpec:
             if power < 1:
                 raise SpecError("block %d power must be positive" % b)
             norm.append((rows, power))
+        # counted before Presentation builds a name.  Block l has
+        # comb(|K_l| + a_l - 1, a_l) variables: one when |K_l| = 1, else at
+        # least a_l + 1, so a power capped at the guard gives the same verdict
+        size = self.seq.n
+        for rows, power in norm:
+            size += comb(len(rows) + min(power, MAX_VARIABLES) - 1, len(rows) - 1)
+            if size > MAX_VARIABLES:
+                raise GuardExceeded("the presentation exceeds the hard guard of %d variables" % MAX_VARIABLES)
         object.__setattr__(self, "blocks", tuple(norm))
 
     @property

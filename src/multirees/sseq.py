@@ -14,6 +14,7 @@ from math import comb
 from .poly import GuardExceeded, SpecError, spec_field
 
 MAX_TAYLOR_GENERATORS = 12
+MAX_VARIABLES = 2_000  # sequence symbols plus presentation variables of a spec
 
 
 class SMonomial:
@@ -108,6 +109,8 @@ class SeqSpec:
             raise SpecError("mode must be generic or concrete")
         if spec_field(self.n, int, "'n'") < 1:
             raise SpecError("need at least one sequence element")
+        if self.n > MAX_VARIABLES:
+            raise GuardExceeded("n = %d exceeds the hard guard of %d variables" % (self.n, MAX_VARIABLES))
         defaults = ("s%d" % (i + 1) for i in range(self.n))
         names = tuple(spec_field(v, str, "a name") for v in self.names or defaults)
         if len(names) != self.n:

@@ -8,6 +8,7 @@ against the paper's construction from ladders and their shifts
 (``helpers.ladder_layout``).
 """
 import json
+import time
 from itertools import combinations, product
 from math import comb
 
@@ -16,7 +17,7 @@ import pytest
 from conftest import desk_scale_specs, emission_specs
 from helpers import ladder_layout
 from multirees.cli import _normality
-from multirees.poly import SpecError, mono_text
+from multirees.poly import GuardExceeded, SpecError, mono_text
 from multirees.quasimat import Binomial, _entry_graph_cycles
 from multirees.rees import (
     FULL,
@@ -33,7 +34,7 @@ from multirees.rees import (
     spec_from_json,
     spec_to_dict,
 )
-from multirees.sseq import SeqSpec
+from multirees.sseq import MAX_VARIABLES, SeqSpec
 
 
 def spec_to_json(spec):
@@ -147,6 +148,32 @@ class TestSpecValidation:
         # library callers get the same boundary as JSON input: no truncation
         with pytest.raises(SpecError):
             make()
+
+    def test_variable_guard_boundary(self):
+        # n plus comb(|K_l| + a_l - 1, a_l) per block, counted before any
+        # name is built: a spec within the guard builds, past it raises
+        power = max(a for a in range(1, MAX_VARIABLES) if 3 + comb(a + 2, 2) <= MAX_VARIABLES)
+        pair, single = ((1, 2), 1), ((1,), 1)  # two variables, one
+        for n, within, past in [
+            (MAX_VARIABLES - 2, (pair,), (pair, single)),
+            (2, (pair,) * (MAX_VARIABLES // 2 - 1), (pair,) * (MAX_VARIABLES // 2 - 1) + (single,)),
+            (3, (((1, 2, 3), power),), (((1, 2, 3), power + 1),)),
+        ]:
+            ReesSpec(seq=SeqSpec(n=n), blocks=within)
+            with pytest.raises(GuardExceeded, match="hard guard of %d" % MAX_VARIABLES):
+                ReesSpec(seq=SeqSpec(n=n), blocks=past)
+        SeqSpec(n=MAX_VARIABLES)
+        with pytest.raises(GuardExceeded, match="hard guard of %d" % MAX_VARIABLES):
+            SeqSpec(n=MAX_VARIABLES + 1)
+
+    def test_huge_power_is_counted_without_its_binomial(self):
+        # comb(1000 + 10**4000 - 1, 999) has millions of digits and takes
+        # seconds; the count stops at the guard instead
+        rows = tuple(range(1, 1001))
+        start = time.perf_counter()
+        with pytest.raises(GuardExceeded):
+            ReesSpec(seq=SeqSpec(n=1000), blocks=((rows, 10**4000),))
+        assert time.perf_counter() - start < 1
 
     def test_rows_deduplicated_sorted(self):
         spec = ReesSpec(seq=SeqSpec(n=3), blocks=(((3, 1, 3), 1),))
