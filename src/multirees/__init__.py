@@ -21,9 +21,7 @@ from .poly import (
 )
 from .sseq import (
     SeqSpec,
-    SMonomial,
     TaylorComplex,
-    s_lcm,
     syzygy_generators,
     taylor_complex,
 )
@@ -94,7 +92,6 @@ __all__ = [
     "ReductionCert",
     "ReesSpec",
     "SINGLE",
-    "SMonomial",
     "SeqSpec",
     "SpanReport",
     "SpecError",
@@ -115,7 +112,6 @@ __all__ = [
     "normality_report",
     "oracle_check",
     "quasi_determinants",
-    "s_lcm",
     "s_poly",
     "source_monomials",
     "span_compare",

@@ -19,6 +19,7 @@ from .poly import (
     ORDER_KINDS,
     CapExceeded,
     GuardExceeded,
+    Mono,
     MonomialOrder,
     SpecError,
     leading,
@@ -35,7 +36,7 @@ from .rees import (
     spec_from_json,
     spec_to_dict,
 )
-from .sseq import SMonomial, syzygy_generators, taylor_complex
+from .sseq import syzygy_generators, taylor_complex
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -55,12 +56,10 @@ def _read_spec(path):
     return spec_from_json(text)
 
 
-def _gen_text(g, names):
-    """``mono_text`` of the binomial's two monomials (neither is 1), from
-    the variable names in id order."""
-    return " - ".join(
-        ["*".join([names[v] if e == 1 else "%s^%d" % (names[v], e) for v, e in m.exps]) for m in (g.binomial.plus, g.binomial.minus)]
-    )
+def _gen_monos(g, names):
+    """``mono_text`` of the binomial's plus and minus monomials (neither
+    is 1), from the variable names in id order."""
+    return ["*".join([names[v] if e == 1 else "%s^%d" % (names[v], e) for v, e in m.exps]) for m in (g.binomial.plus, g.binomial.minus)]
 
 
 def _emit_json(payload):
@@ -116,7 +115,7 @@ def _records(gens, u):
             ",".join(["\n        %d" % k for k in g.blocks]),
             g.size,
             _quote(g.label),
-            _quote(_gen_text(g, names)),
+            _quote(" - ".join(_gen_monos(g, names))),
             ",".join([pairs.get(p) or pairs.setdefault(p, keys[p[0]] + "%d" % p[1]) for p in b.plus.exps]),
             ",".join([pairs.get(p) or pairs.setdefault(p, keys[p[0]] + "%d" % p[1]) for p in b.minus.exps]),
         )
@@ -159,11 +158,12 @@ def cmd_generators(args):
         write("\n  ]\n}\n")
         return EXIT_OK
     if args.format == "cas":
-        names = [u.vars[v].cas_name for v in u.s_ids + u.x_ids + u.T_ids]
+        names = [var.cas_name for var in u.vars]
         ring = "QQ" if u.domain == "QQ" else "ZZ"
         print("-- presentation ring and candidate defining ideal (family=%s)" % args.family)
-        print("R = %s[%s]" % (ring, ", ".join(names)))
-        body = ",\n  ".join(g.poly.render(names=lambda v: u.vars[v].cas_name) for g in gens)
+        print("R = %s[%s]" % (ring, ", ".join([names[v] for v in u.s_ids + u.x_ids + u.T_ids])))
+        # minus, the larger monomial, first: the term order of ``Poly.render``
+        body = ",\n  ".join(["-{1} + {0}".format(*_gen_monos(g, names)) for g in gens])
         print("I = ideal(\n  %s\n)" % body if gens else "I = ideal(0_R)")
         return EXIT_OK
     if args.show_matrix:
@@ -175,7 +175,7 @@ def cmd_generators(args):
         print()
     names = [var.name for var in u.vars]
     for i, g in enumerate(gens):
-        print("g%-3d [%-16s blocks %s]  %s" % (i + 1, g.kind + ";", ",".join(map(str, g.blocks)), _gen_text(g, names)))
+        print("g%-3d [%-16s blocks %s]  %s" % (i + 1, g.kind + ";", ",".join(map(str, g.blocks)), " - ".join(_gen_monos(g, names))))
     print("%d generators (family=%s)" % (len(gens), args.family))
     for note in notes:
         print("note: %s" % note)
@@ -420,11 +420,11 @@ def _block_monomials(pres):
     if seq.mode == "concrete" and seq.concrete_monomial_values() is None:
         raise SpecError("the complex report needs monomial sequence values in concrete mode")
     data = ImageData(pres)
-    out = []
-    for bd in pres.blocks:
-        images = [dict(data.t_image[vid]) for vid in bd.vids.values()]
-        out.append([SMonomial(tuple(img.get(v, 0) for v in data.ambient_ids)) for img in images])
-    return out
+    ambient = set(data.ambient_ids)
+    return [
+        [Mono((v, e) for v, e in data.t_image[vid] if v in ambient) for vid in bd.vids.values()]
+        for bd in pres.blocks
+    ]
 
 
 def cmd_taylor(args):

@@ -385,14 +385,12 @@ class Poly:
             out = out + acc
         return out
 
-    def render(self, names=None):
+    def render(self):
         """Deterministic human-readable form, the largest ``Mono.exps``
-        first; ``names`` overrides the vid -> text mapping (e.g. for
-        CAS-safe identifiers)."""
+        first."""
         if self.is_zero():
             return "0"
-        if names is None:
-            names = self.universe.name
+        names = self.universe.name
         parts = []
         for mono, coeff in reversed(self.terms):
             factors = []

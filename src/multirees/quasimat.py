@@ -22,6 +22,7 @@ from itertools import product
 from .poly import GuardExceeded, Mono
 
 MAX_BINARY_SIZE = 12  # rows + cols of an emitted binary subquasi-matrix
+MAX_CYCLES = 100_000  # cycle walks of one search, and cycle unions of one enumeration
 
 
 class QuasiMatrix:
@@ -150,6 +151,8 @@ def _entry_graph_cycles(qm, max_vertices):
                     rows = path[0::2]
                     cols = [x - R for x in path[1::2]]
                     turn = zip(rows[1:] + rows[:1], cols)
+                    if len(cycles) == MAX_CYCLES:
+                        raise GuardExceeded("the cycle search exceeds the hard guard of %d walks" % MAX_CYCLES)
                     cycles.append(tuple(cell[rc] for pair in zip(zip(rows, cols), turn) for rc in pair))
             elif w > first and w not in seen and len(path) < max_vertices:
                 seen.add(w)
@@ -183,6 +186,8 @@ def binary_subquasi_enumerate(qm, max_size=MAX_BINARY_SIZE):
             if used & masks[i]:
                 continue
             chosen.append(cycles[i])
+            if len(out) == MAX_CYCLES:
+                raise GuardExceeded("the cycle unions exceed the hard guard of %d" % MAX_CYCLES)
             out.append(tuple(chosen))
             rec(i + 1, chosen, used | masks[i], room - len(cycles[i]))
             chosen.pop()

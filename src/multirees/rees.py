@@ -180,7 +180,7 @@ def spec_from_dict(data):
 def spec_from_json(text):
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an integer literal too long
         raise SpecError("invalid JSON: %s" % exc)
     return spec_from_dict(data)
 

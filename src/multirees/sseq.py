@@ -1,9 +1,9 @@
 """The fixed weak regular sequence as formal data.
 
-SMonomials are formal exponent vectors over the sequence symbols; their
-arithmetic never looks at concrete values.  This module also carries the
-Taylor complex of a monomial list and the pairwise first syzygies, which
-serve as independent witnesses for the sequence axioms used elsewhere.
+Besides the sequence spec, this module carries the Taylor complex of a
+list of monomials (``poly.Mono``) and their pairwise first syzygies,
+which serve as independent witnesses for the sequence axioms used
+elsewhere.
 """
 from __future__ import annotations
 
@@ -11,80 +11,10 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .poly import GuardExceeded, SpecError, spec_field
+from .poly import MONO_ONE, GuardExceeded, SpecError, spec_field
 
 MAX_TAYLOR_GENERATORS = 12
 MAX_VARIABLES = 2_000  # sequence symbols plus presentation variables of a spec
-
-
-class SMonomial:
-    """Formal monomial in the sequence symbols: a tuple of exponents."""
-
-    __slots__ = ("exps",)
-
-    def __init__(self, exps):
-        exps = tuple(int(e) for e in exps)
-        if any(e < 0 for e in exps):
-            raise ValueError("negative exponent")
-        self.exps = exps
-
-    @classmethod
-    def one(cls, n):
-        return cls((0,) * n)
-
-    @property
-    def n(self):
-        return len(self.exps)
-
-    def degree(self):
-        return sum(self.exps)
-
-    def support(self):
-        return tuple(i + 1 for i, e in enumerate(self.exps) if e)
-
-    def is_one(self):
-        return not any(self.exps)
-
-    def mul(self, other):
-        self._check(other)
-        return SMonomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    __mul__ = mul
-
-    def divides(self, other):
-        self._check(other)
-        return all(a <= b for a, b in zip(self.exps, other.exps))
-
-    def div(self, other):
-        self._check(other)
-        if not other.divides(self):
-            raise ValueError("not divisible")
-        return SMonomial(tuple(a - b for a, b in zip(self.exps, other.exps)))
-
-    def is_squarefree(self):
-        return all(e <= 1 for e in self.exps)
-
-    def _check(self, other):
-        if len(self.exps) != len(other.exps):
-            raise ValueError("sequence length mismatch: %d vs %d" % (len(self.exps), len(other.exps)))
-
-    def __eq__(self, other):
-        return isinstance(other, SMonomial) and self.exps == other.exps
-
-    def __lt__(self, other):
-        self._check(other)
-        return self.exps < other.exps
-
-    def __hash__(self):
-        return hash(self.exps)
-
-    def __repr__(self):
-        return "SMonomial(%r)" % (self.exps,)
-
-
-def s_lcm(a, b):
-    a._check(b)
-    return SMonomial(tuple(max(x, y) for x, y in zip(a.exps, b.exps)))
 
 
 @dataclass(frozen=True)
@@ -197,11 +127,12 @@ class SeqSpec:
 
 @dataclass
 class TaylorComplex:
-    """Taylor complex of a list of SMonomials.
+    """Taylor complex of a list of monomials (``Mono``).
 
     The basis in homological degree p is the p-subsets of generator
     indices; the differential entry at (J minus its r-th element, J) is
-    (-1)^(r-1) * lcm(J)/lcm(J minus r-th).
+    (-1)^(r-1) * lcm(J)/lcm(J minus r-th), an exact division, since
+    lcm(J minus r-th) divides lcm(J).
     """
 
     generators: tuple
@@ -218,15 +149,14 @@ class TaylorComplex:
         subset = tuple(subset)
         got = self._lcms.get(subset)
         if got is None:
-            n = self.generators[0].n if self.generators else 0
-            got = SMonomial.one(n)
+            got = MONO_ONE
             for i in subset:
-                got = s_lcm(got, self.generators[i])
+                got = got.lcm(self.generators[i])
             self._lcms[subset] = got
         return got
 
     def differential(self, p):
-        """Sparse matrix of d_p as {(row_subset, col_subset): (sign, SMonomial)}."""
+        """Sparse matrix of d_p as {(row_subset, col_subset): (sign, Mono)}."""
         if not 1 <= p <= self.m:
             raise ValueError("differential index out of range")
         entries = {}
@@ -259,22 +189,17 @@ def taylor_complex(gens):
     gens = tuple(gens)
     if len(gens) > MAX_TAYLOR_GENERATORS:
         raise GuardExceeded("Taylor complex limited to %d generators" % MAX_TAYLOR_GENERATORS)
-    if gens:
-        n = gens[0].n
-        for g in gens:
-            if g.n != n:
-                raise ValueError("sequence length mismatch")
     return TaylorComplex(generators=gens)
 
 
 def syzygy_generators(gens):
     """The pairwise syzygies of a monomial list: for i < j the vector with
     lcm/gen_i at slot i and -lcm/gen_j at slot j.  Returned as tuples of
-    (sign, SMonomial) or None per coordinate."""
+    (sign, Mono) or None per coordinate."""
     gens = tuple(gens)
     out = []
     for i, j in combinations(range(len(gens)), 2):
-        u = s_lcm(gens[i], gens[j])
+        u = gens[i].lcm(gens[j])
         vec = [None] * len(gens)
         vec[i] = (1, u.div(gens[i]))
         vec[j] = (-1, u.div(gens[j]))

@@ -9,7 +9,9 @@ two-by-two minors (criteria 04 and 07, the quasi-matrix and Groebner
 tests), and the syzygy pieces of a
 plain monomial list against the span of its pairwise syzygies (criterion
 08 and the oracle tests), with the union-find over hashable nodes that
-this span and the oracle's ``Mono`` reference share; the presentation's
+this span and the oracle's ``Mono`` reference share; ``dense``, the
+``Mono`` of an exponent vector, which these lists and the Taylor complex
+tests are built from; the presentation's
 layout built the paper's way, from ladders and their shifts (the
 presentation tests); the split of a leading coefficient into a unit and
 an s-monomial (the polynomial and Groebner tests); small generic and
@@ -21,7 +23,7 @@ from itertools import combinations_with_replacement
 from hypothesis import strategies as st
 
 from multirees.oracle import _compositions
-from multirees.poly import VarUniverse
+from multirees.poly import Mono, VarUniverse
 from multirees.quasimat import (
     MAX_BINARY_SIZE,
     Binomial,
@@ -31,7 +33,7 @@ from multirees.quasimat import (
     quasi_determinants,
 )
 from multirees.rees import ReesSpec
-from multirees.sseq import SMonomial, SeqSpec, syzygy_generators
+from multirees.sseq import SeqSpec, syzygy_generators
 
 
 @st.composite
@@ -211,25 +213,27 @@ def expand_combination(pairs, universe):
     return total
 
 
-def monomial_syzygy_kernel(gens, degree):
+def dense(exps):
+    """The ``Mono`` of an exponent vector over variables 0, 1, ...."""
+    return Mono(tuple(enumerate(exps)))
+
+
+def monomial_syzygy_kernel(gens, n, degree):
     """Basis of the total-degree-``degree`` piece of the syzygy module of a
-    monomial list: vectors with one monomial entry per slot whose weighted
-    images sum to zero.  Slot ``i`` carries monomials of degree
-    ``degree - gens[i].degree()``.
+    list of monomials over variables 0..n-1: vectors with one monomial
+    entry per slot whose weighted images sum to zero.  Slot ``i`` carries
+    monomials of degree ``degree - gens[i].degree()``.
 
     Because each slot maps monomials to monomials, the piece splits over
     the fibers of the map: each target monomial with k preimages
     contributes k - 1 differences.  Basis vectors are dicts
-    ``{(slot, multiplier): +-1}`` with SMonomial multipliers."""
+    ``{(slot, multiplier): +-1}`` with ``Mono`` multipliers."""
     gens = tuple(gens)
     if not gens:
         return []
-    n = gens[0].n
-    for u in gens:
-        u._check(gens[0])
     basis = []
     for exps in _compositions(degree, n):
-        w = SMonomial(exps)
+        w = dense(exps)
         fiber = [(i, w.div(u)) for i, u in enumerate(gens) if u.divides(w)]
         for other in fiber[1:]:
             basis.append({fiber[0]: 1, other: -1})
@@ -255,20 +259,19 @@ class SyzygyDegreeReport:
         )
 
 
-def syzygy_span_compare(gens, max_degree):
+def syzygy_span_compare(gens, n, max_degree):
     """Per total degree up to ``max_degree``, compare the syzygy kernel of
-    a monomial list against the span of monomial multiples of the pairwise
-    syzygies.  The pairwise span always sits inside the kernel (each
+    a list of monomials over variables 0..n-1 against the span of monomial
+    multiples of the pairwise syzygies.  The pairwise span always sits inside the kernel (each
     pairwise vector maps to zero), so dimension equality certifies that
     the pairwise syzygies generate up to the bound."""
     gens = tuple(gens)
     if not gens:
         return []
-    n = gens[0].n
     pairwise = syzygy_generators(gens)
     out = []
     for degree in range(max_degree + 1):
-        kernel_dim = len(monomial_syzygy_kernel(gens, degree))
+        kernel_dim = len(monomial_syzygy_kernel(gens, n, degree))
         comps = Components()
         span_dim = 0
         for vec in pairwise:
@@ -281,7 +284,7 @@ def syzygy_span_compare(gens, max_degree):
             if rest < 0:
                 continue
             for mexps in _compositions(rest, n):
-                mult = SMonomial(mexps)
+                mult = dense(mexps)
                 nodes = []
                 image = {}
                 for slot, entry in enumerate(vec):

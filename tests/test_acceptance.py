@@ -15,6 +15,7 @@ import pytest
 
 from conftest import desk_scale_specs, record_criterion
 from helpers import (
+    dense,
     expand_combination,
     generic_matrix,
     ibin_generators,
@@ -35,7 +36,7 @@ from multirees.rees import (
     defining_generators,
     normality_report,
 )
-from multirees.sseq import SeqSpec, SMonomial, syzygy_generators, taylor_complex
+from multirees.sseq import SeqSpec, syzygy_generators, taylor_complex
 
 PAPER_MATRIX = (
     "    s   [1;000]   [2;000]   [3;000]   [4;000]   [5;000]\n"
@@ -332,7 +333,7 @@ def test_criterion_08_complex_and_syzygy_suite():
     for _ in range(100):
         n = rng.randint(1, 4)
         m = rng.randint(1, 6)
-        monos = [SMonomial(tuple(rng.randint(0, 3) for _ in range(n))) for _ in range(m)]
+        monos = [dense(tuple(rng.randint(0, 3) for _ in range(n))) for _ in range(m)]
         square_ok = square_ok and taylor_complex(monos).verify()
 
     span_ok = True
@@ -340,8 +341,8 @@ def test_criterion_08_complex_and_syzygy_suite():
     for _ in range(15):
         n = rng.randint(1, 3)
         m = rng.randint(2, 4)
-        monos = [SMonomial(tuple(rng.randint(0, 2) for _ in range(n))) for _ in range(m)]
-        reports = syzygy_span_compare(monos, 8)
+        monos = [dense(tuple(rng.randint(0, 2) for _ in range(n))) for _ in range(m)]
+        reports = syzygy_span_compare(monos, n, 8)
         span_ok = span_ok and all(r.ok for r in reports)
         lists += 1
 

@@ -19,6 +19,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -27,8 +28,8 @@ import multirees.cli
 from conftest import emission_specs
 from multirees.cli import _block_monomials, _records, build_parser, main
 from multirees.oracle import MAX_DEGREES, ImageData
-from multirees.poly import MonomialOrder, leading, mono_text
-from multirees.quasimat import Binomial, _entry_graph_cycles
+from multirees.poly import Mono, MonomialOrder, leading, mono_text
+from multirees.quasimat import MAX_CYCLES, Binomial, _entry_graph_cycles, binary_subquasi_enumerate
 from multirees.rees import (
     FULL,
     RESTRICTED,
@@ -38,7 +39,7 @@ from multirees.rees import (
     spec_from_dict,
     spec_to_dict,
 )
-from multirees.sseq import MAX_VARIABLES, SeqSpec, SMonomial, taylor_complex
+from multirees.sseq import MAX_VARIABLES, SeqSpec, taylor_complex
 
 PAPER_SPEC = {
     "sequence": {"mode": "generic", "n": 4, "names": ["p1", "p2", "x", "y"]},
@@ -238,6 +239,23 @@ class TestGenerators:
         assert "I = ideal(" in out
         # CAS names avoid brackets
         assert "T[" not in out.split("\n", 1)[1]
+
+    @pytest.mark.parametrize("family", [RESTRICTED, FULL])
+    def test_cas_ideal_is_the_family(self, spec_file, capsys, family):
+        # each entry, read back by sympy over the CAS names, is its
+        # generator's polynomial, the negative term first
+        pres = build_presentation(spec_from_dict(PAPER_SPEC))
+        gens = defining_generators(pres, family)
+        assert main(["generators", spec_file(PAPER_SPEC), "--format", "cas", "--family", family]) == 0
+        body = capsys.readouterr().out.split("I = ideal(\n  ", 1)[1].rsplit("\n)", 1)[0]
+        entries = body.split(",\n  ")
+        syms = {var.cas_name: sympy.Symbol(var.cas_name) for var in pres.universe.vars}
+        by_vid = [syms[var.cas_name] for var in pres.universe.vars]
+        assert len(entries) == len(gens)
+        for text, g in zip(entries, gens):
+            expected = sum(int(c) * sympy.Mul(*[by_vid[v] ** e for v, e in m.exps]) for m, c in g.poly.terms)
+            assert text.startswith("-") and " + " in text
+            assert sympy.parse_expr(text.replace("^", "**"), local_dict=syms) == expected
 
     def test_degenerate_spec_has_zero_ideal(self, spec_file, capsys):
         path = spec_file({"sequence": {"n": 2}, "blocks": [{"rows": [1], "power": 1}]})
@@ -616,11 +634,16 @@ class TestTaylor:
         for block, monos, row in zip(blocks, got, payload["blocks"]):
             power, rows = block["power"], block["rows"]
             expected = [
-                concrete_value_exponents(CONCRETE_TAYLOR_SPEC, [combo.count(k) for k in range(1, n + 1)])
+                Mono(
+                    zip(
+                        pres.universe.x_ids,
+                        concrete_value_exponents(CONCRETE_TAYLOR_SPEC, [combo.count(k) for k in range(1, n + 1)]),
+                    )
+                )
                 for combo in combinations_with_replacement(rows, power)
             ]
-            assert sorted(m.exps for m in monos) == sorted(expected)
-            tc = taylor_complex([SMonomial(e) for e in expected])
+            assert sorted(m.exps for m in monos) == sorted(m.exps for m in expected)
+            tc = taylor_complex(expected)
             assert row["generators"] == tc.m == len(expected)
             assert row["ranks"] == [tc.rank(p) for p in range(tc.m + 1)]
 
@@ -738,6 +761,40 @@ class TestErrors:
         assert time.perf_counter() - start < 1
         captured = capsys.readouterr()
         assert captured.out == "" and "hard guard of %d variables" % MAX_VARIABLES in captured.err
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [([1, 2, 3, 4, 5, 6], 2)],
+            [([1, 2, 3, 4, 5, 6], 3)],
+            [(list(rows), 1) for rows in combinations(range(1, 7), 3)],
+        ],
+        ids=["power-2-on-6-rows", "power-3-on-6-rows", "twenty-3-row-blocks"],
+    )
+    @pytest.mark.parametrize("command", ["generators", "verify"])
+    def test_cycle_search_over_the_guard(self, spec_file, capsys, blocks, command):
+        # far below the variable guard, yet the first and last have 526,155
+        # and 591,228 cycle walks, and the middle one more; the search
+        # stops at the guard
+        spec = {"sequence": {"n": 6}, "blocks": [{"rows": rows, "power": power} for rows, power in blocks]}
+        start = time.perf_counter()
+        assert main([command, spec_file(spec)]) == 3
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "hard guard of %d walks" % MAX_CYCLES in captured.err
+
+    def test_cycle_unions_over_the_guard(self, spec_file, capsys, monkeypatch):
+        # n = 6 with all fifteen 2-row blocks has 1,172 cycle walks and
+        # 1,347 unions of them; only the full family enumerates unions
+        spec = {"sequence": {"n": 6}, "blocks": [{"rows": list(rows)} for rows in combinations(range(1, 7), 2)]}
+        path = spec_file(spec)
+        matrix = build_presentation(spec_from_dict(spec)).matrix
+        assert len(matrix.cycle_walks(12)) == 1_172 and len(binary_subquasi_enumerate(matrix, 12)) == 1_347
+        monkeypatch.setattr("multirees.quasimat.MAX_CYCLES", 1_200)
+        assert main(["generators", path, "--family", FULL]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cycle unions exceed the hard guard of 1200" in captured.err
+        assert main(["generators", path, "--family", RESTRICTED]) == 0
 
     @pytest.mark.parametrize(
         "sequence, block",
@@ -875,8 +932,14 @@ def test_every_spec_maps_to_an_exit_code(tmp_path_factory, spec, argv):
 @pytest.mark.parametrize("command", sorted(CONTRACT_OPTIONS))
 @pytest.mark.parametrize(
     "raw",
-    [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000],
-    ids=["not-utf8", "deeply-nested"],
+    [
+        b"\xff\xfe{}",
+        b"[" * 100000 + b"]" * 100000,
+        # json.loads refuses an integer of over 4,300 digits with a plain
+        # ValueError; json.dumps cannot write one, so the text is raw
+        b'{"sequence": {"n": ' + b"1" * 5000 + b'}, "blocks": [{"rows": [1]}]}',
+    ],
+    ids=["not-utf8", "deeply-nested", "5000-digit-integer"],
 )
 def test_unreadable_spec_maps_to_exit_two(tmp_path, capsys, command, raw):
     path = tmp_path / "spec.json"

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import desk_scale_specs, gb_heavy_specs
-from helpers import Components, monomial_syzygy_kernel, small_specs, syzygy_span_compare
+from helpers import Components, dense, monomial_syzygy_kernel, small_specs, syzygy_span_compare
 import multirees.oracle
 from multirees.cli import _oracle_text, _piece
 from multirees.oracle import (
@@ -38,7 +38,7 @@ from multirees.oracle import (
 )
 from multirees.poly import CapExceeded, GuardExceeded, Mono, SpecError
 from multirees.rees import FULL, RESTRICTED, ReesSpec, build_presentation, defining_generators, spec_from_dict
-from multirees.sseq import SMonomial, SeqSpec, syzygy_generators
+from multirees.sseq import SeqSpec, syzygy_generators
 
 
 @pytest.fixture(scope="module")
@@ -569,9 +569,9 @@ class TestConnectivityMatchesEchelon:
         max_degree=st.integers(0, 6),
     )
     def test_syzygy_span_matches_echelon(self, exps, max_degree):
-        gens = [SMonomial(e) for e in exps]
+        gens = [dense(e) for e in exps]
         n = len(exps[0])
-        reports = syzygy_span_compare(gens, max_degree)
+        reports = syzygy_span_compare(gens, n, max_degree)
         assert [r.degree for r in reports] == list(range(max_degree + 1))
         for rep in reports:
             ech = Echelon()
@@ -580,7 +580,7 @@ class TestConnectivityMatchesEchelon:
                 slot, _, mono = entries[0]
                 rest = rep.degree - mono.degree() - gens[slot].degree()
                 for mult in _all_exps(rest, n) if rest >= 0 else ():
-                    ech.insert({(k, m.mul(SMonomial(mult))): c for k, c, m in entries})
+                    ech.insert({(k, m.mul(dense(mult))): c for k, c, m in entries})
             assert rep.span_dim == ech.rank
 
 
@@ -896,18 +896,18 @@ class TestOneImageTable:
             assert built == [paper] * k
 
 
-def brute_syzygy_kernel_dim(gens, degree):
+def brute_syzygy_kernel_dim(gens, n, degree):
     """Kernel dimension over the rationals of the map sending a slot
-    monomial m at slot i to m * gens[i], by sympy nullspace."""
+    monomial m over variables 0..n-1 at slot i to m * gens[i], by sympy
+    nullspace."""
     cols = []
     targets = {}
-    n = gens[0].n
     for i, g in enumerate(gens):
         rest = degree - g.degree()
         if rest < 0:
             continue
         for exps in _all_exps(rest, n):
-            target = g.mul(SMonomial(exps))
+            target = g.mul(dense(exps))
             targets.setdefault(target, len(targets))
             cols.append(targets[target])
     if not cols:
@@ -934,16 +934,16 @@ class TestMonomialSyzygies:
             n = rng.randint(2, 3)
             m = rng.randint(2, 4)
             gens = [
-                SMonomial(tuple(rng.randint(0, 2) for _ in range(n))) for _ in range(m)
+                dense(tuple(rng.randint(0, 2) for _ in range(n))) for _ in range(m)
             ]
             for degree in range(0, 6):
-                got = len(monomial_syzygy_kernel(gens, degree))
-                assert got == brute_syzygy_kernel_dim(gens, degree)
+                got = len(monomial_syzygy_kernel(gens, n, degree))
+                assert got == brute_syzygy_kernel_dim(gens, n, degree)
 
     def test_kernel_vectors_map_to_zero(self):
-        gens = [SMonomial((2, 0, 1)), SMonomial((1, 1, 0)), SMonomial((0, 2, 1))]
+        gens = [dense((2, 0, 1)), dense((1, 1, 0)), dense((0, 2, 1))]
         for degree in range(0, 7):
-            for vec in monomial_syzygy_kernel(gens, degree):
+            for vec in monomial_syzygy_kernel(gens, 3, degree):
                 images = {}
                 for (slot, mult), c in vec.items():
                     t = gens[slot].mul(mult)
@@ -951,13 +951,13 @@ class TestMonomialSyzygies:
                 assert all(v == 0 for v in images.values())
 
     def test_two_variable_dims(self):
-        gens = [SMonomial((1, 0)), SMonomial((0, 1))]
-        dims = [len(monomial_syzygy_kernel(gens, d)) for d in range(5)]
+        gens = [dense((1, 0)), dense((0, 1))]
+        dims = [len(monomial_syzygy_kernel(gens, 2, d)) for d in range(5)]
         assert dims == [0, 0, 1, 2, 3]
 
     def test_duplicate_generators_syzygy(self):
-        g = SMonomial((1, 1))
-        kernel = monomial_syzygy_kernel([g, g], 2)
+        g = dense((1, 1))
+        kernel = monomial_syzygy_kernel([g, g], 2, 2)
         assert len(kernel) == 1
         (vec,) = kernel
         assert set(vec.values()) == {1, -1}
@@ -968,19 +968,19 @@ class TestMonomialSyzygies:
             n = rng.randint(2, 3)
             m = rng.randint(2, 4)
             gens = [
-                SMonomial(tuple(rng.randint(0, 2) for _ in range(n))) for _ in range(m)
+                dense(tuple(rng.randint(0, 2) for _ in range(n))) for _ in range(m)
             ]
-            reports = syzygy_span_compare(gens, 8)
+            reports = syzygy_span_compare(gens, n, 8)
             assert all(r.ok for r in reports), [r.line() for r in reports]
 
     def test_report_lines_readable(self):
-        gens = [SMonomial((1, 0)), SMonomial((0, 1))]
-        reports = syzygy_span_compare(gens, 3)
+        gens = [dense((1, 0)), dense((0, 1))]
+        reports = syzygy_span_compare(gens, 2, 3)
         assert [r.degree for r in reports] == [0, 1, 2, 3]
         assert all("ok" in r.line() for r in reports)
 
     def test_pairwise_vectors_lie_in_kernel(self):
-        gens = [SMonomial((2, 1)), SMonomial((1, 2)), SMonomial((3, 0))]
+        gens = [dense((2, 1)), dense((1, 2)), dense((3, 0))]
         for vec in syzygy_generators(gens):
             images = {}
             for slot, entry in enumerate(vec):

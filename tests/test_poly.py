@@ -70,6 +70,10 @@ def _random_poly(uni, rng, nterms=4, maxexp=3):
     return uni.from_terms(pairs)
 
 
+# sparse monomials: a few variable ids out of six, exponents 1-4
+monos = st.dictionaries(st.integers(0, 5), st.integers(1, 4), max_size=4).map(lambda d: Mono(tuple(d.items())))
+
+
 class TestMono:
     def test_duplicate_variable_rejected(self):
         with pytest.raises(ValueError):
@@ -91,6 +95,18 @@ class TestMono:
         assert a.lcm(b) == Mono(((0, 2), (1, 1), (2, 3)))
         assert a.divides(a.lcm(b))
         assert a.gcd(b).divides(a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=monos, b=monos)
+    def test_lcm_gcd_product_identity(self, a, b):
+        assert a.lcm(b).mul(a.gcd(b)) == a.mul(b)
+        assert a.divides(a.lcm(b)) and b.divides(a.lcm(b))
+        assert a.gcd(b).divides(a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=monos, b=monos)
+    def test_div_inverts_mul(self, a, b):
+        assert a.mul(b).div(b) == a
 
     def test_restrict_drop_partition(self):
         m = Mono(((0, 1), (1, 2), (5, 1)))
@@ -264,7 +280,3 @@ class TestRender:
         assert p.render() == "-2*B^2 + s1*A"
         assert mono_text(p.terms[0][0], uni) in ("s1*A", "B^2")
         assert mono_text(Mono(()), uni) == "1"
-
-    def test_render_names_override(self, uni):
-        p = uni.poly_var("A")
-        assert p.render(names=lambda v: "X_%d" % v) == "X_%d" % uni.vid("A")
