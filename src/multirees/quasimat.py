@@ -10,14 +10,17 @@ matchings.  Each union of c cycles carries 2^(c-1) binary
 quasi-determinants up to sign: each term takes one matching per cycle,
 the first cycle's held fixed (flipping every cycle swaps the terms).  A
 matrix searches its entry graph once per size cap and keeps the cycle
-walks, which every generating family reads.  The union search takes the
-cycles shortest first and stops at the first one too long for the room
-left under the size cap.
+walks, which every generating family reads.  The cycle search runs row
+by row: rows are numbered before columns, so a cycle's smallest vertex
+is a row, and from it the search steps to later rows through the
+columns each pair of rows shares.  The union search takes the cycles
+shortest first and stops at the first one too long for the room left
+under the size cap.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from .poly import GuardExceeded, Mono
 
@@ -28,7 +31,7 @@ MAX_CYCLES = 100_000  # cycle walks of one search, and cycle unions of one enume
 class QuasiMatrix:
     """Rows x cols grid with entries (variable ids) at some positions."""
 
-    __slots__ = ("n_rows", "n_cols", "entries", "_walks", "_pairs")
+    __slots__ = ("n_rows", "n_cols", "entries", "_walks", "_ones", "_powers")
 
     def __init__(self, n_rows, n_cols, entries):
         self.n_rows = n_rows
@@ -38,7 +41,9 @@ class QuasiMatrix:
             if not (0 <= r < n_rows and 0 <= c < n_cols):
                 raise ValueError("entry out of range: %r" % ((r, c),))
         self._walks = {}
-        self._pairs = {}  # (variable, exponent) -> the one tuple its monomials share
+        # the one tuple a matrix's monomials share for each (variable, exponent)
+        self._ones = {v: (v, 1) for v in self.entries.values()}  # variable -> (v, 1)
+        self._powers = {}  # (variable, exponent > 1) -> itself
 
     def cycle_walks(self, max_vertices):
         """The cycle walks of the entry graph with at most
@@ -109,60 +114,78 @@ class Binomial:
 
 
 def _cells_mono(qm, cells):
-    """The product of the entries at ``cells``.  Counting makes each
-    variable unique, so the pairs need sorting only, not the checks of
-    ``Mono()``; each pair is the one tuple the matrix's table holds for
-    it, shared by every monomial of the matrix."""
-    entries = qm.entries
+    """The product of the entries at ``cells``.  Sorted entry ids with no
+    repeat are the monomial's variables at exponent 1; only a repeat,
+    as in a block of power 2 or more, is counted.  Either way the pairs
+    need no checks of ``Mono()``, and each is the one tuple the matrix's
+    tables hold for it, shared by every monomial of the matrix."""
+    ids = sorted(map(qm.entries.__getitem__, cells))
+    ones = qm._ones
+    if len(set(ids)) == len(ids):
+        return Mono._raw(tuple(map(ones.__getitem__, ids)))
     counts = {}
-    for cell in cells:
-        v = entries[cell]
+    for v in ids:
         counts[v] = counts.get(v, 0) + 1
-    table = qm._pairs
-    return Mono._raw(tuple(sorted(table.setdefault(pair, pair) for pair in counts.items())))
+    powers = qm._powers
+    return Mono._raw(tuple([ones[v] if e == 1 else powers.setdefault((v, e), (v, e)) for v, e in counts.items()]))
 
 
 def _entry_graph_cycles(qm, max_vertices):
     """All simple cycles of the bipartite entry graph with at most
-    ``max_vertices`` vertices, as a tuple of cell walks.  Rows are
-    vertices 0..n_rows-1, columns n_rows..n_rows+n_cols-1; each cycle is
-    emitted once, anchored at its smallest vertex.  The walks are
-    guaranteed to come shortest first (then by sorted cells): the union
-    search's early stop relies on it."""
+    ``max_vertices`` vertices, as a tuple of cell walks.  Rows count
+    before columns, so a cycle's smallest vertex is a row r0, and each
+    cycle is found once, from it, row by row: a step goes from the last
+    row to a later unused row through an unused column the two share, and
+    a cycle closes through a column that the last row shares with r0 and
+    that is larger than the first step's column, which fixes its
+    direction.  The walk lists (r0, c1), (r1, c1), (r1, c2), ...,
+    (r0, ck).  The walks are guaranteed to come shortest first (then by
+    sorted cells): the union search's early stop relies on it."""
     if max_vertices > MAX_BINARY_SIZE:
         raise GuardExceeded("max_size %d exceeds the hard guard %d" % (max_vertices, MAX_BINARY_SIZE))
-    R = qm.n_rows
-    adj = {}
+    cols_of = {}
     for (r, c) in qm.entries:
-        adj.setdefault(r, []).append(R + c)
-        adj.setdefault(R + c, []).append(r)
-    for v in adj:
-        adj[v].sort()
+        cols_of.setdefault(r, set()).add(c)
     cell = {rc: rc for rc in qm.entries}  # walks share one tuple per cell
+    # (row a, row b) -> (c, cell (a, c), cell (b, c)) for each column c
+    # with an entry in both, ascending
+    common = {}
+    meets = {r: [] for r in cols_of}  # row -> the other rows it shares a column with, ascending
+    for a, b in combinations(sorted(cols_of), 2):
+        both = sorted(cols_of[a] & cols_of[b])
+        if both:
+            common[a, b] = [(c, cell[a, c], cell[b, c]) for c in both]
+            common[b, a] = [(c, cell[b, c], cell[a, c]) for c in both]
+            meets[a].append(b)
+            meets[b].append(a)
+    most = max_vertices // 2  # rows of the longest cycle
+    rows, cols, walk = [], [], []  # the path so far: its rows, its columns and its cells
     cycles = []
 
-    def dfs(path, seen):
-        v = path[-1]
-        first = path[0]
-        for w in adj[v]:
-            if w == first:
-                if len(path) >= 4 and path[1] < v:
-                    # the anchor is a row, so the path alternates rows and columns
-                    rows = path[0::2]
-                    cols = [x - R for x in path[1::2]]
-                    turn = zip(rows[1:] + rows[:1], cols)
+    def extend(r0, last):
+        if len(rows) > 1:
+            for c, here, back in common.get((last, r0), ()):
+                if c > cols[0] and c not in cols:
                     if len(cycles) == MAX_CYCLES:
                         raise GuardExceeded("the cycle search exceeds the hard guard of %d walks" % MAX_CYCLES)
-                    cycles.append(tuple(cell[rc] for pair in zip(zip(rows, cols), turn) for rc in pair))
-            elif w > first and w not in seen and len(path) < max_vertices:
-                seen.add(w)
-                path.append(w)
-                dfs(path, seen)
-                path.pop()
-                seen.remove(w)
+                    cycles.append(tuple(walk) + (here, back))
+        if len(rows) < most:
+            for r in meets[last]:
+                if r > r0 and r not in rows:
+                    rows.append(r)
+                    for c, here, there in common[last, r]:
+                        if c not in cols:
+                            cols.append(c)
+                            walk.extend((here, there))
+                            extend(r0, r)
+                            del walk[-2:]
+                            cols.pop()
+                    rows.pop()
 
-    for s in sorted(adj):
-        dfs([s], {s})
+    for r0 in sorted(cols_of):
+        rows.append(r0)
+        extend(r0, r0)
+        rows.pop()
     return tuple(sorted(cycles, key=lambda cy: (len(cy), sorted(cy))))
 
 
@@ -204,6 +227,10 @@ def quasi_determinants(qm, cycles):
     cycle's matching stays on the plus side, since flipping every cycle
     gives the same normalized binomial; repeated entries can still make
     two patterns agree."""
+    if len(cycles) == 1:
+        cy = cycles[0]
+        bino = Binomial.from_matchings(qm, cy[0::2], cy[1::2])
+        return [] if bino.is_zero() else [bino]
     match = [(cy[0::2], cy[1::2]) for cy in cycles]
     seen = set()
     out = []
@@ -213,8 +240,9 @@ def quasi_determinants(qm, cycles):
             plus.extend(ma if b == 0 else mb)
             minus.extend(mb if b == 0 else ma)
         bino = Binomial.from_matchings(qm, tuple(plus), tuple(minus))
-        if bino.is_zero() or bino.key() in seen:
+        key = bino.key()
+        if bino.is_zero() or key in seen:
             continue
-        seen.add(bino.key())
+        seen.add(key)
         out.append(bino)
     return out

@@ -364,17 +364,16 @@ def _size_cap(pres, family, max_minor_size):
 
 def _family(pres, items):
     """Generators from (binomial, kind, blocks, size, label) items, in
-    order, zero and repeated binomials dropped; generators on the same
-    blocks share one tuple of them."""
+    order, zero and repeated binomials dropped; ``blocks`` is sorted
+    without repeats, and generators on the same blocks share one tuple of
+    them."""
     u = pres.universe
     out = []
-    seen = set()
+    first = {}  # binomial key -> the first binomial with it
     shared = {}
     for bino, kind, blocks_, size, label in items:
-        if bino.is_zero() or bino.key() in seen:
+        if bino.is_zero() or first.setdefault(bino.key(), bino) is not bino:
             continue
-        seen.add(bino.key())
-        blocks_ = tuple(sorted(set(blocks_)))
         out.append(Generator(bino, kind, shared.setdefault(blocks_, blocks_), size, label, u))
     return out
 
@@ -382,21 +381,36 @@ def _family(pres, items):
 def _union_axes(cycles):
     """The sorted rows and columns of a cycle union, read off its even
     cells, which form a perfect matching."""
-    even = [cell for cy in cycles for cell in cy[0::2]]
-    return tuple(sorted(r for r, _ in even)), tuple(sorted(c for _, c in even))
+    rows, cols = zip(*[cell for cy in cycles for cell in cy[0::2]])
+    return tuple(sorted(rows)), tuple(sorted(cols))
 
 
 def _binary_items(pres, unions):
+    """The quasi-determinants of each union, in order.  A union's blocks,
+    size and label depend only on its support (the rows and columns it
+    touches), so they are built once per support.  The label writes the
+    rows, 1-based, and the column labels as Python tuples; each column
+    label is quoted once, by ``repr``.  A support has at least two rows
+    and two columns, so neither tuple needs a 1-tuple's trailing comma."""
     E = pres.matrix
+    quoted = [repr(text) for text in pres.col_labels]
+    by_support = {}
     for cycles in unions:
-        rows, cols = _union_axes(cycles)
-        blocks_ = [pres.col_blocks[c][0] for c in cols if c]
-        label = "binary quasi-minor on rows %s cols %s" % (
-            tuple(r + 1 for r in rows),
-            tuple(pres.col_labels[c] for c in cols),
-        )
+        axes = _union_axes(cycles)
+        data = by_support.get(axes)
+        if data is None:
+            rows, cols = axes
+            data = by_support[axes] = (
+                tuple(sorted({pres.col_blocks[c][0] for c in cols if c})),
+                len(cols),
+                "binary quasi-minor on rows (%s) cols (%s)" % (
+                    ", ".join([str(r + 1) for r in rows]),
+                    ", ".join([quoted[c] for c in cols]),
+                ),
+            )
+        blocks_, size, label = data
         for bino in quasi_determinants(E, cycles):
-            yield bino, "binary", blocks_, len(cols), label
+            yield bino, "binary", blocks_, size, label
 
 
 def _restricted_items(pres, walks):
@@ -427,7 +441,7 @@ def _restricted_items(pres, walks):
             text = "rows (%d,%d) cols %s,%s" % (rows[0] + 1, rows[1] + 1, label[cols[0]], label[cols[1]])
             kept.append(((1, cols, rows, walk), "block-2x2", blocks_, text, walk))
     for _, kind, blocks_, text, walk in sorted(kept, key=lambda item: item[0]):
-        yield Binomial.from_matchings(E, walk[0::2], walk[1::2]), kind, blocks_, len(blocks_), text
+        yield Binomial.from_matchings(E, walk[0::2], walk[1::2]), kind, tuple(sorted(set(blocks_))), len(blocks_), text
 
 
 def defining_generators(pres, family=RESTRICTED, max_minor_size=None):

@@ -168,21 +168,25 @@ class TaylorComplex:
                 entries[(row, col)] = (sign, u.div(self.lcm_of(row)))
         return entries
 
-    def dd_is_zero(self, p):
-        """Check d_(p-1) o d_p = 0 by formal expansion."""
-        d1 = self.differential(p)
-        d0 = self.differential(p - 1)
-        acc = {}
-        for (mid, col), (sg1, m1) in d1.items():
-            for r in range(len(mid)):
-                row = mid[:r] + mid[r + 1:]
-                sg0, m0 = d0[(row, mid)]
-                key = (row, col, m0.mul(m1))
-                acc[key] = acc.get(key, 0) + sg0 * sg1
-        return all(v == 0 for v in acc.values())
-
     def verify(self):
-        return all(self.dd_is_zero(p) for p in range(2, self.m + 1))
+        """Check d_(p-1) o d_p = 0 for p = 2..m by formal expansion.  Each
+        differential is built once: d_p is carried into the check of p+1."""
+        if self.m < 2:
+            return True
+        d0 = self.differential(1)
+        for p in range(2, self.m + 1):
+            d1 = self.differential(p)
+            acc = {}
+            for (mid, col), (sg1, m1) in d1.items():
+                for r in range(len(mid)):
+                    row = mid[:r] + mid[r + 1:]
+                    sg0, m0 = d0[(row, mid)]
+                    key = (row, col, m0.mul(m1))
+                    acc[key] = acc.get(key, 0) + sg0 * sg1
+            if any(acc.values()):
+                return False
+            d0 = d1
+        return True
 
 
 def taylor_complex(gens):

@@ -1,8 +1,9 @@
 """Constructions that several test modules share and the package itself
 never runs.
 
-Generic matrices and their binary quasi-minors, the cells, rows and
-columns of a cycle union and a check of the shape of each union that
+Generic matrices and their binary quasi-minors, the vertex-by-vertex
+cycle search that the row-by-row one is checked against, the cells, rows
+and columns of a cycle union and a check of the shape of each union that
 the search returns (criterion 06 and the quasi-matrix tests), the
 rewriting of a minor of a full matrix as a combination of
 two-by-two minors (criteria 04 and 07, the quasi-matrix and Groebner
@@ -134,6 +135,46 @@ def union_rows_cols(cycles):
     all of its cells."""
     cells = union_cells(cycles)
     return sorted({r for r, _ in cells}), sorted({c for _, c in cells})
+
+
+def reference_cycles(qm, max_vertices):
+    """The cycle walks of ``qm``'s entry graph with at most
+    ``max_vertices`` vertices, found vertex by vertex: rows are vertices
+    0..n_rows-1 and columns follow, a depth-first search from each vertex
+    visits only larger ones, and a cycle closes back at the anchor only
+    when the anchor's first neighbor is smaller than its last, so each
+    cycle comes once.  Walks and order are those ``_entry_graph_cycles``
+    must give; there is no guard."""
+    R = qm.n_rows
+    adj = {}
+    for (r, c) in qm.entries:
+        adj.setdefault(r, []).append(R + c)
+        adj.setdefault(R + c, []).append(r)
+    for v in adj:
+        adj[v].sort()
+    cycles = []
+
+    def dfs(path, seen):
+        v = path[-1]
+        first = path[0]
+        for w in adj[v]:
+            if w == first:
+                if len(path) >= 4 and path[1] < v:
+                    # the anchor is a row, so the path alternates rows and columns
+                    rows = path[0::2]
+                    cols = [x - R for x in path[1::2]]
+                    turn = zip(rows[1:] + rows[:1], cols)
+                    cycles.append(tuple(rc for pair in zip(zip(rows, cols), turn) for rc in pair))
+            elif w > first and w not in seen and len(path) < max_vertices:
+                seen.add(w)
+                path.append(w)
+                dfs(path, seen)
+                path.pop()
+                seen.remove(w)
+
+    for s in sorted(adj):
+        dfs([s], {s})
+    return tuple(sorted(cycles, key=lambda cy: (len(cy), sorted(cy))))
 
 
 def assert_binary_union(qm, cycles):

@@ -5,6 +5,7 @@ Covers every subcommand, all three output formats, and each exit code:
 stdout closed early, 2 bad spec, 3 enumeration cap exceeded.
 """
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -1089,3 +1090,44 @@ class TestJsonWriter:
         finally:
             tracemalloc.stop()
         assert peak <= 8_000_000
+
+
+# sha256 of the stdout of ``generators`` on n with every k-row block at
+# power 1, blocks in ``combinations`` order: restricted and full JSON and
+# CAS, taken before the row-by-row cycle search and the per-support union
+# data went in, so the emission order and every byte stay pinned
+WIDE_DIGESTS = {
+    (5, 3): (
+        "176fefeff11d89a2874bfd9b93c021894bae40aeea6276133f9ed8d33f9c5283",
+        "4fcc3823dfb0b5d96d6e1ea7fa790e5dfb0c0c0390d1a2e7c25359be148bb777",
+        "a3cc5e90bbec6deccd4f344195b7501efa6cfd25df8367b11943d96ade809bd1",
+        "9af9e87a4cbec381efcb2999a198d6d33f6c3e8a4e989155957a991a50719d21",
+    ),
+    (6, 2): (
+        "dc0c5929e2234f4204a0a14d1111442c908affb3a5f586147f7e0c85a0a1b356",
+        "318ee9f8aba666faa20f6d273d5969ffeae6daf37862e075692caa0d7d19368b",
+        "f6dbc7d7cad9fc1f18084f0367985a544bdb99944831adcd909e9a674798cbf7",
+        "3469b39b1619622fd217d4b0d82394e021cc7107712ed433a99ea8abf1ad6aee",
+    ),
+    (5, 2): (
+        "c7a3733fa7285149ee70157289236bb77041e4042adf5d730f767c63ed14cd50",
+        "68ded46098e98a43559276c6dda369ab3ea7fed7db28ccd835a577ab05644aa0",
+        "51f60800ea625bf6ab5e99d29e8954096d9544a04ed787ddc2ec6476aa93e6b3",
+        "280517a2058fef516f663f4906faf156ef0487e5c56c6a6c71d46d0425f12ed7",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(WIDE_DIGESTS), ids="n={0[0]},k={0[1]}".format)
+def test_wide_shapes_print_the_pinned_bytes(spec_file, capsys, shape):
+    n, k = shape
+    path = spec_file({
+        "sequence": {"mode": "generic", "n": n},
+        "blocks": [{"rows": list(rows), "power": 1} for rows in combinations(range(1, n + 1), k)],
+    })
+    got = []
+    for fmt in ("json", "cas"):
+        for family in (RESTRICTED, FULL):
+            assert main(["generators", path, "--format", fmt, "--family", family]) == 0
+            got.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert tuple(got) == WIDE_DIGESTS[shape]

@@ -11,13 +11,14 @@ from itertools import combinations
 
 import pytest
 
-from conftest import desk_scale_specs, emission_specs
+from conftest import desk_scale_specs, emission_specs, gb_heavy_specs
 from helpers import (
     assert_binary_union,
     expand_combination,
     generic_matrix,
     ibin_generators,
     is_full,
+    reference_cycles,
     rewrite_as_two_minors,
     union_cells,
     union_rows_cols,
@@ -32,7 +33,8 @@ from multirees.quasimat import (
     binary_subquasi_enumerate,
     quasi_determinants,
 )
-from multirees.rees import FULL, build_presentation, defining_generators
+from multirees.rees import FULL, ReesSpec, build_presentation, defining_generators
+from multirees.sseq import SeqSpec
 
 
 def brute_binary_cell_sets(qm, max_size=12):
@@ -169,6 +171,24 @@ class TestBinaryEnumeration:
                 walks = qm.cycle_walks(max_size)
                 assert walks == _entry_graph_cycles(qm, max_size) and qm.cycle_walks(max_size) is walks
 
+    def test_row_search_matches_the_vertex_search(self):
+        # the same walks, cell by cell, in the same order, at every cap
+        specs = desk_scale_specs() + emission_specs()[-2:] + gb_heavy_specs()
+        assert len(specs) == 264
+        matrices = [build_presentation(spec).matrix for spec in specs]
+        for qm in matrices + list(repeated_entry_matrices()) + list(seeded_sparse_matrices()):
+            for max_vertices in range(0, MAX_BINARY_SIZE + 1):
+                assert _entry_graph_cycles(qm, max_vertices) == reference_cycles(qm, max_vertices)
+
+    @pytest.mark.parametrize("shape, walks", [((5, 3), 7241), ((6, 2), 1172), ((5, 2), 197)])
+    def test_row_search_on_the_wide_shapes(self, shape, walks):
+        # n with every k-row block at power 1, at the default cap
+        n, k = shape
+        spec = ReesSpec(seq=SeqSpec(n=n), blocks=tuple((rows, 1) for rows in combinations(range(1, n + 1), k)))
+        qm = build_presentation(spec).matrix
+        got = _entry_graph_cycles(qm, 2 * min(n, 6))
+        assert len(got) == walks and got == reference_cycles(qm, 2 * min(n, 6))
+
     def test_walks_come_shortest_first(self):
         qm, _ = generic_matrix(4, 4)
         lengths = [len(w) for w in _entry_graph_cycles(qm, 12)]
@@ -263,6 +283,27 @@ class TestCellsMono:
                 squares += any(e == 2 for _, e in mono.exps)
         # power-2 blocks repeat a variable within one matching
         assert squares > 0
+
+    def test_without_a_repeat_matches_the_counted_monomial(self):
+        # without a repeated entry _cells_mono reads each variable's (v, 1)
+        # off the matrix's table; with one it counts.  On every matching
+        # of every walk both must give the Mono() of the counted entries
+        power_three = ReesSpec(seq=SeqSpec(n=3), blocks=(((1, 2, 3), 3), ((1, 2), 1)))
+        matrices = list(repeated_entry_matrices()) + [build_presentation(power_three).matrix]
+        plain = repeated = cubes = 0
+        for qm in matrices:
+            for walk in qm.cycle_walks(MAX_BINARY_SIZE):
+                for cells in (walk[0::2], walk[1::2]):
+                    counts = Counter(qm.entries[cell] for cell in cells)
+                    mono = _cells_mono(qm, cells)
+                    assert mono.exps == Mono(tuple(counts.items())).exps
+                    assert all(pair is qm._ones[v] for v, pair in zip(sorted(counts), mono.exps) if pair[1] == 1)
+                    top = max(counts.values())
+                    plain += top == 1
+                    repeated += top > 1
+                    cubes += top == 3
+        # both paths run, and the power-3 block cubes a variable
+        assert plain > 0 and repeated > 0 and cubes > 0
 
 
 class TestRewriter:

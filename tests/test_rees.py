@@ -570,7 +570,7 @@ def reference_restricted_items(pres, walks):
         yield (
             Binomial.from_matchings(E, walk[0::2], walk[1::2]),
             "multiblock-cycle",
-            blocks_,
+            tuple(sorted(blocks_)),
             len(cols),
             "cycle through rows %s cols %s" % (tuple(r + 1 for r in rows), tuple(label[c] for c in cols)),
         )

@@ -9,7 +9,7 @@ import pytest
 
 from helpers import dense
 from multirees.poly import SpecError
-from multirees.sseq import SeqSpec, syzygy_generators, taylor_complex
+from multirees.sseq import MAX_TAYLOR_GENERATORS, SeqSpec, TaylorComplex, syzygy_generators, taylor_complex
 
 
 class TestSeqSpec:
@@ -111,6 +111,39 @@ class TestTaylor:
             ]
             tc = taylor_complex(gens)
             assert tc.verify()
+
+    def test_each_differential_built_once(self, monkeypatch):
+        # verify carries d_p into the check of p+1: at the guard's 12
+        # generators it builds d_1 .. d_12 once each, not 22 times
+        built = []
+        differential = TaylorComplex.differential
+
+        def counted(self, p):
+            built.append(p)
+            return differential(self, p)
+
+        monkeypatch.setattr(TaylorComplex, "differential", counted)
+        gens = [dense((i % 3, i // 3 % 2, i // 6)) for i in range(MAX_TAYLOR_GENERATORS)]
+        assert taylor_complex(gens).verify()
+        assert built == list(range(1, MAX_TAYLOR_GENERATORS + 1))
+
+    @pytest.mark.parametrize("broken", [2, 3, 4])
+    def test_verify_sees_a_broken_differential(self, monkeypatch, broken):
+        # one flipped sign in d_p makes d_(p-1) o d_p or d_p o d_(p+1)
+        # nonzero, whichever differential it lands in
+        differential = TaylorComplex.differential
+
+        def flipped(self, p):
+            d = differential(self, p)
+            if p == broken:
+                key = min(d)
+                sign, mono = d[key]
+                d[key] = (-sign, mono)
+            return d
+
+        monkeypatch.setattr(TaylorComplex, "differential", flipped)
+        gens = [dense((1, 0, 0)), dense((0, 1, 0)), dense((0, 0, 1)), dense((1, 1, 0))]
+        assert not taylor_complex(gens).verify()
 
     def test_generator_guard(self):
         with pytest.raises(Exception):
