@@ -104,7 +104,7 @@ _RECORD = """{
 def _records(gens, u):
     """The ``generators`` records, each rendered from ``_RECORD`` when it
     is reached: the bytes ``json.dumps(record, indent=2)`` gives there."""
-    names = [var.name for var in u.vars]
+    names = u.names
     keys = ["\n            %s: " % _quote(name) for name in names]
     pairs = {}  # (variable, exponent) -> its key and value in a term
     for i, g in enumerate(gens, 1):
@@ -119,6 +119,10 @@ def _records(gens, u):
             ",".join([pairs.get(p) or pairs.setdefault(p, keys[p[0]] + "%d" % p[1]) for p in b.plus.exps]),
             ",".join([pairs.get(p) or pairs.setdefault(p, keys[p[0]] + "%d" % p[1]) for p in b.minus.exps]),
         )
+
+
+# a CAS identifier drops each "]" of a name and writes "_" for "[", ";" and ","
+_CAS = str.maketrans("[;,", "___", "]")
 
 
 def cmd_generators(args):
@@ -158,10 +162,17 @@ def cmd_generators(args):
         write("\n  ]\n}\n")
         return EXIT_OK
     if args.format == "cas":
-        names = [var.cas_name for var in u.vars]
-        ring = "QQ" if u.domain == "QQ" else "ZZ"
+        names = [name.translate(_CAS) for name in u.names]
+        ring = {}  # the ring's CAS names, in order; the first bad one is named before any output
+        for v in u.s_ids + u.x_ids + u.T_ids:
+            if not (names[v].isascii() and names[v].isidentifier()) or names[v] in ring:
+                raise SpecError(
+                    "variable %s has the CAS name %s, which is not a distinct ASCII identifier"
+                    % (json.dumps(u.name(v)), json.dumps(names[v]))
+                )
+            ring[names[v]] = v
         print("-- presentation ring and candidate defining ideal (family=%s)" % args.family)
-        print("R = %s[%s]" % (ring, ", ".join([names[v] for v in u.s_ids + u.x_ids + u.T_ids])))
+        print("R = %s[%s]" % (u.domain, ", ".join(ring)))
         # minus, the larger monomial, first: the term order of ``Poly.render``
         body = ",\n  ".join(["-{1} + {0}".format(*_gen_monos(g, names)) for g in gens])
         print("I = ideal(\n  %s\n)" % body if gens else "I = ideal(0_R)")
@@ -173,9 +184,8 @@ def cmd_generators(args):
         for vid in u.T_ids:
             print("phi(%s) = %s" % (u.name(vid), pres.phi_images()[vid].render()))
         print()
-    names = [var.name for var in u.vars]
     for i, g in enumerate(gens):
-        print("g%-3d [%-16s blocks %s]  %s" % (i + 1, g.kind + ";", ",".join(map(str, g.blocks)), " - ".join(_gen_monos(g, names))))
+        print("g%-3d [%-16s blocks %s]  %s" % (i + 1, g.kind + ";", ",".join(map(str, g.blocks)), " - ".join(_gen_monos(g, u.names))))
     print("%d generators (family=%s)" % (len(gens), args.family))
     for note in notes:
         print("note: %s" % note)

@@ -201,13 +201,13 @@ class _Ring:
         self.universe = u
         self.order = order
         self.width = width
-        coef = [v.vid for v in u.vars if v.block != "T"]
+        coef = [vid for vid in range(len(u.names)) if vid not in u.T_idset]
         tfields = order.tvars if order.kind == "grevlex" else order.tvars[::-1]
         self.layout = Packing(coef + list(tfields), width)
         tshift = self.tshift = len(coef) * width
         self.graded = order.kind != "lex"
-        self.dshift = len(u.vars) * width
-        ones = ((1 << ((len(u.vars) + self.graded) * width)) - 1) // ((1 << width) - 1)
+        self.dshift = len(u.names) * width
+        ones = ((1 << ((len(u.names) + self.graded) * width)) - 1) // ((1 << width) - 1)
         self.guard = ones << (width - 1)
         variables = (1 << self.dshift) - 1
         self.var_guard = self.guard & variables

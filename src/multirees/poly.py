@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-BLOCKS = ("s", "x", "t", "T")
 ORDER_KINDS = ("lex", "grlex", "grevlex")
 
 
@@ -40,28 +39,13 @@ class SpecError(ValueError):
 
 
 def spec_field(value, kind, what):
-    """``value`` when it has type ``kind``; a bool is no int, and nothing
-    is converted, so 1.5 or "2" where an integer belongs is a SpecError."""
-    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, kind):
-        raise SpecError("%s must be of type %s, got %s" % (what, kind.__name__, json.dumps(value, default=repr)))
+    """``value`` when it has type ``kind``, a type or a tuple of types
+    named by its first; a bool is no int, and nothing is converted, so 1.5
+    or "2" where an integer belongs is a SpecError."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if isinstance(value, bool) is not (bool in kinds) or not isinstance(value, kinds):
+        raise SpecError("%s must be of type %s, got %s" % (what, kinds[0].__name__, json.dumps(value, default=repr)))
     return value
-
-
-class Var:
-    __slots__ = ("vid", "name", "block", "key", "cas_name")
-
-    def __init__(self, vid, name, block, key=None):
-        if block not in BLOCKS:
-            raise ValueError("unknown block %r" % (block,))
-        self.vid = vid
-        self.name = name
-        self.block = block
-        self.key = key
-        # plain identifier usable in CAS exports
-        self.cas_name = name.replace("[", "_").replace("]", "").replace(";", "_").replace(",", "_")
-
-    def __repr__(self):
-        return "Var(%d, %r, %r)" % (self.vid, self.name, self.block)
 
 
 class Mono:
@@ -197,43 +181,37 @@ class Packing:
 class VarUniverse:
     """Immutable inventory of variables; polynomials are bound to one.
 
-    Ids are assigned in block order s, x, t, T, so the id order doubles as
-    the global symbol order used for sign normalization (s-symbols below
-    all T-symbols).
+    A variable is an id and a name.  Ids are assigned in block order s, x,
+    t, T, so the id order doubles as the global symbol order used for sign
+    normalization (s-symbols below all T-symbols).  ``T_precedence`` is
+    the canonical precedence of the T-block: its ids sorted by the rank
+    that ``T_rank`` gives each, in listed order, ties broken by id; with
+    no ranks, the listed order.
     """
 
-    def __init__(self, s_names=(), x_names=(), t_names=(), T_names=(), T_keys=None, domain="QQ"):
+    def __init__(self, s_names=(), x_names=(), t_names=(), T_names=(), T_rank=None, domain="QQ"):
         if domain not in ("QQ", "ZZ"):
             raise ValueError("domain must be QQ or ZZ")
         self.domain = domain
-        vars_ = []
-        for i, nm in enumerate(s_names):
-            vars_.append(Var(len(vars_), nm, "s", i + 1))
-        for i, nm in enumerate(x_names):
-            vars_.append(Var(len(vars_), nm, "x", i + 1))
-        for i, nm in enumerate(t_names):
-            vars_.append(Var(len(vars_), nm, "t", i + 1))
-        if T_keys is None:
-            T_keys = [None] * len(T_names)
-        for nm, key in zip(T_names, T_keys):
-            vars_.append(Var(len(vars_), nm, "T", key))
-        self.vars = tuple(vars_)
-        names = [v.name for v in vars_]
-        if len(set(names)) != len(names):
+        self.names = ()
+        ids = []
+        for names in (s_names, x_names, t_names, T_names):
+            start = len(self.names)
+            self.names += tuple(names)
+            ids.append(tuple(range(start, len(self.names))))
+        self.s_ids, self.x_ids, self.t_ids, self.T_ids = ids
+        self._ids = {name: vid for vid, name in enumerate(self.names)}
+        if len(self._ids) != len(self.names):
             raise ValueError("duplicate variable names")
-        self._by_name = {v.name: v for v in vars_}
-        self.s_ids = tuple(v.vid for v in vars_ if v.block == "s")
-        self.x_ids = tuple(v.vid for v in vars_ if v.block == "x")
-        self.t_ids = tuple(v.vid for v in vars_ if v.block == "t")
-        self.T_ids = tuple(v.vid for v in vars_ if v.block == "T")
         self.s_idset = frozenset(self.s_ids)
         self.T_idset = frozenset(self.T_ids)
+        self.T_precedence = self.T_ids if T_rank is None else tuple(vid for _, vid in sorted(zip(T_rank, self.T_ids)))
 
     def vid(self, name):
-        return self._by_name[name].vid
+        return self._ids[name]
 
     def name(self, vid):
-        return self.vars[vid].name
+        return self.names[vid]
 
     # --- polynomial constructors -------------------------------------
 
@@ -390,27 +368,18 @@ class Poly:
         first."""
         if self.is_zero():
             return "0"
-        names = self.universe.name
         parts = []
         for mono, coeff in reversed(self.terms):
-            factors = []
-            for vid, e in mono.exps:
-                nm = names(vid)
-                factors.append(nm if e == 1 else "%s^%d" % (nm, e))
-            body = "*".join(factors)
-            if not body:
-                frag = str(abs(coeff))
-            elif abs(coeff) == 1:
-                frag = body
+            c = abs(coeff)
+            if mono.is_one():
+                frag = str(c)
+            elif c == 1:
+                frag = mono_text(mono, self.universe)
             else:
-                frag = "%s*%s" % (abs(coeff), body)
-            sign = "-" if coeff < 0 else "+"
-            parts.append((sign, frag))
-        first_sign, first = parts[0]
-        text = ("-" if first_sign == "-" else "") + first
-        for sign, frag in parts[1:]:
-            text += " %s %s" % (sign, frag)
-        return text
+                frag = "%s*%s" % (c, mono_text(mono, self.universe))
+            parts.append(" %s %s" % ("-" if coeff < 0 else "+", frag))
+        text = "".join(parts)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __repr__(self):
         return "Poly(%s)" % self.render()
@@ -465,23 +434,8 @@ def mono_text(mono, universe):
 
 
 def default_t_precedence(universe):
-    """Canonical precedence: blocks in listed order; inside a block,
-    variables whose value concentrates on fewer sequence symbols come
-    first, ties broken by the larger ladder of the exponent vector.
-    (Concentration first is what keeps graded-reverse-lex leading
-    monomials squarefree: the variable shared by both columns of a 2x2
-    block minor is the spread one, and it must rank below the
-    concentrated pair.)  Plain T-variables keep their listed order."""
-    keyed = []
-    for pos, vid in enumerate(universe.T_ids):
-        key = universe.vars[vid].key
-        if isinstance(key, tuple) and len(key) == 3 and isinstance(key[1], tuple):
-            l, ladder, spread = key
-            keyed.append(((0, l, spread, tuple(-j for j in ladder)), pos, vid))
-        else:
-            keyed.append(((1, 0, 0, ()), pos, vid))
-    keyed.sort(key=lambda t: (t[0], t[1]))
-    return tuple(vid for _, _, vid in keyed)
+    """``universe.T_precedence``, ranked by its builder (``rees.Presentation``)."""
+    return universe.T_precedence
 
 
 def leading(p, order):

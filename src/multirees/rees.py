@@ -157,10 +157,10 @@ def spec_from_dict(data):
     seq = SeqSpec(
         n=sd["n"],
         mode=mode,
-        names=spec_field(sd.get("names", []), list, "'names'"),
-        x_names=spec_field(sd.get("ambient", []), list, "'ambient'"),
+        names=sd.get("names", []),
+        x_names=sd.get("ambient", []),
         concrete_terms=values,
-        assume_weak_regular=spec_field(sd.get("assume_weak_regular", False), bool, "'assume_weak_regular'"),
+        assume_weak_regular=sd.get("assume_weak_regular", False),
     )
     blocks = []
     if not isinstance(data["blocks"], list):
@@ -250,7 +250,11 @@ class Presentation:
                 x_names=seq.x_names,
                 t_names=["t%d" % l for l in range(1, spec.r + 1)],
                 T_names=["T[%s]" % _ladder_text(bd.index, e, bd.power) for bd, e in ring],
-                T_keys=[(bd.index, _ladder(e), n - e.count(0)) for bd, e in ring],
+                # the canonical precedence: by block, then fewest sequence
+                # symbols in the value, then id (larger ladder).  Concentrated
+                # first keeps grevlex leads squarefree: the variable shared by
+                # both columns of a 2x2 block minor is the spread one
+                T_rank=[(bd.index, n - e.count(0)) for bd, e in ring],
                 domain=spec.domain,
             )
         except ValueError as exc:
@@ -484,7 +488,6 @@ class NormalityReport:
 
     verdict: str  # "NORMAL_CM" | "INDETERMINATE"
     structural_ok: bool
-    structural_failures: list
     hypothesis_ok: bool
     notes: list
     generators: list = field(repr=False)
@@ -525,14 +528,10 @@ def normality_report(pres, gens):
     reported but do not gate the verdict.
     """
     u = pres.universe
-    failures = []
-    for g in gens:
-        b = g.binomial
-        if not _term_structural_ok(u, b.plus, b.plus_cells) or not _term_structural_ok(
-            u, b.minus, b.minus_cells
-        ):
-            failures.append(g)
-    structural_ok = not failures
+    structural_ok = all(
+        _term_structural_ok(u, b.plus, b.plus_cells) and _term_structural_ok(u, b.minus, b.minus_cells)
+        for b in (g.binomial for g in gens)
+    )
     seq = pres.spec.seq
     if seq.mode == "generic":
         hypothesis_ok = True
@@ -545,7 +544,6 @@ def normality_report(pres, gens):
     return NormalityReport(
         verdict=verdict,
         structural_ok=structural_ok,
-        structural_failures=failures,
         hypothesis_ok=hypothesis_ok,
         notes=notes,
         generators=gens,

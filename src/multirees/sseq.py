@@ -35,6 +35,10 @@ class SeqSpec:
     assume_weak_regular: bool = False
 
     def __post_init__(self):
+        # the spec's own key names, as ``rees.spec_from_dict`` reads them
+        spec_field(self.names, (list, tuple), "'names'")
+        spec_field(self.x_names, (list, tuple), "'ambient'")
+        spec_field(self.assume_weak_regular, bool, "'assume_weak_regular'")
         if self.mode not in ("generic", "concrete"):
             raise SpecError("mode must be generic or concrete")
         if spec_field(self.n, int, "'n'") < 1:
@@ -48,17 +52,18 @@ class SeqSpec:
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "x_names", tuple(spec_field(v, str, "a name") for v in self.x_names))
         if self.mode == "concrete":
-            if len(self.concrete_terms) != self.n:
+            try:
+                terms = tuple(tuple((c, dict(m)) for c, m in val) for val in self.concrete_terms)
+            except (TypeError, ValueError):
+                raise SpecError("malformed concrete values") from None
+            if len(terms) != self.n:
                 raise SpecError("expected %d concrete values" % self.n)
             terms = tuple(
                 tuple(
-                    (
-                        spec_field(c, int, "a coefficient"),
-                        {k: spec_field(e, int, "an exponent") for k, e in dict(m).items()},
-                    )
+                    (spec_field(c, int, "a coefficient"), {k: spec_field(e, int, "an exponent") for k, e in m.items()})
                     for c, m in val
                 )
-                for val in self.concrete_terms
+                for val in terms
             )
             for i, val in enumerate(terms):
                 if not val or any(c == 0 for c, _ in val):

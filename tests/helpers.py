@@ -13,10 +13,11 @@ plain monomial list against the span of its pairwise syzygies (criterion
 this span and the oracle's ``Mono`` reference share; ``dense``, the
 ``Mono`` of an exponent vector, which these lists and the Taylor complex
 tests are built from; the presentation's
-layout built the paper's way, from ladders and their shifts (the
-presentation tests); the split of a leading coefficient into a unit and
-an s-monomial (the polynomial and Groebner tests); small generic and
-concrete specs drawn by Hypothesis (the oracle and Groebner tests).
+layout built the paper's way, from ladders and their shifts, and its
+canonical precedence by the key rule (the presentation tests); the split
+of a leading coefficient into a unit and an s-monomial (the polynomial
+and Groebner tests); small generic and concrete specs drawn by
+Hypothesis (the oracle and Groebner tests).
 """
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -33,7 +34,7 @@ from multirees.quasimat import (
     binary_subquasi_enumerate,
     quasi_determinants,
 )
-from multirees.rees import ReesSpec
+from multirees.rees import ReesSpec, _ladder
 from multirees.sseq import SeqSpec, syzygy_generators
 
 
@@ -344,9 +345,10 @@ def syzygy_span_compare(gens, n, max_degree):
 
 
 def ladder_layout(spec):
-    """The presentation's T names, ``Var.key``s, matrix entries (as
-    names), column labels and ``var_block`` images (by name), built the
-    paper's way.
+    """The presentation's T names, their (block, ladder, spread) keys,
+    matrix entries (as names), column labels and ``var_block`` images (by
+    name), built the paper's way; the spread of a variable is the number
+    of sequence symbols in its value.
 
     Block l of power a indexes its variables by ladders: weakly
     increasing j_1 <= ... <= j_(n-1) in 0..a, shown highest first, for
@@ -385,6 +387,20 @@ def ladder_layout(spec):
                     entries[(k - 1, len(labels))] = name(shift(js, k))
                 labels.append(name(js)[1:])
     return names, keys, entries, labels, images
+
+
+def reference_precedence(pres):
+    """The canonical precedence of ``pres`` by its key rule: the T-ids
+    sorted by (block, spread, negated ladder), where the spread is the
+    number of sequence symbols in a variable's value.  Blocks come in
+    order, the concentrated variables of a block first, and the larger
+    ladder first among those of one spread."""
+
+    def key(vid):
+        l, e = pres.var_block[vid]
+        return l, len(e) - e.count(0), tuple(-j for j in _ladder(e))
+
+    return tuple(sorted(pres.universe.T_ids, key=key))
 
 
 def s_term_parts(lc):

@@ -26,8 +26,8 @@ from hypothesis import strategies as st
 
 import multirees
 import multirees.cli
-from conftest import emission_specs
-from multirees.cli import _block_monomials, _records, build_parser, main
+from conftest import emission_specs, gb_heavy_specs
+from multirees.cli import _CAS, _block_monomials, _records, build_parser, main
 from multirees.oracle import MAX_DEGREES, ImageData
 from multirees.poly import Mono, MonomialOrder, leading, mono_text
 from multirees.quasimat import MAX_CYCLES, Binomial, _entry_graph_cycles, binary_subquasi_enumerate
@@ -250,13 +250,50 @@ class TestGenerators:
         assert main(["generators", spec_file(PAPER_SPEC), "--format", "cas", "--family", family]) == 0
         body = capsys.readouterr().out.split("I = ideal(\n  ", 1)[1].rsplit("\n)", 1)[0]
         entries = body.split(",\n  ")
-        syms = {var.cas_name: sympy.Symbol(var.cas_name) for var in pres.universe.vars}
-        by_vid = [syms[var.cas_name] for var in pres.universe.vars]
+        names = [name.translate(_CAS) for name in pres.universe.names]
+        syms = {name: sympy.Symbol(name) for name in names}
+        by_vid = [syms[name] for name in names]
         assert len(entries) == len(gens)
         for text, g in zip(entries, gens):
             expected = sum(int(c) * sympy.Mul(*[by_vid[v] ** e for v, e in m.exps]) for m, c in g.poly.terms)
             assert text.startswith("-") and " + " in text
             assert sympy.parse_expr(text.replace("^", "**"), local_dict=syms) == expected
+
+    @pytest.mark.parametrize(
+        "names, bad, digests",
+        [
+            (
+                ["T_1_1", "T_1_0"],
+                'variable "T[1;1]" has the CAS name "T_1_1"',
+                (
+                    "e7c20f87942c73ffaa208374d7ec5061063f3fa3f6875f863d28e6638266171e",
+                    "0d7b20546fbc5146e475f38f8f10d51660e22a1fa136ec9e01ef89dad5e5ec30",
+                ),
+            ),
+            (
+                ["a b", "c-d"],
+                'variable "a b" has the CAS name "a b"',
+                (
+                    "49064a6e6bbc5f434634fc4e1e6b09c6e6f09a955f51f99ee2914edef5a7edcd",
+                    "0e1b84cbf293fb1895e6bbc7dc25a214dc79aecb0f54cbdbfd6f6dcf57bc2fd2",
+                ),
+            ),
+        ],
+        ids=["clash", "not-an-identifier"],
+    )
+    def test_cas_names_must_be_distinct_identifiers(self, spec_file, capsys, names, bad, digests):
+        # T[1;1] and the sequence name T_1_1 would print one CAS symbol, and
+        # "a b" none; cas exits 2 naming the first bad variable of the
+        # ring, while JSON and text print the names as they are (sha256 of
+        # their stdout, pinned before cas checked its names)
+        path = spec_file({"sequence": {"n": 2, "names": names}, "blocks": [{"rows": [1, 2]}]})
+        assert main(["generators", path, "--format", "cas"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "spec error: %s, which is not a distinct ASCII identifier\n" % bad
+        for fmt, digest in zip(("json", "text"), digests):
+            assert main(["generators", path, "--format", fmt]) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_degenerate_spec_has_zero_ideal(self, spec_file, capsys):
         path = spec_file({"sequence": {"n": 2}, "blocks": [{"rows": [1], "power": 1}]})
@@ -1131,3 +1168,43 @@ def test_wide_shapes_print_the_pinned_bytes(spec_file, capsys, shape):
             assert main(["generators", path, "--format", fmt, "--family", family]) == 0
             got.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
     assert tuple(got) == WIDE_DIGESTS[shape]
+
+
+# (exit code, sha256 of stdout) of ``groebner --universal --format json``
+# and of ``verify`` (text) on the paper's example and the gb_heavy shapes.
+# Both spell out the canonical precedence; pinned while each variable
+# still carried it as a key, so the ranks that ``Presentation`` gives
+# keep every byte
+PRECEDENCE_DIGESTS = [
+    (
+        (0, "c3ed3bda45b3571a7da3f7f847c3d0bd1a14269d64a157fb22483fa9da7c49ae"),
+        (0, "cf54df0e71b541d1caebbaaf519f7bd83b504066426007ad91b90ab3c112792e"),
+    ),
+    (
+        (1, "1f2276d2aea96d3c766ed40adb3d265ae4d00f46d57699c816f9eb34b4af4869"),
+        (0, "3b4095f5792af77cbbf093c6d074d48f148e4482a7090a61c5d72e3dd0705867"),
+    ),
+    (
+        (1, "263e10ab787e1ceca0dbb8a0c0365b361872784923aab09cf58f929a78bdb733"),
+        (0, "c5746c1e3bedef718a77f3ece528cd28d07b2baae4243c0e9c5e05d682cd7a90"),
+    ),
+    (
+        (1, "492c5011dbd3fb867bba62f58219c72b3c0f867fc47cb418a914be01e4a8e510"),
+        (0, "a9b1ecd51309c474705f1a9fc4bee7de6864cde658631f8c17037c4cd64b0624"),
+    ),
+    (
+        (1, "827a5ebed5f8a8c8a667023a7f4c5454a258dac5d0d997a221e6922147bd1835"),
+        (0, "1e39aead3e93740c02e1877411fbce2a492958b0584603da478b8184881a4478"),
+    ),
+]
+
+
+@pytest.mark.parametrize("index", range(5), ids=["paper"] + ["gb_heavy-%d" % i for i in range(4)])
+def test_canonical_precedence_prints_the_pinned_bytes(spec_file, capsys, index):
+    spec = PAPER_SPEC if index == 0 else spec_to_dict(gb_heavy_specs()[index - 1])
+    path = spec_file(spec)
+    got = []
+    for argv in (["groebner", path, "--universal", "--format", "json"], ["verify", path]):
+        code = main(argv)
+        got.append((code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()))
+    assert tuple(got) == PRECEDENCE_DIGESTS[index]

@@ -270,10 +270,12 @@ def all_pairs_ok(gens, order):
     return True
 
 
-def spread_first_lex(u):
+def spread_first_lex(pres):
     """Lex with the spread variable of each block first, a precedence
     under which the full family of a power-two block is no basis."""
-    return MonomialOrder(u, "lex", tvars=tuple(sorted(u.T_ids, key=lambda v: u.vars[v].key[2], reverse=True)))
+    u = pres.universe
+    spread = {v: len(e) - e.count(0) for v, (_, e) in pres.var_block.items()}
+    return MonomialOrder(u, "lex", tvars=tuple(sorted(u.T_ids, key=spread.get, reverse=True)))
 
 
 def small_desk_families(max_generators):
@@ -282,7 +284,7 @@ def small_desk_families(max_generators):
         pres = build_presentation(spec)
         gens = [g.poly for g in defining_generators(pres, FULL)]
         if gens and len(gens) <= max_generators:
-            out.append((pres.universe, gens))
+            out.append((pres, gens))
     return out
 
 
@@ -436,7 +438,7 @@ class TestBuchberger:
         pres = build_presentation(spec)
         gens = [g.poly for g in defining_generators(pres, FULL)]
         u = pres.universe
-        rep = buchberger_check(gens, spread_first_lex(u))
+        rep = buchberger_check(gens, spread_first_lex(pres))
         assert not rep.ok
         assert rep.verify_certificates()  # stuck certificates still replay
         assert "INCONCLUSIVE" in _report(rep, "text")[0]
@@ -529,8 +531,9 @@ class TestAllPairsReference:
         # so both verdicts are compared
         assert len(SMALL_DESK) == 175
         verdicts = set()
-        for u, gens in SMALL_DESK:
-            for order in (MonomialOrder(u, "lex"), MonomialOrder(u, "grevlex"), spread_first_lex(u)):
+        for pres, gens in SMALL_DESK:
+            u = pres.universe
+            for order in (MonomialOrder(u, "lex"), MonomialOrder(u, "grevlex"), spread_first_lex(pres)):
                 rep = buchberger_check(gens, order)
                 assert rep.ok == all_pairs_ok(gens, order)
                 assert rep.verify_certificates()
@@ -544,8 +547,8 @@ class TestAllPairsReference:
         pick=st.integers(0, 3),
     )
     def test_order_suite_agrees(self, index, seed, pick):
-        u, gens = SMALL_DESK[index]
-        order = default_order_suite(u, seeds=(seed,))[pick]
+        pres, gens = SMALL_DESK[index]
+        order = default_order_suite(pres.universe, seeds=(seed,))[pick]
         rep = buchberger_check(gens, order)
         assert rep.ok == all_pairs_ok(gens, order)
         assert rep.verify_certificates()
@@ -584,8 +587,9 @@ class TestPackedAgainstReference:
     ``reference_buchberger_check``."""
 
     def test_desk_specs(self):
-        for u, gens in SMALL_DESK:
-            for order in (MonomialOrder(u, "lex"), MonomialOrder(u, "grevlex"), spread_first_lex(u)):
+        for pres, gens in SMALL_DESK:
+            u = pres.universe
+            for order in (MonomialOrder(u, "lex"), MonomialOrder(u, "grevlex"), spread_first_lex(pres)):
                 check_against_reference(gens, order)
 
     def test_gb_heavy_shapes(self):
@@ -604,7 +608,7 @@ class TestPackedAgainstReference:
     )
     def test_random_binomials(self, domain, binomials, kind, precedence):
         u = RANDOM_UNIVERSES[domain]
-        vids = [v.vid for v in u.vars]
+        vids = range(len(u.names))
         gens = [u.from_terms([(Mono(zip(vids, e)), c) for c, e in terms]) for terms in binomials]
         order = MonomialOrder(u, kind, [u.T_ids[k] for k in precedence])
         check_against_reference(gens, order)
@@ -615,8 +619,9 @@ class TestPackedAgainstReference:
         # spread-first lex some reductions stick
         calls = 0
         statuses = set()
-        for u, gens in random.Random(3).sample(SMALL_DESK, ENTRY_SAMPLE):
-            for order in (MonomialOrder(u, "lex"), MonomialOrder(u, "grevlex"), spread_first_lex(u)):
+        for pres, gens in random.Random(3).sample(SMALL_DESK, ENTRY_SAMPLE):
+            u = pres.universe
+            for order in (MonomialOrder(u, "lex"), MonomialOrder(u, "grevlex"), spread_first_lex(pres)):
                 for i in range(len(gens)):
                     for j in range(i + 1, len(gens)):
                         s = check_against_reference(gens[i], gens[j], order, entry=s_poly)
@@ -723,7 +728,7 @@ def test_hot_path_builds_no_poly(monkeypatch, tmp_path, capsys):
     monkeypatch.undo()
     # a stuck case builds its certificates when they are read, and they replay
     hostile = build_presentation(ReesSpec(seq=SeqSpec(n=2), blocks=(((1, 2), 2),)))
-    rep = buchberger_check([g.poly for g in defining_generators(hostile, FULL)], spread_first_lex(hostile.universe))
+    rep = buchberger_check([g.poly for g in defining_generators(hostile, FULL)], spread_first_lex(hostile))
     certs = [r.cert for r in rep.pairs + rep.members]
     assert certs and not any({"target", "quotients", "remainder"} & set(vars(c)) for c in certs)
     assert rep.failures and all(not r.cert.remainder.is_zero() for r in rep.failures)

@@ -1,8 +1,9 @@
 """The package's names: every name in ``multirees.__all__`` is defined, so
 a name that leaves the package must leave the list too; every module
 uses what it imports, so an import that outlives its last use goes too;
-and every module uses its own private names, so a helper that outlives
-its last caller goes too."""
+every module uses its own private names, so a helper that outlives its
+last caller goes too; and every attribute the package stores is read, so
+a field that outlives its last reader goes too."""
 import ast
 from pathlib import Path
 
@@ -62,3 +63,41 @@ def test_every_private_name_is_used_in_its_module():
                 if name.startswith("_") and not name.startswith("__") and name not in loads
             ]
     assert unused == []
+
+
+def test_every_stored_attribute_is_read():
+    # each dataclass field and each ``self.x = ...`` of the package must be
+    # read as an attribute somewhere in the package, its tests or perfbench
+    package = Path(multirees.__file__).parent
+    root = package.parent.parent
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for folder in (package, root / "tests", root / "perfbench")
+        for path in sorted(folder.glob("*.py"))
+    }
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    stored = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(trees[path]):
+            if isinstance(node, ast.ClassDef) and any(
+                getattr(getattr(d, "func", d), "id", None) == "dataclass" for d in node.decorator_list
+            ):
+                stored += [
+                    (path.name, item.target.id)
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                ]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            ):
+                stored.append((path.name, node.attr))
+    unread = sorted({"%s: %s" % (name, attr) for name, attr in stored if attr not in read})
+    assert unread == []

@@ -136,7 +136,7 @@ class TestPolyArithmetic:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_ring_ops_match_sympy(self, uni, data):
-        syms = {v.vid: sympy.Symbol(v.name) for v in uni.vars}
+        syms = {vid: sympy.Symbol(name) for vid, name in enumerate(uni.names)}
         p = _random_poly(uni, data)
         q = _random_poly(uni, data)
         r = _random_poly(uni, data)
@@ -150,7 +150,7 @@ class TestPolyArithmetic:
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_substitute_matches_sympy(self, uni, data):
-        syms = {v.vid: sympy.Symbol(v.name) for v in uni.vars}
+        syms = {vid: sympy.Symbol(name) for vid, name in enumerate(uni.names)}
         p = _random_poly(uni, data)
         img = _random_poly(uni, data, nterms=2, maxexp=1)
         vid = uni.vid("A")
@@ -221,17 +221,11 @@ class TestOrders:
         assert default_t_precedence(uni) == uni.T_ids
 
     def test_default_precedence_concentration_first(self):
-        # keyed variables: (block, display, spread); lower spread outranks
+        # ranked variables: (block, spread); lower spread outranks, ties
+        # keep the listed order
         uni = VarUniverse(
             T_names=("T22", "T21", "T20", "T11", "T10", "T00"),
-            T_keys=[
-                (1, (2, 2), 1),
-                (1, (2, 1), 2),
-                (1, (2, 0), 1),
-                (1, (1, 1), 2),
-                (1, (1, 0), 2),
-                (1, (0, 0), 1),
-            ],
+            T_rank=[(1, 1), (1, 2), (1, 1), (1, 2), (1, 2), (1, 1)],
         )
         names = [uni.name(v) for v in default_t_precedence(uni)]
         assert names == ["T22", "T20", "T00", "T21", "T11", "T10"]

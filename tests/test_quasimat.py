@@ -347,8 +347,8 @@ class TestGenericMatrix:
         qm, uni = generic_matrix(3, 2, with_s_column=True)
         assert qm.n_cols == 3
         assert [uni.name(qm.entries[(r, 0)]) for r in range(3)] == ["s1", "s2", "s3"]
-        assert uni.vars[qm.entries[(0, 1)]].block == "T"
-        assert uni.vars[qm.entries[(0, 0)]].block == "s"
+        assert qm.entries[(0, 1)] in uni.T_idset
+        assert qm.entries[(0, 0)] in uni.s_idset
 
     def test_binary_minors_through_s_column(self):
         qm, uni = generic_matrix(2, 1, with_s_column=True)

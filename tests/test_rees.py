@@ -14,10 +14,10 @@ from math import comb
 
 import pytest
 
-from conftest import desk_scale_specs, emission_specs
-from helpers import ladder_layout
+from conftest import desk_scale_specs, emission_specs, gb_heavy_specs
+from helpers import ladder_layout, reference_precedence
 from multirees.cli import _normality
-from multirees.poly import GuardExceeded, SpecError, mono_text
+from multirees.poly import GuardExceeded, MonomialOrder, SpecError, default_t_precedence, mono_text
 from multirees.quasimat import Binomial, _entry_graph_cycles
 from multirees.rees import (
     FULL,
@@ -25,6 +25,7 @@ from multirees.rees import (
     SINGLE,
     ReesSpec,
     _family,
+    _ladder,
     _restricted_items,
     _size_cap,
     build_presentation,
@@ -70,7 +71,7 @@ class TestIndexTuple:
         pres = _full_block(4, 1)
         vid = _by_name(pres)["T[1;110]"]
         # the ladder (0, 1, 1) shows as 110 and stands for s2
-        assert pres.universe.vars[vid].key[1] == (1, 1, 0)
+        assert _ladder(pres.var_block[vid][1]) == (1, 1, 0)
         assert pres.var_block[vid] == (1, (0, 1, 0, 0))
 
     def test_s_exponents_sum_to_amplitude(self):
@@ -99,8 +100,8 @@ class TestIndexTuple:
                 assert len(bd.columns) == comb(a + n - 2, n - 1)
 
     def test_enumeration_order_display_descending(self):
-        u = _full_block(3, 2).universe
-        displays = [u.vars[v].key[1] for v in u.T_ids]
+        pres = _full_block(3, 2)
+        displays = [_ladder(pres.var_block[v][1]) for v in pres.universe.T_ids]
         assert displays == sorted(displays, reverse=True)
 
     def test_column_set_is_positive_last_exponent(self):
@@ -148,6 +149,44 @@ class TestSpecValidation:
         # library callers get the same boundary as JSON input: no truncation
         with pytest.raises(SpecError):
             make()
+
+    @pytest.mark.parametrize(
+        "make, sequence",
+        [
+            (
+                lambda: SeqSpec(
+                    n=2,
+                    mode="concrete",
+                    x_names=("x",),
+                    concrete_terms=(((1, {"x": 1}),), ((1, {"x": 2}),)),
+                    assume_weak_regular="no",
+                ),
+                {
+                    "n": 2,
+                    "mode": "concrete",
+                    "ambient": ["x"],
+                    "values": [[[1, {"x": 1}]], [[1, {"x": 2}]]],
+                    "assume_weak_regular": "no",
+                },
+            ),
+            (lambda: SeqSpec(n=2, names="ab"), {"n": 2, "names": "ab"}),
+            (lambda: SeqSpec(n=2, x_names="xy"), {"n": 2, "ambient": "xy"}),
+            (
+                lambda: SeqSpec(n=1, mode="concrete", x_names=("x",), concrete_terms=(5,)),
+                {"n": 1, "mode": "concrete", "ambient": ["x"], "values": [5]},
+            ),
+        ],
+        ids=["attestation-not-bool", "names-a-string", "ambient-a-string", "value-not-a-list"],
+    )
+    def test_library_fields_checked_like_json(self, make, sequence):
+        # SeqSpec is the boundary both paths pass: a library caller gets
+        # the SpecError, with the message, that the JSON spec gets; no
+        # string is split into names, and "no" attests nothing
+        with pytest.raises(SpecError) as library:
+            make()
+        with pytest.raises(SpecError) as from_json:
+            spec_from_dict({"sequence": sequence, "blocks": [{"rows": [1]}]})
+        assert str(library.value) == str(from_json.value)
 
     def test_variable_guard_boundary(self):
         # n plus comb(|K_l| + a_l - 1, a_l) per block, counted before any
@@ -392,7 +431,7 @@ def layout(pres):
     u = pres.universe
     return (
         [u.name(v) for v in u.T_ids],
-        [u.vars[v].key for v in u.T_ids],
+        [(l, _ladder(e), len(e) - e.count(0)) for l, e in map(pres.var_block.get, u.T_ids)],
         {cell: u.name(v) for cell, v in pres.matrix.entries.items()},
         pres.col_labels,
         {u.name(v): image for v, image in pres.var_block.items()},
@@ -455,6 +494,37 @@ class TestUniverse:
         assert len(build_presentation(UNIVERSE_SPECS["n6-two-row"]).universe.T_ids) == 30
         # block 1: the 15 cubes in three symbols; block 2: s2 and s3
         assert len(build_presentation(UNIVERSE_SPECS["power-3"]).universe.T_ids) == 10 + 2
+
+
+class TestPrecedence:
+    """The canonical precedence that ``Presentation`` ranks, (block,
+    spread) with ties by id, is the key rule of
+    ``helpers.reference_precedence``: inside a block the ids run largest
+    ladder first."""
+
+    @staticmethod
+    def assert_precedence_is_the_reference(pres):
+        u = pres.universe
+        assert u.T_precedence == reference_precedence(pres)
+        assert default_t_precedence(u) == u.T_precedence == MonomialOrder(u, "grevlex").tvars
+
+    def test_desk_scale_specs(self):
+        specs = desk_scale_specs()
+        assert len(specs) == 258
+        for spec in specs:
+            self.assert_precedence_is_the_reference(build_presentation(spec))
+
+    def test_gb_heavy_shapes(self):
+        for spec in gb_heavy_specs():
+            self.assert_precedence_is_the_reference(build_presentation(spec))
+
+    @pytest.mark.parametrize("name", sorted(UNIVERSE_SPECS))
+    def test_other_shapes(self, name):
+        # the power-3 to power-12 and concrete specs, and the three wide shapes
+        self.assert_precedence_is_the_reference(build_presentation(UNIVERSE_SPECS[name]))
+
+    def test_paper_example(self, paper):
+        self.assert_precedence_is_the_reference(paper)
 
 
 class TestFamilies:
