@@ -27,6 +27,8 @@ The sweep runs on packed exponent vectors.  Each T-variable maps to a
 monomial in the sequence times a t-symbol, so images are additive:
 a piece is enumerated as T-part x ambient part, each part with its
 packed source and packed image, and a monomial is the sum of its parts.
+What pieces share is built once per block degree: its T-parts, kept as
+runs of equal weight, and its plan of the generator degrees that fit.
 Packed ints hold one fixed-width field per coordinate, wide enough for
 the largest coordinate any piece of the sweep can have, so sums never
 carry and equal ints mean equal monomials.  Pieces stay packed;
@@ -226,16 +228,22 @@ class _Sweep:
     images its two terms as ``Mono``s once, and ``witness`` builds one
     ``Poly``.
 
+    A block's monomials of degree d are one ``_table``.  The T-parts of
+    block degree t, a product of tables, are built with t's first piece
+    as ``_runs`` of equal weight (one in generic mode), and a piece (t, w)
+    is each run times the ambient table of weight w less the run's.
+
     A generator a*m_a + b*m_b of degree (g_t, g_w) has as multiples in
     piece (t, w) the binomials q*m_a - q*m_b, where q runs over the piece
     of degree (t - g_t, w - g_w); each links two monomials of one fiber.
-    ``moves`` files the generators by degree: a piece makes one degree
-    test and one quotient lookup per generator degree.  ``compare`` joins
+    ``moves`` files the generators by degree, and ``plans`` holds per t
+    the degrees whose g_t fits under it, with t - g_t.  ``compare`` joins
     links in ``parent``, a union-find list over piece indices with path
-    halving.  Components never leave a fiber, so ``span_dim``, the joins
-    that merge, never exceeds the kernel dimension, the piece size less
-    the number of fibers.  Once they are equal every fiber is one
-    component, and the piece only adds up its multiples.
+    halving, built at the first join.  Components never leave a fiber,
+    so ``span_dim``, the joins that merge, never exceeds the kernel
+    dimension, the piece size less the number of fibers.  Once they are
+    equal every fiber is one component, and the piece only adds up its
+    multiples.
     """
 
     def __init__(self, pres, generators, data, cap, degrees):
@@ -245,8 +253,8 @@ class _Sweep:
         self.cap = cap
         bound = max((max(weight, sum(tvec)) for tvec, weight in degrees), default=0)
         width = max(bound.bit_length(), 1)
-        self.block_vids = [tuple(bd.vids.values()) for bd in pres.blocks]
-        self.src = Packing([v for vids in self.block_vids for v in vids] + list(data.ambient_ids), width)
+        self.vids = [tuple(bd.vids.values()) for bd in pres.blocks] + [tuple(data.ambient_ids)]
+        self.src = Packing([v for vids in self.vids for v in vids], width)
         self.img = Packing(list(data.ambient_ids) + list(pres.universe.t_ids), width)
         self.packed = {}  # ring variable -> (packed source, packed image, weight)
         for v in self.src.coords:
@@ -254,34 +262,48 @@ class _Sweep:
                 self.packed[v] = (self.src.pack(((v, 1),)), self.img.pack(data.t_image[v]), data.t_weight[v])
             else:
                 self.packed[v] = (self.src.pack(((v, 1),)), self.img.pack(((v, 1),)), 1)
-        self.tparts = {}
-        self.ambient = {}
+        self.tables = {}
+        self.runs = {}
+        self.plans = {}
         self.pieces = {}
 
-    def _monomials(self, vids, degree):
+    def _table(self, l, degree):
         """(packed source, packed image, weight) of each monomial of the
-        degree in ``vids``, in ``combinations_with_replacement`` order."""
-        packed = self.packed
-        return [
-            tuple(map(sum, zip((0, 0, 0), *(packed[v] for v in combo))))
-            for combo in combinations_with_replacement(vids, degree)
-        ]
+        degree in block ``l`` (from 0; ``r``: the ambient symbols), in
+        ``combinations_with_replacement`` order; built once."""
+        table = self.tables.get((l, degree))
+        if table is None:
+            table = self.tables[l, degree] = [
+                tuple(map(sum, zip((0, 0, 0), *(self.packed[v] for v in combo))))
+                for combo in combinations_with_replacement(self.vids[l], degree)
+            ]
+        return table
 
-    def _tparts(self, tvec):
-        """The T-parts of block degree ``tvec``: products of one monomial
-        per block, in ``itertools.product`` order.  Generated lazily and
-        memoized once complete, so a piece over the cap stops before the
-        whole product is built."""
-        parts = self.tparts.get(tvec)
-        if parts is not None:
-            yield from parts
-            return
-        parts = []
-        for combo in product(*(self._monomials(vids, d) for vids, d in zip(self.block_vids, tvec))):
-            part = tuple(map(sum, zip((0, 0, 0), *combo)))
-            parts.append(part)
-            yield part
-        self.tparts[tvec] = parts
+    def _count(self, rest):
+        """How many ambient monomials have weight ``rest``."""
+        n_amb = len(self.data.ambient_ids)
+        return 0 if rest < 0 else comb(rest + n_amb - 1, rest) if n_amb else int(rest == 0)
+
+    def _runs(self, tvec, weight):
+        """The T-parts of ``tvec`` in ``itertools.product`` order, as runs
+        (weight, packed sources, packed images) of equal weight.  The size
+        of ``tvec``'s first piece is counted as they come: past the cap
+        the product stops, and only complete runs are memoized."""
+        if len(tvec) != self.pres.spec.r or any(d < 0 for d in tvec):
+            raise ValueError("block degree tuple must list %d nonnegative entries" % self.pres.spec.r)
+        runs, size, run_w = [], 0, None
+        for combo in product(*(self._table(l, d) for l, d in enumerate(tvec))):
+            ts, ti, tw = map(sum, zip(*combo))
+            if tw != run_w:
+                run_w, count, srcs, imgs = tw, self._count(weight - tw), [], []
+                runs.append((tw, srcs, imgs))
+            srcs.append(ts)
+            imgs.append(ti)
+            size += count
+            if size > self.cap:
+                return runs
+        self.runs[tvec] = runs
+        return runs
 
     def piece(self, tvec, weight):
         """(packed sources, packed images) of the piece: each T-part, then
@@ -291,23 +313,16 @@ class _Sweep:
         piece = self.pieces.get(key)
         if piece is not None:
             return piece
-        if len(tvec) != self.pres.spec.r or any(d < 0 for d in tvec):
-            raise ValueError("block degree tuple must list %d nonnegative entries" % self.pres.spec.r)
-        n_amb = len(self.data.ambient_ids)
-        src, img = [], []
-        for ts, ti, tw in self._tparts(tvec):
-            rest = weight - tw
-            if rest < 0:
+        src, img, size = [], [], 0
+        for tw, ts, ti in self.runs.get(tvec) or self._runs(tvec, weight):
+            if tw > weight:
                 continue
-            size = comb(rest + n_amb - 1, rest) if n_amb else int(rest == 0)
-            if len(src) + size > self.cap:
+            size += len(ts) * self._count(weight - tw)
+            if size > self.cap:
                 raise CapExceeded("degree piece %r/%d exceeds the cap of %d monomials" % (tvec, weight, self.cap))
-            amb = self.ambient.get(rest)
-            if amb is None:
-                monos = self._monomials(self.data.ambient_ids, rest)
-                amb = self.ambient[rest] = ([s for s, _, _ in monos], [i for _, i, _ in monos])
-            src += [ts + s for s in amb[0]]
-            img += [ti + i for i in amb[1]]
+            amb = self._table(len(tvec), weight - tw)
+            src += [t + s for t in ts for s, _, _ in amb]
+            img += [t + i for t in ti for _, i, _ in amb]
         piece = self.pieces[key] = (src, img)
         return piece
 
@@ -330,18 +345,24 @@ class _Sweep:
         tvec = tuple(tvec)
         src, img = self.piece(tvec, weight)
         kernel_dim = len(src) - len(set(img))
-        parent, index = list(range(len(src))), None
+        plan = self.plans.get(tvec)
+        if plan is None:
+            plan = self.plans[tvec] = [
+                (gw, tuple(a - b for a, b in zip(tvec, gt)), pairs)
+                for (gt, gw), pairs in self.moves.items()
+                if all(a >= b for a, b in zip(tvec, gt))
+            ]
+        parent = index = None
         span_dim = n_multiples = 0
-        for (gt, gw), pairs in self.moves.items():
-            dt = tuple(a - b for a, b in zip(tvec, gt))
-            if gw > weight or min(dt) < 0:
+        for gw, dt, pairs in plan:
+            if gw > weight:
                 continue
             quotient = self.piece(dt, weight - gw)[0]
             n_multiples += len(quotient) * len(pairs)
             if span_dim == kernel_dim or not quotient:
                 continue
             if index is None:
-                index = {m: i for i, m in enumerate(src)}
+                parent, index = list(range(len(src))), {m: i for i, m in enumerate(src)}
             for pa, pb in pairs:
                 for q in quotient:
                     a, b = index[q + pa], index[q + pb]
@@ -358,7 +379,7 @@ class _Sweep:
                     break
         witness = None
         if span_dim < kernel_dim:
-            witness = self.witness(src, img, parent)
+            witness = self.witness(src, img, parent or range(len(src)))
         return SpanReport(
             tvec=tvec,
             weight=weight,
@@ -477,8 +498,9 @@ def oracle_check(pres, generators, degrees=None, t_cap=None, ambient_cap=None, c
     """Compare spans piece by piece over a degree sweep; certifies that the
     family spans the kernel in every listed degree.  The pieces share one
     ``_Sweep`` over one ``ImageData``, which also gives the default
-    degrees: each generator is evaluated and checked once, and each piece
-    is enumerated once, whether as a piece or as a quotient piece."""
+    degrees: each generator is evaluated and checked once, the T-parts
+    and the plan of each block degree are built once, and each piece is
+    enumerated once, whether as a piece or as a quotient piece."""
     data = ImageData(pres)
     degrees = list(_degrees(data, t_cap, ambient_cap) if degrees is None else degrees)
     sweep = _Sweep(pres, generators, data, cap, degrees)

@@ -202,7 +202,8 @@ class VarUniverse:
         self.s_ids, self.x_ids, self.t_ids, self.T_ids = ids
         self._ids = {name: vid for vid, name in enumerate(self.names)}
         if len(self._ids) != len(self.names):
-            raise ValueError("duplicate variable names")
+            dups = sorted({name for vid, name in enumerate(self.names) if self._ids[name] != vid})
+            raise ValueError("duplicate variable names: %s" % ", ".join(dups))
         self.s_idset = frozenset(self.s_ids)
         self.T_idset = frozenset(self.T_ids)
         self.T_precedence = self.T_ids if T_rank is None else tuple(vid for _, vid in sorted(zip(T_rank, self.T_ids)))

@@ -244,11 +244,12 @@ class Presentation:
             for l, (rows, power) in enumerate(spec.blocks, start=1)
         ]
         ring = [(bd, e) for bd in blocks for e in _monomials(n, bd.rows, bd.power)]
+        t_names = ["t%d" % l for l in range(1, spec.r + 1)]
         try:
             universe = VarUniverse(
                 s_names=seq.names,
                 x_names=seq.x_names,
-                t_names=["t%d" % l for l in range(1, spec.r + 1)],
+                t_names=t_names,
                 T_names=["T[%s]" % _ladder_text(bd.index, e, bd.power) for bd, e in ring],
                 # the canonical precedence: by block, then fewest sequence
                 # symbols in the value, then id (larger ladder).  Concentrated
@@ -258,7 +259,10 @@ class Presentation:
                 domain=spec.domain,
             )
         except ValueError as exc:
-            raise SpecError("variable naming conflict: %s" % exc)
+            note = ""
+            if set(t_names) & set(seq.names + seq.x_names):
+                note = "; t1 is a reserved grading symbol" if spec.r == 1 else "; t1 ... t%d are reserved grading symbols" % spec.r
+            raise SpecError("variable naming conflict: %s%s" % (exc, note))
         self.spec = spec
         self.universe = universe
         self.blocks = blocks

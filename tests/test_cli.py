@@ -861,6 +861,26 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err == "spec error: s1 has a negative exponent; values must be polynomials\n"
 
+    @pytest.mark.parametrize(
+        "sequence, blocks, message",
+        [
+            ({"n": 1, "names": ["t1"]}, 1, "duplicate variable names: t1; t1 is a reserved grading symbol"),
+            ({"n": 2, "names": ["t2", "t1"]}, 2, "duplicate variable names: t1, t2; t1 ... t2 are reserved grading symbols"),
+            (
+                {"n": 2, "mode": "concrete", "ambient": ["t2", "y"], "values": [[[1, {"t2": 1}]], [[1, {"y": 1}]]]},
+                2,
+                "duplicate variable names: t2; t1 ... t2 are reserved grading symbols",
+            ),
+            ({"n": 2, "names": ["a", "a"]}, 1, "duplicate variable names: a"),
+        ],
+    )
+    def test_naming_conflict_names_the_names(self, spec_file, capsys, sequence, blocks, message):
+        path = spec_file({"sequence": sequence, "blocks": [{"rows": [k + 1]} for k in range(blocks)]})
+        assert main(["generators", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "spec error: variable naming conflict: %s\n" % message
+
     def test_stdin_spec(self, spec_file, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(SMALL_SPEC)))
         code = main(["generators", "-"])

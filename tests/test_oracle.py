@@ -672,6 +672,27 @@ class TestPackedSweep:
             missed += sum(not r.ok for r in reports)
         assert pieces > 2000 and missed > 100
 
+    def test_weight_runs_keep_the_product_order(self):
+        # concrete values of different degrees give the T-parts of one
+        # block degree different weights, so a block degree splits into
+        # several runs; the pieces must still list the T-parts in
+        # ``itertools.product`` order, as the reference does
+        specs = [spec_from_dict(CONSTANT_SPEC)]
+        specs += [concrete_variant(spec, kind) for spec in Random(3).sample(desk_scale_specs(), 10) for kind in range(3)]
+        most_runs = missed = 0
+        for k, spec in enumerate(specs):
+            pres = build_presentation(spec)
+            data = ImageData(pres)
+            degrees = default_degrees(pres, t_cap=3, ambient_cap=5)
+            sweep = _Sweep(pres, [], data, DEFAULT_PIECE_CAP, degrees)
+            for tvec, weight in degrees:
+                src, _ = sweep.piece(tvec, weight)
+                assert [sweep.src.unpack(x) for x in src] == reference_source_monomials(pres, tvec, weight, data=data)
+            most_runs = max([most_runs] + [len(runs) for runs in sweep.runs.values()])
+            family = drop_one(defining_generators(pres, RESTRICTED), k)
+            missed += sum(not r.ok for r in assert_sweep_matches_mono_reference(pres, family, degrees))
+        assert most_runs >= 3 and missed > 0
+
     def test_gb_heavy_shapes(self):
         # the benchmark's largest pieces (84 monomials on average, up to
         # 420), where the union-find follows long chains: the default
@@ -687,16 +708,28 @@ class TestPackedSweep:
                 missed += sum(not r.ok for r in reports)
         assert (pieces, missed) == (388, 44)
 
-    def test_cap_stops_before_the_whole_t_part_product(self):
+    def test_cap_stops_before_the_whole_t_part_product(self, monkeypatch):
         # 45 monomials of degree 8 per block, so 2,025 T-parts of weight
         # 16, each with one monomial in the piece: the cap of 100 is hit
-        # long before the product is complete, and nothing is memoized
+        # at the 101st T-part, and the product stops there
+        built = []
+
+        def counted(*tables):
+            for combo in product(*tables):
+                built.append(combo)
+                yield combo
+
+        monkeypatch.setattr(multirees.oracle, "product", counted)
         pres = build_presentation(ReesSpec(seq=SeqSpec(n=3), blocks=(((1, 2, 3), 1), ((1, 2, 3), 1))))
         sweep = _Sweep(pres, [], ImageData(pres), 100, [((8, 8), 16)])
-        with pytest.raises(CapExceeded, match="exceeds the cap of 100"):
-            sweep.piece((8, 8), 16)
-        assert sweep.tparts == {}
+        for _ in range(2):
+            built.clear()
+            with pytest.raises(CapExceeded, match=r"degree piece \(8, 8\)/16 exceeds the cap of 100"):
+                sweep.piece((8, 8), 16)
+            assert len(built) == 101
+        built.clear()
         assert len(source_monomials(pres, (8, 8), 16)) == 2025
+        assert len(built) == 2025
 
     def test_sweep_leaves_the_mono_path(self, paper, monkeypatch):
         def refuse(*args, **kwargs):

@@ -4,9 +4,9 @@ the values they return (``COUNTERS``).  A rename or deletion in ``src/``
 that drops one of those names, or a change to a returned type that a
 counter reads, would break ``perfbench/run.py --trace 1``; these tests
 catch it in the tier-1 run.  The tracer's Buchberger and oracle counts
-on the gb_heavy shapes, and the emission counts on wide_emit's n = 6
-shape, are pinned, so a change that does more or less S-pair, oracle or
-emission work fails here.
+on the gb_heavy shapes and on one pass of desk_verify, and the emission
+counts on wide_emit's n = 6 shape, are pinned, so a change that does
+more or less S-pair, oracle or emission work fails here.
 """
 import contextlib
 import importlib
@@ -28,7 +28,8 @@ from multirees.quasimat import binary_subquasi_enumerate, quasi_determinants
 from multirees.rees import FULL, RESTRICTED, SINGLE, ReesSpec, build_presentation, defining_generators, spec_to_dict
 from multirees.sseq import SeqSpec
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def load_tracing():
@@ -146,6 +147,32 @@ def test_gb_heavy_work_counts(tmp_path):
         "oracle.piece_monomials": 16379,
         "oracle.multiples": 24699,
         "oracle.span_rank": 11955,
+    }
+    assert {name: tracer.counts[name] for name in expected} == expected
+
+
+def test_desk_verify_work_counts(tmp_path, monkeypatch):
+    # the oracle and S-pair work of one pass of desk_verify at seed 1: its
+    # 217 verify requests and 12 negative controls, as the benchmark's
+    # run.py prepares them, each checked as the benchmark checks it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    session = run.Session(importlib.import_module("multirees.cli"), str(tmp_path))
+    reqs, paths = run.prepare(session, "desk_verify", 1)
+    assert Counter(req.kind for req in reqs) == {"verify": 217, "control": 12}
+    with run.tracing.installed(run.tracing.Tracer()) as tracer:
+        for req in reqs:
+            session.run(req, paths[req.rid])
+    assert session.failures == []
+    expected = {
+        "oracle.pieces": 14490,
+        "oracle.piece_monomials": 183767,
+        "oracle.multiples": 91816,
+        "oracle.span_rank": 70307,
+        "grobner.pairs": 2986,
+        "grobner.reduction_steps": 1620,
     }
     assert {name: tracer.counts[name] for name in expected} == expected
 
