@@ -45,14 +45,18 @@ EXIT_CAP = 3
 
 
 def _read_spec(path):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise SpecError("cannot read spec file: %s" % exc)
+    """The spec at ``path``, or on stdin for ``-``, read as bytes and
+    decoded once, strictly, as UTF-8."""
+    try:
+        if path == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        # newlines as a file read in text mode has them
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecError("cannot read spec file: %s" % exc)
     return spec_from_json(text)
 
 
@@ -432,7 +436,7 @@ def _block_monomials(pres):
     data = ImageData(pres)
     ambient = set(data.ambient_ids)
     return [
-        [Mono((v, e) for v, e in data.t_image[vid] if v in ambient) for vid in bd.vids.values()]
+        [Mono((v, e) for v, e in data.table[vid][1] if v in ambient) for vid in bd.vids.values()]
         for bd in pres.blocks
     ]
 

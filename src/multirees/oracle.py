@@ -24,20 +24,20 @@ the joins reach the kernel dimension: links stay inside fibers, so no
 later link can merge two components.
 
 The sweep runs on packed exponent vectors.  Each T-variable maps to a
-monomial in the sequence times a t-symbol, so images are additive:
-a piece is enumerated as T-part x ambient part, each part with its
-packed source and packed image, and a monomial is the sum of its parts.
-What pieces share is built once per block degree: its T-parts, kept as
-runs of equal weight, and its plan of the generator degrees that fit.
-Packed ints hold one fixed-width field per coordinate, wide enough for
-the largest coordinate any piece of the sweep can have, so sums never
-carry and equal ints mean equal monomials.  Pieces stay packed;
-``Mono`` and ``Poly`` serve the generator intake, where each generator
-is evaluated, checked and imaged once, and the witness of a missed
-piece.  ``source_monomials`` and ``kernel_piece`` unpack one piece of a
-sweep, and its kernel basis, as ``Mono``s; the reference enumeration
-and fiber basis on ``Mono``s that the tests compare them with live in
-the tests.
+monomial in the sequence times a t-symbol, so imaging is additive, and
+one table, ``ImageData``, images every variable a generator may use.  A
+piece is enumerated as T-part x ambient part, each with its packed
+source and image, and a monomial is the sum of its parts; a generator's
+term is the sum of its variables' entries, so no generator becomes a
+``Poly`` or is imaged as a ``Mono``.  What pieces share is built once
+per block degree: its T-parts, kept as runs of equal weight, and its
+plan of the generator degrees that fit.  Packed ints hold one
+fixed-width field per coordinate, wide enough for any piece or
+generator term of the sweep, so sums never carry and equal ints mean
+equal monomials.  ``source_monomials`` and ``kernel_piece`` unpack one
+piece of a sweep, and its kernel basis, as ``Mono``s; the reference
+enumeration, fiber basis and imaging on ``Mono``s that the tests compare
+them with live in the tests.
 
 Grading: a piece is indexed by the tuple of block degrees (how many T
 variables of each block) together with the total ambient degree of the
@@ -48,9 +48,10 @@ map preserves both, and every piece is finite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement, product
-from math import comb
+from math import comb, prod
 
 from .poly import CapExceeded, GuardExceeded, Mono, Packing, Poly, SpecError
 
@@ -60,7 +61,13 @@ MAX_DEGREES = 100_000  # block degree tuples visited plus pieces listed, per swe
 
 
 class ImageData:
-    """Precomputed monomial images and weights for one presentation."""
+    """The presentation map on every variable that a generator of the
+    enumerated ring may use, as a ``table`` of (coefficient, image pairs,
+    weight): an ambient symbol maps to itself, in concrete mode a
+    sequence symbol to its monomial value, and a T-variable T[l;e] to
+    s^e * t_l with each sequence symbol's entry put in.  The weight is the
+    ambient degree of the image.  The map is multiplicative, so a
+    monomial's image is the product of its variables' entries."""
 
     def __init__(self, pres):
         self.pres = pres
@@ -68,79 +75,29 @@ class ImageData:
         seq = pres.spec.seq
         if seq.mode == "generic":
             self.ambient_ids = u.s_ids
-            base = {u.s_ids[i]: ((u.s_ids[i], 1),) for i in range(seq.n)}
-            coeffs = {u.s_ids[i]: 1 for i in range(seq.n)}
+            values = ()
         else:
-            vals = seq.concrete_monomial_values()
-            if vals is None:
-                raise SpecError(
-                    "the kernel oracle needs monomial sequence values in concrete mode"
-                )
+            values = seq.concrete_monomial_values()
+            if values is None:
+                raise SpecError("the kernel oracle needs monomial sequence values in concrete mode")
             self.ambient_ids = u.x_ids
-            base, coeffs = {}, {}
-            for i, (c, mexp) in enumerate(vals):
-                base[u.s_ids[i]] = tuple((u.vid(xn), e) for xn, e in sorted(mexp.items()))
-                coeffs[u.s_ids[i]] = c
-        self.t_weight = {}
-        self.t_image = {}
-        self.t_coeff = {}
+        self.table = {v: (1, ((v, 1),), 1) for v in self.ambient_ids}
+        for svid, (c, mexp) in zip(u.s_ids, values):
+            self.table[svid] = (c, tuple(sorted((u.vid(xn), e) for xn, e in mexp.items())), sum(mexp.values()))
         for vid, (l, s_exps) in pres.var_block.items():
             acc = {}
             coeff = 1
-            for i, e in enumerate(s_exps):
+            for svid, e in zip(u.s_ids, s_exps):
                 if not e:
                     continue
-                svid = u.s_ids[i]
-                coeff *= coeffs[svid] ** e
-                for xv, xe in base[svid]:
+                c, pairs, _ = self.table[svid]
+                coeff *= c ** e
+                for xv, xe in pairs:
                     acc[xv] = acc.get(xv, 0) + xe * e
+            weight = sum(acc.values())
             acc[u.t_ids[l - 1]] = 1
-            self.t_image[vid] = tuple(sorted(acc.items()))
-            self.t_coeff[vid] = coeff
-            self.t_weight[vid] = sum(e for v, e in self.t_image[vid] if v != u.t_ids[l - 1])
-        self.ring_ids = u.T_idset | set(self.ambient_ids)
-        self.min_block_weight = [min(self.t_weight[v] for v in bd.vids.values()) for bd in pres.blocks]
-
-    def image(self, mono):
-        """(coefficient, image monomial) of a source monomial."""
-        acc = {}
-        coeff = 1
-        for vid, e in mono.exps:
-            img = self.t_image.get(vid)
-            if img is None:
-                acc[vid] = acc.get(vid, 0) + e
-            else:
-                coeff *= self.t_coeff[vid] ** e
-                for v, xe in img:
-                    acc[v] = acc.get(v, 0) + xe * e
-        return coeff, Mono(tuple(acc.items()))
-
-    def degree(self, mono):
-        """(block degree tuple, ambient weight) of a source monomial."""
-        r = self.pres.spec.r
-        tvec = [0] * r
-        weight = 0
-        for vid, e in mono.exps:
-            info = self.pres.var_block.get(vid)
-            if info is None:
-                weight += e
-            else:
-                tvec[info[0] - 1] += e
-                weight += self.t_weight[vid] * e
-        return tuple(tvec), weight
-
-    def poly_degree(self, p):
-        degs = {self.degree(m) for m, _ in p.terms}
-        if len(degs) != 1:
-            raise ValueError("polynomial is not homogeneous for the oracle grading")
-        return degs.pop()
-
-    def evaluate(self, p):
-        """Rewrite a formal generator over the ambient ring the oracle
-        enumerates: in concrete mode sequence symbols become their values."""
-        if self.pres.spec.seq.mode == "concrete":
-            return p.substitute(self.pres.s_values())
-        return p
+            self.table[vid] = (coeff, tuple(sorted(acc.items())), weight)
+        self.min_block_weight = [min(self.table[v][2] for v in bd.vids.values()) for bd in pres.blocks]
 
 
 @dataclass
@@ -173,7 +130,7 @@ def kernel_piece(pres, tvec, weight, cap=DEFAULT_PIECE_CAP):
     written as ``{monomial index: coefficient}``."""
     sweep, (src, img) = _one_piece(pres, tvec, weight, cap)
     monos = [sweep.src.unpack(m) for m in src]
-    coeffs = [sweep.data.image(m)[0] for m in monos]
+    coeffs = [sweep.coefficient(m) for m in monos]
     basis = [{i0: coeffs[i], i: -coeffs[i0]} for i0, *rest in sweep.fibers(img) for i in rest]
     return KernelPiece(tuple(tvec), weight, monos, basis)
 
@@ -190,43 +147,33 @@ class SpanReport:
     witness: Poly | None = None
 
 
-def _kernel_binomial(data, p):
-    """(m_a, m_b) of a generator a*m_a + b*m_b of the kernel, evaluated over
-    the enumerated ring; connectivity decides spans only for these."""
-    if any(v not in data.ring_ids for m, _ in p.terms for v in m.support()):
-        raise ValueError(
-            "generator leaves the enumerated presentation ring; "
-            "it uses a variable outside the presentation ring"
-        )
-    if len(p.terms) != 2:
-        raise ValueError("generator %s is not a binomial" % p.render())
-    (ma, a), (mb, b) = p.terms
-    (ca, ia), (cb, ib) = data.image(ma), data.image(mb)
-    if ia != ib or a * ca + b * cb:
-        raise ValueError("generator %s does not map to zero" % p.render())
-    return ma, mb
+def _terms(g):
+    """(monomial, coefficient) of each term of a generator: a
+    ``Generator``'s binomial plus and minus with +1 and -1, or the terms of
+    a polynomial or of an object's ``.poly``."""
+    b = getattr(g, "binomial", None)
+    return ((b.plus, 1), (b.minus, -1)) if b is not None else getattr(g, "poly", g).terms
 
 
 class _Sweep:
-    """What the pieces of one sweep share: the generators, evaluated and
+    """What the pieces of one sweep share: the generators, packed and
     checked once, and every enumerated piece, memoized by degree.
 
     Monomials are packed by two ``Packing`` layouts of one field width:
     ``src`` has each block's variables in block order, then the ambient
     symbols; ``img`` has the ambient symbols, then t_1, ..., t_r.
-    Packing is additive, and so is
-    the presentation map on exponent vectors: a monomial's packed image is
-    the sum of its variables' packed images (``t_image``, or the symbol
-    itself for an ambient symbol).  A coordinate of a monomial of degree
-    (t, w), or of its image, is at most max(w, sum(t)): an ambient
-    exponent at most w, a T or t exponent at most sum(t), which exceeds w
-    when T-variables weigh 0 (constant concrete values).  The field holds
-    the largest such bound of the sweep, and q*m_a lies in the piece, so
-    no sum ever carries into the next field and packing is injective on
-    every piece.  Pieces stay packed; ``moves`` reads each generator's
-    ``Poly`` (evaluated through ``Poly.substitute`` in concrete mode) and
-    images its two terms as ``Mono``s once, and ``witness`` builds one
-    ``Poly``.
+    ``packed`` holds each ``ImageData`` entry once, packed: the
+    coefficient, the source (the variable itself, or a concrete sequence
+    symbol's value), the image and the weight.  Packing is additive, and
+    so is the presentation map on exponent vectors: a monomial's packed
+    source and image are the sums of its variables' entries.  A
+    coordinate of a monomial of degree (t, w), or of its image, is at
+    most max(w, sum(t)): an ambient exponent at most w, a T or t exponent
+    at most sum(t), which exceeds w when T-variables weigh 0 (constant
+    concrete values).  The field holds the largest such bound of the
+    sweep's pieces and of its generators' terms (checked even when they
+    fit under no piece), and q*m_a lies in the piece, so no sum ever
+    carries into the next field and packing is injective on each.
 
     A block's monomials of degree d are one ``_table``.  The T-parts of
     block degree t, a product of tables, are built with t's first piece
@@ -248,20 +195,22 @@ class _Sweep:
 
     def __init__(self, pres, generators, data, cap, degrees):
         self.pres = pres
-        self.generators = generators
-        self.data = data
         self.cap = cap
+        self.generators = [_terms(g) for g in generators]
         bound = max((max(weight, sum(tvec)) for tvec, weight in degrees), default=0)
+        T = pres.universe.T_idset
+        for terms in self.generators:
+            for mono, _ in terms:
+                weight = sum(data.table[v][2] * e for v, e in mono.exps if v in data.table)
+                bound = max(bound, weight, sum(e for v, e in mono.exps if v in T))
         width = max(bound.bit_length(), 1)
         self.vids = [tuple(bd.vids.values()) for bd in pres.blocks] + [tuple(data.ambient_ids)]
         self.src = Packing([v for vids in self.vids for v in vids], width)
         self.img = Packing(list(data.ambient_ids) + list(pres.universe.t_ids), width)
-        self.packed = {}  # ring variable -> (packed source, packed image, weight)
-        for v in self.src.coords:
-            if v in data.t_image:
-                self.packed[v] = (self.src.pack(((v, 1),)), self.img.pack(data.t_image[v]), data.t_weight[v])
-            else:
-                self.packed[v] = (self.src.pack(((v, 1),)), self.img.pack(((v, 1),)), 1)
+        self.packed = {
+            v: (c, self.src.pack(((v, 1),) if v in self.src.shift else pairs), self.img.pack(pairs), w)
+            for v, (c, pairs, w) in data.table.items()
+        }
         self.tables = {}
         self.runs = {}
         self.plans = {}
@@ -274,14 +223,14 @@ class _Sweep:
         table = self.tables.get((l, degree))
         if table is None:
             table = self.tables[l, degree] = [
-                tuple(map(sum, zip((0, 0, 0), *(self.packed[v] for v in combo))))
+                tuple(map(sum, zip((0, 0, 0), *(self.packed[v][1:] for v in combo))))
                 for combo in combinations_with_replacement(self.vids[l], degree)
             ]
         return table
 
     def _count(self, rest):
         """How many ambient monomials have weight ``rest``."""
-        n_amb = len(self.data.ambient_ids)
+        n_amb = len(self.vids[-1])
         return 0 if rest < 0 else comb(rest + n_amb - 1, rest) if n_amb else int(rest == 0)
 
     def _runs(self, tvec, weight):
@@ -329,17 +278,58 @@ class _Sweep:
     @cached_property
     def moves(self):
         """{(g_t, g_w): [(m_a, m_b), ...]}: the nonzero generators by
-        degree, m_a and m_b packed.  First read once the first piece is
-        enumerated, so a piece over the cap is reported before a generator
-        the oracle cannot use."""
+        degree, m_a and m_b packed.  A term packs as a piece monomial does,
+        as the sum of its variables' entries, and terms of equal packed
+        source merge, as they would in the generator evaluated over the
+        enumerated ring; the checks and the degree read the packed images.
+        First read once the first piece is enumerated, so a piece over the
+        cap is reported before a generator the oracle cannot use."""
+        packed = self.packed
+        mask = (1 << self.img.width) - 1
+        t_shifts = [self.img.shift[t] for t in self.pres.universe.t_ids]
         out = {}
-        for g in self.generators:
-            p = self.data.evaluate(getattr(g, "poly", g))
-            if p.is_zero():
+        for terms in self.generators:
+            merged = {}  # (packed source, pairs outside the table, packed image, weight) -> image coefficient
+            for mono, coeff in terms:
+                src = img = weight = 0
+                foreign = ()
+                for v, e in mono.exps:
+                    entry = packed.get(v)
+                    if entry is None:
+                        foreign += ((v, e),)
+                        continue
+                    c, s, i, w = entry
+                    coeff *= c**e
+                    src += s * e
+                    img += i * e
+                    weight += w * e
+                key = (src, foreign, img, weight)
+                merged[key] = merged.get(key, 0) + coeff
+            live = {key: c for key, c in merged.items() if c}
+            if not live:
                 continue
-            ma, mb = _kernel_binomial(self.data, p)
-            out.setdefault(self.data.poly_degree(p), []).append((self.src.pack(ma.exps), self.src.pack(mb.exps)))
+            if any(key[1] for key in live):
+                raise ValueError("generator leaves the enumerated presentation ring; it uses a variable outside the presentation ring")
+            if len(live) != 2:
+                raise ValueError("generator %s is not a binomial" % self._evaluated(live).render())
+            ((pa, _, ia, wa), ca), ((pb, _, ib, _), cb) = live.items()
+            if ia != ib or ca + cb:
+                raise ValueError("generator %s does not map to zero" % self._evaluated(live).render())
+            out.setdefault((tuple(ia >> s & mask for s in t_shifts), wa), []).append((pa, pb))
         return out
+
+    def _evaluated(self, live):
+        """The polynomial of the merged terms of ``moves``, for its error
+        messages: each term's coefficient less its T-variables' ones."""
+        monos = [(self.src.unpack(src), foreign, c) for (src, foreign, _, _), c in live.items()]
+        return self.pres.universe.from_terms(
+            (Mono(m.exps + foreign), Fraction(c) / self.coefficient(m)) for m, foreign, c in monos
+        )
+
+    def coefficient(self, mono):
+        """The coefficient of the image of a ``Mono`` of the table's
+        variables."""
+        return prod(self.packed[v][0] ** e for v, e in mono.exps)
 
     def compare(self, tvec, weight):
         tvec = tuple(tvec)
@@ -416,8 +406,7 @@ class _Sweep:
             for i in rest:
                 if root(i0) != root(i):
                     m0, m = self.src.unpack(src[i0]), self.src.unpack(src[i])
-                    c0, c = self.data.image(m0)[0], self.data.image(m)[0]
-                    return self.pres.universe.from_terms([(m0, c), (m, -c0)])
+                    return self.pres.universe.from_terms([(m0, self.coefficient(m)), (m, -self.coefficient(m0))])
 
 
 def span_compare(pres, generators, tvec, weight, cap=DEFAULT_PIECE_CAP):

@@ -81,9 +81,6 @@ class Mono:
     def is_one(self):
         return not self.exps
 
-    def support(self):
-        return tuple(v for v, _ in self.exps)
-
     def degree(self):
         return sum(e for _, e in self.exps)
 

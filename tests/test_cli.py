@@ -403,6 +403,21 @@ class TestOracle:
         code = main(["oracle", path, "--t-degree-cap", "2", "--s-degree-cap", "4"])
         assert code == 0
 
+    @pytest.mark.parametrize("spec, drop", [(PAPER_SPEC, "6"), (CONCRETE_SPEC, "1")])
+    def test_builds_no_poly(self, spec_file, capsys, monkeypatch, spec, drop):
+        # the oracle reads each generator's binomial; only a witness is a Poly
+        path = spec_file(spec)
+        argv = ["oracle", path, "--drop-generator", drop, "--format", "json"]
+        want = main(argv), capsys.readouterr()
+
+        def to_poly(self, universe):
+            raise AssertionError("a Poly was built")
+
+        monkeypatch.setattr(Binomial, "to_poly", to_poly)
+        code, payload = main(argv), capsys.readouterr()
+        assert (code, payload) == want
+        assert code == 1 and not json.loads(payload.out)["ok"]
+
 
 class TestVerify:
     def test_paper_example_passes(self, spec_file, capsys):
@@ -882,10 +897,36 @@ class TestErrors:
         assert captured.err == "spec error: variable naming conflict: %s\n" % message
 
     def test_stdin_spec(self, spec_file, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(SMALL_SPEC)))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(json.dumps(SMALL_SPEC).encode())))
         code = main(["generators", "-"])
         assert code == 0
         assert "generators (family=restricted)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["generators", "verify"])
+    def test_stdin_spec_is_strict_utf8(self, tmp_path, capsys, monkeypatch, command):
+        # the byte 0xff in a sequence name: stdin and a file give one error
+        data = b'{"sequence": {"n": 1, "names": ["s\xff"]}, "blocks": [{"rows": [1]}]}'
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        assert main([command, str(path)]) == 2
+        from_file = capsys.readouterr()
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert main([command, "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == from_file.out == ""
+        assert captured.err == from_file.err
+        assert "spec error: cannot read spec file: 'utf-8' codec can't decode byte 0xff in position 34: invalid start byte\n" == captured.err
+
+    def test_stdin_newlines_read_as_in_a_file(self, tmp_path, capsys, monkeypatch):
+        # a malformed spec with CRLF line ends names one position either way
+        data = b'{\r\n"sequence": {"n": 1}\r\n"blocks": []}'
+        path = tmp_path / "crlf.json"
+        path.write_bytes(data)
+        assert main(["generators", str(path)]) == 2
+        from_file = capsys.readouterr().err
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert main(["generators", "-"]) == 2
+        assert capsys.readouterr().err == from_file == "spec error: invalid JSON: Expecting ',' delimiter: line 3 column 1 (char 23)\n"
 
 
 NEGATIVE_EXPONENT_SPEC = {

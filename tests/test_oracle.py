@@ -37,6 +37,7 @@ from multirees.oracle import (
     span_compare,
 )
 from multirees.poly import CapExceeded, GuardExceeded, Mono, SpecError
+from multirees.quasimat import Binomial
 from multirees.rees import FULL, RESTRICTED, ReesSpec, build_presentation, defining_generators, spec_from_dict
 from multirees.sseq import SeqSpec, syzygy_generators
 
@@ -56,6 +57,102 @@ def small():
     # two symbols, one block of power two: tiny enough for brute force
     spec = ReesSpec(seq=SeqSpec(n=2), blocks=(((1, 2), 2),))
     return build_presentation(spec)
+
+
+class MonoImage:
+    """The presentation map on ``Mono``s and ``Poly``s, the reference for
+    the oracle's packed imaging: each T-variable's image, coefficient and
+    weight worked out from the presentation, a monomial imaged variable by
+    variable, and a formal generator evaluated by ``Poly.substitute``."""
+
+    def __init__(self, pres):
+        self.pres = pres
+        u = pres.universe
+        seq = pres.spec.seq
+        if seq.mode == "generic":
+            self.ambient_ids = u.s_ids
+            base = {u.s_ids[i]: ((u.s_ids[i], 1),) for i in range(seq.n)}
+            coeffs = {u.s_ids[i]: 1 for i in range(seq.n)}
+        else:
+            self.ambient_ids = u.x_ids
+            base, coeffs = {}, {}
+            for i, (c, mexp) in enumerate(seq.concrete_monomial_values()):
+                base[u.s_ids[i]] = tuple((u.vid(xn), e) for xn, e in sorted(mexp.items()))
+                coeffs[u.s_ids[i]] = c
+        self.t_weight, self.t_image, self.t_coeff = {}, {}, {}
+        for vid, (l, s_exps) in pres.var_block.items():
+            acc = {}
+            coeff = 1
+            for i, e in enumerate(s_exps):
+                if not e:
+                    continue
+                svid = u.s_ids[i]
+                coeff *= coeffs[svid] ** e
+                for xv, xe in base[svid]:
+                    acc[xv] = acc.get(xv, 0) + xe * e
+            acc[u.t_ids[l - 1]] = 1
+            self.t_image[vid] = tuple(sorted(acc.items()))
+            self.t_coeff[vid] = coeff
+            self.t_weight[vid] = sum(e for v, e in self.t_image[vid] if v != u.t_ids[l - 1])
+        self.ring_ids = u.T_idset | set(self.ambient_ids)
+
+    def image(self, mono):
+        """(coefficient, image monomial) of a source monomial."""
+        acc = {}
+        coeff = 1
+        for vid, e in mono.exps:
+            img = self.t_image.get(vid)
+            if img is None:
+                acc[vid] = acc.get(vid, 0) + e
+            else:
+                coeff *= self.t_coeff[vid] ** e
+                for v, xe in img:
+                    acc[v] = acc.get(v, 0) + xe * e
+        return coeff, Mono(tuple(acc.items()))
+
+    def degree(self, mono):
+        """(block degree tuple, ambient weight) of a source monomial."""
+        tvec = [0] * self.pres.spec.r
+        weight = 0
+        for vid, e in mono.exps:
+            info = self.pres.var_block.get(vid)
+            if info is None:
+                weight += e
+            else:
+                tvec[info[0] - 1] += e
+                weight += self.t_weight[vid] * e
+        return tuple(tvec), weight
+
+    def poly_degree(self, p):
+        degs = {self.degree(m) for m, _ in p.terms}
+        if len(degs) != 1:
+            raise ValueError("polynomial is not homogeneous for the oracle grading")
+        return degs.pop()
+
+    def evaluate(self, p):
+        """A formal generator over the ambient ring the oracle enumerates:
+        in concrete mode sequence symbols become their values."""
+        if self.pres.spec.seq.mode == "concrete":
+            return p.substitute(self.pres.s_values())
+        return p
+
+    def moves(self, p, pack):
+        """What the sweep files for the one generator ``p``: {} when it
+        evaluates to zero, {degree: [(m_a, m_b)]} for a kernel binomial,
+        each term packed by ``pack`` and the pair sorted, or the message
+        of the ValueError for anything else."""
+        p = self.evaluate(p)
+        if p.is_zero():
+            return {}
+        if any(v not in self.ring_ids for m, _ in p.terms for v, _ in m.exps):
+            return "generator leaves the enumerated presentation ring; it uses a variable outside the presentation ring"
+        if len(p.terms) != 2:
+            return "generator %s is not a binomial" % p.render()
+        (ma, a), (mb, b) = p.terms
+        (ca, ia), (cb, ib) = self.image(ma), self.image(mb)
+        if ia != ib or a * ca + b * cb:
+            return "generator %s does not map to zero" % p.render()
+        return {self.poly_degree(p): [tuple(sorted((pack(ma.exps), pack(mb.exps))))]}
 
 
 class Echelon:
@@ -106,8 +203,8 @@ def reference_source_monomials(pres, tvec, weight, cap=None, data=None):
     """``source_monomials`` on ``Mono``s: every block's monomials by
     ``combinations_with_replacement``, their product, then each ambient
     monomial of the weight left.  ``data``, the presentation's
-    ``ImageData``, is built when not given."""
-    data = data or ImageData(pres)
+    ``MonoImage``, is built when not given."""
+    data = data or MonoImage(pres)
     if len(tvec) != pres.spec.r or any(d < 0 for d in tvec):
         raise ValueError("block degree tuple must list %d nonnegative entries" % pres.spec.r)
     parts = [list(combinations_with_replacement(bd.vids.values(), d)) for bd, d in zip(pres.blocks, tvec)]
@@ -153,7 +250,7 @@ def fiber_basis(data, monos):
 
 def reference_kernel_piece(pres, tvec, weight, cap=DEFAULT_PIECE_CAP, data=None):
     """``kernel_piece`` on ``Mono``s."""
-    data = data or ImageData(pres)
+    data = data or MonoImage(pres)
     monos = reference_source_monomials(pres, tvec, weight, cap, data)
     return KernelPiece(tuple(tvec), weight, monos, fiber_basis(data, monos))
 
@@ -188,7 +285,7 @@ def mono_reference(pres, generators, piece, data):
     """The sweep's report fields for one piece, computed on ``Mono``s from
     ``reference_kernel_piece``: every multiple q*m_a, q*m_b formed by
     ``Mono.mul`` over the quotient piece from
-    ``reference_source_monomials``, fibers from ``ImageData.image``, and
+    ``reference_source_monomials``, fibers from ``MonoImage.image``, and
     the first basis binomial across two components as witness."""
     tvec, weight = piece.tvec, piece.weight
     index = {m: i for i, m in enumerate(piece.monomials)}
@@ -217,7 +314,7 @@ def assert_sweep_matches_mono_reference(pres, generators, degrees):
     """Every report field of one ``oracle_check`` sweep, and every field of
     ``kernel_piece`` on each of its pieces, equals the ``Mono`` reference,
     and every witness maps to zero; returns the reports."""
-    data = ImageData(pres)
+    data = MonoImage(pres)
     reports = oracle_check(pres, generators, degrees=degrees).reports
     assert [(r.tvec, r.weight) for r in reports] == [(tuple(t), w) for t, w in degrees]
     for rep in reports:
@@ -268,17 +365,36 @@ def sympy_kernel_dim(data, monos):
 
 class TestImageData:
     def test_generic_variable_image(self, paper):
-        data = ImageData(paper)
         u = paper.universe
         vid = u.vid("T[1;110]")
-        coeff, img = data.image(Mono(((vid, 1),)))
-        assert coeff == 1
         # js (0,1,1) gives step exponents (0,1,0,0) over p1,p2,x,y, then t_1
-        expected = {u.vid("p2"): 1, u.t_ids[0]: 1}
-        assert dict(img.exps) == expected
+        expected = ((u.vid("p2"), 1), (u.t_ids[0], 1))
+        assert ImageData(paper).table[vid] == (1, expected, 1)
+        assert MonoImage(paper).image(Mono(((vid, 1),))) == (1, Mono(expected))
+        # an ambient symbol maps to itself, and nothing else has an entry
+        assert ImageData(paper).table[u.vid("p1")] == (1, ((u.vid("p1"), 1),), 1)
+        assert set(ImageData(paper).table) == set(u.T_ids) | set(u.s_ids)
+
+    @pytest.mark.parametrize("kind", [None, 0, 1, 2])
+    def test_table_matches_the_reference(self, kind):
+        # every T-variable's entry is its reference image, coefficient and
+        # weight; in concrete mode a sequence symbol's entry is its value
+        for k, spec in enumerate(desk_scale_specs()[::7]):
+            pres = build_presentation(spec if kind is None else concrete_variant(spec, kind))
+            table, ref = ImageData(pres).table, MonoImage(pres)
+            u = pres.universe
+            for vid in u.T_ids:
+                assert table[vid] == (ref.t_coeff[vid], ref.t_image[vid], ref.t_weight[vid])
+            for v in ref.ambient_ids:
+                assert table[v] == (1, ((v, 1),), 1)
+            if kind is not None:
+                for svid, value in pres.s_values().items():
+                    ((mono, coeff),) = value.terms
+                    assert table[svid] == (coeff, mono.exps, mono.degree())
+            assert len(table) == len(u.T_ids) + len(ref.ambient_ids) + (0 if kind is None else len(u.s_ids))
 
     def test_image_is_multiplicative(self, paper):
-        data = ImageData(paper)
+        data = MonoImage(paper)
         u = paper.universe
         a = Mono(((u.vid("T[1;110]"), 1),))
         b = Mono(((u.vid("T[2;100]"), 2), (u.vid("p1"), 1)))
@@ -289,7 +405,7 @@ class TestImageData:
         assert iab == ia.mul(ib)
 
     def test_degree_splits_blocks_and_weight(self, paper):
-        data = ImageData(paper)
+        data = MonoImage(paper)
         u = paper.universe
         m = Mono(((u.vid("T[1;110]"), 1), (u.vid("T[3;100]"), 2), (u.vid("p1"), 3)))
         tvec, weight = data.degree(m)
@@ -298,14 +414,14 @@ class TestImageData:
         assert weight == 1 + 2 + 3
 
     def test_poly_degree_rejects_mixed(self, paper):
-        data = ImageData(paper)
+        data = MonoImage(paper)
         u = paper.universe
         p = u.poly_var("T[1;110]") + u.poly_var("p1")
         with pytest.raises(ValueError):
             data.poly_degree(p)
 
     def test_generator_images_vanish(self, paper):
-        data = ImageData(paper)
+        data = MonoImage(paper)
         for g in defining_generators(paper, RESTRICTED):
             images = {}
             for m, c in g.poly.terms:
@@ -322,13 +438,13 @@ class TestImageData:
         )
         spec = ReesSpec(seq=seq, blocks=(((1, 2), 1), ((2, 3), 1)))
         pres = build_presentation(spec)
-        data = ImageData(pres)
+        table = ImageData(pres).table
         u = pres.universe
-        # the variable of s1 picks up symbol 1's value 2
+        # the variable of s1 picks up symbol 1's value 2, and weighs 0
         vid = pres.blocks[0].vids[(1, 0, 0)]
-        coeff, img = data.image(Mono(((vid, 1),)))
-        assert coeff == 2
-        assert dict(img.exps) == {u.t_ids[0]: 1}
+        assert table[vid] == (2, ((u.t_ids[0], 1),), 0)
+        assert table[u.s_ids[0]] == (2, (), 0)
+        assert table[u.s_ids[2]] == (1, ((u.vid("x"), 1),), 1)
 
     def test_non_monomial_concrete_value_rejected(self):
         seq = SeqSpec(
@@ -345,7 +461,7 @@ class TestImageData:
 
 class TestSourceMonomials:
     def test_matches_brute_force(self, small):
-        data = ImageData(small)
+        data = MonoImage(small)
         for tvec in [(0,), (1,), (2,)]:
             for weight in range(0, 5):
                 got = source_monomials(small, tvec, weight)
@@ -353,7 +469,7 @@ class TestSourceMonomials:
                 assert set(got) == brute_source_monomials(small, data, tvec, weight)
 
     def test_matches_brute_force_two_blocks(self, paper):
-        data = ImageData(paper)
+        data = MonoImage(paper)
         # the all-zero T-vector is the ambient-only quotient piece of a
         # T-degree-one generator
         for tvec in [(1, 0, 0, 1, 0), (0, 1, 1, 0, 0), (0, 0, 0, 0, 0)]:
@@ -385,20 +501,20 @@ class TestSourceMonomials:
 
 class TestKernelPiece:
     def test_dim_matches_sympy_nullspace(self, small):
-        data = ImageData(small)
+        data = MonoImage(small)
         for tvec in [(1,), (2,), (3,)]:
             for weight in range(0, 7):
                 piece = kernel_piece(small, tvec, weight)
                 assert len(piece.basis) == sympy_kernel_dim(data, piece.monomials)
 
     def test_dim_matches_sympy_on_paper_example(self, paper):
-        data = ImageData(paper)
+        data = MonoImage(paper)
         for tvec, weight in [((1, 1, 0, 0, 0), 2), ((1, 0, 1, 1, 0), 3), ((2, 0, 0, 0, 0), 2)]:
             piece = kernel_piece(paper, tvec, weight)
             assert len(piece.basis) == sympy_kernel_dim(data, piece.monomials)
 
     def test_basis_vectors_map_to_zero(self, paper):
-        data = ImageData(paper)
+        data = MonoImage(paper)
         piece = kernel_piece(paper, (1, 1, 1, 0, 0), 3)
         assert piece.basis
         for vec in piece.basis:
@@ -507,7 +623,7 @@ def sweep_verdicts_match_echelon(pres, families):
     """Each family's ``oracle_check`` over the default sweep cut to
     T-degree 3 and ambient weight 5 against ``echelon_span``, piece by
     piece; returns the verdicts seen."""
-    data = ImageData(pres)
+    data = MonoImage(pres)
     degrees = default_degrees(pres, t_cap=3, ambient_cap=5)
     verdicts = set()
     for gens in families:
@@ -648,9 +764,9 @@ class TestPackedSweep:
     @given(spec=small_specs())
     def test_pieces_decode_to_source_monomials(self, spec):
         pres = build_presentation(spec)
-        data = ImageData(pres)
+        data = MonoImage(pres)
         degrees = default_degrees(pres, t_cap=2, ambient_cap=4)
-        sweep = _Sweep(pres, [], data, DEFAULT_PIECE_CAP, degrees)
+        sweep = _Sweep(pres, [], ImageData(pres), DEFAULT_PIECE_CAP, degrees)
         for tvec, weight in degrees:
             src, img = sweep.piece(tvec, weight)
             monos = reference_source_monomials(pres, tvec, weight, data=data)
@@ -682,9 +798,9 @@ class TestPackedSweep:
         most_runs = missed = 0
         for k, spec in enumerate(specs):
             pres = build_presentation(spec)
-            data = ImageData(pres)
+            data = MonoImage(pres)
             degrees = default_degrees(pres, t_cap=3, ambient_cap=5)
-            sweep = _Sweep(pres, [], data, DEFAULT_PIECE_CAP, degrees)
+            sweep = _Sweep(pres, [], ImageData(pres), DEFAULT_PIECE_CAP, degrees)
             for tvec, weight in degrees:
                 src, _ = sweep.piece(tvec, weight)
                 assert [sweep.src.unpack(x) for x in src] == reference_source_monomials(pres, tvec, weight, data=data)
@@ -888,6 +1004,173 @@ class TestOracleCheck:
         gens = defining_generators(paper, RESTRICTED)
         report = oracle_check(paper, gens, degrees=[])
         assert report.reports == [] and report.ok
+
+
+def poly(universe, *terms):
+    """The polynomial of the terms (coefficient, variable name, ...), a
+    name repeated for a power."""
+    out = universe.zero()
+    for c, *names in terms:
+        term = universe.const(c)
+        for name in names:
+            term = term * universe.poly_var(name)
+        out = out + term
+    return out
+
+
+def report_fields(reports):
+    return [(r.tvec, r.weight, r.piece_size, r.kernel_dim, r.span_dim, r.multiples, r.ok) for r in reports]
+
+
+# s1 = s2 = x: two distinct terms can meet once the values are put in
+SAME_VALUE_SPEC = {
+    "sequence": {"mode": "concrete", "n": 2, "ambient": ["x"], "values": [[[1, {"x": 1}]], [[1, {"x": 1}]]]},
+    "blocks": [{"rows": [1, 2]}],
+}
+
+
+# the reports and errors these generators gave when the oracle evaluated
+# each generator by ``Poly.substitute`` and checked it on ``Mono``s
+GENERIC_ABOVE = [((1, 0, 0, 0, 0), 1, 2, 0, 0, 0, True)]
+WEIGHT_ZERO_ABOVE = [((1, 0), 0, 2, 1, 1, 1, True), ((0, 1), 0, 2, 1, 1, 1, True)]
+MERGED = [
+    ((1,), 1, 2, 1, 0, 0, False),
+    ((1,), 2, 2, 1, 1, 2, True),
+    ((1,), 3, 2, 1, 1, 2, True),
+    ((1,), 4, 2, 1, 1, 2, True),
+    ((1,), 5, 2, 1, 1, 2, True),
+    ((2,), 2, 3, 2, 0, 0, False),
+    ((2,), 3, 3, 2, 2, 4, True),
+    ((2,), 4, 3, 2, 2, 4, True),
+    ((2,), 5, 3, 2, 2, 4, True),
+    ((3,), 3, 4, 3, 0, 0, False),
+    ((3,), 4, 4, 3, 3, 6, True),
+    ((3,), 5, 4, 3, 3, 6, True),
+]
+FOREIGN = [
+    "generator leaves the enumerated presentation ring; it uses a variable outside the presentation ring",
+    "generator x*T[1;1] is not a binomial",
+    "generator leaves the enumerated presentation ring; it uses a variable outside the presentation ring",
+]
+
+
+class TestGeneratorIntake:
+    """Generators enter the sweep packed, as piece monomials do: terms
+    merge, the skip and the checks read the packed terms, and the field
+    is wide enough for every generator term."""
+
+    def test_builds_no_poly(self, paper, monkeypatch):
+        concrete = build_presentation(spec_from_dict(CONSTANT_SPEC))
+        cases = [(paper, {}), (concrete, {"t_cap": 2})]
+        want = [report_fields(oracle_check(p, defining_generators(p, RESTRICTED), **kw).reports) for p, kw in cases]
+
+        def to_poly(self, universe):
+            raise AssertionError("a Poly was built")
+
+        monkeypatch.setattr(Binomial, "to_poly", to_poly)
+        for (pres, kw), reports in zip(cases, want):
+            got = oracle_check(pres, defining_generators(pres, RESTRICTED), **kw)
+            assert got.ok and report_fields(got.reports) == reports
+
+    @pytest.mark.parametrize("spec", [SAME_VALUE_SPEC, CONSTANT_SPEC, "paper"], ids=["same_value", "constant", "paper"])
+    def test_matches_the_reference(self, spec, paper):
+        # random polynomials over every symbol of the universe, and random
+        # multiples of the restricted generators, one sweep each with no
+        # piece, so the generator alone sizes the field
+        pres = paper if spec == "paper" else build_presentation(spec_from_dict(spec))
+        u = pres.universe
+        ref = MonoImage(pres)
+        gens = [g.poly for g in defining_generators(pres, RESTRICTED)]
+        rng = Random(29)
+
+        def monomial():
+            return Mono((v, rng.randint(1, 2)) for v in rng.sample(range(len(u.names)), rng.randint(0, 3)))
+
+        outcomes = set()
+        for _ in range(400):
+            if rng.random() < 0.4:
+                p = rng.choice(gens) * u.term(rng.choice((-2, 1, 3)), monomial())
+            else:
+                p = u.from_terms((monomial(), rng.choice((-2, -1, 1, 2))) for _ in range(rng.randint(1, 3)))
+            sweep = _Sweep(pres, [p], ImageData(pres), DEFAULT_PIECE_CAP, [])
+            try:
+                got = {degree: [tuple(sorted(pair)) for pair in pairs] for degree, pairs in sweep.moves.items()}
+            except ValueError as exc:
+                got = str(exc)
+            want = ref.moves(p, sweep.src.pack)
+            assert got == want, p
+            outcomes.add(want.split(" ")[-1] if isinstance(want, str) else bool(want))
+        assert outcomes >= {True, "ring", "binomial", "zero"}
+
+    def test_generic_generator_above_every_piece(self, paper):
+        # the piece alone sizes the field at one bit, where p1^3*t1 and
+        # p1*p2*t1 pack alike
+        u = paper.universe
+        gens = defining_generators(paper, RESTRICTED)
+        degrees = [((1, 0, 0, 0, 0), 1)]
+        outside = poly(u, (1, "p1", "p1", "T[1;111]"), (-1, "p1", "T[1;110]"))
+        with pytest.raises(ValueError) as err:
+            oracle_check(paper, gens + [outside], degrees=degrees)
+        assert str(err.value) == "generator p1^2*T[1;111] - p1*T[1;110] does not map to zero"
+        inside = poly(u, (1, "p1", "p1", "p2", "T[1;111]"), (-1, "p1", "p1", "p1", "T[1;110]"))
+        reports = oracle_check(paper, gens + [inside], degrees=degrees).reports
+        assert report_fields(reports) == GENERIC_ABOVE
+
+    def test_weight_zero_generator_above_every_piece(self):
+        # T-variables of weight 0: the pieces alone size the field at one
+        # bit, where t1^2 packs as t2, so 4*t1^2 and 2*2*t2 would agree
+        pres = build_presentation(spec_from_dict(CONSTANT_SPEC))
+        u = pres.universe
+        gens = defining_generators(pres, RESTRICTED)
+        degrees = [((1, 0), 0), ((0, 1), 0)]
+        outside = poly(u, (1, "T[1;11]", "T[1;11]"), (-2, "T[2;11]"))
+        with pytest.raises(ValueError) as err:
+            oracle_check(pres, gens + [outside], degrees=degrees)
+        assert str(err.value) == "generator -2*T[2;11] + T[1;11]^2 does not map to zero"
+        inside = poly(u, (9, "T[1;11]", "T[1;11]"), (-4, "T[1;10]", "T[1;10]"))
+        reports = oracle_check(pres, gens + [inside], degrees=degrees).reports
+        assert report_fields(reports) == report_fields(oracle_check(pres, gens, degrees=degrees).reports)
+        assert report_fields(reports) == WEIGHT_ZERO_ABOVE
+
+    def test_terms_that_meet_after_evaluation(self):
+        pres = build_presentation(spec_from_dict(SAME_VALUE_SPEC))
+        u = pres.universe
+        gens = defining_generators(pres, RESTRICTED)
+        want = report_fields(oracle_check(pres, gens).reports)
+        # s1*T - s2*T evaluates to zero and is skipped
+        cancel = poly(u, (1, "s1", "T[1;1]"), (-1, "s2", "T[1;1]"))
+        assert report_fields(oracle_check(pres, gens + [cancel]).reports) == want
+        # s1*T + s2*T evaluates to one term
+        with pytest.raises(ValueError) as err:
+            oracle_check(pres, gens + [poly(u, (1, "s1", "T[1;1]"), (1, "s2", "T[1;1]"))])
+        assert str(err.value) == "generator 2*x*T[1;1] is not a binomial"
+        # three terms, two of which merge into a kernel binomial
+        merged = poly(u, (1, "s1", "T[1;1]"), (1, "s2", "T[1;1]"), (-2, "x", "T[1;0]"))
+        assert report_fields(oracle_check(pres, gens + [merged]).reports) == MERGED
+
+    def test_foreign_symbols(self):
+        pres = build_presentation(spec_from_dict(SAME_VALUE_SPEC))
+        u = pres.universe
+        gens = defining_generators(pres, RESTRICTED)
+        want = report_fields(oracle_check(pres, gens).reports)
+        # t1 is no variable of the enumerated ring, but the generator
+        # evaluates to zero and is skipped
+        zeros = [
+            poly(u, (1, "s1", "t1"), (-1, "s2", "t1")),
+            poly(u, (1, "s1", "t1", "T[1;1]"), (-1, "s2", "t1", "T[1;1]")),
+        ]
+        for zero in zeros:
+            assert report_fields(oracle_check(pres, gens + [zero]).reports) == want
+        outcomes = []
+        for p in (
+            poly(u, (1, "s1", "t1"), (1, "s2", "t1")),
+            poly(u, (1, "s1", "t1"), (-1, "s2", "t1"), (1, "s2", "T[1;1]")),
+            poly(u, (1, "t1", "T[1;1]"), (-1, "t1", "T[1;0]")),
+        ):
+            with pytest.raises(ValueError) as err:
+                oracle_check(pres, gens + [p])
+            outcomes.append(str(err.value))
+        assert outcomes == FOREIGN
 
 
 def count_image_data(monkeypatch):
