@@ -37,7 +37,6 @@ the multipliers needed to replay the claimed identity exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -99,17 +98,15 @@ class ReductionCert:
         return acc == self.target
 
 
-@dataclass
 class PairResult:
     """One S-pair of the basis, by generator index.  ``criterion`` names
     the criterion that certified the pair without reducing it; a zero
     S-pair reduces to zero in 0 steps."""
 
-    i: int
-    j: int
-    spair_zero: bool
-    cert: ReductionCert
-    criterion: str | None = None
+    __slots__ = ("i", "j", "spair_zero", "cert", "criterion")
+
+    def __init__(self, i, j, spair_zero, cert, criterion=None):
+        self.i, self.j, self.spair_zero, self.cert, self.criterion = i, j, spair_zero, cert, criterion
 
     @property
     def ok(self):
@@ -120,12 +117,13 @@ class PairResult:
         return "pair (%d, %d)" % (self.i + 1, self.j + 1)
 
 
-@dataclass
 class MemberResult:
     """A generator left out of the basis, reduced over the basis."""
 
-    k: int
-    cert: ReductionCert
+    __slots__ = ("k", "cert")
+
+    def __init__(self, k, cert):
+        self.k, self.cert = k, cert
 
     @property
     def ok(self):
@@ -136,13 +134,14 @@ class MemberResult:
         return "member %d" % (self.k + 1)
 
 
-@dataclass
 class BuchbergerReport:
-    order: MonomialOrder
-    generators: tuple
-    basis: tuple = ()
-    pairs: list = field(default_factory=list)
-    members: list = field(default_factory=list)
+    """The ``PairResult`` of each S-pair of ``basis`` and the
+    ``MemberResult`` of each other generator, filled in by the check."""
+
+    __slots__ = ("order", "generators", "basis", "pairs", "members")
+
+    def __init__(self, order, generators, basis=()):
+        self.order, self.generators, self.basis, self.pairs, self.members = order, generators, basis, [], []
 
     @property
     def ok(self):

@@ -47,13 +47,12 @@ map preserves both, and every piece is finite.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement, product
 from math import comb, prod
 
-from .poly import CapExceeded, GuardExceeded, Mono, Packing, Poly, SpecError
+from .poly import CapExceeded, GuardExceeded, Mono, Packing, SpecError
 
 DEFAULT_T_CAP = 3
 DEFAULT_PIECE_CAP = 20000
@@ -100,12 +99,14 @@ class ImageData:
         self.min_block_weight = [min(self.table[v][2] for v in bd.vids.values()) for bd in pres.blocks]
 
 
-@dataclass
 class KernelPiece:
-    tvec: tuple
-    weight: int
-    monomials: list
-    basis: list  # vectors as {monomial index: coefficient}
+    """The kernel basis of one piece, as vectors {monomial index:
+    coefficient} over ``monomials``."""
+
+    __slots__ = ("tvec", "weight", "monomials", "basis")
+
+    def __init__(self, tvec, weight, monomials, basis):
+        self.tvec, self.weight, self.monomials, self.basis = tvec, weight, monomials, basis
 
 
 def _one_piece(pres, tvec, weight, cap):
@@ -135,16 +136,15 @@ def kernel_piece(pres, tvec, weight, cap=DEFAULT_PIECE_CAP):
     return KernelPiece(tuple(tvec), weight, monos, basis)
 
 
-@dataclass
 class SpanReport:
-    tvec: tuple
-    weight: int
-    piece_size: int
-    kernel_dim: int
-    span_dim: int
-    multiples: int
-    ok: bool
-    witness: Poly | None = None
+    """One piece compared: ``witness`` is a kernel element outside the
+    span when there is one."""
+
+    __slots__ = ("tvec", "weight", "piece_size", "kernel_dim", "span_dim", "multiples", "ok", "witness")
+
+    def __init__(self, tvec, weight, piece_size, kernel_dim, span_dim, multiples, ok, witness=None):
+        self.tvec, self.weight, self.piece_size, self.kernel_dim = tvec, weight, piece_size, kernel_dim
+        self.span_dim, self.multiples, self.ok, self.witness = span_dim, multiples, ok, witness
 
 
 def _terms(g):
@@ -470,9 +470,13 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-@dataclass
 class OracleReport:
-    reports: list = field(default_factory=list)
+    """The ``SpanReport`` of each piece, in sweep order."""
+
+    __slots__ = ("reports",)
+
+    def __init__(self, reports):
+        self.reports = reports
 
     @property
     def ok(self):

@@ -23,7 +23,6 @@ i = n-1 down to 1: T[l;110] is s_2 * t_l over four symbols at power 1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, combinations_with_replacement
 from math import comb
@@ -54,18 +53,18 @@ SINGLE = "single"  # F1, for library callers: not a CLI choice
 DEFAULT_MAX_MINOR_SIZE = 6
 
 
-@dataclass(frozen=True)
 class ReesSpec:
-    """A sequence plus r blocks, each a row subset K_l and a power a_l."""
+    """A sequence plus r blocks, each a row subset K_l and a power a_l.
+    Two specs compare equal when their sequences and normalised blocks
+    do."""
 
-    seq: SeqSpec
-    blocks: tuple
+    __slots__ = ("seq", "blocks")
 
-    def __post_init__(self):
-        if not self.blocks:
+    def __init__(self, seq, blocks):
+        if not blocks:
             raise SpecError("need at least one block")
         norm = []
-        for b, raw in enumerate(self.blocks, start=1):
+        for b, raw in enumerate(blocks, start=1):
             try:
                 rows, power = raw
                 rows = tuple(rows)
@@ -75,20 +74,26 @@ class ReesSpec:
             power = spec_field(power, int, "block %d 'power'" % b)
             if not rows:
                 raise SpecError("block %d has no rows" % b)
-            if rows[0] < 1 or rows[-1] > self.seq.n:
-                raise SpecError("block %d rows must lie in 1..%d" % (b, self.seq.n))
+            if rows[0] < 1 or rows[-1] > seq.n:
+                raise SpecError("block %d rows must lie in 1..%d" % (b, seq.n))
             if power < 1:
                 raise SpecError("block %d power must be positive" % b)
             norm.append((rows, power))
         # counted before Presentation builds a name.  Block l has
         # comb(|K_l| + a_l - 1, a_l) variables: one when |K_l| = 1, else at
         # least a_l + 1, so a power capped at the guard gives the same verdict
-        size = self.seq.n
+        size = seq.n
         for rows, power in norm:
             size += comb(len(rows) + min(power, MAX_VARIABLES) - 1, len(rows) - 1)
             if size > MAX_VARIABLES:
                 raise GuardExceeded("the presentation exceeds the hard guard of %d variables" % MAX_VARIABLES)
-        object.__setattr__(self, "blocks", tuple(norm))
+        self.seq, self.blocks = seq, tuple(norm)
+
+    def __eq__(self, other):
+        return isinstance(other, ReesSpec) and (self.seq, self.blocks) == (other.seq, other.blocks)
+
+    def __repr__(self):
+        return "ReesSpec(seq=%r, blocks=%r)" % (self.seq, self.blocks)
 
     @property
     def r(self):
@@ -212,7 +217,6 @@ def _monomials(n, rows, degree):
     return out
 
 
-@dataclass
 class BlockData:
     """One block: ``columns`` lists the exponent vector u of each
     degree-(power - 1) monomial in ``rows``, one matrix column each, and
@@ -220,11 +224,10 @@ class BlockData:
     in ``rows`` (a variable of the presentation ring) to its id, in id
     order."""
 
-    index: int
-    rows: tuple
-    power: int
-    columns: list
-    vids: dict = field(default_factory=dict)
+    __slots__ = ("index", "rows", "power", "columns", "vids")
+
+    def __init__(self, index, rows, power, columns):
+        self.index, self.rows, self.power, self.columns, self.vids = index, rows, power, columns, {}
 
 
 class Presentation:
@@ -339,17 +342,16 @@ def build_presentation(spec):
 # --- generating families -------------------------------------------------
 
 
-@dataclass(slots=True)
 class Generator:
-    """One emitted binomial; ``poly`` is built from it on first read."""
+    """One emitted binomial; ``poly`` is built from it on first read.
+    ``kind`` is "seq-linear", "block-2x2", "multiblock-cycle" or
+    "binary", and ``size`` the number of matrix columns consumed."""
 
-    binomial: Binomial
-    kind: str  # "seq-linear" | "block-2x2" | "multiblock-cycle" | "binary"
-    blocks: tuple
-    size: int  # number of matrix columns consumed
-    label: str
-    universe: VarUniverse = field(repr=False, compare=False)
-    _poly: Poly = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("binomial", "kind", "blocks", "size", "label", "universe", "_poly")
+
+    def __init__(self, binomial, kind, blocks, size, label, universe):
+        self.binomial, self.kind, self.blocks, self.size, self.label = binomial, kind, blocks, size, label
+        self.universe, self._poly = universe, None
 
     @property
     def poly(self):
@@ -485,17 +487,13 @@ def defining_generators(pres, family=RESTRICTED, max_minor_size=None):
 # --- squarefreeness / normality report ------------------------------------
 
 
-@dataclass
 class NormalityReport:
-    """``symbol_results`` is computed on first read: the verdict does not
-    depend on it."""
+    """``verdict`` is "NORMAL_CM" or "INDETERMINATE".  ``symbol_results``
+    is computed on first read: the verdict does not depend on it."""
 
-    verdict: str  # "NORMAL_CM" | "INDETERMINATE"
-    structural_ok: bool
-    hypothesis_ok: bool
-    notes: list
-    generators: list = field(repr=False)
-    universe: VarUniverse = field(repr=False)
+    def __init__(self, verdict, structural_ok, hypothesis_ok, notes, generators, universe):
+        self.verdict, self.structural_ok, self.hypothesis_ok, self.notes = verdict, structural_ok, hypothesis_ok, notes
+        self.generators, self.universe = generators, universe
 
     @cached_property
     def symbol_results(self):

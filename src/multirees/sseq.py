@@ -7,7 +7,6 @@ elsewhere.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
@@ -17,47 +16,41 @@ MAX_TAYLOR_GENERATORS = 12
 MAX_VARIABLES = 2_000  # sequence symbols plus presentation variables of a spec
 
 
-@dataclass(frozen=True)
 class SeqSpec:
     """Description of the ambient sequence s_1,...,s_n.
 
-    ``concrete_terms`` gives, per symbol, the value as a list of
-    (integer coefficient, {x-name: exponent}) terms; generic mode leaves it
-    empty.  Weak regularity of concrete values is an attestation, not a
-    decidable check here.
+    ``mode`` is "generic" or "concrete".  ``concrete_terms`` gives, per
+    symbol, the value as a list of (integer coefficient, {x-name:
+    exponent}) terms; generic mode leaves it empty.  Weak regularity of
+    concrete values is an attestation, not a decidable check here.  Two
+    specs compare equal when their normalised fields do.
     """
 
-    n: int
-    mode: str = "generic"  # "generic" | "concrete"
-    names: tuple = ()
-    x_names: tuple = ()
-    concrete_terms: tuple = ()
-    assume_weak_regular: bool = False
+    __slots__ = ("n", "mode", "names", "x_names", "concrete_terms", "assume_weak_regular")
 
-    def __post_init__(self):
+    def __init__(self, n, mode="generic", names=(), x_names=(), concrete_terms=(), assume_weak_regular=False):
         # the spec's own key names, as ``rees.spec_from_dict`` reads them
-        spec_field(self.names, (list, tuple), "'names'")
-        spec_field(self.x_names, (list, tuple), "'ambient'")
-        spec_field(self.assume_weak_regular, bool, "'assume_weak_regular'")
-        if self.mode not in ("generic", "concrete"):
+        spec_field(names, (list, tuple), "'names'")
+        spec_field(x_names, (list, tuple), "'ambient'")
+        spec_field(assume_weak_regular, bool, "'assume_weak_regular'")
+        if mode not in ("generic", "concrete"):
             raise SpecError("mode must be generic or concrete")
-        if spec_field(self.n, int, "'n'") < 1:
+        if spec_field(n, int, "'n'") < 1:
             raise SpecError("need at least one sequence element")
-        if self.n > MAX_VARIABLES:
-            raise GuardExceeded("n = %d exceeds the hard guard of %d variables" % (self.n, MAX_VARIABLES))
-        defaults = ("s%d" % (i + 1) for i in range(self.n))
-        names = tuple(spec_field(v, str, "a name") for v in self.names or defaults)
-        if len(names) != self.n:
-            raise SpecError("expected %d sequence names" % self.n)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "x_names", tuple(spec_field(v, str, "a name") for v in self.x_names))
-        if self.mode == "concrete":
+        if n > MAX_VARIABLES:
+            raise GuardExceeded("n = %d exceeds the hard guard of %d variables" % (n, MAX_VARIABLES))
+        defaults = ("s%d" % (i + 1) for i in range(n))
+        names = tuple(spec_field(v, str, "a name") for v in names or defaults)
+        if len(names) != n:
+            raise SpecError("expected %d sequence names" % n)
+        x_names = tuple(spec_field(v, str, "a name") for v in x_names)
+        if mode == "concrete":
             try:
-                terms = tuple(tuple((c, dict(m)) for c, m in val) for val in self.concrete_terms)
+                terms = tuple(tuple((c, dict(m)) for c, m in val) for val in concrete_terms)
             except (TypeError, ValueError):
                 raise SpecError("malformed concrete values") from None
-            if len(terms) != self.n:
-                raise SpecError("expected %d concrete values" % self.n)
+            if len(terms) != n:
+                raise SpecError("expected %d concrete values" % n)
             terms = tuple(
                 tuple(
                     (spec_field(c, int, "a coefficient"), {k: spec_field(e, int, "an exponent") for k, e in m.items()})
@@ -72,15 +65,22 @@ class SeqSpec:
                     raise SpecError("s%d is a unit; the sequence must be non-invertible" % (i + 1))
                 for _, m in val:
                     for xn, e in m.items():
-                        if xn not in self.x_names:
+                        if xn not in x_names:
                             raise SpecError("unknown ambient variable %r" % xn)
                         if e < 0:
                             raise SpecError("s%d has a negative exponent; values must be polynomials" % (i + 1))
             # a zero exponent is no support: x*y^0 is the value x
-            terms = tuple(tuple((c, {xn: e for xn, e in m.items() if e}) for c, m in val) for val in terms)
-            object.__setattr__(self, "concrete_terms", terms)
-        elif self.concrete_terms:
+            concrete_terms = tuple(tuple((c, {xn: e for xn, e in m.items() if e}) for c, m in val) for val in terms)
+        elif concrete_terms:
             raise SpecError("generic mode takes no concrete values")
+        self.n, self.mode, self.names, self.x_names = n, mode, names, x_names
+        self.concrete_terms, self.assume_weak_regular = concrete_terms, assume_weak_regular
+
+    def __eq__(self, other):
+        return isinstance(other, SeqSpec) and all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+
+    def __repr__(self):
+        return "SeqSpec(%s)" % ", ".join("%s=%r" % (k, getattr(self, k)) for k in self.__slots__)
 
     @staticmethod
     def _is_unit(val):
@@ -130,7 +130,6 @@ class SeqSpec:
         return True
 
 
-@dataclass
 class TaylorComplex:
     """Taylor complex of a list of monomials (``Mono``).
 
@@ -140,8 +139,10 @@ class TaylorComplex:
     lcm(J minus r-th) divides lcm(J).
     """
 
-    generators: tuple
-    _lcms: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("generators", "_lcms")
+
+    def __init__(self, generators):
+        self.generators, self._lcms = generators, {}
 
     @property
     def m(self):
