@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -241,10 +242,10 @@ def _report(rep, fmt):
     return lines
 
 
-def _groebner(polys, order, fmt):
+def _groebner(gens, order, fmt):
     """(verdict, rendered report) of ``buchberger_check``: the report is
     dropped before the next check runs."""
-    rep = buchberger_check(polys, order)
+    rep = buchberger_check(gens, order)
     return rep.ok, _report(rep, fmt)
 
 
@@ -304,7 +305,7 @@ def _normality(rep, fmt):
 def cmd_groebner(args):
     spec = _read_spec(args.spec)
     pres = build_presentation(spec)
-    gens = [g.poly for g in defining_generators(pres, args.family, args.max_minor_size)]
+    gens = defining_generators(pres, args.family, args.max_minor_size)
     fmt = args.format
     if not gens:
         if fmt == "json":
@@ -388,7 +389,7 @@ def cmd_verify(args):
     spec = _read_spec(args.spec)
     pres = build_presentation(spec)
     gens = defining_generators(pres, args.family, args.max_minor_size)
-    single = [g.poly for g in defining_generators(pres, SINGLE, args.max_minor_size)]
+    single = defining_generators(pres, SINGLE, args.max_minor_size)
     rep = _oracle(pres, gens, args)
     oracle_ok = rep.ok
     if fmt == "json":
@@ -564,6 +565,13 @@ def build_parser():
 
 
 def main(argv=None):
+    # Free the cyclic garbage left in the young generations since the last
+    # in-process call (modules a caller dropped, json's encoder closures)
+    # before the command allocates.  Left there, whichever automatic collection runs
+    # next would move part of it into the oldest generation, where it stays
+    # until a full collection: how much depends on where the thresholds
+    # fall among the caller's allocations, and the peak memory with it.
+    gc.collect(1)
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

@@ -1,9 +1,13 @@
-"""Buchberger-style certification over a coefficient ring.
+"""Buchberger-style certification of pure-difference binomials.
 
-Leading coefficients here are polynomials in the sequence symbols, not
-field elements.  Everything below is restricted to polynomials of
-s-monomial type (leading coefficient = unit times an s-monomial), for
-which S-pairs and top-reduction stay exact:
+The inputs are pure differences x^A - x^B: ``rees.Generator``s, whose
+binomials enter packed as they are, and ``Poly``s of two terms with
+coefficients +1 and -1; anything else is a ValueError.  Leading
+coefficients are polynomials in the sequence symbols, not field
+elements, and a binomial must be of s-monomial type: its terms have
+different T-parts, and the leading one is an s-monomial times a
+T-monomial.  Then S-pairs and top-reduction stay exact, and all they
+form are pure differences (``buchberger_check`` says why):
 
 * the S-pair of f and g clears both leading terms after scaling by the
   lcm of the two leading s-monomials as well as the lcm of the leading
@@ -21,14 +25,17 @@ S-pair takes the general path and reduces to zero in 0 steps.
 
 It runs on packed monomials: each monomial is one int with a guarded
 field per variable, laid out so that the order key is read off the int,
-and a divisibility test or an lcm is a few int operations
-(``_Ring``); a polynomial enters as one (unit, lead, polynomial)
-``entry``.  A certificate keeps its quotient terms as data, (reducer
-index, packed shift, coefficient), from a reduction's steps or from the
-product identity, and builds its target, quotients and remainder as
-``Poly`` only when they are read.  ``s_poly`` and ``top_reduce`` run the
-same packed steps on one pair or one target; the same steps on ``Poly``,
-the reference that all three are compared with, live in the tests.
+and a divisibility test or an lcm is a few int operations (``_Ring``).
+A binomial is two such ints: a generator enters once as a (unit, lead,
+tail) ``entry``, unit*(lead - tail), and every S-pair, target and
+remainder is a (plus, minus) pair, plus - minus, which is zero when the
+two ints are equal.  A certificate keeps its quotient terms as data,
+(reducer index, packed shift, +-1), from a reduction's steps or from
+the product identity, and builds its target, quotients and remainder
+as ``Poly`` only when they are read.  ``s_poly`` and ``top_reduce`` run
+the same packed steps on one pair or one target; the same steps on
+``Poly``, the reference that all three are compared with, live in the
+tests.
 
 Reduction is top-reduction only and can get stuck; a stuck state is
 reported as INCONCLUSIVE, never as a disproof.  All certificates carry
@@ -37,14 +44,15 @@ the multipliers needed to replay the claimed identity exactly.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import cached_property
 
 from .poly import (
     GuardExceeded,
     MonomialOrder,
     Packing,
+    Poly,
     UniverseMismatch,
+    ZeroPolynomial,
     default_t_precedence,
     leading,
 )
@@ -61,9 +69,9 @@ class ReductionCert:
     ``quotients`` maps reducer index -> multiplier polynomial, so that
         target == sum(quotients[i] * reducers[i]) + remainder.
     ``target``, ``quotients`` and ``remainder`` are built as ``Poly`` on
-    first read, through ``ring``, from the packed target and remainder
-    and the ``record``, a list of (reducer index, packed shift,
-    coefficient) quotient terms."""
+    first read, through ``ring``, from the packed (plus, minus) target
+    and remainder and the ``record``, a list of (reducer index, packed
+    shift, +-1) quotient terms."""
 
     def __init__(self, ring, target, reducers, status, steps, record, remainder):
         self.ring = ring
@@ -77,11 +85,11 @@ class ReductionCert:
 
     @cached_property
     def target(self):
-        return self.ring.poly(self._target)
+        return self.ring.difference(self._target)
 
     @cached_property
     def remainder(self):
-        return self.ring.poly(self._remainder)
+        return self.ring.difference(self._remainder)
 
     @cached_property
     def quotients(self):
@@ -89,12 +97,12 @@ class ReductionCert:
         for idx, shift, c in self._record:
             q = terms.setdefault(idx, {})
             q[shift] = q.get(shift, 0) + c
-        return {idx: self.ring.poly(q) for idx, q in terms.items()}
+        return {idx: self.ring.poly(q.items()) for idx, q in terms.items()}
 
     def verify(self):
         acc = self.remainder
         for idx, q in self.quotients.items():
-            acc = acc + q * self.reducers[idx]
+            acc = acc + q * getattr(self.reducers[idx], "poly", self.reducers[idx])
         return acc == self.target
 
 
@@ -164,15 +172,6 @@ class _Overflow(Exception):
     """A packed field outgrew its width."""
 
 
-def _div(c, u):
-    """c / u exactly: a sign flip for a unit +-1, a ``Fraction`` otherwise."""
-    if u == 1:
-        return c
-    if u == -1:
-        return -c
-    return Fraction(c) / u
-
-
 class _Ring:
     """The packed monomials of one check under one order.
 
@@ -184,15 +183,16 @@ class _Ring:
     precedence on top for lex and grlex, the lowest on top for grevlex.
     Graded orders add one field on top that holds the T-degree.  The order
     key of a monomial is then its T-part for lex and grlex, and for
-    grevlex the degree minus the T-fields.
+    grevlex the degree minus the T-fields; two monomials have equal keys
+    exactly when they have equal T-parts.
 
     The sum of two stored monomials cannot carry past a guard, so a guard
     set after a product means that a field overflowed (``_Overflow``).  A
     monomial a divides b when ``(b - a) & guard == 0``, and ``lcm`` takes
     the per-field max without a loop over fields (SWAR; Bachmann and
-    Schoenemann, ISSAC 1998).  A polynomial is a dict
-    {packed monomial: coefficient}, with integer coefficients where they
-    are integers.
+    Schoenemann, ISSAC 1998).  ``_widened`` sizes the fields for twice the
+    largest degree of an input term, so the lcm of two input leads and an
+    S-pair always fit; only reduction steps can overflow.
     """
 
     def __init__(self, order, width):
@@ -218,39 +218,35 @@ class _Ring:
         else:
             self.key = tshift.__rrshift__
 
-    def pack(self, p):
-        pack, tset = self.layout.pack, self.universe.T_idset
-        out = {}
-        for mono, c in p.terms:
-            m = pack(mono.exps)
-            if self.graded:
-                m += sum(e for v, e in mono.exps if v in tset) << self.dshift
-            out[m] = c.numerator if c.denominator == 1 else c
-        return out
+    def pack(self, mono):
+        m = self.layout.pack(mono.exps)
+        if self.graded:
+            tset = self.universe.T_idset
+            m += sum(e for v, e in mono.exps if v in tset) << self.dshift
+        return m
 
-    def poly(self, packed):
+    def poly(self, terms):
+        """The ``Poly`` of (packed monomial, coefficient) ``terms``."""
         unpack = self.layout.unpack
-        return self.universe.from_terms((unpack(m), c) for m, c in packed.items())
+        return self.universe.from_terms((unpack(m), c) for m, c in terms)
 
-    def lead_group(self, p):
-        """The monomials of ``p`` with the leading T-part."""
-        tshift = self.tshift
-        top = max(p, key=self.key) >> tshift
-        return [m for m in p if m >> tshift == top]
+    def difference(self, pair):
+        """The ``Poly`` plus - minus of a packed (plus, minus) pair."""
+        return self.poly(zip(pair, (1, -1)))
 
-    def entry(self, g):
-        """(unit, packed lead monomial, packed polynomial) of ``g``, whose
-        leading term is a unit times an s-monomial times a T-monomial.
-        Otherwise ValueError, or ``leading``'s ZeroPolynomial when ``g``
-        is zero."""
-        p = self.pack(g)
-        group = self.lead_group(p) if p else ()
-        if len(group) == 1:
-            m = group[0]
-            c = p[m]
-            if not m & self.non_s and (self.universe.domain != "ZZ" or abs(c) == 1):
-                return c, m, p
-        lc, _ = leading(g, self.order)
+    def entry(self, binomial):
+        """(unit, packed lead, packed tail) of the (plus, minus) ``Mono``s
+        of a binomial: plus - minus == unit*(lead - tail), whose lead is an
+        s-monomial times a T-monomial.  Otherwise ValueError, or
+        ZeroPolynomial for the zero binomial ()."""
+        if not binomial:
+            raise ZeroPolynomial("zero polynomial has no leading term")
+        plus, minus = map(self.pack, binomial)
+        kp, km = self.key(plus), self.key(minus)
+        unit, lead, tail = (1, plus, minus) if kp > km else (-1, minus, plus)
+        if kp != km and not lead & self.non_s:
+            return unit, lead, tail
+        lc, _ = leading(self.difference((plus, minus)), self.order)
         raise ValueError(
             "polynomial is not of s-monomial type under %s: leading coefficient %s" % (self.order.describe(), lc.render())
         )
@@ -265,12 +261,11 @@ class _Ring:
         out = (a & mask) | (b & ~mask)
         if self.graded:
             # the degree field takes the sum of the T-fields: 2**width = 1
-            # modulo 2**width - 1, and the sum is below it
+            # modulo 2**width - 1, and the sum is below it.  It needs no
+            # overflow test: ``_widened`` sizes a field for twice the largest
+            # term degree, and an lcm is only taken of two input leads
             out &= (1 << self.dshift) - 1
-            degree = (out >> self.tshift) % ((1 << self.width) - 1)
-            if degree >> (self.width - 1):
-                raise _Overflow
-            out |= degree << self.dshift
+            out |= (out >> self.tshift) % ((1 << self.width) - 1) << self.dshift
         return out
 
     def gcd(self, a, b):
@@ -282,91 +277,59 @@ class _Ring:
         return ((m | self.var_guard) - self.var_ones) & self.var_guard
 
     def s_pair(self, entry_f, entry_g):
-        """``s_poly`` of the packed f and g from their ``entry``s."""
-        (uf, mf, f), (ug, mg, g) = entry_f, entry_g
-        top = self.lcm(mf, mg)
-        guard = self.guard
-        out = {}
-        for m, c in f.items():
-            m += top - mf
-            if m & guard:
-                raise _Overflow
-            out[m] = _div(c, uf)
-        for m, c in g.items():
-            m += top - mg
-            if m & guard:
-                raise _Overflow
-            c = out.get(m, 0) - _div(c, ug)
-            if c:
-                out[m] = c
-            else:
-                del out[m]
-        return out
+        """``s_poly`` of the ``entry``s f and g, as a (plus, minus) pair."""
+        (_, lf, tf), (_, lg, tg) = entry_f, entry_g
+        top = self.lcm(lf, lg)
+        return top - lg + tg, top - lf + tf
 
     def certify(self, target, entries, reducers):
-        """The certificate of ``reduce`` on the packed ``target`` over the
-        ``entry``s of ``reducers``."""
-        work = dict(target)
-        return ReductionCert(self, target, reducers, *self.reduce(work, entries), work)
+        """The certificate of ``reduce`` on the packed (plus, minus)
+        ``target`` over the ``entry``s of ``reducers``."""
+        return ReductionCert(self, target, reducers, *self.reduce(target, entries))
 
-    def reduce(self, work, reducers):
-        """``top_reduce`` of the packed polynomial ``work``, in place, over
-        ``reducers``, a list of ``entry``s: each step divides the whole
-        leading coefficient by the first reducer whose lead divides each of
-        its terms.  Returns (status,
-        steps, record) with one (reducer index, packed shift, coefficient)
-        per quotient term; GuardExceeded past ``DEFAULT_MAX_STEPS`` steps,
-        read when the reduction runs."""
-        guard = self.guard
+    def reduce(self, target, reducers):
+        """``top_reduce`` of the packed (plus, minus) ``target`` over
+        ``reducers``, a list of ``entry``s.  The work is sign*(a - b) with
+        a leading.  A step takes the first reducer whose lead divides a and
+        moves a by the reducer's tail less its lead; when a and b share the
+        leading T-part, the lead must divide their gcd, and b moves too.
+        Returns (status, steps, record, remainder) with one (reducer
+        index, packed shift, +-1) per quotient term; GuardExceeded past
+        ``DEFAULT_MAX_STEPS`` steps, read when the reduction runs."""
+        guard, key = self.guard, self.key
         record = []
         steps = 0
-        while work:
-            group = self.lead_group(work)
-            low = group[0]
-            for m in group[1:]:
-                low = self.gcd(low, m)
-            for chosen, (ug, lg, g) in enumerate(reducers):
-                if not (low - lg) & guard:
+        sign = 1
+        a, b = target
+        while a != b:
+            ka, kb = key(a), key(b)
+            if ka < kb:
+                a, b, sign = b, a, -sign
+            low = self.gcd(a, b) if ka == kb else a
+            for chosen, (unit, lead, tail) in enumerate(reducers):
+                if not (low - lead) & guard:
                     break
             else:
-                return INCONCLUSIVE, steps, record
-            for shift, q in [(m - lg, _div(work[m], ug)) for m in group]:
-                record.append((chosen, shift, q))
-                for m, c in g.items():
-                    m += shift
-                    if m & guard:
-                        raise _Overflow
-                    c = work.get(m, 0) - q * c
-                    if c:
-                        work[m] = c
-                    else:
-                        del work[m]
+                return INCONCLUSIVE, steps, record, (a, b) if sign > 0 else (b, a)
+            c = sign * unit
+            record.append((chosen, a - lead, c))
+            a += tail - lead
+            if ka == kb:
+                record.append((chosen, b - lead, -c))
+                b += tail - lead
+            if (a | b) & guard:
+                raise _Overflow
             steps += 1
             if steps > DEFAULT_MAX_STEPS:
                 raise GuardExceeded("top-reduction exceeded %d steps" % DEFAULT_MAX_STEPS)
-        return REDUCED_TO_ZERO, steps, record
+        return REDUCED_TO_ZERO, steps, record, (a, b)
 
 
-def _product_record(table, a, b):
-    """Quotient terms of S(f, g) = (f'*g - g'*f)/(u_f*u_g) for the
-    ``entry``s f = ``table[a]`` and g = ``table[b]``, where f' and g' are
-    f and g without their leading terms.
-
-    Every term of f'*g lies below lm(f)*lm(g) = M, and so does every term
-    of g'*f; the identity is a representation of the S-pair below its lcm,
-    which is all that Buchberger's criterion asks of a pair."""
-    (uf, mf, f), (ug, mg, g) = table[a], table[b]
-    unit = uf * ug
-    return [(a, m, _div(-c, unit)) for m, c in g.items() if m != mg] + [
-        (b, m, _div(c, unit)) for m, c in f.items() if m != mf
-    ]
-
-
-def _run(gens, order, width):
+def _run(gens, binomials, order, width):
     """``buchberger_check`` with fields of ``width`` bits; ``_Overflow``
     if they are too narrow."""
     ring = _Ring(order, width)
-    entries = [ring.entry(g) for g in gens]
+    entries = [ring.entry(b) for b in binomials]
     # a divisor packs to a smaller int, or to the same int when the leads
     # are equal; so in this order a lead meets every lead that divides it
     # first, and of equal leads the lowest index
@@ -383,15 +346,19 @@ def _run(gens, order, width):
     for a, i in enumerate(basis):
         for b in range(a + 1, len(basis)):
             s = ring.s_pair(table[a], table[b])
-            if s and not support[a] & support[b]:
-                cert = ReductionCert(ring, s, basis_polys, REDUCED_TO_ZERO, 0, _product_record(table, a, b), {})
+            if s[0] != s[1] and not support[a] & support[b]:
+                # S(f, g) = u_f*T_g*f - u_g*T_f*g, below lm(f)*lm(g), which
+                # is all that Buchberger's criterion asks of a pair
+                (uf, _, tf), (ug, _, tg) = table[a], table[b]
+                cert = ReductionCert(ring, s, basis_polys, REDUCED_TO_ZERO, 0, [(a, tg, uf), (b, tf, -ug)], (0, 0))
                 report.pairs.append(PairResult(i, basis[b], False, cert, criterion="product"))
             else:
-                report.pairs.append(PairResult(i, basis[b], not s, ring.certify(s, table, basis_polys)))
+                report.pairs.append(PairResult(i, basis[b], s[0] == s[1], ring.certify(s, table, basis_polys)))
     in_basis = set(basis)
-    for k, (_, _, p) in enumerate(entries):
+    for k, (unit, lead, tail) in enumerate(entries):
         if k not in in_basis:
-            report.members.append(MemberResult(k, ring.certify(p, table, basis_polys)))
+            target = (lead, tail) if unit > 0 else (tail, lead)
+            report.members.append(MemberResult(k, ring.certify(target, table, basis_polys)))
     return report
 
 
@@ -403,11 +370,11 @@ def buchberger_check(generators, order):
     under divisibility; of equal leads, G keeps the lowest index.  Every
     S-pair of G must top-reduce to zero over G, except that a nonzero
     S-pair whose s-parts and T-parts are both coprime is certified by
-    Buchberger's product criterion, with the quotient terms of
-    ``_product_record``'s identity stored as its certificate.  A zero
-    S-pair is not a special case: it reduces to zero in 0 steps, and its
-    ``spair_zero`` is set.  Every generator outside G (a member) must
-    top-reduce to zero over G.  Pairs run in index order, then the
+    Buchberger's product criterion, with the quotient terms of its
+    identity S(f, g) = u_f*T_g*f - u_g*T_f*g stored as its certificate.
+    A zero S-pair is not a special case: it reduces to zero in 0 steps,
+    and its ``spair_zero`` is set.  Every generator outside G (a member)
+    must top-reduce to zero over G.  Pairs run in index order, then the
     members.
 
     The work runs on packed monomials (``_Ring``), from fields that hold
@@ -418,6 +385,19 @@ def buchberger_check(generators, order):
     certificates record their steps and build their polynomials when
     read.  Generators and order must share one universe
     (UniverseMismatch otherwise).
+
+    Why the packed steps are exact.  Write a generator as u*(L - T), with
+    a unit u = +-1 and L leading.  With M = lcm(L_f, L_g), the S-pair
+    u_f*(M/L_f)*f - u_g*(M/L_g)*g is (M/L_g)*T_g - (M/L_f)*T_f: a pure
+    difference, or zero when its two terms are equal.  A step on
+    +-(a - b), a leading, takes the first reducer g whose lead divides
+    a and replaces a by (a/L_g)*T_g: a pure difference again, or zero.
+    When a and b share the leading T-part, the leading coefficient is
+    their difference; L_g must divide gcd(a, b), and the step replaces
+    both terms, each times T_g/L_g, so they keep their common T-part and
+    the difference is never zero.  No coefficient other than +-1
+    arises, no polynomial has more than two terms, and a quotient term
+    is (reducer index, shift, +-1).
 
     Why this decides what the check over all pairs of F decides:
 
@@ -454,52 +434,63 @@ def buchberger_check(generators, order):
     gens = tuple(generators)
     if not gens:
         raise ValueError("no generators")
-    if any(g.is_zero() for g in gens):
+    binomials = [_binomial(g) for g in gens]
+    if not all(binomials):
         raise ValueError("zero generator")
-    return _widened(gens, order, lambda width: _run(gens, order, width))
+    return _widened(gens, binomials, order, lambda width: _run(gens, binomials, order, width))
 
 
 def s_poly(f, g, order):
-    """The S-pair of two s-monomial-type polynomials.
-
-    Scaled so that it is a genuine polynomial: with leading terms
-    u_f*d_f*m_f and u_g*d_g*m_g, this is
-
-        (D/d_f)(1/u_f)(M/m_f)*f - (D/d_g)(1/u_g)(M/m_g)*g
-
-    for D = lcm(d_f, d_g) and M = lcm(m_f, m_g); both leading terms land
-    on D*M and cancel.
-    """
+    """The S-pair of two binomials of s-monomial type, scaled so that it
+    is a genuine polynomial: with leading terms u_f*d_f*m_f and
+    u_g*d_g*m_g, (D/d_f)(1/u_f)(M/m_f)*f - (D/d_g)(1/u_g)(M/m_g)*g for
+    D = lcm(d_f, d_g) and M = lcm(m_f, m_g); both leading terms land on
+    D*M and cancel."""
+    binomials = [_binomial(f), _binomial(g)]
 
     def run(width):
         ring = _Ring(order, width)
-        return ring.poly(ring.s_pair(ring.entry(f), ring.entry(g)))
+        return ring.difference(ring.s_pair(*map(ring.entry, binomials)))
 
-    return _widened((f, g), order, run)
+    return _widened((f, g), binomials, order, run)
 
 
 def top_reduce(p, reducers, order):
-    """Top-reduce ``p`` by s-monomial-type ``reducers`` (``_Ring.reduce``);
-    never inspects trailing terms of ``p``, so a nonzero remainder means
-    only that no leading-term step applies (INCONCLUSIVE)."""
+    """Top-reduce ``p``, a binomial or zero, by binomials of s-monomial
+    type (``_Ring.reduce``); never inspects the trailing term of ``p``,
+    so a nonzero remainder means only that no leading-term step applies
+    (INCONCLUSIVE)."""
     reducers = tuple(reducers)
+    target, *binomials = map(_binomial, (p,) + reducers)
 
     def run(width):
         ring = _Ring(order, width)
-        return ring.certify(ring.pack(p), [ring.entry(g) for g in reducers], reducers)
+        return ring.certify(tuple(map(ring.pack, target)) or (0, 0), [ring.entry(b) for b in binomials], reducers)
 
-    return _widened((p,) + reducers, order, run)
+    return _widened((p,) + reducers, [target] + binomials, order, run)
 
 
-def _widened(polys, order, run):
+def _binomial(p):
+    """The (plus, minus) ``Mono``s of a ``Generator``'s binomial, or of a
+    ``Poly`` plus - minus; () for the zero ``Poly``.  ValueError for
+    anything else, a bare ``Binomial`` too: it has no universe."""
+    if isinstance(p, Poly):
+        if [c for _, c in p.terms] in ([], [1, -1], [-1, 1]):
+            return tuple(m for m, _ in sorted(p.terms, key=lambda t: -t[1]))
+    elif hasattr(p, "binomial"):
+        return p.binomial.plus, p.binomial.minus
+    raise ValueError("not a Generator or a difference of two monomials: %r" % (p,))
+
+
+def _widened(polys, binomials, order, run):
     """``run(width)`` with fields that hold twice the largest degree of a
-    term of ``polys``, run again at double width while a field overflows.
-    What a run computes depends only on its input, so the run that
-    completes is exact.  UniverseMismatch unless ``polys`` and ``order``
-    share one universe."""
+    term of ``binomials``, those of ``polys``, run again at double width
+    while a field overflows.  What a run computes depends only on its
+    input, so the run that completes is exact.  UniverseMismatch unless
+    ``polys`` and ``order`` share one universe."""
     if any(p.universe is not order.universe for p in polys):
         raise UniverseMismatch("polynomials over a different universe than the order")
-    width = (2 * max((m.degree() for p in polys for m, _ in p.terms), default=0) + 1).bit_length() + 1
+    width = (2 * max((m.degree() for b in binomials for m in b), default=0) + 1).bit_length() + 1
     while True:
         try:
             return run(width)

@@ -7,12 +7,15 @@ a hostile precedence exercises the honest INCONCLUSIVE path.
 
 ``buchberger_check`` certifies a minimal basis and skips coprime pairs;
 ``all_pairs_ok`` below, which reduces every S-pair of the whole family,
-is the reference its verdict must agree with.  It runs on packed
-monomials; ``reference_buchberger_check`` below is the same pair loop on
-``Poly``, and its report must equal the packed one field for field.  The
-entry points ``s_poly`` and ``top_reduce`` run the same packed steps on
-one pair or one target, and ``reference_s_poly`` and
-``reference_top_reduce`` are their ``Poly`` references.
+is the reference its verdict must agree with.  It runs on pure
+differences held as two packed monomials; ``reference_buchberger_check``
+below is the same pair loop on ``Poly``, for any polynomial of
+s-monomial type, and its report must equal the packed one field for
+field on the binomials that the packed check accepts.  The entry points
+``s_poly`` and ``top_reduce`` run the same packed steps on one pair or
+one target, and ``reference_s_poly`` and ``reference_top_reduce`` are
+their ``Poly`` references.  Each reference also takes ``Generator``s,
+through their ``poly``.
 ``verify`` certifies the full family F through its single-cycle members
 F1; on specs where F has multi-cycle unions, the all-pairs verdict on F
 is the reference for the verdict on F1.
@@ -51,6 +54,7 @@ from multirees.poly import (
     ZeroPolynomial,
     leading,
 )
+from multirees.quasimat import Binomial
 from multirees.rees import FULL, SINGLE, ReesSpec, build_presentation, defining_generators, spec_to_dict
 from multirees.sseq import SeqSpec
 
@@ -123,15 +127,21 @@ def _reduce(p, reducers, lead, order):
     return ReferenceCert(p, reducers, order, quotients, work, REDUCED_TO_ZERO, steps)
 
 
+def _poly(g):
+    """A ``Generator``'s ``poly``, or the polynomial ``g``."""
+    return getattr(g, "poly", g)
+
+
 def reference_s_poly(f, g, order):
     """``s_poly`` on ``Poly``."""
+    f, g = _poly(f), _poly(g)
     return _s_pair(f, g, _lead_parts(f, order), _lead_parts(g, order))
 
 
 def reference_top_reduce(p, reducers, order):
     """``top_reduce`` on ``Poly``."""
-    reducers = tuple(reducers)
-    return _reduce(p, reducers, [_lead_parts(g, order) for g in reducers], order)
+    reducers = tuple(map(_poly, reducers))
+    return _reduce(_poly(p), reducers, [_lead_parts(g, order) for g in reducers], order)
 
 
 def _lead_divides(a, b):
@@ -177,7 +187,7 @@ def reference_buchberger_check(generators, order):
     """``buchberger_check`` on ``Poly``: the same minimal basis, pairs,
     criterion and first-applicable-reducer rule, with every certificate
     built as it goes."""
-    gens = tuple(generators)
+    gens = tuple(map(_poly, generators))
     if not gens:
         raise ValueError("no generators")
     if any(g.is_zero() for g in gens):
@@ -205,7 +215,7 @@ def reference_buchberger_check(generators, order):
 
 def assert_same_cert(got, want):
     assert (got.status, got.steps) == (want.status, want.steps)
-    assert got.reducers == want.reducers and got.order is want.order
+    assert tuple(map(_poly, got.reducers)) == want.reducers and got.order is want.order
     assert got.target == want.target
     assert got.remainder == want.remainder
     assert list(got.quotients.items()) == list(want.quotients.items())
@@ -213,7 +223,7 @@ def assert_same_cert(got, want):
 
 def assert_same_report(rep, ref):
     """Every field of the packed report equals the reference's."""
-    assert rep.order is ref.order and rep.generators == ref.generators
+    assert rep.order is ref.order and tuple(map(_poly, rep.generators)) == ref.generators
     assert rep.basis == ref.basis
     assert [(p.i, p.j, p.spair_zero, p.criterion) for p in rep.pairs] == [
         (p.i, p.j, p.spair_zero, p.criterion) for p in ref.pairs
@@ -370,29 +380,35 @@ class TestSPoly:
         s1, s2 = uni.poly_var("s1"), uni.poly_var("s2")
         A, B = uni.poly_var("A"), uni.poly_var("B")
         order = MonomialOrder(uni, "lex")
-        with pytest.raises(ValueError):
+        # three terms: no pure difference
+        with pytest.raises(ValueError, match="not a Generator or a difference of two monomials"):
             s_poly((s1 + s2) * A - B, s1 * A - B, order)
+        # a pure difference whose leading coefficient s1 - s2 is no s-monomial
+        with pytest.raises(ValueError, match="not of s-monomial type"):
+            s_poly(s1 * A - s2 * A, s1 * A - B, order)
+        assert check_against_reference(s1 * A - s2 * A, s1 * A - B, order, entry=s_poly) is None
 
 
 class TestTopReduce:
     def test_certificate_replays(self, twocol):
         _, uni, gens = twocol
         order = MonomialOrder(uni, "lex")
-        target = gens[0] * uni.poly_var("a11") - gens[1] * uni.poly_var("a23")
-        cert = top_reduce(target, gens, order)
-        assert cert.status == REDUCED_TO_ZERO
+        target = s_poly(gens[0], gens[2], order) * uni.poly_var("a11")
+        cert = check_against_reference(target, gens, order, entry=top_reduce)
+        assert (cert.status, cert.steps) == (REDUCED_TO_ZERO, 3)
         assert cert.verify()
 
     def test_divides_whole_coefficient(self):
-        # reducer s1*A cannot touch a target whose A-coefficient is s1+s2
-        uni = VarUniverse(s_names=("s1", "s2"), T_names=("A", "B"))
+        # the leading coefficient of s1*B - s2*B is s1 - s2: reducer
+        # s1*B - C cannot touch it, since s1 does not divide s2
+        uni = VarUniverse(s_names=("s1", "s2"), T_names=("A", "B", "C"))
         s1, s2 = uni.poly_var("s1"), uni.poly_var("s2")
-        A, B = uni.poly_var("A"), uni.poly_var("B")
+        B, C = uni.poly_var("B"), uni.poly_var("C")
         order = MonomialOrder(uni, "lex")
-        target = (s1 + s2) * A
-        cert = top_reduce(target, [s1 * A - B], order)
-        assert cert.status == INCONCLUSIVE
-        assert cert.remainder == target
+        target = s1 * B - s2 * B
+        cert = check_against_reference(target, [s1 * B - C], order, entry=top_reduce)
+        assert (cert.status, cert.steps) == (INCONCLUSIVE, 0)
+        assert cert.remainder == target and cert.quotients == {}
         assert cert.verify()
 
     def test_strategies_agree_on_zero(self, twocol):
@@ -405,12 +421,15 @@ class TestTopReduce:
 
     def test_step_guard(self, monkeypatch):
         uni = VarUniverse(s_names=("s1",), T_names=("A", "B"))
-        s1, A, B = uni.poly_var("s1"), uni.poly_var("A"), uni.poly_var("B")
+        A, B = uni.poly_var("A"), uni.poly_var("B")
         order = MonomialOrder(uni, "lex")
-        # reducing A^6 by A - B takes six steps
-        monkeypatch.setattr(grobner, "DEFAULT_MAX_STEPS", 3)
-        with pytest.raises(GuardExceeded):
-            top_reduce(A ** 6, [A - B], order)
+        # reducing A^6 - B^6 by A - B takes six steps: a guard of six lets
+        # them run, and one of five stops the sixth
+        monkeypatch.setattr(grobner, "DEFAULT_MAX_STEPS", 6)
+        assert top_reduce(A ** 6 - B ** 6, [A - B], order).steps == 6
+        monkeypatch.setattr(grobner, "DEFAULT_MAX_STEPS", 5)
+        with pytest.raises(GuardExceeded, match="exceeded 5 steps"):
+            top_reduce(A ** 6 - B ** 6, [A - B], order)
 
 
 class TestBuchberger:
@@ -451,23 +470,48 @@ class TestBuchberger:
         assert "CERTIFIED" in _report(rep, "text")[0]
 
     def test_product_criterion_certificate_replays(self):
-        # leads 2*s1*A and s2*B share neither an s-symbol nor a T-variable;
-        # the quotients carry 1/(u_f*u_g) = 1/2
+        # leads s1*A and -s2*B share neither an s-symbol nor a T-variable;
+        # S(f, g) = u_f*T_g*f - u_g*T_f*g, with units u_f = 1 and u_g = -1
         uni = VarUniverse(s_names=("s1", "s2"), T_names=("A", "B", "C", "D"))
         s1, s2 = uni.poly_var("s1"), uni.poly_var("s2")
         A, B, C, D = (uni.poly_var(v) for v in "ABCD")
-        f = 2 * s1 * A - s2 * C
-        g = s2 * B - 3 * s1 * D
-        rep = buchberger_check([f, g], MonomialOrder(uni, "lex"))
+        f = s1 * A - s2 * C
+        g = s1 * D - s2 * B
+        rep = check_against_reference([f, g], MonomialOrder(uni, "lex"))
         (pr,) = rep.pairs
         assert pr.criterion == "product" and rep.product_criterion == 1
         assert pr.cert.status == REDUCED_TO_ZERO and pr.cert.steps == 0
         assert pr.cert.remainder.is_zero()
-        assert pr.cert.target == s_poly(f, g, MonomialOrder(uni, "lex"))
-        tail_f, tail_g = -s2 * C, -3 * s1 * D
-        assert pr.cert.quotients == {0: tail_g * Fraction(-1, 2), 1: tail_f * Fraction(1, 2)}
+        assert pr.cert.target == s_poly(f, g, MonomialOrder(uni, "lex")) == s1 * s1 * A * D - s2 * s2 * B * C
+        assert pr.cert.quotients == {0: s1 * D, 1: s2 * C}
         assert pr.cert.verify()
         assert rep.ok
+
+    def test_lead_group_step(self):
+        # the S-pair of pair (1, 2) is s1*B - s2*B, whose two terms share
+        # the leading T-part B: the step by B - D moves both terms, to
+        # s1*D - s2*D, where nothing applies.  Pairs (1, 3) and (2, 3)
+        # have coprime leads.
+        uni = VarUniverse(s_names=("s1", "s2"), T_names=("A", "B", "D"))
+        s1, s2, A, B, D = (uni.poly_var(v) for v in ("s1", "s2", "A", "B", "D"))
+        order = MonomialOrder(uni, "lex")
+        rep = check_against_reference([s1 * A - B, s2 * A - B, B - D], order)
+        assert rep.basis == (0, 1, 2) and rep.members == []
+        assert [(pr.i, pr.j, pr.criterion, pr.cert.status, pr.cert.steps) for pr in rep.pairs] == [
+            (0, 1, None, INCONCLUSIVE, 1),
+            (0, 2, "product", REDUCED_TO_ZERO, 0),
+            (1, 2, "product", REDUCED_TO_ZERO, 0),
+        ]
+        stuck = rep.pairs[0].cert
+        assert stuck.target == s1 * B - s2 * B
+        assert stuck.quotients == {2: s1 - s2} and stuck.remainder == s1 * D - s2 * D
+        assert [pr.cert.remainder.is_zero() for pr in rep.pairs] == [False, True, True]
+        assert rep.verify_certificates()
+        assert _report(rep, "text")[1:] == ["  stuck pair (1, 2): remainder leading term (-s2 + s1) * D"]
+        # the entry points take the same step
+        assert check_against_reference(s1 * A - B, s2 * A - B, order, entry=s_poly) == s1 * B - s2 * B
+        cert = check_against_reference(s1 * B - s2 * B, [B - D], order, entry=top_reduce)
+        assert (cert.status, cert.steps, cert.remainder) == (INCONCLUSIVE, 1, s1 * D - s2 * D)
 
     @pytest.mark.parametrize("kind", ["lex", "grevlex"])
     def test_zero_s_pair_reduces_in_no_steps(self, kind):
@@ -560,21 +604,30 @@ PAPER = ReesSpec(
     blocks=(((1, 2), 1), ((1, 3), 1), ((2, 3), 1), ((1, 4), 1), ((2, 4), 1)),
 )
 
-# generators with s-, x- and T-variables; a random term draws its
-# exponents in this order, with the x-variable in one term of eight, so
-# that most families have leads of s-monomial type
+# generators with s-, x- and T-variables; a random monomial draws its
+# exponents in this order, with the x-variable in one of eight, so that
+# most families have leads of s-monomial type
 RANDOM_UNIVERSES = {
     domain: VarUniverse(s_names=("s1", "s2"), x_names=("x1",), T_names=("A", "B", "C", "D"), domain=domain)
     for domain in ("QQ", "ZZ")
 }
 
 
-def random_term():
+def random_monomial():
     small = st.integers(0, 2)
-    return st.tuples(
-        st.sampled_from((1, -1, 1, -1, 2, -3, Fraction(1, 2))),
-        st.tuples(small, small, st.sampled_from((0,) * 7 + (1,)), small, small, small, small),
-    )
+    return st.tuples(small, small, st.sampled_from((0,) * 7 + (1,)), small, small, small, small)
+
+
+def random_binomial(u, coefficients, monomials):
+    """The polynomial c1*m1 + c2*m2 of two drawn coefficients and two
+    drawn exponent tuples over ``u``."""
+    return u.from_terms([(Mono(zip(range(len(u.names)), e)), c) for c, e in zip(coefficients, monomials)])
+
+
+# the pure differences m1 - m2 and -m1 + m2, and coefficient pairs that
+# make no pure difference
+PURE = st.sampled_from(((1, -1), (-1, 1)))
+OTHER = st.tuples(*[st.sampled_from((1, -1, 2, -3, Fraction(1, 2)))] * 2).filter(lambda c: c not in ((1, -1), (-1, 1)))
 
 
 # desk families in the entry-point sample: 3,186 calls, none on the 13
@@ -602,16 +655,41 @@ class TestPackedAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(
         domain=st.sampled_from(("QQ", "QQ", "ZZ")),
-        binomials=st.lists(st.tuples(random_term(), random_term()), min_size=1, max_size=5),
+        binomials=st.lists(st.tuples(PURE, st.tuples(random_monomial(), random_monomial())), min_size=1, max_size=5),
         kind=st.sampled_from(("lex", "grlex", "grevlex")),
         precedence=st.permutations(range(4)),
     )
     def test_random_binomials(self, domain, binomials, kind, precedence):
+        # pure differences, some of them zero or of no s-monomial type
         u = RANDOM_UNIVERSES[domain]
-        vids = range(len(u.names))
-        gens = [u.from_terms([(Mono(zip(vids, e)), c) for c, e in terms]) for terms in binomials]
+        gens = [random_binomial(u, *b) for b in binomials]
         order = MonomialOrder(u, kind, [u.T_ids[k] for k in precedence])
         check_against_reference(gens, order)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        domain=st.sampled_from(("QQ", "ZZ")),
+        binomials=st.lists(st.tuples(PURE, st.tuples(random_monomial(), random_monomial())), max_size=3),
+        other=st.tuples(OTHER, st.tuples(random_monomial(), random_monomial())),
+        at=st.integers(0, 3),
+        kind=st.sampled_from(("lex", "grlex", "grevlex")),
+    )
+    def test_other_coefficients_rejected(self, domain, binomials, other, at, kind):
+        # any other coefficients give one term or a non-unit: no entry
+        # point takes such a polynomial, wherever it stands
+        u = RANDOM_UNIVERSES[domain]
+        bad = random_binomial(u, *other)
+        gens = [random_binomial(u, *b) for b in binomials]
+        gens.insert(min(at, len(gens)), bad)
+        order = MonomialOrder(u, kind)
+        for entry, args in [
+            (buchberger_check, (gens, order)),
+            (s_poly, (bad, bad, order)),
+            (top_reduce, (bad, [u.poly_var("A") - u.poly_var("B")], order)),
+            (top_reduce, (u.poly_var("A") - u.poly_var("B"), [bad], order)),
+        ]:
+            with pytest.raises(ValueError):
+                entry(*args)
 
     def test_entry_points_on_desk_sample(self):
         # s_poly on every pair of a seeded sample of desk families, and
@@ -638,21 +716,35 @@ class TestPackedAgainstReference:
         cases = [
             (s_poly, (u.zero(), A - B, order), ZeroPolynomial),
             (s_poly, (A - B, u.zero(), order), ZeroPolynomial),
-            (top_reduce, (A, [A - B, u.zero()], order), ZeroPolynomial),
-            (s_poly, (s1 * A - B, (s1 + s2) * A - B, order), ValueError),
-            (top_reduce, (A, [(s1 + s2) * A - B], order), ValueError),
+            (top_reduce, (A * B - B * B, [A - B, u.zero()], order), ZeroPolynomial),
+            (s_poly, (s1 * A - B, s1 * A - s2 * A, order), ValueError),
+            (top_reduce, (A * B - B * B, [s1 * A - s2 * A], order), ValueError),
         ]
         for entry, args, error in cases:
             with pytest.raises(error):
                 entry(*args)
             assert check_against_reference(*args, entry=entry) is None
+        # the reference takes any polynomial of s-monomial type; the packed
+        # entry points take no polynomial but a pure difference, and no
+        # bare Binomial, which has no universe
+        bare = Binomial(Mono(((2, 1),)), Mono(((3, 1),)), (), ())
+        for entry, args in [
+            (s_poly, (s1 * A - B, (s1 + s2) * A - B, order)),
+            (top_reduce, (A, [A - B], order)),
+            (top_reduce, (A * B - B * B, [(s1 + s2) * A - B], order)),
+            (buchberger_check, ([A - B, 2 * A - B], order)),
+            (buchberger_check, ([A - B, bare], order)),
+            (s_poly, (A - B, bare, order)),
+        ]:
+            with pytest.raises(ValueError, match="not a Generator or a difference of two monomials"):
+                entry(*args)
         # a zero target reduces to zero in no steps
         assert check_against_reference(u.zero(), [A - B], order, entry=top_reduce).steps == 0
-        # reducing A^6 by A - B takes six steps, past a guard of three
+        # reducing A^6 - B^6 by A - B takes six steps, past a guard of three
         monkeypatch.setattr(grobner, "DEFAULT_MAX_STEPS", 3)
         with pytest.raises(GuardExceeded):
-            top_reduce(A ** 6, [A - B], order)
-        assert check_against_reference(A ** 6, [A - B], order, entry=top_reduce) is None
+            top_reduce(A ** 6 - B ** 6, [A - B], order)
+        assert check_against_reference(A ** 6 - B ** 6, [A - B], order, entry=top_reduce) is None
 
     def test_widening(self, monkeypatch):
         # the member A*E - F walks down to D^8*E - F, past the three value
@@ -662,9 +754,9 @@ class TestPackedAgainstReference:
         widths = []
         run = grobner._run
 
-        def spy(gens, order, width):
+        def spy(gens, binomials, order, width):
             widths.append(width)
-            return run(gens, order, width)
+            return run(gens, binomials, order, width)
 
         monkeypatch.setattr(grobner, "_run", spy)
         rep = check_against_reference([A - B * B, B - C * C, C - D * D, A * E - F], MonomialOrder(u, "lex"))
@@ -672,12 +764,13 @@ class TestPackedAgainstReference:
         assert rep.members[0].cert.remainder == D ** 8 * E - F
 
     def test_step_guard(self, monkeypatch):
+        # the member A^6 - B^6 reduces over A - B in six steps
         u = VarUniverse(s_names=("s1",), T_names=("A", "B"))
         A, B = u.poly_var("A"), u.poly_var("B")
         monkeypatch.setattr(grobner, "DEFAULT_MAX_STEPS", 3)
-        check_against_reference([A - B, A ** 6], MonomialOrder(u, "lex"))
+        check_against_reference([A - B, A ** 6 - B ** 6], MonomialOrder(u, "lex"))
         with pytest.raises(GuardExceeded):
-            buchberger_check([A - B, A ** 6], MonomialOrder(u, "lex"))
+            buchberger_check([A - B, A ** 6 - B ** 6], MonomialOrder(u, "lex"))
 
 
 class TestUniverses:
@@ -710,10 +803,15 @@ class TestUniverses:
 
 
 def test_hot_path_builds_no_poly(monkeypatch, tmp_path, capsys):
-    pres = build_presentation(gb_heavy_specs()[0])
-    gens = [g.poly for g in defining_generators(pres, SINGLE)]
-    path = tmp_path / "paper.json"
-    path.write_text(json.dumps(spec_to_dict(PAPER)))
+    # the check takes Generators, whose binomials it packs as they are:
+    # neither the check nor verify and groebner in JSON build a polynomial
+    heavy = gb_heavy_specs()[0]
+    pres = build_presentation(heavy)
+    gens = defining_generators(pres, SINGLE)
+    paths = []
+    for name, spec in (("paper", PAPER), ("heavy", heavy)):
+        paths.append(tmp_path / (name + ".json"))
+        paths[-1].write_text(json.dumps(spec_to_dict(spec)))
 
     def arithmetic(*args, **kwargs):
         raise AssertionError("Poly arithmetic on the Buchberger path")
@@ -722,13 +820,21 @@ def test_hot_path_builds_no_poly(monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(Poly, name, arithmetic)
     monkeypatch.setattr(poly, "leading", arithmetic)
     monkeypatch.setattr(grobner, "leading", arithmetic)
+    built = []
+    for owner, name in ((Binomial, "to_poly"), (VarUniverse, "from_terms")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, real=real, name=name: built.append(name) or real(*args))
     rep = buchberger_check(gens, MonomialOrder(pres.universe, "grevlex"))
     assert rep.ok and any(pr.cert.steps for pr in rep.pairs)
-    assert main(["verify", str(path)]) == 0
+    for path in paths:
+        for command in ("verify", "groebner"):
+            assert main([command, str(path), "--format", "json"]) == 0
+            assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert built == []
     monkeypatch.undo()
     # a stuck case builds its certificates when they are read, and they replay
     hostile = build_presentation(ReesSpec(seq=SeqSpec(n=2), blocks=(((1, 2), 2),)))
-    rep = buchberger_check([g.poly for g in defining_generators(hostile, FULL)], spread_first_lex(hostile))
+    rep = buchberger_check(defining_generators(hostile, FULL), spread_first_lex(hostile))
     certs = [r.cert for r in rep.pairs + rep.members]
     assert certs and not any({"target", "quotients", "remainder"} & set(vars(c)) for c in certs)
     assert rep.failures and all(not r.cert.remainder.is_zero() for r in rep.failures)
@@ -777,17 +883,18 @@ class TestSingleCycleFamily:
     def test_full_and_single_agree_drawn(self, spec):
         # the lemma of buchberger_check: the check gives F's verdict on F1
         # and keeps the same basis; at most 22 matrix entries keep F under
-        # a thousand generators
+        # a thousand generators.  F1 enters as Generators, as verify passes
+        # it, and its report equals the reference's.
         pres = build_presentation(spec)
         assume(len(pres.matrix.entries) <= 22)
         full = [g.poly for g in defining_generators(pres, FULL)]
-        single = [g.poly for g in defining_generators(pres, SINGLE)]
+        single = defining_generators(pres, SINGLE)
         assume(full)
         for kind in ("lex", "grevlex"):
             order = MonomialOrder(pres.universe, kind)
-            rep_full, rep_single = buchberger_check(full, order), buchberger_check(single, order)
-            assert rep_full.ok == rep_single.ok
-            assert {full[k] for k in rep_full.basis} == {single[k] for k in rep_single.basis}
+            rep_full, rep_single = buchberger_check(full, order), check_against_reference(single, order)
+            assert rep_full.ok == rep_single.ok and rep_single.verify_certificates()
+            assert {full[k] for k in rep_full.basis} == {single[k].poly for k in rep_single.basis}
 
 
 class TestOrderSuite:

@@ -1,4 +1,5 @@
-"""The README's command transcripts, replayed through main(argv).
+"""The README's command transcripts, replayed through main(argv), and
+its library example, run as it stands.
 
 A transcript is a ``text`` block whose first line is ``$ multirees ...``.
 Its output must match byte for byte, except that a line ``...`` stands
@@ -60,3 +61,8 @@ def test_transcript_replays(body, tmp_path, capsys):
         for line in expected
     )
     assert re.fullmatch(pattern, "".join(line + "\n" for line in actual)), "\n".join(actual)
+
+
+def test_library_example_runs():
+    (body,) = [body for lang, body in BLOCKS if lang == "python"]
+    exec(compile(body, "README.md", "exec"), {})
