@@ -19,7 +19,6 @@ under the size cap.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, product
 
 from .poly import GuardExceeded, Mono
@@ -98,7 +97,7 @@ class Binomial:
         return self.plus == self.minus
 
     def to_poly(self, universe):
-        return universe.from_terms([(self.plus, Fraction(1)), (self.minus, Fraction(-1))])
+        return universe.from_terms([(self.plus, 1), (self.minus, -1)])
 
     def key(self):
         return (self.plus.exps, self.minus.exps)

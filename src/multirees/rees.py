@@ -23,7 +23,6 @@ i = n-1 down to 1: T[l;110] is s_2 * t_l over four symbols at power 1.
 from __future__ import annotations
 
 import json
-from functools import cached_property
 from itertools import accumulate, combinations_with_replacement
 from math import comb
 
@@ -34,7 +33,6 @@ from .poly import (
     Poly,
     SpecError,
     VarUniverse,
-    leading,
     spec_field,
 )
 from .quasimat import (
@@ -146,25 +144,14 @@ def spec_from_dict(data):
     unknown = set(sd) - allowed
     if unknown:
         raise SpecError("unknown sequence keys: %s" % ", ".join(sorted(unknown)))
-    mode = sd.get("mode", "generic")
     if "n" not in sd:
         raise SpecError("sequence needs 'n'")
-    try:
-        values = tuple(
-            tuple(
-                (c, spec_field(m, dict, "a monomial"))
-                for c, m in spec_field(val, list, "a concrete value")
-            )
-            for val in spec_field(sd.get("values", []), list, "'values'")
-        )
-    except (TypeError, ValueError, AttributeError):
-        raise SpecError("malformed concrete values")
     seq = SeqSpec(
         n=sd["n"],
-        mode=mode,
+        mode=sd.get("mode", "generic"),
         names=sd.get("names", []),
         x_names=sd.get("ambient", []),
-        concrete_terms=values,
+        concrete_terms=sd.get("values", []),
         assume_weak_regular=sd.get("assume_weak_regular", False),
     )
     blocks = []
@@ -489,23 +476,30 @@ def defining_generators(pres, family=RESTRICTED, max_minor_size=None):
 
 class NormalityReport:
     """``verdict`` is "NORMAL_CM" or "INDETERMINATE".  ``symbol_results``
-    is computed on first read: the verdict does not depend on it."""
+    is computed when read: the verdict does not depend on it."""
+
+    __slots__ = ("verdict", "structural_ok", "hypothesis_ok", "notes", "generators", "universe")
 
     def __init__(self, verdict, structural_ok, hypothesis_ok, notes, generators, universe):
         self.verdict, self.structural_ok, self.hypothesis_ok, self.notes = verdict, structural_ok, hypothesis_ok, notes
         self.generators, self.universe = generators, universe
 
-    @cached_property
+    @property
     def symbol_results(self):
         """Per canonical order (lex, grevlex): whether every generator's
         leading monomial, and its leading coefficient when that is one
-        term, is squarefree."""
+        term, is squarefree.  Each generator is a pure difference, read off
+        its binomial: the lead is the term with the larger T-part, tested
+        whole; when the T-parts tie the coefficient has two terms, and only
+        the T-part is tested."""
+        tset = self.universe.T_idset
         out = {}
         for kind in ("lex", "grevlex"):
             order = MonomialOrder(self.universe, kind)
-            leads = (leading(g.poly, order) for g in self.generators)
+            keyed = ((order.key(b.plus), order.key(b.minus), b) for b in (g.binomial for g in self.generators))
             out[order.describe()] = all(
-                lm.is_squarefree() and (len(lc.terms) != 1 or lc.terms[0][0].is_squarefree()) for lc, lm in leads
+                (b.plus if kp > km else b.minus if km > kp else b.plus.restrict(tset)).is_squarefree()
+                for kp, km, b in keyed
             )
         return out
 

@@ -21,14 +21,18 @@ class SeqSpec:
 
     ``mode`` is "generic" or "concrete".  ``concrete_terms`` gives, per
     symbol, the value as a list of (integer coefficient, {x-name:
-    exponent}) terms; generic mode leaves it empty.  Weak regularity of
-    concrete values is an attestation, not a decidable check here.  Two
-    specs compare equal when their normalised fields do.
+    exponent}) terms; generic mode leaves it empty.  It is the JSON
+    spec's ``values`` as read, and this is its only reader: each value is
+    checked and normalised in one pass.  Weak regularity of concrete
+    values is an attestation, not a decidable check here.  Two specs
+    compare equal when their normalised fields do.
     """
 
     __slots__ = ("n", "mode", "names", "x_names", "concrete_terms", "assume_weak_regular")
 
     def __init__(self, n, mode="generic", names=(), x_names=(), concrete_terms=(), assume_weak_regular=False):
+        if not isinstance(concrete_terms, (list, tuple)):
+            raise SpecError("malformed concrete values")
         # the spec's own key names, as ``rees.spec_from_dict`` reads them
         spec_field(names, (list, tuple), "'names'")
         spec_field(x_names, (list, tuple), "'ambient'")
@@ -44,47 +48,41 @@ class SeqSpec:
         if len(names) != n:
             raise SpecError("expected %d sequence names" % n)
         x_names = tuple(spec_field(v, str, "a name") for v in x_names)
-        if mode == "concrete":
-            try:
-                terms = tuple(tuple((c, dict(m)) for c, m in val) for val in concrete_terms)
-            except (TypeError, ValueError):
-                raise SpecError("malformed concrete values") from None
-            if len(terms) != n:
-                raise SpecError("expected %d concrete values" % n)
-            terms = tuple(
-                tuple(
-                    (spec_field(c, int, "a coefficient"), {k: spec_field(e, int, "an exponent") for k, e in m.items()})
-                    for c, m in val
-                )
-                for val in terms
-            )
-            for i, val in enumerate(terms):
-                if not val or any(c == 0 for c, _ in val):
-                    raise SpecError("s%d is zero or has a zero coefficient" % (i + 1))
-                if self._is_unit(val):
-                    raise SpecError("s%d is a unit; the sequence must be non-invertible" % (i + 1))
-                for _, m in val:
-                    for xn, e in m.items():
-                        if xn not in x_names:
-                            raise SpecError("unknown ambient variable %r" % xn)
-                        if e < 0:
-                            raise SpecError("s%d has a negative exponent; values must be polynomials" % (i + 1))
-            # a zero exponent is no support: x*y^0 is the value x
-            concrete_terms = tuple(tuple((c, {xn: e for xn, e in m.items() if e}) for c, m in val) for val in terms)
-        elif concrete_terms:
+        if mode == "generic" and concrete_terms:
             raise SpecError("generic mode takes no concrete values")
+        if mode == "concrete" and len(concrete_terms) != n:
+            raise SpecError("expected %d concrete values" % n)
+        values = []
+        for i, val in enumerate(concrete_terms, start=1):
+            if not isinstance(val, (list, tuple)) or not all(
+                isinstance(term, (list, tuple)) and len(term) == 2 and isinstance(term[1], dict) for term in val
+            ):
+                raise SpecError("malformed concrete values")
+            terms = []
+            for c, mono in val:
+                c, m = spec_field(c, int, "a coefficient"), {}
+                for xn, e in mono.items():
+                    spec_field(e, int, "an exponent")
+                    if xn not in x_names:
+                        raise SpecError("unknown ambient variable %r" % xn)
+                    if e < 0:
+                        raise SpecError("s%d has a negative exponent; values must be polynomials" % i)
+                    if e:  # a zero exponent is no support: x*y^0 is the value x
+                        m[xn] = e
+                terms.append((c, m))
+            if not terms or any(c == 0 for c, _ in terms):
+                raise SpecError("s%d is zero or has a zero coefficient" % i)
+            if len(terms) == 1 and abs(terms[0][0]) == 1 and not terms[0][1]:
+                raise SpecError("s%d is a unit; the sequence must be non-invertible" % i)
+            values.append(tuple(terms))
         self.n, self.mode, self.names, self.x_names = n, mode, names, x_names
-        self.concrete_terms, self.assume_weak_regular = concrete_terms, assume_weak_regular
+        self.concrete_terms, self.assume_weak_regular = tuple(values), assume_weak_regular
 
     def __eq__(self, other):
         return isinstance(other, SeqSpec) and all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
 
     def __repr__(self):
         return "SeqSpec(%s)" % ", ".join("%s=%r" % (k, getattr(self, k)) for k in self.__slots__)
-
-    @staticmethod
-    def _is_unit(val):
-        return len(val) == 1 and abs(val[0][0]) == 1 and not any(val[0][1].values())
 
     def lint(self):
         """Non-fatal oddities worth surfacing in reports."""

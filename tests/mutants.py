@@ -29,6 +29,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIMEOUT_S = 180
 
 GROBNER = "src/multirees/grobner.py"
+ORACLE = "src/multirees/oracle.py"
+QUASIMAT = "src/multirees/quasimat.py"
+REES = "src/multirees/rees.py"
+CLI = "src/multirees/cli.py"
+SSEQ = "src/multirees/sseq.py"
 
 # (name, file, old text, new text, reason, equivalent reason or None)
 MUTANTS = [
@@ -94,6 +99,85 @@ MUTANTS = [
         "if steps > DEFAULT_MAX_STEPS:",
         "if steps >= DEFAULT_MAX_STEPS:",
         "a reduction of exactly DEFAULT_MAX_STEPS steps runs",
+        None,
+    ),
+    (
+        "sweep-join-keeps-roots",
+        ORACLE,
+        "                        parent[a] = b\n",
+        "                        parent[b] = b\n",
+        "a link that joins two components must merge them, or a later link counts the same join again",
+        None,
+    ),
+    (
+        "sweep-kernel-dimension",
+        ORACLE,
+        "kernel_dim = len(src) - len(set(img))",
+        "kernel_dim = len(src) - len(set(img)) - 1",
+        "the kernel dimension of a piece is its size less its number of fibers",
+        None,
+    ),
+    (
+        "sweep-field-width",
+        ORACLE,
+        "width = max(bound.bit_length(), 1)",
+        "width = max(bound.bit_length() - 1, 1)",
+        "a field must hold the largest coordinate of the sweep, or sums carry into the next field",
+        None,
+    ),
+    (
+        "cycle-closes-either-way",
+        QUASIMAT,
+        "if c > cols[0] and c not in cols:",
+        "if c not in cols:",
+        "a cycle closes only through a column above the first step's, so each cycle is found once",
+        None,
+    ),
+    (
+        "cells-mono-repeat-counted-once",
+        QUASIMAT,
+        "counts[v] = counts.get(v, 0) + 1",
+        "counts[v] = 1",
+        "a repeated entry, as in a block of power 2, is a square",
+        None,
+    ),
+    (
+        "family-keeps-last-repeat",
+        REES,
+        "        if bino.is_zero() or first.setdefault(bino.key(), bino) is not bino:\n"
+        "            continue\n"
+        "        out.append(Generator(bino, kind, shared.setdefault(blocks_, blocks_), size, label, u))\n"
+        "    return out\n",
+        "        if bino.is_zero():\n"
+        "            continue\n"
+        "        first[bino.key()] = Generator(bino, kind, shared.setdefault(blocks_, blocks_), size, label, u)\n"
+        "    return list(first.values())\n",
+        "of equal binomials the family keeps the first, with its kind, cells and label",
+        None,
+    ),
+    (
+        "record-key",
+        CLI,
+        '"columns_used": %d,',
+        '"columns": %d,',
+        "the generators record spells the keys that json.dumps of the record gives",
+        None,
+    ),
+    (
+        "values-negative-exponent-allowed",
+        SSEQ,
+        "                    if e < 0:\n"
+        '                        raise SpecError("s%d has a negative exponent; values must be polynomials" % i)\n',
+        "",
+        "a negative exponent is no polynomial value",
+        None,
+    ),
+    (
+        "values-zero-exponent-kept",
+        SSEQ,
+        "if e:  # a zero exponent is no support",
+        "if True:  # a zero exponent is no support",
+        "x*y^0 is the value x: a zero exponent is dropped",
         None,
     ),
 ]

@@ -34,6 +34,7 @@ from multirees.quasimat import MAX_CYCLES, Binomial, _entry_graph_cycles, binary
 from multirees.rees import (
     FULL,
     RESTRICTED,
+    NormalityReport,
     ReesSpec,
     build_presentation,
     defining_generators,
@@ -590,12 +591,13 @@ class TestVerifyRendersWhatItPrints:
         # the symbol-level leads of the squarefreeness report show only in
         # the text, so the JSON never computes them
         calls = []
+        symbol_results = NormalityReport.symbol_results
 
-        def counted(p, order):
-            calls.append(order.kind)
-            return leading(p, order)
+        def counted(rep):
+            calls.append(rep)
+            return symbol_results.fget(rep)
 
-        monkeypatch.setattr("multirees.rees.leading", counted)
+        monkeypatch.setattr(NormalityReport, "symbol_results", property(counted))
         path = spec_file(PAPER_SPEC)
         caps = ["--t-degree-cap", "2", "--s-degree-cap", "3"]
         code, payload = run_json(capsys, ["verify", path, "--format", "json"] + caps)
@@ -603,7 +605,30 @@ class TestVerifyRendersWhatItPrints:
         assert calls == []
         assert main(["verify", path] + caps) == 0
         assert "symbol-level squarefree leading terms under lex[" in capsys.readouterr().out
-        assert set(calls) == {"lex", "grevlex"}
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("index", range(3), ids=["paper", "gb_heavy-0", "concrete"])
+    def test_text_builds_no_polynomial_for_the_leads(self, spec_file, capsys, monkeypatch, index):
+        # the symbol-level leads are read off each generator's binomial:
+        # a passing text verify builds no Poly of a generator and groups
+        # no polynomial by its leading T-part
+        spec = [PAPER_SPEC, spec_to_dict(gb_heavy_specs()[0]), CONCRETE_SPEC][index]
+        calls = []
+
+        def spy(name, fn):
+            def counted(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return counted
+
+        monkeypatch.setattr(Binomial, "to_poly", spy("to_poly", Binomial.to_poly))
+        for module in (multirees.poly, multirees.rees, multirees.grobner, multirees.cli):
+            if hasattr(module, "leading"):
+                monkeypatch.setattr(module, "leading", spy("leading", module.leading))
+        assert main(["verify", spec_file(spec), "--t-degree-cap", "2"]) == 0
+        assert "symbol-level squarefree leading terms under grevlex[" in capsys.readouterr().out
+        assert calls == []
 
     @pytest.mark.parametrize("argv, missed", [(["--t-degree-cap", "2"], 0), (["--max-minor-size", "2"], 6)])
     def test_text_renders_missed_pieces_only(self, spec_file, capsys, monkeypatch, argv, missed):
@@ -958,23 +983,32 @@ NAME_POOL = ("s1", "s2", "x", "y", "t1", "T")
 def contract_specs(draw):
     """Generic and concrete specs with n <= 3.  One in four may break
     the spec rules: negative exponents, zero coefficients, clashing
-    names, rows out of range, power 0."""
+    names, rows out of range, power 0, and broken value shapes
+    (pair-list monomials, three-item terms, a value that is no list,
+    float exponents, values in generic mode)."""
     n = draw(st.integers(1, 3))
     wild = draw(st.integers(0, 3)) == 0
     seq = {"mode": draw(st.sampled_from(("generic", "concrete"))), "n": n}
     if wild and draw(st.booleans()):
         seq["names"] = draw(st.lists(st.sampled_from(NAME_POOL), min_size=n, max_size=n))
-    if seq["mode"] == "concrete":
+    if seq["mode"] == "concrete" or (wild and draw(st.booleans())):
         if wild:
             ambient = draw(st.lists(st.sampled_from(NAME_POOL[2:]), max_size=2, unique=True))
             monomial = st.dictionaries(st.sampled_from(ambient or ["x"]), st.integers(-2, 3), max_size=2)
-            term = st.tuples(st.sampled_from((-2, -1, 0, 1, 3)), monomial).map(list)
+            float_exponent = st.dictionaries(st.sampled_from(ambient or ["x"]), st.just(1.0), min_size=1)
+            term = st.one_of(
+                st.tuples(st.sampled_from((-2, -1, 0, 1, 3)), monomial).map(list),
+                st.tuples(st.just(1), monomial.map(lambda m: [[x, e] for x, e in m.items()])).map(list),
+                st.tuples(st.just(1), monomial, st.just(0)).map(list),
+                st.tuples(st.just(1), float_exponent).map(list),
+            )
+            value = st.one_of(st.lists(term, min_size=1, max_size=2), st.sampled_from((5, None)))
         else:
             ambient = draw(st.lists(st.sampled_from(("x", "y")), min_size=1, max_size=2, unique=True))
             monomial = st.dictionaries(st.sampled_from(ambient), st.integers(1, 3), min_size=1)
-            term = st.tuples(st.sampled_from((-2, -1, 1, 3)), monomial).map(list)
+            value = st.lists(st.tuples(st.sampled_from((-2, -1, 1, 3)), monomial).map(list), min_size=1, max_size=1)
         seq["ambient"] = ambient
-        seq["values"] = draw(st.lists(st.lists(term, min_size=1, max_size=1 + wild), min_size=n, max_size=n))
+        seq["values"] = draw(st.lists(value, min_size=n, max_size=n))
     rows = st.integers(0, n + 1) if wild else st.integers(1, n)
     block = st.fixed_dictionaries(
         {"rows": st.lists(rows, min_size=1, max_size=n, unique=True), "power": st.integers(0 if wild else 1, 2)}

@@ -201,6 +201,7 @@ class TestConstructors:
         pres, gens = small
         report = oracle_check(pres, gens, t_cap=1, ambient_cap=1)
         records = [report, report.reports[0], gens[0], pres.blocks[0], pres.spec, pres.spec.seq]
+        records.append(normality_report(pres, gens))
         records.append(buchberger_check([g.poly for g in gens], MonomialOrder(pres.universe, "lex")))
         cert = records[-1].pairs[0].cert
         records += [records[-1].pairs[0], MemberResult(0, cert), KernelPiece((1,), 1, [], []), TaylorComplex(())]

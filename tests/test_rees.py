@@ -13,16 +13,20 @@ from itertools import combinations, product
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import desk_scale_specs, emission_specs, gb_heavy_specs
 from helpers import ladder_layout, reference_precedence
 from multirees.cli import _normality
-from multirees.poly import GuardExceeded, MonomialOrder, SpecError, default_t_precedence, mono_text
+from multirees.poly import GuardExceeded, Mono, MonomialOrder, SpecError, default_t_precedence, leading, mono_text
 from multirees.quasimat import Binomial, _entry_graph_cycles
 from multirees.rees import (
     FULL,
     RESTRICTED,
     SINGLE,
+    Generator,
+    NormalityReport,
     ReesSpec,
     _family,
     _ladder,
@@ -111,7 +115,74 @@ class TestIndexTuple:
             assert (pres.universe.name(vid)[1:] in labels) == (e[-1] >= 1)
 
 
+# JSON sequence keys and the SeqSpec fields they fill
+SEQUENCE_FIELDS = {
+    "n": "n",
+    "mode": "mode",
+    "names": "names",
+    "ambient": "x_names",
+    "values": "concrete_terms",
+    "assume_weak_regular": "assume_weak_regular",
+}
+
+
+@st.composite
+def sequence_objects(draw):
+    """JSON ``sequence`` objects, half of them concrete with n values of
+    the right shape, the rest with any keys and broken value shapes:
+    pair-list monomials, three-item terms, non-list values and terms,
+    float or string exponents and coefficients, values in generic mode."""
+    monomial = st.dictionaries(st.sampled_from(("x", "y")), st.integers(0, 2), max_size=2)
+    term = st.tuples(st.sampled_from((-1, 1, 2, 3)), monomial).map(list)
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 3))
+        values = st.lists(st.lists(term, min_size=1, max_size=2), min_size=n, max_size=n)
+        return {"mode": "concrete", "n": n, "ambient": ["x", "y"], "values": draw(values)}
+    odd_exponent = st.dictionaries(st.just("x"), st.sampled_from((1.0, -1, "1")), min_size=1)
+    broken_term = st.one_of(
+        st.tuples(st.integers(-1, 2), monomial.map(lambda m: [[k, e] for k, e in m.items()])).map(list),
+        st.tuples(st.integers(1, 2), monomial, st.integers(0, 1)).map(list),
+        st.tuples(st.sampled_from((1.0, True, "1")), monomial).map(list),
+        st.tuples(st.integers(1, 2), odd_exponent).map(list),
+        st.sampled_from((None, 2, "ab")),
+    )
+    value = st.one_of(st.lists(st.one_of(term, broken_term), max_size=2), st.sampled_from((None, 0, "ab", {})))
+    seq = {
+        "n": draw(st.one_of(st.integers(1, 3), st.sampled_from((0, 1.5, True, "2")))),
+        "mode": draw(st.sampled_from(("generic", "concrete", "concrete", "other"))),
+        "values": draw(st.one_of(st.lists(value, min_size=1, max_size=3), st.sampled_from((None, 0, "", {}, "ab")))),
+    }
+    optional = {
+        "names": st.lists(st.sampled_from(("a", "b", 1)), max_size=3),
+        "ambient": st.lists(st.sampled_from(("x", "y", "z")), max_size=2, unique=True),
+        "assume_weak_regular": st.sampled_from((True, False, "no")),
+    }
+    for key, strategy in optional.items():
+        if draw(st.booleans()):
+            seq[key] = draw(strategy)
+    return seq
+
+
+def _outcome(make):
+    try:
+        return make()
+    except SpecError as exc:
+        return "SpecError: %s" % exc
+
+
 class TestSpecValidation:
+    @settings(max_examples=300, deadline=None)
+    @given(seq=sequence_objects())
+    @example(seq={"n": 1, "mode": "concrete", "ambient": ["x", "y"], "values": [[[2, {"x": 1, "y": 0}]]]})
+    @example(seq={"n": 1, "mode": "concrete", "ambient": ["x"], "values": [[[2, [["x", 1]]]]]})
+    @example(seq={"n": 1, "values": [5]})
+    def test_json_reader_and_library_agree(self, seq):
+        # SeqSpec reads the values, and spec_from_dict passes them through:
+        # both paths raise the same SpecError, or build equal specs
+        from_json = _outcome(lambda: spec_from_dict({"sequence": seq, "blocks": [{"rows": [1]}]}).seq)
+        direct = _outcome(lambda: SeqSpec(**{SEQUENCE_FIELDS[k]: v for k, v in seq.items()}))
+        assert from_json == direct
+
     def test_blocks_required(self):
         with pytest.raises(SpecError):
             ReesSpec(seq=SeqSpec(n=2), blocks=())
@@ -175,8 +246,26 @@ class TestSpecValidation:
                 lambda: SeqSpec(n=1, mode="concrete", x_names=("x",), concrete_terms=(5,)),
                 {"n": 1, "mode": "concrete", "ambient": ["x"], "values": [5]},
             ),
+            (
+                lambda: SeqSpec(n=1, mode="concrete", x_names=("x",), concrete_terms=(((2, [("x", 1)]),),)),
+                {"n": 1, "mode": "concrete", "ambient": ["x"], "values": [[[2, [["x", 1]]]]]},
+            ),
+            (lambda: SeqSpec(n=1, concrete_terms=0), {"n": 1, "values": 0}),
+            (lambda: SeqSpec(n=1, concrete_terms=None), {"n": 1, "values": None}),
+            (lambda: SeqSpec(n=1, concrete_terms=""), {"n": 1, "values": ""}),
+            (lambda: SeqSpec(n=1, concrete_terms={}), {"n": 1, "values": {}}),
         ],
-        ids=["attestation-not-bool", "names-a-string", "ambient-a-string", "value-not-a-list"],
+        ids=[
+            "attestation-not-bool",
+            "names-a-string",
+            "ambient-a-string",
+            "value-not-a-list",
+            "monomial-a-pair-list",
+            "generic-values-0",
+            "generic-values-None",
+            "generic-values-empty-string",
+            "generic-values-empty-object",
+        ],
     )
     def test_library_fields_checked_like_json(self, make, sequence):
         # SeqSpec is the boundary both paths pass: a library caller gets
@@ -684,6 +773,24 @@ def paper_is_zero(pres, p):
     return pres.phi(p).is_zero()
 
 
+def reference_symbol_results(rep):
+    """The symbol-level leads by ``leading`` on each generator's ``Poly``:
+    the reference for ``NormalityReport.symbol_results``, which reads them
+    off the binomials."""
+    out = {}
+    for kind in ("lex", "grevlex"):
+        order = MonomialOrder(rep.universe, kind)
+        leads = (leading(g.poly, order) for g in rep.generators)
+        out[order.describe()] = all(
+            lm.is_squarefree() and (len(lc.terms) != 1 or lc.terms[0][0].is_squarefree()) for lc, lm in leads
+        )
+    return out
+
+
+def _one_generator_report(rep, g):
+    return NormalityReport(rep.verdict, rep.structural_ok, rep.hypothesis_ok, rep.notes, [g], rep.universe)
+
+
 class TestNormalityReport:
     def test_generic_suite_verdict(self):
         spec = ReesSpec(seq=SeqSpec(n=3), blocks=(((1, 2, 3), 2), ((1, 2), 1)))
@@ -733,6 +840,40 @@ class TestNormalityReport:
         assert rep.verdict == "NORMAL_CM"
         assert spec_to_dict(pres.spec)["sequence"]["values"][0] == [[1, {"x": 1}]]
         assert "s1 and s2 have identical values" in spec({"x": 1, "y": 0}, {"x": 1}).lint()
+
+    def test_symbol_results_match_the_reference(self):
+        # every generator on its own, in both families of the emission
+        # specs and the gb_heavy shapes: 528 families
+        families = bad = 0
+        for spec in emission_specs() + gb_heavy_specs():
+            pres = build_presentation(spec)
+            for family in (RESTRICTED, FULL):
+                families += 1
+                rep = normality_report(pres, defining_generators(pres, family))
+                assert rep.symbol_results == reference_symbol_results(rep)
+                for g in rep.generators:
+                    one = _one_generator_report(rep, g)
+                    got = one.symbol_results
+                    assert got == reference_symbol_results(one), g.label
+                    bad += not all(got.values())
+        assert families == 528 and bad > 0
+
+    def test_tied_T_parts_test_the_T_part_alone(self):
+        # no emitted generator has terms with equal T-parts, but a library
+        # caller's may: the leading coefficient then has two terms, and
+        # only the T-part must be squarefree
+        pres = build_presentation(ReesSpec(seq=SeqSpec(n=2), blocks=(((1, 2), 1),)))
+        u = pres.universe
+        (s1, s2), T = u.s_ids, u.T_ids[0]
+        rep = normality_report(pres, defining_generators(pres))
+        for plus, minus, squarefree in [
+            (((s1, 2), (T, 1)), ((s2, 1), (T, 1)), True),
+            (((s1, 1), (T, 2)), ((s2, 1), (T, 2)), False),
+        ]:
+            g = Generator(Binomial(Mono(plus), Mono(minus), (), ()), "binary", (1,), 2, "tied", u)
+            one = _one_generator_report(rep, g)
+            assert set(one.symbol_results.values()) == {squarefree}
+            assert one.symbol_results == reference_symbol_results(one)
 
     def test_summary_lines(self):
         spec = ReesSpec(seq=SeqSpec(n=2), blocks=(((1, 2), 1),))
