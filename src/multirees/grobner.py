@@ -2,12 +2,15 @@
 
 The inputs are pure differences x^A - x^B: ``rees.Generator``s, whose
 binomials enter packed as they are, and ``Poly``s of two terms with
-coefficients +1 and -1; anything else is a ValueError.  Leading
+coefficients +1 and -1; anything else is a ValueError.  Each must be
+homogeneous, its two terms of one total degree, as every quasi-minor
+of the presentation is (a ``top_reduce`` target need not be).  Leading
 coefficients are polynomials in the sequence symbols, not field
 elements, and a binomial must be of s-monomial type: its terms have
 different T-parts, and the leading one is an s-monomial times a
 T-monomial.  Then S-pairs and top-reduction stay exact, and all they
-form are pure differences (``buchberger_check`` says why):
+form are pure differences of the degrees they started from
+(``buchberger_check`` says why):
 
 * the S-pair of f and g clears both leading terms after scaling by the
   lcm of the two leading s-monomials as well as the lcm of the leading
@@ -24,8 +27,9 @@ over the subset.  Every pair and member gets a ``ReductionCert``; a zero
 S-pair takes the general path and reduces to zero in 0 steps.
 
 It runs on packed monomials: each monomial is one int with a guarded
-field per variable, laid out so that the order key is read off the int,
-and a divisibility test or an lcm is a few int operations (``_Ring``).
+field per variable, sized once from the input's degrees and laid out so
+that the order key is read off the int, and a divisibility test or an
+lcm is a few int operations (``_Ring``).
 A binomial is two such ints: a generator enters once as a (unit, lead,
 tail) ``entry``, unit*(lead - tail), and every S-pair, target and
 remainder is a (plus, minus) pair, plus - minus, which is zero when the
@@ -168,10 +172,6 @@ class BuchbergerReport:
         return all(r.cert.verify() for r in self.pairs + self.members)
 
 
-class _Overflow(Exception):
-    """A packed field outgrew its width."""
-
-
 class _Ring:
     """The packed monomials of one check under one order.
 
@@ -186,13 +186,14 @@ class _Ring:
     grevlex the degree minus the T-fields; two monomials have equal keys
     exactly when they have equal T-parts.
 
-    The sum of two stored monomials cannot carry past a guard, so a guard
-    set after a product means that a field overflowed (``_Overflow``).  A
-    monomial a divides b when ``(b - a) & guard == 0``, and ``lcm`` takes
-    the per-field max without a loop over fields (SWAR; Bachmann and
-    Schoenemann, ISSAC 1998).  ``_widened`` sizes the fields for twice the
-    largest degree of an input term, so the lcm of two input leads and an
-    S-pair always fit; only reduction steps can overflow.
+    ``_ring`` sizes the fields once, with value bits for 2D, D the largest
+    degree of an input term.  On homogeneous binomials no monomial of a
+    check has a degree, and so a field, above 2D: an S-pair's terms have
+    the degree of the lcm of two leads, and a step keeps the degree of
+    the term it moves (``buchberger_check``).  So no sum of two stored
+    monomials carries past a guard.  A monomial a divides b when
+    ``(b - a) & guard == 0``, and ``lcm`` takes the per-field max without
+    a loop over fields (SWAR; Bachmann and Schoenemann, ISSAC 1998).
     """
 
     def __init__(self, order, width):
@@ -261,9 +262,8 @@ class _Ring:
         out = (a & mask) | (b & ~mask)
         if self.graded:
             # the degree field takes the sum of the T-fields: 2**width = 1
-            # modulo 2**width - 1, and the sum is below it.  It needs no
-            # overflow test: ``_widened`` sizes a field for twice the largest
-            # term degree, and an lcm is only taken of two input leads
+            # modulo 2**width - 1, and the sum, the T-degree of the lcm of
+            # two leads, is at most 2D, below it
             out &= (1 << self.dshift) - 1
             out |= (out >> self.tshift) % ((1 << self.width) - 1) << self.dshift
         return out
@@ -317,49 +317,10 @@ class _Ring:
             if ka == kb:
                 record.append((chosen, b - lead, -c))
                 b += tail - lead
-            if (a | b) & guard:
-                raise _Overflow
             steps += 1
             if steps > DEFAULT_MAX_STEPS:
                 raise GuardExceeded("top-reduction exceeded %d steps" % DEFAULT_MAX_STEPS)
         return REDUCED_TO_ZERO, steps, record, (a, b)
-
-
-def _run(gens, binomials, order, width):
-    """``buchberger_check`` with fields of ``width`` bits; ``_Overflow``
-    if they are too narrow."""
-    ring = _Ring(order, width)
-    entries = [ring.entry(b) for b in binomials]
-    # a divisor packs to a smaller int, or to the same int when the leads
-    # are equal; so in this order a lead meets every lead that divides it
-    # first, and of equal leads the lowest index
-    basis = []
-    for k in sorted(range(len(gens)), key=lambda k: (entries[k][1], k)):
-        m = entries[k][1]
-        if all((m - entries[j][1]) & ring.guard for j in basis):
-            basis.append(k)
-    basis.sort()
-    table = [entries[k] for k in basis]
-    basis_polys = tuple(gens[k] for k in basis)
-    support = [ring.support(m) for _, m, _ in table]
-    report = BuchbergerReport(order=order, generators=gens, basis=tuple(basis))
-    for a, i in enumerate(basis):
-        for b in range(a + 1, len(basis)):
-            s = ring.s_pair(table[a], table[b])
-            if s[0] != s[1] and not support[a] & support[b]:
-                # S(f, g) = u_f*T_g*f - u_g*T_f*g, below lm(f)*lm(g), which
-                # is all that Buchberger's criterion asks of a pair
-                (uf, _, tf), (ug, _, tg) = table[a], table[b]
-                cert = ReductionCert(ring, s, basis_polys, REDUCED_TO_ZERO, 0, [(a, tg, uf), (b, tf, -ug)], (0, 0))
-                report.pairs.append(PairResult(i, basis[b], False, cert, criterion="product"))
-            else:
-                report.pairs.append(PairResult(i, basis[b], s[0] == s[1], ring.certify(s, table, basis_polys)))
-    in_basis = set(basis)
-    for k, (unit, lead, tail) in enumerate(entries):
-        if k not in in_basis:
-            target = (lead, tail) if unit > 0 else (tail, lead)
-            report.members.append(MemberResult(k, ring.certify(target, table, basis_polys)))
-    return report
 
 
 def buchberger_check(generators, order):
@@ -377,14 +338,24 @@ def buchberger_check(generators, order):
     must top-reduce to zero over G.  Pairs run in index order, then the
     members.
 
-    The work runs on packed monomials (``_Ring``), from fields that hold
-    twice the largest degree of a generator term.  When a field
-    overflows, the check starts again at double width (``_widened``,
-    which ``s_poly`` and ``top_reduce`` share); what it computes depends
-    only on the input, so the run that completes is exact.  The
-    certificates record their steps and build their polynomials when
-    read.  Generators and order must share one universe
-    (UniverseMismatch otherwise).
+    The work runs on packed monomials (``_Ring``), with fields sized once
+    from the input (``_ring``, which ``s_poly`` and ``top_reduce``
+    share).  The certificates record their steps and build their
+    polynomials when read.  Generators and order must share one universe
+    (UniverseMismatch otherwise), and every generator must be
+    homogeneous, its two terms of one total degree (ValueError naming
+    both degrees otherwise), as is every quasi-minor the program emits.
+
+    Why the fields never overflow.  Let D be the largest degree of an
+    input term, a ``top_reduce`` target's included.  The S-pair of f and
+    g has the terms (M/L_g)*T_g and (M/L_f)*T_f for M = lcm(L_f, L_g);
+    since deg L_g = deg T_g, both have degree deg M <= 2D.  A step
+    replaces a by (a/L)*T, of a's degree, and b likewise when a lead
+    group moves both; so a ``top_reduce`` target keeps the degree of each
+    of its terms.  A field never exceeds its monomial's total degree, and
+    the degree field of a graded order holds the T-degree, which is no
+    larger.  So value bits for 2D and one guard bit hold every monomial
+    of the check, and no sum carries past a guard.
 
     Why the packed steps are exact.  Write a generator as u*(L - T), with
     a unit u = +-1 and L leading.  With M = lcm(L_f, L_g), the S-pair
@@ -437,7 +408,38 @@ def buchberger_check(generators, order):
     binomials = [_binomial(g) for g in gens]
     if not all(binomials):
         raise ValueError("zero generator")
-    return _widened(gens, binomials, order, lambda width: _run(gens, binomials, order, width))
+    ring = _ring(order, gens, binomials)
+    entries = [ring.entry(b) for b in binomials]
+    # a divisor packs to a smaller int, or to the same int when the leads
+    # are equal; so in this order a lead meets every lead that divides it
+    # first, and of equal leads the lowest index
+    basis = []
+    for k in sorted(range(len(gens)), key=lambda k: (entries[k][1], k)):
+        m = entries[k][1]
+        if all((m - entries[j][1]) & ring.guard for j in basis):
+            basis.append(k)
+    basis.sort()
+    table = [entries[k] for k in basis]
+    basis_polys = tuple(gens[k] for k in basis)
+    support = [ring.support(m) for _, m, _ in table]
+    report = BuchbergerReport(order=order, generators=gens, basis=tuple(basis))
+    for a, i in enumerate(basis):
+        for b in range(a + 1, len(basis)):
+            s = ring.s_pair(table[a], table[b])
+            if s[0] != s[1] and not support[a] & support[b]:
+                # S(f, g) = u_f*T_g*f - u_g*T_f*g, below lm(f)*lm(g), which
+                # is all that Buchberger's criterion asks of a pair
+                (uf, _, tf), (ug, _, tg) = table[a], table[b]
+                cert = ReductionCert(ring, s, basis_polys, REDUCED_TO_ZERO, 0, [(a, tg, uf), (b, tf, -ug)], (0, 0))
+                report.pairs.append(PairResult(i, basis[b], False, cert, criterion="product"))
+            else:
+                report.pairs.append(PairResult(i, basis[b], s[0] == s[1], ring.certify(s, table, basis_polys)))
+    in_basis = set(basis)
+    for k, (unit, lead, tail) in enumerate(entries):
+        if k not in in_basis:
+            target = (lead, tail) if unit > 0 else (tail, lead)
+            report.members.append(MemberResult(k, ring.certify(target, table, basis_polys)))
+    return report
 
 
 def s_poly(f, g, order):
@@ -447,12 +449,8 @@ def s_poly(f, g, order):
     D = lcm(d_f, d_g) and M = lcm(m_f, m_g); both leading terms land on
     D*M and cancel."""
     binomials = [_binomial(f), _binomial(g)]
-
-    def run(width):
-        ring = _Ring(order, width)
-        return ring.difference(ring.s_pair(*map(ring.entry, binomials)))
-
-    return _widened((f, g), binomials, order, run)
+    ring = _ring(order, (f, g), binomials)
+    return ring.difference(ring.s_pair(*map(ring.entry, binomials)))
 
 
 def top_reduce(p, reducers, order):
@@ -462,12 +460,8 @@ def top_reduce(p, reducers, order):
     (INCONCLUSIVE)."""
     reducers = tuple(reducers)
     target, *binomials = map(_binomial, (p,) + reducers)
-
-    def run(width):
-        ring = _Ring(order, width)
-        return ring.certify(tuple(map(ring.pack, target)) or (0, 0), [ring.entry(b) for b in binomials], reducers)
-
-    return _widened((p,) + reducers, [target] + binomials, order, run)
+    ring = _ring(order, (p,) + reducers, binomials, target)
+    return ring.certify(tuple(map(ring.pack, target)) or (0, 0), [ring.entry(b) for b in binomials], reducers)
 
 
 def _binomial(p):
@@ -482,20 +476,21 @@ def _binomial(p):
     raise ValueError("not a Generator or a difference of two monomials: %r" % (p,))
 
 
-def _widened(polys, binomials, order, run):
-    """``run(width)`` with fields that hold twice the largest degree of a
-    term of ``binomials``, those of ``polys``, run again at double width
-    while a field overflows.  What a run computes depends only on its
-    input, so the run that completes is exact.  UniverseMismatch unless
-    ``polys`` and ``order`` share one universe."""
+def _ring(order, polys, binomials, target=()):
+    """The ``_Ring`` under ``order`` of a check on ``binomials``, those of
+    ``polys``, and a ``top_reduce`` ``target``.  UniverseMismatch unless
+    ``polys`` and ``order`` share one universe; ValueError for a nonzero
+    binomial whose terms differ in degree."""
     if any(p.universe is not order.universe for p in polys):
         raise UniverseMismatch("polynomials over a different universe than the order")
-    width = (2 * max((m.degree() for b in binomials for m in b), default=0) + 1).bit_length() + 1
-    while True:
-        try:
-            return run(width)
-        except _Overflow:
-            width *= 2
+    top = max((m.degree() for m in target), default=0)
+    for b in binomials:
+        if b:
+            d, e = b[0].degree(), b[1].degree()
+            if d != e:
+                raise ValueError("binomial is not homogeneous: its terms have degrees %d and %d" % (d, e))
+            top = max(top, d)
+    return _Ring(order, (2 * top + 1).bit_length() + 1)
 
 
 def default_order_suite(universe, seeds=(1, 2, 3, 4)):

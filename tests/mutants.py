@@ -9,8 +9,9 @@ Each entry of ``MUTANTS`` names one small change to the program: the
 file, the text it replaces (found exactly once), the new text, and why
 a test should notice.  For each, the script copies the checkout to a
 temporary directory, applies the change there, and runs the tier-1
-suite with ``-x``, the module's own test file first.  It prints
-``killed`` with the first failing test, or ``survived``.  An entry with
+suite with ``-x``, the module's own test file first.  It leaves out
+``test_mutants.py``, which checks that each old text is still there.
+It prints ``killed`` with the first failing test, or ``survived``.  An entry with
 an ``equivalent`` reason changes nothing a test can see; it is still
 run, and reported as ``equivalent`` if it survives.  The exit status is
 1 when any other mutant survives.
@@ -56,9 +57,18 @@ MUTANTS = [
     (
         "initial-field-width",
         GROBNER,
-        "width = (2 * max((m.degree() for b in binomials for m in b), default=0) + 1).bit_length() + 1",
-        "width = (2 * max((m.degree() for b in binomials for m in b), default=0) + 1).bit_length() + 2",
-        "the first width holds twice the largest degree and no more",
+        "return _Ring(order, (2 * top + 1).bit_length() + 1)",
+        "return _Ring(order, (2 * top + 1).bit_length())",
+        "the fields hold twice the largest degree below a guard bit",
+        None,
+    ),
+    (
+        "homogeneity-unchecked",
+        GROBNER,
+        "            if d != e:\n"
+        '                raise ValueError("binomial is not homogeneous: its terms have degrees %d and %d" % (d, e))\n',
+        "",
+        "an inhomogeneous generator or reducer is rejected, since the fields are sized for homogeneous ones",
         None,
     ),
     (
@@ -210,7 +220,10 @@ def run(entry):
         with open(target, "w", encoding="utf-8") as fh:
             fh.write(text.replace(old, new))
         own = "test_%s" % os.path.basename(path)
-        files = sorted(f for f in os.listdir(os.path.join(copy, "tests")) if f.startswith("test_") and f.endswith(".py"))
+        # test_mutants.py reads the mutated file for the old text, so it
+        # would kill every mutant
+        tests = os.listdir(os.path.join(copy, "tests"))
+        files = sorted(f for f in tests if f.startswith("test_") and f.endswith(".py") and f != "test_mutants.py")
         files.sort(key=lambda f: f != own)
         argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
         argv += [os.path.join("tests", f) for f in files]

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 import multirees
 import multirees.cli
-from conftest import emission_specs, gb_heavy_specs
+from conftest import desk_scale_specs, emission_specs, gb_heavy_specs
 from multirees.cli import _CAS, _block_monomials, _records, build_parser, main
 from multirees.oracle import MAX_DEGREES, ImageData
 from multirees.poly import Mono, MonomialOrder, leading, mono_text
@@ -41,7 +41,7 @@ from multirees.rees import (
     spec_from_dict,
     spec_to_dict,
 )
-from multirees.sseq import MAX_VARIABLES, SeqSpec, taylor_complex
+from multirees.sseq import MAX_VARIABLES, SeqSpec, syzygy_generators, taylor_complex
 
 PAPER_SPEC = {
     "sequence": {"mode": "generic", "n": 4, "names": ["p1", "p2", "x", "y"]},
@@ -724,6 +724,15 @@ class TestTaylor:
             tc = taylor_complex(expected)
             assert row["generators"] == tc.m == len(expected)
             assert row["ranks"] == [tc.rank(p) for p in range(tc.m + 1)]
+
+    def test_pairwise_syzygies_counted(self, spec_file, capsys):
+        # the report counts one syzygy per pair of a block's monomials
+        # without building them: as many as ``syzygy_generators`` builds
+        for spec in desk_scale_specs():
+            code, payload = run_json(capsys, ["taylor", spec_file(spec_to_dict(spec)), "--format", "json"])
+            assert code == 0
+            got = [row["pairwise_syzygies"] for row in payload["blocks"]]
+            assert got == [len(syzygy_generators(monos)) for monos in _block_monomials(build_presentation(spec))]
 
     def test_non_monomial_values_are_spec_error(self, spec_file, capsys):
         spec = json.loads(json.dumps(CONCRETE_TAYLOR_SPEC))

@@ -368,10 +368,10 @@ class TestSPoly:
         s1, s2 = uni.poly_var("s1"), uni.poly_var("s2")
         A, B, C = uni.poly_var("A"), uni.poly_var("B"), uni.poly_var("C")
         order = MonomialOrder(uni, "lex")
-        f = s1 * s1 * A - B
-        g = s1 * s2 * A - C
-        s = s_poly(f, g, order)
-        assert s == s1 * C - s2 * B
+        f = s1 * s1 * A - s2 * s2 * B
+        g = s1 * s2 * A - s2 * s2 * C
+        s = check_against_reference(f, g, order, entry=s_poly)
+        assert s == s1 * s2 * s2 * C - s2 * s2 * s2 * B
         # no fractional or negative exponents appear
         assert all(e > 0 for m, _ in s.terms for _, e in m.exps)
 
@@ -382,11 +382,11 @@ class TestSPoly:
         order = MonomialOrder(uni, "lex")
         # three terms: no pure difference
         with pytest.raises(ValueError, match="not a Generator or a difference of two monomials"):
-            s_poly((s1 + s2) * A - B, s1 * A - B, order)
+            s_poly((s1 + s2) * A - s1 * B, s1 * A - s2 * B, order)
         # a pure difference whose leading coefficient s1 - s2 is no s-monomial
         with pytest.raises(ValueError, match="not of s-monomial type"):
-            s_poly(s1 * A - s2 * A, s1 * A - B, order)
-        assert check_against_reference(s1 * A - s2 * A, s1 * A - B, order, entry=s_poly) is None
+            s_poly(s1 * A - s2 * A, s1 * A - s2 * B, order)
+        assert check_against_reference(s1 * A - s2 * A, s1 * A - s2 * B, order, entry=s_poly) is None
 
 
 class TestTopReduce:
@@ -400,13 +400,13 @@ class TestTopReduce:
 
     def test_divides_whole_coefficient(self):
         # the leading coefficient of s1*B - s2*B is s1 - s2: reducer
-        # s1*B - C cannot touch it, since s1 does not divide s2
+        # s1*B - s2*C cannot touch it, since s1 does not divide s2
         uni = VarUniverse(s_names=("s1", "s2"), T_names=("A", "B", "C"))
         s1, s2 = uni.poly_var("s1"), uni.poly_var("s2")
         B, C = uni.poly_var("B"), uni.poly_var("C")
         order = MonomialOrder(uni, "lex")
         target = s1 * B - s2 * B
-        cert = check_against_reference(target, [s1 * B - C], order, entry=top_reduce)
+        cert = check_against_reference(target, [s1 * B - s2 * C], order, entry=top_reduce)
         assert (cert.status, cert.steps) == (INCONCLUSIVE, 0)
         assert cert.remainder == target and cert.quotients == {}
         assert cert.verify()
@@ -445,8 +445,9 @@ class TestBuchberger:
         order = MonomialOrder(uni, "lex")
         with pytest.raises(ValueError):
             buchberger_check([], order)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="zero generator"):
             buchberger_check(gens + [uni.zero()], order)
+        assert check_against_reference(gens[:1] + [uni.zero()] + gens[1:], order) is None
 
     def test_honest_inconclusive_on_hostile_precedence(self):
         # one block of amplitude two: under a precedence that puts the
@@ -488,14 +489,15 @@ class TestBuchberger:
         assert rep.ok
 
     def test_lead_group_step(self):
-        # the S-pair of pair (1, 2) is s1*B - s2*B, whose two terms share
-        # the leading T-part B: the step by B - D moves both terms, to
-        # s1*D - s2*D, where nothing applies.  Pairs (1, 3) and (2, 3)
-        # have coprime leads.
-        uni = VarUniverse(s_names=("s1", "s2"), T_names=("A", "B", "D"))
-        s1, s2, A, B, D = (uni.poly_var(v) for v in ("s1", "s2", "A", "B", "D"))
+        # the S-pair of pair (1, 2) is s1*s3*B - s2*s3*B, whose two terms
+        # share the leading T-part B: the step by B - D moves both terms,
+        # to s1*s3*D - s2*s3*D, where nothing applies.  Pairs (1, 3) and
+        # (2, 3) have coprime leads.
+        uni = VarUniverse(s_names=("s1", "s2", "s3"), T_names=("A", "B", "D"))
+        s1, s2, s3, A, B, D = (uni.poly_var(v) for v in ("s1", "s2", "s3", "A", "B", "D"))
         order = MonomialOrder(uni, "lex")
-        rep = check_against_reference([s1 * A - B, s2 * A - B, B - D], order)
+        f, g = s1 * A - s3 * B, s2 * A - s3 * B
+        rep = check_against_reference([f, g, B - D], order)
         assert rep.basis == (0, 1, 2) and rep.members == []
         assert [(pr.i, pr.j, pr.criterion, pr.cert.status, pr.cert.steps) for pr in rep.pairs] == [
             (0, 1, None, INCONCLUSIVE, 1),
@@ -503,15 +505,15 @@ class TestBuchberger:
             (1, 2, "product", REDUCED_TO_ZERO, 0),
         ]
         stuck = rep.pairs[0].cert
-        assert stuck.target == s1 * B - s2 * B
-        assert stuck.quotients == {2: s1 - s2} and stuck.remainder == s1 * D - s2 * D
+        assert stuck.target == s1 * s3 * B - s2 * s3 * B
+        assert stuck.quotients == {2: s1 * s3 - s2 * s3} and stuck.remainder == s1 * s3 * D - s2 * s3 * D
         assert [pr.cert.remainder.is_zero() for pr in rep.pairs] == [False, True, True]
         assert rep.verify_certificates()
-        assert _report(rep, "text")[1:] == ["  stuck pair (1, 2): remainder leading term (-s2 + s1) * D"]
+        assert _report(rep, "text")[1:] == ["  stuck pair (1, 2): remainder leading term (-s2*s3 + s1*s3) * D"]
         # the entry points take the same step
-        assert check_against_reference(s1 * A - B, s2 * A - B, order, entry=s_poly) == s1 * B - s2 * B
-        cert = check_against_reference(s1 * B - s2 * B, [B - D], order, entry=top_reduce)
-        assert (cert.status, cert.steps, cert.remainder) == (INCONCLUSIVE, 1, s1 * D - s2 * D)
+        assert check_against_reference(f, g, order, entry=s_poly) == s1 * s3 * B - s2 * s3 * B
+        cert = check_against_reference(s1 * s3 * B - s2 * s3 * B, [B - D], order, entry=top_reduce)
+        assert (cert.status, cert.steps, cert.remainder) == (INCONCLUSIVE, 1, s1 * s3 * D - s2 * s3 * D)
 
     @pytest.mark.parametrize("kind", ["lex", "grevlex"])
     def test_zero_s_pair_reduces_in_no_steps(self, kind):
@@ -528,10 +530,22 @@ class TestBuchberger:
         assert pr.cert.quotients == {} and pr.cert.verify()
         assert rep.ok and rep.product_criterion == 0 and rep.verify_certificates()
 
+    @pytest.mark.parametrize("kind", ["grlex", "grevlex"])
+    def test_fields_hold_twice_the_degree(self, kind):
+        # the S-pair of pair (1, 2) is B*C*G^3 - E*F*H^3, of T-degree 5, so
+        # the degree field needs the value bits for 2*3; in fewer, the guard
+        # would hide that the lead G of G - H divides B*C*G^3
+        uni = VarUniverse(s_names=("s1",), T_names=tuple("ABCEFGH"))
+        A, B, C, E, F, G, H = (uni.poly_var(v) for v in "ABCEFGH")
+        rep = check_against_reference([A * B * C - H ** 3, A * E * F - G ** 3, G - H], MonomialOrder(uni, kind))
+        stuck = rep.pairs[0].cert
+        assert stuck.target == B * C * G ** 3 - E * F * H ** 3
+        assert (stuck.status, stuck.steps, stuck.remainder) == (INCONCLUSIVE, 3, B * C * H ** 3 - E * F * H ** 3)
+
     def test_equal_leads_keep_lower_index(self):
         uni = VarUniverse(s_names=("s1",), T_names=("A", "B", "C"))
         A, B, C = (uni.poly_var(v) for v in "ABC")
-        rep = buchberger_check([A - C, A - B, A * B - C], MonomialOrder(uni, "lex"))
+        rep = check_against_reference([A - C, A - B, A * B - C * C], MonomialOrder(uni, "lex"))
         assert rep.basis == (0,)
         assert [m.k for m in rep.members] == [1, 2]
         assert rep.pairs == []
@@ -543,30 +557,30 @@ class TestBuchberger:
         uni = VarUniverse(s_names=("s1",), T_names=("A", "B", "C", "D"))
         A, B, C, D = (uni.poly_var(v) for v in "ABCD")
         order = MonomialOrder(uni, "lex")
-        rep = buchberger_check([A - B, A * C - D], order)
+        rep = check_against_reference([A - B, A * C - D * D], order)
         assert rep.basis == (0,) and rep.pairs == []
         (member,) = rep.members
         assert member.cert.status == INCONCLUSIVE
-        assert member.cert.remainder == B * C - D
+        assert member.cert.remainder == B * C - D * D
         assert not rep.ok and rep.failures == [member]
         assert rep.verify_certificates()
         assert _report(rep, "text")[1:] == ["  stuck member 2: remainder leading term (1) * B*C"]
         payload = _report(rep, "json")
         assert payload["ok"] is False
-        assert payload["stuck"] == [{"member": 2, "remainder": (B * C - D).render()}]
+        assert payload["stuck"] == [{"member": 2, "remainder": (B * C - D * D).render()}]
 
     def test_stuck_pair_is_named(self):
-        # leads A*B and A*D share A; the S-pair B*C - C*D has a lead that
-        # neither divides.  Text and JSON both count generators from 1.
+        # leads A*B and A*D share A; the S-pair B*C^2 - C^2*D has a lead
+        # that neither divides.  Text and JSON both count generators from 1.
         uni = VarUniverse(s_names=("s1",), T_names=("A", "B", "C", "D"))
         A, B, C, D = (uni.poly_var(v) for v in "ABCD")
-        rep = buchberger_check([A * B - C, A * D - C], MonomialOrder(uni, "lex"))
+        rep = check_against_reference([A * B - C * C, A * D - C * C], MonomialOrder(uni, "lex"))
         (pair,) = rep.pairs
         assert (pair.i, pair.j) == (0, 1) and pair.cert.status == INCONCLUSIVE
-        assert pair.cert.remainder == B * C - C * D
+        assert pair.cert.remainder == B * C * C - C * C * D
         assert not rep.ok and rep.failures == [pair]
-        assert _report(rep, "text")[1:] == ["  stuck pair (1, 2): remainder leading term (1) * B*C"]
-        assert _report(rep, "json")["stuck"] == [{"i": 1, "j": 2, "remainder": (B * C - C * D).render()}]
+        assert _report(rep, "text")[1:] == ["  stuck pair (1, 2): remainder leading term (1) * B*C^2"]
+        assert _report(rep, "json")["stuck"] == [{"i": 1, "j": 2, "remainder": (B * C * C - C * C * D).render()}]
 
 
 class TestAllPairsReference:
@@ -618,6 +632,27 @@ def random_monomial():
     return st.tuples(small, small, st.sampled_from((0,) * 7 + (1,)), small, small, small, small)
 
 
+def homogeneous_pair():
+    """Two different exponent tuples of one degree: the second permutes
+    the s- and T-exponents of the first, across the two blocks, within
+    each, or the T-exponents alone, and keeps its x-exponent.  Exponents
+    are small, so that drawn generators often share a lead or a tail."""
+    s, t = (0, 1), (3, 4, 5, 6)
+    first = st.tuples(
+        *[st.integers(0, 1)] * 2, st.sampled_from((0,) * 7 + (1,)), *[st.sampled_from((0, 0, 0, 1, 1, 2))] * 4
+    )
+    within = st.tuples(st.permutations(s), st.permutations(t)).map(lambda p: tuple(p[0]) + tuple(p[1]))
+    perms = st.one_of(st.permutations(s + t), within, st.permutations(t).map(lambda p: s + tuple(p)))
+
+    def second(first, perm):
+        out = list(first)
+        for dst, src in zip(s + t, perm):
+            out[dst] = first[src]
+        return first, tuple(out)
+
+    return st.tuples(first, perms).map(lambda d: second(*d)).filter(lambda pair: pair[0] != pair[1])
+
+
 def random_binomial(u, coefficients, monomials):
     """The polynomial c1*m1 + c2*m2 of two drawn coefficients and two
     drawn exponent tuples over ``u``."""
@@ -628,6 +663,21 @@ def random_binomial(u, coefficients, monomials):
 # make no pure difference
 PURE = st.sampled_from(((1, -1), (-1, 1)))
 OTHER = st.tuples(*[st.sampled_from((1, -1, 2, -3, Fraction(1, 2)))] * 2).filter(lambda c: c not in ((1, -1), (-1, 1)))
+
+
+# a family of up to five homogeneous pure differences under a drawn order
+RANDOM_FAMILY = dict(
+    domain=st.sampled_from(("QQ", "QQ", "ZZ")),
+    binomials=st.lists(st.tuples(PURE, homogeneous_pair()), min_size=1, max_size=5),
+    kind=st.sampled_from(("lex", "grlex", "grevlex")),
+    precedence=st.permutations(range(4)),
+)
+
+
+def random_family(domain, binomials, kind, precedence):
+    """(generators, order) of one ``RANDOM_FAMILY`` draw."""
+    u = RANDOM_UNIVERSES[domain]
+    return [random_binomial(u, *b) for b in binomials], MonomialOrder(u, kind, [u.T_ids[k] for k in precedence])
 
 
 # desk families in the entry-point sample: 3,186 calls, none on the 13
@@ -653,23 +703,44 @@ class TestPackedAgainstReference:
                 assert check_against_reference(gens, MonomialOrder(pres.universe, kind)).ok
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        domain=st.sampled_from(("QQ", "QQ", "ZZ")),
-        binomials=st.lists(st.tuples(PURE, st.tuples(random_monomial(), random_monomial())), min_size=1, max_size=5),
-        kind=st.sampled_from(("lex", "grlex", "grevlex")),
-        precedence=st.permutations(range(4)),
-    )
+    @given(**RANDOM_FAMILY)
     def test_random_binomials(self, domain, binomials, kind, precedence):
-        # pure differences, some of them zero or of no s-monomial type
-        u = RANDOM_UNIVERSES[domain]
-        gens = [random_binomial(u, *b) for b in binomials]
-        order = MonomialOrder(u, kind, [u.T_ids[k] for k in precedence])
-        check_against_reference(gens, order)
+        # homogeneous pure differences, some of them of no s-monomial type
+        check_against_reference(*random_family(domain, binomials, kind, precedence))
+
+    def test_random_binomials_reach_every_path(self):
+        # a derandomized sample of the same draws meets every path of the
+        # packed check: a lead-group step leaves two quotient terms
+        seen = set()
+
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(**RANDOM_FAMILY)
+        def sample(domain, binomials, kind, precedence):
+            try:
+                rep = buchberger_check(*random_family(domain, binomials, kind, precedence))
+            except ValueError as exc:
+                seen.add("not of s-monomial type" if "s-monomial type" in str(exc) else str(exc))
+                return
+            seen.update(pr.criterion for pr in rep.pairs if pr.criterion)
+            seen.update("zero S-pair" for pr in rep.pairs if pr.spair_zero)
+            seen.update(r.cert.status for r in rep.pairs + rep.members)
+            reduced = [r.cert for r in rep.pairs + rep.members if getattr(r, "criterion", None) is None]
+            seen.update("lead-group step" for c in reduced if len(c._record) > c.steps)
+
+        sample()
+        assert seen == {
+            "not of s-monomial type",
+            "product",
+            "zero S-pair",
+            REDUCED_TO_ZERO,
+            INCONCLUSIVE,
+            "lead-group step",
+        }
 
     @settings(max_examples=100, deadline=None)
     @given(
         domain=st.sampled_from(("QQ", "ZZ")),
-        binomials=st.lists(st.tuples(PURE, st.tuples(random_monomial(), random_monomial())), max_size=3),
+        binomials=st.lists(st.tuples(PURE, homogeneous_pair()), max_size=3),
         other=st.tuples(OTHER, st.tuples(random_monomial(), random_monomial())),
         at=st.integers(0, 3),
         kind=st.sampled_from(("lex", "grlex", "grevlex")),
@@ -717,7 +788,7 @@ class TestPackedAgainstReference:
             (s_poly, (u.zero(), A - B, order), ZeroPolynomial),
             (s_poly, (A - B, u.zero(), order), ZeroPolynomial),
             (top_reduce, (A * B - B * B, [A - B, u.zero()], order), ZeroPolynomial),
-            (s_poly, (s1 * A - B, s1 * A - s2 * A, order), ValueError),
+            (s_poly, (s1 * A - s2 * B, s1 * A - s2 * A, order), ValueError),
             (top_reduce, (A * B - B * B, [s1 * A - s2 * A], order), ValueError),
         ]
         for entry, args, error in cases:
@@ -729,9 +800,9 @@ class TestPackedAgainstReference:
         # bare Binomial, which has no universe
         bare = Binomial(Mono(((2, 1),)), Mono(((3, 1),)), (), ())
         for entry, args in [
-            (s_poly, (s1 * A - B, (s1 + s2) * A - B, order)),
+            (s_poly, (s1 * A - s2 * B, (s1 + s2) * A - s1 * B, order)),
             (top_reduce, (A, [A - B], order)),
-            (top_reduce, (A * B - B * B, [(s1 + s2) * A - B], order)),
+            (top_reduce, (A * B - B * B, [(s1 + s2) * A - s1 * B], order)),
             (buchberger_check, ([A - B, 2 * A - B], order)),
             (buchberger_check, ([A - B, bare], order)),
             (s_poly, (A - B, bare, order)),
@@ -746,23 +817,6 @@ class TestPackedAgainstReference:
             top_reduce(A ** 6 - B ** 6, [A - B], order)
         assert check_against_reference(A ** 6 - B ** 6, [A - B], order, entry=top_reduce) is None
 
-    def test_widening(self, monkeypatch):
-        # the member A*E - F walks down to D^8*E - F, past the three value
-        # bits that fit the generators' degree 2 twice over
-        u = VarUniverse(s_names=("s1",), T_names=tuple("ABCDEF"))
-        A, B, C, D, E, F = (u.poly_var(v) for v in "ABCDEF")
-        widths = []
-        run = grobner._run
-
-        def spy(gens, binomials, order, width):
-            widths.append(width)
-            return run(gens, binomials, order, width)
-
-        monkeypatch.setattr(grobner, "_run", spy)
-        rep = check_against_reference([A - B * B, B - C * C, C - D * D, A * E - F], MonomialOrder(u, "lex"))
-        assert widths == [4, 8]
-        assert rep.members[0].cert.remainder == D ** 8 * E - F
-
     def test_step_guard(self, monkeypatch):
         # the member A^6 - B^6 reduces over A - B in six steps
         u = VarUniverse(s_names=("s1",), T_names=("A", "B"))
@@ -771,6 +825,44 @@ class TestPackedAgainstReference:
         check_against_reference([A - B, A ** 6 - B ** 6], MonomialOrder(u, "lex"))
         with pytest.raises(GuardExceeded):
             buchberger_check([A - B, A ** 6 - B ** 6], MonomialOrder(u, "lex"))
+
+
+class TestHomogeneity:
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_inhomogeneous_binomial_rejected(self, at):
+        # s1*A - B has terms of degrees 2 and 1: no entry point takes it as
+        # a generator or a reducer, wherever it stands
+        u = VarUniverse(s_names=("s1", "s2"), T_names=("A", "B", "C"))
+        s1, s2, A, B, C = (u.poly_var(v) for v in ("s1", "s2", "A", "B", "C"))
+        order = MonomialOrder(u, "lex")
+        bad = s1 * A - B
+        gens = [A - B, B - C]
+        gens.insert(at, bad)
+        message = "binomial is not homogeneous: its terms have degrees 2 and 1"
+        for entry, args in [
+            (buchberger_check, (gens, order)),
+            (top_reduce, (A * A - B * C, gens, order)),
+            (s_poly, tuple(gens[at : at + 2] if at < 2 else gens[1:]) + (order,)),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                entry(*args)
+        # after a zero generator and a universe mismatch, before a lead of
+        # no s-monomial type
+        with pytest.raises(ValueError, match="zero generator"):
+            buchberger_check([bad, u.zero()], order)
+        with pytest.raises(UniverseMismatch):
+            buchberger_check([bad], MonomialOrder(VarUniverse(s_names=("s1", "s2"), T_names=("A", "B", "C")), "lex"))
+        with pytest.raises(ValueError, match=message):
+            buchberger_check([s1 * A - s2 * A, bad], order)
+
+    def test_inhomogeneous_target_taken(self):
+        # a target's terms keep their degrees, 6 and 1, so it never reduces
+        # to zero; the fields hold the target's degree too
+        u = VarUniverse(s_names=("s1",), T_names=("A", "B", "C"))
+        A, B, C = (u.poly_var(v) for v in "ABC")
+        cert = check_against_reference(A ** 6 - B, [A - C], MonomialOrder(u, "lex"), entry=top_reduce)
+        assert (cert.status, cert.steps, cert.remainder) == (INCONCLUSIVE, 6, C ** 6 - B)
+        assert cert.verify()
 
 
 class TestUniverses:
