@@ -295,7 +295,14 @@ class _Ring:
         leading T-part, the lead must divide their gcd, and b moves too.
         Returns (status, steps, record, remainder) with one (reducer
         index, packed shift, +-1) per quotient term; GuardExceeded past
-        ``DEFAULT_MAX_STEPS`` steps, read when the reduction runs."""
+        ``DEFAULT_MAX_STEPS`` steps, read when the reduction runs.
+
+        The lead-group branch (``ka == kb``, and ``gcd``) never runs on an
+        emitted family: every polynomial of its check lies in (F1), inside
+        the kernel L, which is prime, holds no T-monomial and meets k[s]
+        only in 0.  A target whose terms share the T-part m is
+        (s^u - s^v)*m in L, so s^u - s^v lies in L, is 0, and a == b ends
+        the loop.  Inputs outside L may still need the branch."""
         guard, key = self.guard, self.key
         record = []
         steps = 0

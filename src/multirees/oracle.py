@@ -13,12 +13,13 @@ the chosen degree bounds.
 The comparison is fiber connectivity, not linear algebra: each multiple
 of a kernel binomial links two monomials of one fiber, and the family
 spans a piece exactly when every fiber is one component (the Markov-basis
-view of Diaconis and Sturmfels 1998).  The multiples of a generator
-a*m_a + b*m_b in a piece are q*m_a - q*m_b for the monomials q of the
-quotient piece, whose degree is the piece's less the generator's.  A
-sweep checks each generator once, files it under its degree, and
-enumerates each piece once, whether it serves as a piece or as a
-quotient piece.  A piece joins its links in a union-find over its
+view of Diaconis and Sturmfels 1998), so a generator is read as written:
+two terms over the presentation's universe (``_terms``).  The multiples
+of a generator a*m_a + b*m_b in a piece are q*m_a - q*m_b for the
+monomials q of the quotient piece, whose degree is the piece's less the
+generator's.  A sweep checks each generator once, files it under its
+degree, and enumerates each piece once, whether it serves as a piece or
+as a quotient piece.  A piece joins its links in a union-find over its
 monomial indices (a flat list with path halving) and stops joining once
 the joins reach the kernel dimension: links stay inside fibers, so no
 later link can merge two components.
@@ -47,12 +48,12 @@ map preserves both, and every piece is finite.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement, product
 from math import comb, prod
 
-from .poly import CapExceeded, GuardExceeded, Mono, Packing, SpecError
+from .poly import CapExceeded, GuardExceeded, Packing, Poly, SpecError, UniverseMismatch
+from .rees import Generator
 
 DEFAULT_T_CAP = 3
 DEFAULT_PIECE_CAP = 20000
@@ -147,12 +148,18 @@ class SpanReport:
         self.span_dim, self.multiples, self.ok, self.witness = span_dim, multiples, ok, witness
 
 
-def _terms(g):
-    """(monomial, coefficient) of each term of a generator: a
-    ``Generator``'s binomial plus and minus with +1 and -1, or the terms of
-    a polynomial or of an object's ``.poly``."""
-    b = getattr(g, "binomial", None)
-    return ((b.plus, 1), (b.minus, -1)) if b is not None else getattr(g, "poly", g).terms
+def _terms(pres, g):
+    """The two (monomial, coefficient) terms of a generator as written: a
+    ``Generator``'s binomial with +1 and -1, or a ``Poly`` of two terms
+    with any nonzero coefficients.  ValueError naming any other input,
+    UniverseMismatch for one over another universe than ``pres``."""
+    if not isinstance(g, Generator) and not (isinstance(g, Poly) and len(g.terms) == 2):
+        raise ValueError("generator %r is not a binomial: no Generator and no Poly of two terms" % (g,))
+    if g.universe is not pres.universe:
+        raise UniverseMismatch("generator over a different universe than the presentation")
+    if isinstance(g, Poly):
+        return g.terms
+    return (g.binomial.plus, 1), (g.binomial.minus, -1)
 
 
 class _Sweep:
@@ -196,10 +203,10 @@ class _Sweep:
     def __init__(self, pres, generators, data, cap, degrees):
         self.pres = pres
         self.cap = cap
-        self.generators = [_terms(g) for g in generators]
+        self.generators = [(g, _terms(pres, g)) for g in generators]
         bound = max((max(weight, sum(tvec)) for tvec, weight in degrees), default=0)
         T = pres.universe.T_idset
-        for terms in self.generators:
+        for _, terms in self.generators:
             for mono, _ in terms:
                 weight = sum(data.table[v][2] * e for v, e in mono.exps if v in data.table)
                 bound = max(bound, weight, sum(e for v, e in mono.exps if v in T))
@@ -277,58 +284,42 @@ class _Sweep:
 
     @cached_property
     def moves(self):
-        """{(g_t, g_w): [(m_a, m_b), ...]}: the nonzero generators by
-        degree, m_a and m_b packed.  A term packs as a piece monomial does,
-        as the sum of its variables' entries, and terms of equal packed
-        source merge, as they would in the generator evaluated over the
-        enumerated ring; the checks and the degree read the packed images.
-        First read once the first piece is enumerated, so a piece over the
-        cap is reported before a generator the oracle cannot use."""
-        packed = self.packed
+        """{(g_t, g_w): [(m_a, m_b), ...]}: the generators by degree, each
+        term packed once (``_pack``).  A generator must map to zero, with
+        equal images and cancelling coefficients; one whose terms pack to
+        one source, as two sequence symbols of one value may, is zero and
+        is skipped.  Read once the first piece is enumerated, so a piece
+        over the cap comes before these errors; ``_terms`` reads the shape
+        and universe of a generator earlier, as its terms size the field."""
         mask = (1 << self.img.width) - 1
         t_shifts = [self.img.shift[t] for t in self.pres.universe.t_ids]
         out = {}
-        for terms in self.generators:
-            merged = {}  # (packed source, pairs outside the table, packed image, weight) -> image coefficient
-            for mono, coeff in terms:
-                src = img = weight = 0
-                foreign = ()
-                for v, e in mono.exps:
-                    entry = packed.get(v)
-                    if entry is None:
-                        foreign += ((v, e),)
-                        continue
-                    c, s, i, w = entry
-                    coeff *= c**e
-                    src += s * e
-                    img += i * e
-                    weight += w * e
-                key = (src, foreign, img, weight)
-                merged[key] = merged.get(key, 0) + coeff
-            live = {key: c for key, c in merged.items() if c}
-            if not live:
-                continue
-            if any(key[1] for key in live):
-                raise ValueError("generator leaves the enumerated presentation ring; it uses a variable outside the presentation ring")
-            if len(live) != 2:
-                raise ValueError("generator %s is not a binomial" % self._evaluated(live).render())
-            ((pa, _, ia, wa), ca), ((pb, _, ib, _), cb) = live.items()
+        for g, (ta, tb) in self.generators:
+            (ca, pa, ia, wa), (cb, pb, ib, _) = self._pack(g, *ta), self._pack(g, *tb)
             if ia != ib or ca + cb:
-                raise ValueError("generator %s does not map to zero" % self._evaluated(live).render())
-            out.setdefault((tuple(ia >> s & mask for s in t_shifts), wa), []).append((pa, pb))
+                raise ValueError("generator %s does not map to zero" % getattr(g, "poly", g).render())
+            if pa != pb:
+                out.setdefault((tuple(ia >> s & mask for s in t_shifts), wa), []).append((pa, pb))
         return out
 
-    def _evaluated(self, live):
-        """The polynomial of the merged terms of ``moves``, for its error
-        messages: each term's coefficient less its T-variables' ones."""
-        monos = [(self.src.unpack(src), foreign, c) for (src, foreign, _, _), c in live.items()]
-        return self.pres.universe.from_terms(
-            (Mono(m.exps + foreign), Fraction(c) / self.coefficient(m)) for m, foreign, c in monos
-        )
+    def _pack(self, g, mono, coeff):
+        """(coefficient, packed source, packed image, weight) of the term
+        coeff*mono of the generator ``g``: its variables' entries summed,
+        their coefficients multiplied in; ValueError for a variable
+        outside the table."""
+        src = img = weight = 0
+        for v, e in mono.exps:
+            if v not in self.packed:
+                raise ValueError("generator %s leaves the enumerated presentation ring" % getattr(g, "poly", g).render())
+            c, s, i, w = self.packed[v]
+            coeff *= c**e
+            src += s * e
+            img += i * e
+            weight += w * e
+        return coeff, src, img, weight
 
     def coefficient(self, mono):
-        """The coefficient of the image of a ``Mono`` of the table's
-        variables."""
+        """The image coefficient of a ``Mono`` of the table's variables."""
         return prod(self.packed[v][0] ** e for v, e in mono.exps)
 
     def compare(self, tvec, weight):
@@ -412,11 +403,12 @@ class _Sweep:
 def span_compare(pres, generators, tvec, weight, cap=DEFAULT_PIECE_CAP):
     """Compare the kernel piece with the span of generator multiples.
 
-    ``generators`` are polynomials (or objects with ``.poly``), each a
-    binomial a*m_a + b*m_b of the kernel.  The multiples of a generator
-    come from the quotient piece: q*m_a links to q*m_b for every monomial
-    q of the piece's degree less the generator's, and ``span_dim`` counts
-    the links that join two components.  A missed piece carries as witness
+    ``generators`` are ``Generator``s or ``Poly``s of two terms over the
+    presentation's universe, each a binomial a*m_a + b*m_b of the kernel.
+    The multiples of a generator come from the quotient piece: q*m_a
+    links to q*m_b for every monomial q of the piece's degree less the
+    generator's, and ``span_dim`` counts the links that join two
+    components.  A missed piece carries as witness
     its first kernel basis binomial whose monomials lie in different
     components: it maps to zero but is no generator combination here.
     This is the one-piece sweep of ``oracle_check``.
@@ -491,7 +483,7 @@ def oracle_check(pres, generators, degrees=None, t_cap=None, ambient_cap=None, c
     """Compare spans piece by piece over a degree sweep; certifies that the
     family spans the kernel in every listed degree.  The pieces share one
     ``_Sweep`` over one ``ImageData``, which also gives the default
-    degrees: each generator is evaluated and checked once, the T-parts
+    degrees: each generator is packed and checked once, the T-parts
     and the plan of each block degree are built once, and each piece is
     enumerated once, whether as a piece or as a quotient piece."""
     data = ImageData(pres)

@@ -136,6 +136,39 @@ MUTANTS = [
         None,
     ),
     (
+        "intake-image-unchecked",
+        ORACLE,
+        "if ia != ib or ca + cb:",
+        "if ca + cb:",
+        "a generator whose two terms have different images does not map to zero",
+        None,
+    ),
+    (
+        "intake-coefficients-unchecked",
+        ORACLE,
+        "if ia != ib or ca + cb:",
+        "if ia != ib:",
+        "a generator whose image coefficients do not cancel does not map to zero",
+        None,
+    ),
+    (
+        "intake-cancelling-terms-filed",
+        ORACLE,
+        "            if pa != pb:\n",
+        "            if True:\n",
+        "terms that meet and cancel are a zero generator, which adds no multiples",
+        None,
+    ),
+    (
+        "intake-universe-unchecked",
+        ORACLE,
+        "    if g.universe is not pres.universe:\n"
+        '        raise UniverseMismatch("generator over a different universe than the presentation")\n',
+        "",
+        "a generator of another presentation is not read by id in this one's table",
+        None,
+    ),
+    (
         "cycle-closes-either-way",
         QUASIMAT,
         "if c > cols[0] and c not in cols:",

@@ -595,6 +595,10 @@ class TestAllPairsReference:
                 rep = buchberger_check(gens, order)
                 assert rep.ok == all_pairs_ok(gens, order)
                 assert rep.verify_certificates()
+                # no step moves a lead group (``_Ring.reduce``): one
+                # quotient term per step of every reduced pair and member
+                reduced = [pr.cert for pr in rep.pairs if pr.criterion is None] + [m.cert for m in rep.members]
+                assert all(len(cert._record) == cert.steps for cert in reduced)
                 verdicts.add(rep.ok)
         assert verdicts == {True, False}
 

@@ -36,7 +36,7 @@ from multirees.oracle import (
     source_monomials,
     span_compare,
 )
-from multirees.poly import CapExceeded, GuardExceeded, Mono, SpecError
+from multirees.poly import CapExceeded, GuardExceeded, Mono, SpecError, UniverseMismatch
 from multirees.quasimat import Binomial
 from multirees.rees import FULL, RESTRICTED, ReesSpec, build_presentation, defining_generators, spec_from_dict
 from multirees.sseq import SeqSpec, syzygy_generators
@@ -137,22 +137,22 @@ class MonoImage:
         return p
 
     def moves(self, p, pack):
-        """What the sweep files for the one generator ``p``: {} when it
-        evaluates to zero, {degree: [(m_a, m_b)]} for a kernel binomial,
-        each term packed by ``pack`` and the pair sorted, or the message
-        of the ValueError for anything else."""
-        p = self.evaluate(p)
-        if p.is_zero():
-            return {}
-        if any(v not in self.ring_ids for m, _ in p.terms for v, _ in m.exps):
-            return "generator leaves the enumerated presentation ring; it uses a variable outside the presentation ring"
-        if len(p.terms) != 2:
-            return "generator %s is not a binomial" % p.render()
-        (ma, a), (mb, b) = p.terms
+        """What the sweep files for the one two-term polynomial ``p``, each
+        term evaluated on its own: {} when the two meet and cancel, {degree:
+        [(m_a, m_b)]} for a kernel binomial, each term packed by ``pack``
+        and the pair sorted, or the message of the ValueError for anything
+        else."""
+        u = self.pres.universe
+        terms = [self.evaluate(u.term(c, m)).terms[0] for m, c in p.terms]
+        if any(v not in self.ring_ids for m, _ in terms for v, _ in m.exps):
+            return "generator %s leaves the enumerated presentation ring" % p.render()
+        (ma, a), (mb, b) = terms
         (ca, ia), (cb, ib) = self.image(ma), self.image(mb)
         if ia != ib or a * ca + b * cb:
             return "generator %s does not map to zero" % p.render()
-        return {self.poly_degree(p): [tuple(sorted((pack(ma.exps), pack(mb.exps))))]}
+        if ma == mb:
+            return {}
+        return {self.poly_degree(u.from_terms(terms)): [tuple(sorted((pack(ma.exps), pack(mb.exps))))]}
 
 
 class Echelon:
@@ -1029,35 +1029,23 @@ SAME_VALUE_SPEC = {
 }
 
 
-# the reports and errors these generators gave when the oracle evaluated
-# each generator by ``Poly.substitute`` and checked it on ``Mono``s
+# the reports these generators gave when the oracle evaluated each
+# generator by ``Poly.substitute`` and checked it on ``Mono``s
 GENERIC_ABOVE = [((1, 0, 0, 0, 0), 1, 2, 0, 0, 0, True)]
 WEIGHT_ZERO_ABOVE = [((1, 0), 0, 2, 1, 1, 1, True), ((0, 1), 0, 2, 1, 1, 1, True)]
-MERGED = [
-    ((1,), 1, 2, 1, 0, 0, False),
-    ((1,), 2, 2, 1, 1, 2, True),
-    ((1,), 3, 2, 1, 1, 2, True),
-    ((1,), 4, 2, 1, 1, 2, True),
-    ((1,), 5, 2, 1, 1, 2, True),
-    ((2,), 2, 3, 2, 0, 0, False),
-    ((2,), 3, 3, 2, 2, 4, True),
-    ((2,), 4, 3, 2, 2, 4, True),
-    ((2,), 5, 3, 2, 2, 4, True),
-    ((3,), 3, 4, 3, 0, 0, False),
-    ((3,), 4, 4, 3, 3, 6, True),
-    ((3,), 5, 4, 3, 3, 6, True),
-]
-FOREIGN = [
-    "generator leaves the enumerated presentation ring; it uses a variable outside the presentation ring",
-    "generator x*T[1;1] is not a binomial",
-    "generator leaves the enumerated presentation ring; it uses a variable outside the presentation ring",
-]
+
+
+class HasPoly:
+    """An object with a ``.poly``, which is not a generator."""
+
+    def __init__(self, poly):
+        self.poly = poly
 
 
 class TestGeneratorIntake:
-    """Generators enter the sweep packed, as piece monomials do: terms
-    merge, the skip and the checks read the packed terms, and the field
-    is wide enough for every generator term."""
+    """Generators enter the sweep as written, two terms each, packed as
+    piece monomials are: the skip and the checks read the packed terms,
+    and the field is wide enough for every generator term."""
 
     def test_builds_no_poly(self, paper, monkeypatch):
         concrete = build_presentation(spec_from_dict(CONSTANT_SPEC))
@@ -1092,6 +1080,11 @@ class TestGeneratorIntake:
                 p = rng.choice(gens) * u.term(rng.choice((-2, 1, 3)), monomial())
             else:
                 p = u.from_terms((monomial(), rng.choice((-2, -1, 1, 2))) for _ in range(rng.randint(1, 3)))
+            if len(p.terms) != 2:
+                with pytest.raises(ValueError, match="is not a binomial"):
+                    _Sweep(pres, [p], ImageData(pres), DEFAULT_PIECE_CAP, [])
+                outcomes.add("binomial")
+                continue
             sweep = _Sweep(pres, [p], ImageData(pres), DEFAULT_PIECE_CAP, [])
             try:
                 got = {degree: [tuple(sorted(pair)) for pair in pairs] for degree, pairs in sweep.moves.items()}
@@ -1140,37 +1133,69 @@ class TestGeneratorIntake:
         # s1*T - s2*T evaluates to zero and is skipped
         cancel = poly(u, (1, "s1", "T[1;1]"), (-1, "s2", "T[1;1]"))
         assert report_fields(oracle_check(pres, gens + [cancel]).reports) == want
-        # s1*T + s2*T evaluates to one term
+        # s1*T + s2*T evaluates to one term, which does not vanish
         with pytest.raises(ValueError) as err:
             oracle_check(pres, gens + [poly(u, (1, "s1", "T[1;1]"), (1, "s2", "T[1;1]"))])
-        assert str(err.value) == "generator 2*x*T[1;1] is not a binomial"
-        # three terms, two of which merge into a kernel binomial
+        assert str(err.value) == "generator s2*T[1;1] + s1*T[1;1] does not map to zero"
+        # three terms are no binomial, though two of them meet
         merged = poly(u, (1, "s1", "T[1;1]"), (1, "s2", "T[1;1]"), (-2, "x", "T[1;0]"))
-        assert report_fields(oracle_check(pres, gens + [merged]).reports) == MERGED
+        with pytest.raises(ValueError) as err:
+            oracle_check(pres, gens + [merged])
+        assert str(err.value) == "generator %r is not a binomial: no Generator and no Poly of two terms" % merged
 
     def test_foreign_symbols(self):
+        # t1 is no variable of the enumerated ring: a generator that uses
+        # it is rejected, even where the evaluated generator is zero
         pres = build_presentation(spec_from_dict(SAME_VALUE_SPEC))
         u = pres.universe
         gens = defining_generators(pres, RESTRICTED)
-        want = report_fields(oracle_check(pres, gens).reports)
-        # t1 is no variable of the enumerated ring, but the generator
-        # evaluates to zero and is skipped
-        zeros = [
+        for p in (
             poly(u, (1, "s1", "t1"), (-1, "s2", "t1")),
             poly(u, (1, "s1", "t1", "T[1;1]"), (-1, "s2", "t1", "T[1;1]")),
-        ]
-        for zero in zeros:
-            assert report_fields(oracle_check(pres, gens + [zero]).reports) == want
-        outcomes = []
-        for p in (
             poly(u, (1, "s1", "t1"), (1, "s2", "t1")),
-            poly(u, (1, "s1", "t1"), (-1, "s2", "t1"), (1, "s2", "T[1;1]")),
             poly(u, (1, "t1", "T[1;1]"), (-1, "t1", "T[1;0]")),
+            poly(u, (1, "s1", "T[1;1]"), (-1, "x", "t1")),
         ):
             with pytest.raises(ValueError) as err:
                 oracle_check(pres, gens + [p])
-            outcomes.append(str(err.value))
-        assert outcomes == FOREIGN
+            assert str(err.value) == "generator %s leaves the enumerated presentation ring" % p.render()
+
+    @pytest.mark.parametrize("shape", ["one_term", "three_terms", "zero", "has_poly", "binomial"])
+    def test_rejected_shapes(self, paper, shape):
+        # only a Generator or a Poly of two terms enters, and the message
+        # names what was given; the shape is read before any piece
+        u = paper.universe
+        (g, *_) = defining_generators(paper, RESTRICTED)
+        given = {
+            "one_term": poly(u, (1, "p1", "T[1;110]")),
+            "three_terms": g.poly + poly(u, (1, "p1", "T[1;111]")),
+            "zero": u.zero(),
+            "has_poly": HasPoly(g.poly),
+            "binomial": g.binomial,
+        }[shape]
+        message = "generator %r is not a binomial: no Generator and no Poly of two terms" % (given,)
+        for check in (
+            lambda: oracle_check(paper, [g, given]),
+            lambda: span_compare(paper, [given], (1, 0, 0, 0, 0), 2),
+            lambda: oracle_check(paper, [given], degrees=[((1, 0, 0, 0, 0), 2)], cap=1),
+        ):
+            with pytest.raises(ValueError) as err:
+                check()
+            assert str(err.value) == message
+
+    def test_other_universe(self):
+        # A: one block on rows 1-3; B: the blocks {1,2} and {2,3}; B's
+        # generators read by id in A's table would be other polynomials
+        seq = SeqSpec(n=3)
+        pa = build_presentation(ReesSpec(seq=seq, blocks=(((1, 2, 3), 1),)))
+        pb = build_presentation(ReesSpec(seq=seq, blocks=(((1, 2), 1), ((2, 3), 1))))
+        gens = defining_generators(pb, RESTRICTED)
+        for family in (gens, [g.poly for g in gens]):
+            with pytest.raises(UniverseMismatch):
+                oracle_check(pa, family, t_cap=2)
+            with pytest.raises(UniverseMismatch):
+                span_compare(pa, family[:1], (1,), 1)
+        assert oracle_check(pb, gens, t_cap=2).ok
 
 
 def count_image_data(monkeypatch):

@@ -158,6 +158,11 @@ class TestPolyArithmetic:
         expect = _to_sympy(p, syms).subs(syms[vid], _to_sympy(img, syms))
         assert _to_sympy(got, syms) - sympy.expand(expect) == 0
 
+    @pytest.mark.parametrize("c", [1, Fraction(1, 2)])
+    def test_number_minus_poly(self, uni, c):
+        p = uni.poly_var("s1") * uni.poly_var("A") - 2 * uni.poly_var("A") ** 2
+        assert c - p == -(p - c)
+
     def test_pow(self, uni):
         a = uni.poly_var("A") + 1
         assert a ** 3 == a * a * a
@@ -269,6 +274,11 @@ class TestLeading:
 
 
 class TestRender:
+    @pytest.mark.parametrize("kind", ["lex", "grlex", "grevlex"])
+    def test_order_repr(self, uni, kind):
+        order = MonomialOrder(uni, kind, uni.T_ids[::-1])
+        assert repr(order) == "MonomialOrder(%s[C>B>A])" % kind
+
     def test_render_and_mono_text(self, uni):
         p = uni.poly_var("A") * uni.poly_var("s1") - 2 * uni.poly_var("B") ** 2
         assert p.render() == "-2*B^2 + s1*A"

@@ -92,6 +92,18 @@ class TestQuasiMatrix:
         assert sorted(qm.entries) == [(0, 0), (1, 1)]
         assert not is_full(qm)
 
+    def test_repr(self):
+        assert repr(QuasiMatrix(2, 3, {(0, 0): 1, (1, 2): 2})) == "QuasiMatrix(2x3, 2 entries)"
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_equal_binomials_hash_alike(self, swap):
+        # the sign normalization puts the same monomial first either way
+        a, b, c = Mono(((1, 1),)), Mono(((2, 1),)), Mono(((3, 1),))
+        first = Binomial(a, b, ((0, 0),), ((0, 1),))
+        again = Binomial(b, a, ((0, 1),), ((0, 0),)) if swap else Binomial(a, b, ((0, 0),), ((0, 1),))
+        assert again == first and hash(again) == hash(first)
+        assert len({first, again, Binomial(a, c, ((0, 0),), ((0, 2),))}) == 2
+
     def test_pretty(self):
         qm, uni = generic_matrix(2, 2)
         text = qm.pretty(uni.name, ["r1", "r2"], ["c1", "c2"])

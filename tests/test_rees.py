@@ -307,6 +307,10 @@ class TestSpecValidation:
         spec = ReesSpec(seq=SeqSpec(n=3), blocks=(((3, 1, 3), 1),))
         assert spec.blocks == (((1, 3), 1),)
 
+    def test_repr(self):
+        seq = SeqSpec(n=2)
+        assert repr(ReesSpec(seq=seq, blocks=(((2, 1), 1),))) == "ReesSpec(seq=%r, blocks=(((1, 2), 1),))" % (seq,)
+
     def test_lint_notes(self):
         spec = ReesSpec(seq=SeqSpec(n=2), blocks=(((1,), 1), ((1, 2), 1), ((1, 2), 1)))
         notes = spec.lint()

@@ -72,6 +72,25 @@ class TestSeqSpec:
         assert not shared.squarefree_monomial_values()
         assert any("not attested" in note for note in shared.lint())
 
+    @pytest.mark.parametrize(
+        "seq, text",
+        [
+            (
+                SeqSpec(n=2),
+                "SeqSpec(n=2, mode='generic', names=('s1', 's2'), x_names=(), concrete_terms=(), "
+                "assume_weak_regular=False)",
+            ),
+            (
+                SeqSpec(n=1, mode="concrete", x_names=("x",), concrete_terms=(((2, {"x": 1}),),)),
+                "SeqSpec(n=1, mode='concrete', names=('s1',), x_names=('x',), concrete_terms=(((2, {'x': 1}),),), "
+                "assume_weak_regular=False)",
+            ),
+        ],
+        ids=["generic", "concrete"],
+    )
+    def test_repr(self, seq, text):
+        assert repr(seq) == text
+
     def test_lint_duplicate_values(self):
         seq = SeqSpec(
             n=2,
