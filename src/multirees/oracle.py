@@ -27,18 +27,22 @@ later link can merge two components.
 The sweep runs on packed exponent vectors.  Each T-variable maps to a
 monomial in the sequence times a t-symbol, so imaging is additive, and
 one table, ``ImageData``, images every variable a generator may use.  A
-piece is enumerated as T-part x ambient part, each with its packed
-source and image, and a monomial is the sum of its parts; a generator's
-term is the sum of its variables' entries, so no generator becomes a
-``Poly`` or is imaged as a ``Mono``.  What pieces share is built once
-per block degree: its T-parts, kept as runs of equal weight, and its
-plan of the generator degrees that fit.  Packed ints hold one
-fixed-width field per coordinate, wide enough for any piece or
-generator term of the sweep, so sums never carry and equal ints mean
-equal monomials.  ``source_monomials`` and ``kernel_piece`` unpack one
-piece of a sweep, and its kernel basis, as ``Mono``s; the reference
-enumeration, fiber basis and imaging on ``Mono``s that the tests compare
-them with live in the tests.
+monomial is one int that holds its source, its image and its weight
+(Bachmann and Schoenemann's packed monomials), so one addition
+multiplies all three.  A piece is enumerated as T-part x ambient part,
+a monomial is the sum of its parts, and a generator's term is the sum
+of its variables' ints, so no generator becomes a ``Poly`` or is imaged
+as a ``Mono``.  What pieces share is built once per block degree: its
+T-parts, kept as runs of equal weight, and its plan of the generator
+degrees that fit.  The source and image hold one fixed-width field per
+coordinate, wide enough for any piece or generator term of the sweep,
+so their sums never carry and equal ints mean equal monomials; the
+fibers of a piece are its ints shifted past the source.  A piece
+without kernel has no multiple, so it is reported before its plan is
+walked.  ``source_monomials`` and ``kernel_piece`` unpack one piece of
+a sweep, and its kernel basis, as ``Mono``s; the reference enumeration,
+fiber basis and imaging on ``Mono``s that the tests compare them with
+live in the tests.
 
 Grading: a piece is indexed by the tuple of block degrees (how many T
 variables of each block) together with the total ambient degree of the
@@ -111,8 +115,7 @@ class KernelPiece:
 
 
 def _one_piece(pres, tvec, weight, cap):
-    """A ``_Sweep`` with no generators, and the packed (sources, images)
-    of its one piece."""
+    """A ``_Sweep`` with no generators, and the ints of its one piece."""
     tvec = tuple(tvec)
     sweep = _Sweep(pres, (), ImageData(pres), cap, [(tvec, weight)])
     return sweep, sweep.piece(tvec, weight)
@@ -121,8 +124,8 @@ def _one_piece(pres, tvec, weight, cap):
 def source_monomials(pres, tvec, weight, cap=DEFAULT_PIECE_CAP):
     """Every presentation-ring monomial of the given degree, as ``Mono``s
     in the sweep's order (``_Sweep.piece``)."""
-    sweep, (src, _) = _one_piece(pres, tvec, weight, cap)
-    return [sweep.src.unpack(m) for m in src]
+    sweep, piece = _one_piece(pres, tvec, weight, cap)
+    return [sweep.src.unpack(m) for m in piece]
 
 
 def kernel_piece(pres, tvec, weight, cap=DEFAULT_PIECE_CAP):
@@ -130,10 +133,10 @@ def kernel_piece(pres, tvec, weight, cap=DEFAULT_PIECE_CAP):
     computed straight from the fibers (no generators involved): each
     fiber with k members gives k - 1 differences (``_Sweep.fibers``),
     written as ``{monomial index: coefficient}``."""
-    sweep, (src, img) = _one_piece(pres, tvec, weight, cap)
-    monos = [sweep.src.unpack(m) for m in src]
+    sweep, piece = _one_piece(pres, tvec, weight, cap)
+    monos = [sweep.src.unpack(m) for m in piece]
     coeffs = [sweep.coefficient(m) for m in monos]
-    basis = [{i0: coeffs[i], i: -coeffs[i0]} for i0, *rest in sweep.fibers(img) for i in rest]
+    basis = [{i0: coeffs[i], i: -coeffs[i0]} for i0, *rest in sweep.fibers(piece) for i in rest]
     return KernelPiece(tuple(tvec), weight, monos, basis)
 
 
@@ -166,38 +169,45 @@ class _Sweep:
     """What the pieces of one sweep share: the generators, packed and
     checked once, and every enumerated piece, memoized by degree.
 
-    Monomials are packed by two ``Packing`` layouts of one field width:
-    ``src`` has each block's variables in block order, then the ambient
-    symbols; ``img`` has the ambient symbols, then t_1, ..., t_r.
-    ``packed`` holds each ``ImageData`` entry once, packed: the
-    coefficient, the source (the variable itself, or a concrete sequence
-    symbol's value), the image and the weight.  Packing is additive, and
-    so is the presentation map on exponent vectors: a monomial's packed
-    source and image are the sums of its variables' entries.  A
-    coordinate of a monomial of degree (t, w), or of its image, is at
-    most max(w, sum(t)): an ambient exponent at most w, a T or t exponent
-    at most sum(t), which exceeds w when T-variables weigh 0 (constant
-    concrete values).  The field holds the largest such bound of the
-    sweep's pieces and of its generators' terms (checked even when they
-    fit under no piece), and q*m_a lies in the piece, so no sum ever
-    carries into the next field and packing is injective on each.
+    A monomial is one int of fields of one width: its source at the
+    bottom, laid out by ``src`` (each block's variables in block order,
+    then the ambient symbols), its image from ``ishift`` up, laid out by
+    ``img`` (the ambient symbols, then t_1, ..., t_r), and its weight in
+    an unbounded field from ``wshift`` up.  ``packed`` holds each
+    ``ImageData`` entry once as (coefficient, int), the source being the
+    variable itself or a concrete sequence symbol's value.  Packing is
+    additive, and so is the presentation map on exponent vectors: a
+    monomial's int is the sum of its variables' ints.  A coordinate of a
+    monomial of degree (t, w), or of its image, is at most max(w, sum(t)):
+    an ambient exponent at most w, a T or t exponent at most sum(t), which
+    exceeds w when T-variables weigh 0 (constant concrete values).  The
+    width holds the largest such bound of the sweep's pieces and of its
+    generators' terms (checked even when they fit under no piece), and
+    q*m_a lies in the piece, so no sum of these carries into the next
+    field, and equal ints mean equal monomials.
 
     A block's monomials of degree d are one ``_table``.  The T-parts of
     block degree t, a product of tables, are built with t's first piece
     as ``_runs`` of equal weight (one in generic mode), and a piece (t, w)
-    is each run times the ambient table of weight w less the run's.
+    is each run times the ambient table of weight w less the run's.  A
+    T-part heavier than every listed weight may have an image coordinate
+    above the width, and that carry runs upward: the int is still the
+    exact sum of its fields, so the read weight ``t >> wshift`` is at
+    least the true one, the T-part stays heavier than every piece and
+    quotient piece, and no piece uses it.
 
     A generator a*m_a + b*m_b of degree (g_t, g_w) has as multiples in
     piece (t, w) the binomials q*m_a - q*m_b, where q runs over the piece
-    of degree (t - g_t, w - g_w); each links two monomials of one fiber.
+    of degree (t - g_t, w - g_w); each links two distinct monomials of one
+    fiber, so a piece without kernel has no multiple and walks no plan.
     ``moves`` files the generators by degree, and ``plans`` holds per t
     the degrees whose g_t fits under it, with t - g_t.  ``compare`` joins
     links in ``parent``, a union-find list over piece indices with path
     halving, built at the first join.  Components never leave a fiber,
     so ``span_dim``, the joins that merge, never exceeds the kernel
-    dimension, the piece size less the number of fibers.  Once they are
-    equal every fiber is one component, and the piece only adds up its
-    multiples.
+    dimension, the piece size less the number of fibers (distinct
+    ``m >> ishift``).  Once they are equal every fiber is one component,
+    and the piece only adds up its multiples.
     """
 
     def __init__(self, pres, generators, data, cap, degrees):
@@ -214,25 +224,25 @@ class _Sweep:
         self.vids = [tuple(bd.vids.values()) for bd in pres.blocks] + [tuple(data.ambient_ids)]
         self.src = Packing([v for vids in self.vids for v in vids], width)
         self.img = Packing(list(data.ambient_ids) + list(pres.universe.t_ids), width)
-        self.packed = {
-            v: (c, self.src.pack(((v, 1),) if v in self.src.shift else pairs), self.img.pack(pairs), w)
-            for v, (c, pairs, w) in data.table.items()
-        }
+        self.ishift = len(self.src.coords) * width
+        self.wshift = self.ishift + len(self.img.coords) * width
+        self.packed = {}
+        for v, (c, pairs, w) in data.table.items():
+            src = self.src.pack(((v, 1),) if v in self.src.shift else pairs)
+            self.packed[v] = (c, src + (self.img.pack(pairs) << self.ishift) + (w << self.wshift))
         self.tables = {}
         self.runs = {}
         self.plans = {}
         self.pieces = {}
 
     def _table(self, l, degree):
-        """(packed source, packed image, weight) of each monomial of the
-        degree in block ``l`` (from 0; ``r``: the ambient symbols), in
-        ``combinations_with_replacement`` order; built once."""
+        """The int of each monomial of the degree in block ``l`` (from 0;
+        ``r``: the ambient symbols), in ``combinations_with_replacement``
+        order; built once."""
         table = self.tables.get((l, degree))
         if table is None:
-            table = self.tables[l, degree] = [
-                tuple(map(sum, zip((0, 0, 0), *(self.packed[v][1:] for v in combo))))
-                for combo in combinations_with_replacement(self.vids[l], degree)
-            ]
+            ints = [self.packed[v][1] for v in self.vids[l]]
+            table = self.tables[l, degree] = list(map(sum, combinations_with_replacement(ints, degree)))
         return table
 
     def _count(self, rest):
@@ -242,19 +252,18 @@ class _Sweep:
 
     def _runs(self, tvec, weight):
         """The T-parts of ``tvec`` in ``itertools.product`` order, as runs
-        (weight, packed sources, packed images) of equal weight.  The size
-        of ``tvec``'s first piece is counted as they come: past the cap
-        the product stops, and only complete runs are memoized."""
+        (weight, ints) of equal weight.  The size of ``tvec``'s first piece
+        is counted as they come: past the cap the product stops, and only
+        complete runs are memoized."""
         if len(tvec) != self.pres.spec.r or any(d < 0 for d in tvec):
             raise ValueError("block degree tuple must list %d nonnegative entries" % self.pres.spec.r)
-        runs, size, run_w = [], 0, None
-        for combo in product(*(self._table(l, d) for l, d in enumerate(tvec))):
-            ts, ti, tw = map(sum, zip(*combo))
+        runs, size, run_w, wshift = [], 0, None, self.wshift
+        for t in map(sum, product(*(self._table(l, d) for l, d in enumerate(tvec)))):
+            tw = t >> wshift
             if tw != run_w:
-                run_w, count, srcs, imgs = tw, self._count(weight - tw), [], []
-                runs.append((tw, srcs, imgs))
-            srcs.append(ts)
-            imgs.append(ti)
+                run_w, count, ts = tw, self._count(weight - tw), []
+                runs.append((tw, ts))
+            ts.append(t)
             size += count
             if size > self.cap:
                 return runs
@@ -262,61 +271,57 @@ class _Sweep:
         return runs
 
     def piece(self, tvec, weight):
-        """(packed sources, packed images) of the piece: each T-part, then
-        each ambient monomial of the weight it leaves.  ValueError for a
-        malformed ``tvec``, CapExceeded for a piece over the cap."""
+        """The ints of the piece: each T-part, then each ambient monomial
+        of the weight it leaves.  ValueError for a malformed ``tvec``,
+        CapExceeded for a piece over the cap."""
         key = (tvec, weight)
         piece = self.pieces.get(key)
         if piece is not None:
             return piece
-        src, img, size = [], [], 0
-        for tw, ts, ti in self.runs.get(tvec) or self._runs(tvec, weight):
+        piece, size = [], 0
+        for tw, ts in self.runs.get(tvec) or self._runs(tvec, weight):
             if tw > weight:
                 continue
             size += len(ts) * self._count(weight - tw)
             if size > self.cap:
                 raise CapExceeded("degree piece %r/%d exceeds the cap of %d monomials" % (tvec, weight, self.cap))
             amb = self._table(len(tvec), weight - tw)
-            src += [t + s for t in ts for s, _, _ in amb]
-            img += [t + i for t in ti for _, i, _ in amb]
-        piece = self.pieces[key] = (src, img)
+            piece += [t + a for t in ts for a in amb]
+        self.pieces[key] = piece
         return piece
 
     @cached_property
     def moves(self):
         """{(g_t, g_w): [(m_a, m_b), ...]}: the generators by degree, each
-        term packed once (``_pack``).  A generator must map to zero, with
-        equal images and cancelling coefficients; one whose terms pack to
-        one source, as two sequence symbols of one value may, is zero and
-        is skipped.  Read once the first piece is enumerated, so a piece
+        term packed once (``_pack``) and its degree read off its int.  A
+        generator must map to zero, with equal images and cancelling
+        coefficients; one whose terms pack to one source, as two sequence
+        symbols of one value may, is zero and is skipped.  Read once the first piece is enumerated, so a piece
         over the cap comes before these errors; ``_terms`` reads the shape
         and universe of a generator earlier, as its terms size the field."""
         mask = (1 << self.img.width) - 1
-        t_shifts = [self.img.shift[t] for t in self.pres.universe.t_ids]
+        t_shifts = [self.ishift + self.img.shift[t] for t in self.pres.universe.t_ids]
         out = {}
         for g, (ta, tb) in self.generators:
-            (ca, pa, ia, wa), (cb, pb, ib, _) = self._pack(g, *ta), self._pack(g, *tb)
-            if ia != ib or ca + cb:
+            (ca, a), (cb, b) = self._pack(g, *ta), self._pack(g, *tb)
+            if a >> self.ishift != b >> self.ishift or ca + cb:
                 raise ValueError("generator %s does not map to zero" % getattr(g, "poly", g).render())
-            if pa != pb:
-                out.setdefault((tuple(ia >> s & mask for s in t_shifts), wa), []).append((pa, pb))
+            if a != b:
+                out.setdefault((tuple(a >> s & mask for s in t_shifts), a >> self.wshift), []).append((a, b))
         return out
 
     def _pack(self, g, mono, coeff):
-        """(coefficient, packed source, packed image, weight) of the term
-        coeff*mono of the generator ``g``: its variables' entries summed,
-        their coefficients multiplied in; ValueError for a variable
-        outside the table."""
-        src = img = weight = 0
+        """(coefficient, int) of the term coeff*mono of the generator
+        ``g``: its variables' ints summed, their coefficients multiplied
+        in; ValueError for a variable outside the table."""
+        m = 0
         for v, e in mono.exps:
             if v not in self.packed:
                 raise ValueError("generator %s leaves the enumerated presentation ring" % getattr(g, "poly", g).render())
-            c, s, i, w = self.packed[v]
+            c, x = self.packed[v]
             coeff *= c**e
-            src += s * e
-            img += i * e
-            weight += w * e
-        return coeff, src, img, weight
+            m += x * e
+        return coeff, m
 
     def coefficient(self, mono):
         """The image coefficient of a ``Mono`` of the table's variables."""
@@ -324,13 +329,16 @@ class _Sweep:
 
     def compare(self, tvec, weight):
         tvec = tuple(tvec)
-        src, img = self.piece(tvec, weight)
-        kernel_dim = len(src) - len(set(img))
+        piece = self.piece(tvec, weight)
+        kernel_dim = len(piece) - len({m >> self.ishift for m in piece})
+        moves = self.moves  # read before any return: its errors follow the first piece's
+        if not kernel_dim:
+            return SpanReport(tvec, weight, len(piece), kernel_dim=0, span_dim=0, multiples=0, ok=True)
         plan = self.plans.get(tvec)
         if plan is None:
             plan = self.plans[tvec] = [
                 (gw, tuple(a - b for a, b in zip(tvec, gt)), pairs)
-                for (gt, gw), pairs in self.moves.items()
+                for (gt, gw), pairs in moves.items()
                 if all(a >= b for a, b in zip(tvec, gt))
             ]
         parent = index = None
@@ -338,12 +346,12 @@ class _Sweep:
         for gw, dt, pairs in plan:
             if gw > weight:
                 continue
-            quotient = self.piece(dt, weight - gw)[0]
+            quotient = self.piece(dt, weight - gw)
             n_multiples += len(quotient) * len(pairs)
             if span_dim == kernel_dim or not quotient:
                 continue
             if index is None:
-                parent, index = list(range(len(src))), {m: i for i, m in enumerate(src)}
+                parent, index = list(range(len(piece))), {m: i for i, m in enumerate(piece)}
             for pa, pb in pairs:
                 for q in quotient:
                     a, b = index[q + pa], index[q + pb]
@@ -360,11 +368,11 @@ class _Sweep:
                     break
         witness = None
         if span_dim < kernel_dim:
-            witness = self.witness(src, img, parent or range(len(src)))
+            witness = self.witness(piece, parent or range(len(piece)))
         return SpanReport(
             tvec=tvec,
             weight=weight,
-            piece_size=len(src),
+            piece_size=len(piece),
             kernel_dim=kernel_dim,
             span_dim=span_dim,
             multiples=n_multiples,
@@ -372,19 +380,19 @@ class _Sweep:
             witness=witness,
         )
 
-    def fibers(self, img):
+    def fibers(self, piece):
         """The fibers of a piece with two or more members, as lists of
         indices into the piece, sorted by their image's ``Mono.exps``.
         Each fiber's first member against each other member, in this
         order, is the kernel basis of ``kernel_piece``."""
         fibers = {}
-        for i, v in enumerate(img):
-            fibers.setdefault(v, []).append(i)
+        for i, m in enumerate(piece):
+            fibers.setdefault(m >> self.ishift, []).append(i)
         groups = [g for g in fibers.values() if len(g) > 1]
-        groups.sort(key=lambda g: self.img.unpack(img[g[0]]).exps)
+        groups.sort(key=lambda g: self.img.unpack(piece[g[0]] >> self.ishift).exps)
         return groups
 
-    def witness(self, src, img, parent):
+    def witness(self, piece, parent):
         """The first kernel basis binomial (``fibers``) whose two monomials
         lie in different components of the union-find ``parent``."""
 
@@ -393,10 +401,10 @@ class _Sweep:
                 i = parent[i]
             return i
 
-        for i0, *rest in self.fibers(img):
+        for i0, *rest in self.fibers(piece):
             for i in rest:
                 if root(i0) != root(i):
-                    m0, m = self.src.unpack(src[i0]), self.src.unpack(src[i])
+                    m0, m = self.src.unpack(piece[i0]), self.src.unpack(piece[i])
                     return self.pres.universe.from_terms([(m0, self.coefficient(m)), (m, -self.coefficient(m0))])
 
 

@@ -122,9 +122,25 @@ MUTANTS = [
     (
         "sweep-kernel-dimension",
         ORACLE,
-        "kernel_dim = len(src) - len(set(img))",
-        "kernel_dim = len(src) - len(set(img)) - 1",
+        "kernel_dim = len(piece) - len({m >> self.ishift for m in piece})",
+        "kernel_dim = len(piece) - len({m >> self.ishift for m in piece}) - 1",
         "the kernel dimension of a piece is its size less its number of fibers",
+        None,
+    ),
+    (
+        "sweep-zero-kernel-return-at-one",
+        ORACLE,
+        "if not kernel_dim:",
+        "if kernel_dim <= 1:",
+        "a piece of kernel dimension 1 may have multiples, and its kernel may be missed",
+        None,
+    ),
+    (
+        "sweep-zero-kernel-return-multiples",
+        ORACLE,
+        "multiples=0, ok=True)",
+        "multiples=1, ok=True)",
+        "a piece without kernel has no multiple",
         None,
     ),
     (
@@ -136,9 +152,25 @@ MUTANTS = [
         None,
     ),
     (
+        "sweep-image-shift-low",
+        ORACLE,
+        "self.ishift = len(self.src.coords) * width",
+        "self.ishift = (len(self.src.coords) - 1) * width",
+        "the image fields start above the last source field, or the two overlap",
+        None,
+    ),
+    (
+        "sweep-run-weight-at-image-shift",
+        ORACLE,
+        "tw = t >> wshift",
+        "tw = t >> self.ishift",
+        "a T-part's weight is its top field, not its image and weight read as one number",
+        None,
+    ),
+    (
         "intake-image-unchecked",
         ORACLE,
-        "if ia != ib or ca + cb:",
+        "if a >> self.ishift != b >> self.ishift or ca + cb:",
         "if ca + cb:",
         "a generator whose two terms have different images does not map to zero",
         None,
@@ -146,16 +178,16 @@ MUTANTS = [
     (
         "intake-coefficients-unchecked",
         ORACLE,
-        "if ia != ib or ca + cb:",
-        "if ia != ib:",
+        "if a >> self.ishift != b >> self.ishift or ca + cb:",
+        "if a >> self.ishift != b >> self.ishift:",
         "a generator whose image coefficients do not cancel does not map to zero",
         None,
     ),
     (
         "intake-cancelling-terms-filed",
         ORACLE,
-        "            if pa != pb:\n",
-        "            if True:\n",
+        "            if a != b:\n                out.setdefault(",
+        "            if True:\n                out.setdefault(",
         "terms that meet and cancel are a zero generator, which adds no multiples",
         None,
     ),

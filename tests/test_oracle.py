@@ -313,7 +313,9 @@ def mono_reference(pres, generators, piece, data):
 def assert_sweep_matches_mono_reference(pres, generators, degrees):
     """Every report field of one ``oracle_check`` sweep, and every field of
     ``kernel_piece`` on each of its pieces, equals the ``Mono`` reference,
-    and every witness maps to zero; returns the reports."""
+    and every witness maps to zero; returns the reports.  A reference
+    piece without kernel has no multiple and spans nothing, which is why
+    the sweep returns such a piece before it walks its plan."""
     data = MonoImage(pres)
     reports = oracle_check(pres, generators, degrees=degrees).reports
     assert [(r.tvec, r.weight) for r in reports] == [(tuple(t), w) for t, w in degrees]
@@ -321,8 +323,10 @@ def assert_sweep_matches_mono_reference(pres, generators, degrees):
         piece = reference_kernel_piece(pres, rep.tvec, rep.weight, data=data)
         got = kernel_piece(pres, rep.tvec, rep.weight)
         assert (got.tvec, got.weight, got.monomials, got.basis) == (piece.tvec, piece.weight, piece.monomials, piece.basis)
-        got = (rep.piece_size, rep.kernel_dim, rep.span_dim, rep.multiples, rep.ok, rep.witness)
-        assert got == mono_reference(pres, generators, piece, data)
+        want = mono_reference(pres, generators, piece, data)
+        if not want[1]:
+            assert want[2:4] == (0, 0)
+        assert (rep.piece_size, rep.kernel_dim, rep.span_dim, rep.multiples, rep.ok, rep.witness) == want
         if rep.witness is not None:
             assert pres.phi(rep.witness).is_zero()
     return reports
@@ -736,6 +740,19 @@ CONSTANT_SPEC = {
 }
 
 
+# values of degrees 3, 1 and 0 give the T-variables of one block weights
+# from 0 to 6
+MIXED_DEGREE_SPEC = {
+    "sequence": {
+        "mode": "concrete",
+        "n": 3,
+        "ambient": ["x", "y"],
+        "values": [[[1, {"x": 3}]], [[1, {"y": 1}]], [[2, {}]]],
+    },
+    "blocks": [{"rows": [1, 2], "power": 1}, {"rows": [1, 2, 3], "power": 2}],
+}
+
+
 class TestPackedSweep:
     """The sweep's packed exponent vectors against the ``Mono`` path."""
 
@@ -760,6 +777,45 @@ class TestPackedSweep:
         for family in (gens, gens[1:]):
             assert_sweep_matches_mono_reference(pres, family, degrees)
 
+    @pytest.mark.parametrize(
+        "spec, degrees",
+        [
+            (
+                ReesSpec(seq=SeqSpec(n=3), blocks=(((1, 2, 3), 2), ((1, 2), 1))),
+                [((2, 0), 1), ((2, 0), 3), ((1, 1), 1), ((1, 1), 3), ((0, 2), 2), ((2, 1), 3), ((1, 0), 2)],
+            ),
+            (
+                spec_from_dict(MIXED_DEGREE_SPEC),
+                [((2, 0), 1), ((0, 2), 1), ((0, 2), 0), ((1, 1), 2), ((1, 0), 3), ((0, 1), 3), ((1, 2), 3)],
+            ),
+        ],
+        ids=["generic", "mixed_degree"],
+    )
+    def test_t_parts_above_the_width_stay_heavy(self, spec, degrees):
+        # degrees listed below their block degree's base weight size the
+        # field for the light pieces alone, so the heaviest T-parts have an
+        # image coordinate above it; that carry may only raise the weight
+        # they are read at, which keeps them out of every piece
+        pres = build_presentation(spec)
+        data = MonoImage(pres)
+        for family in ([], defining_generators(pres, RESTRICTED)):
+            assert_sweep_matches_mono_reference(pres, family, degrees)
+        for tvec, weight in degrees:
+            assert source_monomials(pres, tvec, weight) == reference_source_monomials(pres, tvec, weight, data=data)
+        sweep = _Sweep(pres, [], ImageData(pres), DEFAULT_PIECE_CAP, degrees)
+        for tvec, weight in degrees:
+            sweep.piece(tvec, weight)
+        carried = 0
+        for tw, ts in (run for runs in sweep.runs.values() for run in runs):
+            for t in ts:
+                mono = sweep.src.unpack(t)
+                true = data.degree(mono)[1]
+                assert tw >= true
+                if (sweep.img.unpack(t >> sweep.ishift), tw) != (data.image(mono)[1], true):
+                    carried += 1
+                    assert true > max(w for _, w in degrees)
+        assert carried
+
     @settings(max_examples=40, deadline=None)
     @given(spec=small_specs())
     def test_pieces_decode_to_source_monomials(self, spec):
@@ -768,25 +824,29 @@ class TestPackedSweep:
         degrees = default_degrees(pres, t_cap=2, ambient_cap=4)
         sweep = _Sweep(pres, [], ImageData(pres), DEFAULT_PIECE_CAP, degrees)
         for tvec, weight in degrees:
-            src, img = sweep.piece(tvec, weight)
+            piece = sweep.piece(tvec, weight)
             monos = reference_source_monomials(pres, tvec, weight, data=data)
-            assert [sweep.src.unpack(x) for x in src] == monos
+            assert [sweep.src.unpack(m) for m in piece] == monos
             assert source_monomials(pres, tvec, weight) == monos
-            assert [sweep.img.unpack(x) for x in img] == [data.image(m)[1] for m in monos]
+            assert [sweep.img.unpack(m >> sweep.ishift) for m in piece] == [data.image(m)[1] for m in monos]
+            assert {m >> sweep.wshift for m in piece} <= {weight}
         gens = defining_generators(pres, RESTRICTED)
         assert_sweep_matches_mono_reference(pres, gens[1:], degrees)
 
     def test_desk_sample(self):
         # a seeded sample of desk-scale specs, each with its restricted
         # family less one generator, so that witnesses occur
-        pieces = missed = 0
+        pieces = missed = no_kernel = 0
         for k, spec in enumerate(Random(5).sample(desk_scale_specs(), 120)):
             pres = build_presentation(spec)
             family = drop_one(defining_generators(pres, RESTRICTED), k)
             reports = assert_sweep_matches_mono_reference(pres, family, default_degrees(pres, t_cap=3, ambient_cap=5))
             pieces += len(reports)
             missed += sum(not r.ok for r in reports)
-        assert pieces > 2000 and missed > 100
+            no_kernel += sum(not r.kernel_dim for r in reports)
+        # many pieces have no kernel: the sweep walks no plan for them,
+        # and the reference found no multiple in any of them
+        assert pieces > 2000 and missed > 100 and no_kernel > 1000
 
     def test_weight_runs_keep_the_product_order(self):
         # concrete values of different degrees give the T-parts of one
@@ -802,8 +862,8 @@ class TestPackedSweep:
             degrees = default_degrees(pres, t_cap=3, ambient_cap=5)
             sweep = _Sweep(pres, [], ImageData(pres), DEFAULT_PIECE_CAP, degrees)
             for tvec, weight in degrees:
-                src, _ = sweep.piece(tvec, weight)
-                assert [sweep.src.unpack(x) for x in src] == reference_source_monomials(pres, tvec, weight, data=data)
+                piece = sweep.piece(tvec, weight)
+                assert [sweep.src.unpack(m) for m in piece] == reference_source_monomials(pres, tvec, weight, data=data)
             most_runs = max([most_runs] + [len(runs) for runs in sweep.runs.values()])
             family = drop_one(defining_generators(pres, RESTRICTED), k)
             missed += sum(not r.ok for r in assert_sweep_matches_mono_reference(pres, family, degrees))
@@ -814,7 +874,7 @@ class TestPackedSweep:
         # 420), where the union-find follows long chains: the default
         # sweep of each shape, with its restricted family and with one
         # generator dropped
-        pieces = missed = 0
+        pieces = missed = no_kernel = 0
         for k, spec in enumerate(gb_heavy_specs()):
             pres = build_presentation(spec)
             gens = defining_generators(pres, RESTRICTED)
@@ -822,7 +882,8 @@ class TestPackedSweep:
                 reports = assert_sweep_matches_mono_reference(pres, family, default_degrees(pres))
                 pieces += len(reports)
                 missed += sum(not r.ok for r in reports)
-        assert (pieces, missed) == (388, 44)
+                no_kernel += sum(not r.kernel_dim for r in reports)
+        assert (pieces, missed, no_kernel) == (388, 44, 60)
 
     def test_cap_stops_before_the_whole_t_part_product(self, monkeypatch):
         # 45 monomials of degree 8 per block, so 2,025 T-parts of weight
@@ -1086,10 +1147,19 @@ class TestGeneratorIntake:
                 outcomes.add("binomial")
                 continue
             sweep = _Sweep(pres, [p], ImageData(pres), DEFAULT_PIECE_CAP, [])
+            source = (1 << sweep.ishift) - 1
             try:
-                got = {degree: [tuple(sorted(pair)) for pair in pairs] for degree, pairs in sweep.moves.items()}
+                got = {degree: [tuple(sorted(m & source for m in pair)) for pair in pairs] for degree, pairs in sweep.moves.items()}
             except ValueError as exc:
                 got = str(exc)
+            else:
+                # above its source, each term carries the reference's image
+                # and weight, the same for both
+                for ma, mb in (pair for pairs in sweep.moves.values() for pair in pairs):
+                    mono = sweep.src.unpack(ma)
+                    assert ma >> sweep.ishift == mb >> sweep.ishift
+                    assert sweep.img.unpack(ma >> sweep.ishift) == ref.image(mono)[1]
+                    assert ma >> sweep.wshift == ref.degree(mono)[1]
             want = ref.moves(p, sweep.src.pack)
             assert got == want, p
             outcomes.add(want.split(" ")[-1] if isinstance(want, str) else bool(want))
